@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check vet staticcheck build test race race-ring race-serve race-chaos parity opt-parity opt-golden shard-parity bench bench-kernels telemetry-overhead fuzz-smoke e2e-encrypted soak-chaos trend
+.PHONY: check vet staticcheck build test race race-ring race-serve race-chaos parity opt-parity opt-golden shard-parity bench bench-kernels bench-selftest telemetry-overhead fuzz-smoke e2e-encrypted soak-chaos trend
 
 ## check: the full CI gate — vet, staticcheck, build, tests, the race
-## detector (including the ring worker-pool hammer), and the
-## executor-vs-interpreter parity suite.
-check: vet staticcheck build test race race-ring parity
+## detector (including the ring worker-pool hammer), the
+## executor-vs-interpreter parity suite, and the benchmark module's own
+## tests.
+check: vet staticcheck build test race race-ring parity bench-selftest
 
 vet:
 	$(GO) vet ./...
@@ -95,11 +96,21 @@ bench:
 	$(GO) test -run xxx -bench 'InferExecutorCNN1|InferLegacyCNN1' -benchtime 5x -timeout 30m ./internal/henn/
 
 ## bench-kernels: ring kernel micro-benchmarks — NTT, pointwise multiply,
-## rescale division and cached-scalar multiply per limb count, serial vs
-## pool-parallel, with allocation counts. The parallel/serial ratio at a
-## given limb count is the limb-level speedup; it scales with GOMAXPROCS.
+## rescale division and cached-scalar multiply per limb count, and the
+## lazily-reduced inner product against the eager per-term loop per term
+## and limb count — serial vs pool-parallel, with allocation counts. The
+## parallel/serial ratio at a given limb count is the limb-level speedup;
+## it scales with GOMAXPROCS.
 bench-kernels:
 	$(GO) test -run xxx -bench 'BenchmarkKernel' -benchtime 20x -benchmem -timeout 30m ./internal/ring/
+
+## bench-selftest: the nested benchmark module (benchmark/, which the root
+## `go test ./...` does not enter) — vet plus its short tests: the
+## BENCHMARK.json-matches-the-program check and the timing decorator's
+## parity test, whose per-kind call counts must still equal the ByKind
+## counts of the graph it ran.
+bench-selftest:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 ## telemetry-overhead: per-op executor cost with telemetry off / metrics
 ## on / metrics+tracing on. The disabled case must stay within noise of

@@ -118,3 +118,54 @@ func BenchmarkMulRelinByLevel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRotateHoisted8 is eight rotations off one decomposition: per
+// rotation, two digit×key inner products gathered through the NTT-domain
+// automorphism plus the ModDown.
+func BenchmarkRotateHoisted8(b *testing.B) {
+	p, err := TestParameters()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ks := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	k := newTestKit(b, p, ks, false)
+	ct := benchCt(b, k)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.ev.RotateHoisted(ct, ks)
+	}
+}
+
+// BenchmarkPlainRecombine is the scheme-op view of a BSGS inner sum: the
+// fused call against the MulPlain/Add chain it replaces, at the term counts
+// of a small layer and of a full 32-baby-step giant step.
+func BenchmarkPlainRecombine(b *testing.B) {
+	k := benchKit(b)
+	rng := rand.New(rand.NewSource(5))
+	for _, terms := range []int{8, 32} {
+		cts := make([]*Ciphertext, terms)
+		pts := make([]*Plaintext, terms)
+		weights := make([]int64, terms)
+		for i := range cts {
+			cts[i] = benchCt(b, k)
+			pts[i] = k.enc.Encode(randVec(rng, k.ctx.Params.Slots(), 1), cts[i].Level, k.ctx.Params.Scale)
+			weights[i] = 1
+		}
+		b.Run(fmt.Sprintf("chain/terms=%d", terms), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				acc := k.ev.MulPlain(cts[0], pts[0])
+				for t := 1; t < terms; t++ {
+					acc = k.ev.Add(acc, k.ev.MulPlain(cts[t], pts[t]))
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("fused/terms=%d", terms), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.ev.PlainRecombine(cts, pts, weights)
+			}
+		})
+	}
+}

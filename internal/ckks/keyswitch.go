@@ -15,31 +15,56 @@ import (
 //
 // Procedure (one digit per ciphertext limb, special primes P):
 //  1. raise digit i = [c]_{q_i} to all QP limbs by modular reduction;
-//  2. accumulate Σ_i NTT(digit_i) ⊙ (swk.B[i], swk.A[i]) over QP;
+//  2. take the inner products Σ_i NTT(digit_i) ⊙ swk.B[i] and ⊙ swk.A[i]
+//     over QP, lazily reduced (ring.InnerProduct: one Barrett per
+//     coefficient instead of one per digit);
 //  3. divide by P with rounding (ModDown) back to Q.
 func (ev *Evaluator) keySwitchCoeff(level int, c *ring.Poly, swk *SwitchingKey) (*ring.Poly, *ring.Poly) {
 	r := ev.ctx.R
-	limbsQ := r.Limbs(level, false)
 	limbsQP := r.Limbs(level, true)
 
+	digits := ev.decompose(level, c)
 	acc0 := r.NewPoly(level)
 	acc1 := r.NewPoly(level)
-	d := r.GetPoly()
-	for i := 0; i <= level; i++ {
+	r.InnerProduct(limbsQP, digits, swk.B[:level+1], acc0)
+	r.InnerProduct(limbsQP, digits, swk.A[:level+1], acc1)
+	ev.releaseDigits(digits)
+
+	ev.modDownNTT(level, acc0)
+	ev.modDownNTT(level, acc1)
+	return acc0, acc1
+}
+
+// decompose raises every RNS digit [c]_{q_i}, i ≤ level, of the
+// coefficient-domain polynomial c to all QP limbs and transforms it to the
+// NTT domain. The digits are pooled polynomials: hand them back with
+// releaseDigits.
+func (ev *Evaluator) decompose(level int, c *ring.Poly) []*ring.Poly {
+	r := ev.ctx.R
+	limbsQP := r.Limbs(level, true)
+	digits := make([]*ring.Poly, level+1)
+	for i := range digits {
+		d := r.GetPoly()
 		r.ExtendLimb(i, limbsQP, c, d)
 		r.NTT(limbsQP, d)
-		r.MulCoeffsThenAdd(limbsQP, d, swk.B[i], acc0)
-		r.MulCoeffsThenAdd(limbsQP, d, swk.A[i], acc1)
+		digits[i] = d
 	}
-	r.PutPoly(d)
+	return digits
+}
 
-	r.INTT(limbsQP, acc0)
-	r.INTT(limbsQP, acc1)
-	ev.modDown(level, acc0)
-	ev.modDown(level, acc1)
-	r.NTT(limbsQ, acc0)
-	r.NTT(limbsQ, acc1)
-	return acc0, acc1
+func (ev *Evaluator) releaseDigits(digits []*ring.Poly) {
+	for _, d := range digits {
+		ev.ctx.R.PutPoly(d)
+	}
+}
+
+// modDownNTT takes the NTT-domain key-switch accumulator p on QP limbs to
+// its final form: divided by P with rounding, NTT domain, limbs 0..level.
+func (ev *Evaluator) modDownNTT(level int, p *ring.Poly) {
+	r := ev.ctx.R
+	r.INTT(r.Limbs(level, true), p)
+	ev.modDown(level, p)
+	r.NTT(r.Limbs(level, false), p)
 }
 
 // modDown divides the coefficient-domain polynomial p (on limbs

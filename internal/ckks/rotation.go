@@ -89,45 +89,31 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, ks []int) map[int]*Ciphertext
 	c1 := r.GetPoly()
 	r.Copy(limbsQ, ct.C1, c1)
 	r.INTT(limbsQ, c1)
-	digits := make([]*ring.Poly, level+1)
-	for i := 0; i <= level; i++ {
-		d := r.GetPoly()
-		r.ExtendLimb(i, limbsQP, c1, d)
-		r.NTT(limbsQP, d)
-		digits[i] = d
-	}
+	digits := ev.decompose(level, c1)
 	r.PutPoly(c1)
 
-	pd := r.GetPoly()
 	for _, k := range rest {
 		galEl := ring.GaloisElementForRotation(logN, k)
 		swk, ok := ev.rtk.Keys[galEl]
 		if !ok {
 			panic(fmt.Sprintf("ckks: missing rotation key for galois element %d", galEl))
 		}
+		// φ acts on the NTT-domain digits as an index permutation, which
+		// the inner product gathers through instead of materializing
+		// φ(digit_i) per digit.
 		perm := ring.AutomorphismNTTIndex(logN, galEl)
 		acc0 := r.NewPoly(level)
 		acc1 := r.NewPoly(level)
-		for i := 0; i <= level; i++ {
-			r.PermuteNTT(limbsQP, digits[i], perm, pd)
-			r.MulCoeffsThenAdd(limbsQP, pd, swk.B[i], acc0)
-			r.MulCoeffsThenAdd(limbsQP, pd, swk.A[i], acc1)
-		}
-		r.INTT(limbsQP, acc0)
-		r.INTT(limbsQP, acc1)
-		ev.modDown(level, acc0)
-		ev.modDown(level, acc1)
-		r.NTT(limbsQ, acc0)
-		r.NTT(limbsQ, acc1)
+		r.InnerProductPermuted(limbsQP, digits, swk.B[:level+1], perm, acc0)
+		r.InnerProductPermuted(limbsQP, digits, swk.A[:level+1], perm, acc1)
+		ev.modDownNTT(level, acc0)
+		ev.modDownNTT(level, acc1)
 		// φ(c0) is a direct NTT-domain permutation of c0.
 		rc0 := r.NewPolyQ(level)
 		r.PermuteNTT(limbsQ, ct.C0, perm, rc0)
 		r.Add(limbsQ, rc0, acc0, rc0)
 		out[k] = &Ciphertext{C0: rc0, C1: acc1, Level: level, Scale: ct.Scale}
 	}
-	r.PutPoly(pd)
-	for _, d := range digits {
-		r.PutPoly(d)
-	}
+	ev.releaseDigits(digits)
 	return out
 }

@@ -42,6 +42,7 @@ import (
 	"cnnhe/internal/ckks"
 	"cnnhe/internal/ckksbig"
 	"cnnhe/internal/henn"
+	"cnnhe/internal/henn/ir"
 	"cnnhe/internal/noise"
 	"cnnhe/internal/ring"
 )
@@ -575,14 +576,18 @@ func (g *GuardedEngine) MulInt(ct henn.Ct, n int64) henn.Ct {
 	g.pre(op)
 	t := g.in(op, ct)
 	out := g.call(op, func() henn.Ct { return g.inner.MulInt(t.ct, n) })
-	f := math.Abs(float64(n))
-	if f < 1 {
-		f = 1
-	}
-	return g.out(op, out, t.noise*f, t.scale)
+	return g.out(op, out, t.noise*weightFactor(n), t.scale)
 }
 
-// Rescale implements henn.Engine.
+// weightFactor is the noise growth of multiplying by the integer n:
+// max(|n|, 1), so a zero weight never shrinks the tracked bound.
+func weightFactor(n int64) float64 {
+	if f := math.Abs(float64(n)); f > 1 {
+		return f
+	}
+	return 1
+}
+
 // Recombine implements ir.Recombiner so a guarded engine keeps the
 // executor's fused-recombine fast path. It delegates to the inner
 // engine's fused implementation when present (falling back to the
@@ -599,11 +604,7 @@ func (g *GuardedEngine) Recombine(args []henn.Ct, weights []int64) henn.Ct {
 			g.fail(op, fmt.Errorf("%w: operand %d scale 2^%.4f vs 2^%.4f",
 				ErrScaleDrift, i, math.Log2(ts[i].scale), math.Log2(ts[0].scale)))
 		}
-		f := math.Abs(float64(weights[i]))
-		if f < 1 {
-			f = 1
-		}
-		noise += ts[i].noise * f
+		noise += ts[i].noise * weightFactor(weights[i])
 	}
 	ct := g.call(op, func() henn.Ct {
 		if rc, ok := g.inner.(interface {
@@ -628,6 +629,54 @@ func (g *GuardedEngine) Recombine(args []henn.Ct, weights []int64) henn.Ct {
 	return g.out(op, ct, noise, ts[0].scale)
 }
 
+// PlainRecombine implements ir.PlainRecombiner, so a guarded engine keeps
+// the executor's fused linear-stage call. When the inner engine offers it
+// too, the whole call pays one preamble and one output validation: every
+// operand is still validated and scale-checked, every absorbed plaintext
+// still level-checked, and the tracked noise bound is the chain's —
+// Σ model.MulPlain(noiseᵢ, maxScaledᵢ) over the products plus
+// Σ max(|wⱼ|,1)·noiseⱼ over the rest, summed in argument order so the
+// float result is the chain's to the bit. Otherwise it evaluates the
+// chain through the guard's own MulPlainPt and Recombine.
+func (g *GuardedEngine) PlainRecombine(args []henn.Ct, pts []henn.Pt, weights []int64) henn.Ct {
+	const op = "PlainRecombine"
+	pr, ok := g.inner.(ir.PlainRecombiner)
+	if !ok {
+		terms := make([]henn.Ct, len(args))
+		for i, a := range args {
+			terms[i] = a
+			if pts[i] != nil {
+				terms[i] = g.MulPlainPt(a, pts[i])
+			}
+		}
+		return g.Recombine(terms, weights)
+	}
+	g.pre(op)
+	innerArgs := make([]henn.Ct, len(args))
+	innerPts := make([]henn.Pt, len(args))
+	var scale, noise float64
+	for i, a := range args {
+		t := g.in(op, a)
+		innerArgs[i] = t.ct
+		termScale, termNoise := t.scale, t.noise
+		if pts[i] != nil {
+			tp := g.inPt(op, t, pts[i])
+			innerPts[i] = tp.pt
+			termScale, termNoise = t.scale*tp.scale, g.model.MulPlain(t.noise, tp.maxScaled)
+		}
+		if i == 0 {
+			scale = termScale
+		} else if !scaleClose(termScale, scale, g.cfg.ScaleTol) {
+			g.fail(op, fmt.Errorf("%w: operand %d scale 2^%.4f vs 2^%.4f",
+				ErrScaleDrift, i, math.Log2(termScale), math.Log2(scale)))
+		}
+		noise += termNoise * weightFactor(weights[i])
+	}
+	ct := g.call(op, func() henn.Ct { return pr.PlainRecombine(innerArgs, innerPts, weights) })
+	return g.out(op, ct, noise, scale)
+}
+
+// Rescale implements henn.Engine.
 func (g *GuardedEngine) Rescale(ct henn.Ct) henn.Ct {
 	const op = "Rescale"
 	g.pre(op)
@@ -760,7 +809,9 @@ func (g *GuardedEngine) AddPlainPt(ct henn.Ct, pt henn.Pt) henn.Ct {
 }
 
 var (
-	_ henn.Engine     = (*GuardedEngine)(nil)
-	_ henn.StageAware = (*GuardedEngine)(nil)
-	_ henn.NoiseAware = (*GuardedEngine)(nil)
+	_ henn.Engine        = (*GuardedEngine)(nil)
+	_ henn.StageAware    = (*GuardedEngine)(nil)
+	_ henn.NoiseAware    = (*GuardedEngine)(nil)
+	_ ir.Recombiner      = (*GuardedEngine)(nil)
+	_ ir.PlainRecombiner = (*GuardedEngine)(nil)
 )

@@ -9,6 +9,7 @@ import (
 
 	"cnnhe/internal/ckks"
 	"cnnhe/internal/ckksbig"
+	"cnnhe/internal/faults"
 	"cnnhe/internal/guard"
 	"cnnhe/internal/henn"
 	"cnnhe/internal/nn"
@@ -345,5 +346,96 @@ func TestCancellation(t *testing.T) {
 	}
 	if rep == nil || rep.FailedStage == "" {
 		t.Fatalf("report should name the failed stage, got %+v", rep)
+	}
+}
+
+// plainRecombineFixture builds, on a guarded engine, the operands of one
+// fused linear-stage call: three products (the source and two hoisted
+// rotations, each with its own plaintext) plus two already-multiplied
+// terms, one of them weighted — the mixed-argument shape giant step 0 of a
+// BSGS stage produces.
+func plainRecombineFixture(t *testing.T, g *guard.GuardedEngine) (args []henn.Ct, pts []henn.Pt, weights []int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(9))
+	vec := func() []float64 {
+		v := make([]float64, g.Slots())
+		for i := range v {
+			v[i] = rng.Float64()*2 - 1
+		}
+		return v
+	}
+	ct := g.EncryptVec(vec())
+	specs := make([]henn.PlainSpec, 5)
+	for i := range specs {
+		specs[i] = henn.PlainSpec{Values: vec(), Level: g.MaxLevel(), Scale: g.Scale()}
+	}
+	enc := g.EncodeVecsAt(specs)
+	rots := g.RotateMany(ct, []int{1, 3})
+	args = []henn.Ct{ct, rots[1], rots[3], g.MulPlainPt(ct, enc[3]), g.MulPlainPt(rots[1], enc[4])}
+	pts = []henn.Pt{enc[0], enc[1], enc[2], nil, nil}
+	return args, pts, []int64{1, 1, 1, -3, 1}
+}
+
+// TestPlainRecombineMatchesChain: one guarded fused call must leave the
+// same ciphertext bits, level, scale and tracked noise bound as the
+// MulPlainPt + Recombine chain it replaces.
+func TestPlainRecombineMatchesChain(t *testing.T) {
+	plan := tinyPlan(t)
+	run := func(fused bool) (henn.Ct, *guard.GuardedEngine) {
+		g := guard.New(rnsEngine(t, plan, 77), guard.DefaultConfig())
+		args, pts, weights := plainRecombineFixture(t, g)
+		if fused {
+			return g.PlainRecombine(args, pts, weights), g
+		}
+		terms := make([]henn.Ct, len(args))
+		for i, a := range args {
+			terms[i] = a
+			if pts[i] != nil {
+				terms[i] = g.MulPlainPt(a, pts[i])
+			}
+		}
+		return g.Recombine(terms, weights), g
+	}
+	fc, fg := run(true)
+	cc, cg := run(false)
+	if fg.Level(fc) != cg.Level(cc) || fg.ScaleOf(fc) != cg.ScaleOf(cc) {
+		t.Fatalf("fused (level %d, scale %g) vs chain (level %d, scale %g)",
+			fg.Level(fc), fg.ScaleOf(fc), cg.Level(cc), cg.ScaleOf(cc))
+	}
+	if fb, cb := fg.NoiseBits(fc), cg.NoiseBits(cc); fb != cb {
+		t.Fatalf("tracked noise budget: fused %v bits, chain %v bits", fb, cb)
+	}
+	fv, cv := fg.DecryptVec(fc), cg.DecryptVec(cc)
+	for i := range fv {
+		if math.Float64bits(fv[i]) != math.Float64bits(cv[i]) {
+			t.Fatalf("slot %d: fused %v, chain %v", i, fv[i], cv[i])
+		}
+	}
+}
+
+// TestPlainRecombineCatchesCorruptTerm: a corrupt limb in one term of a
+// fused call is caught at that call, whether the guard delegates to the
+// backend's fused implementation or (behind middleware that hides it)
+// evaluates the chain.
+func TestPlainRecombineCatchesCorruptTerm(t *testing.T) {
+	plan := tinyPlan(t)
+
+	g := guard.New(rnsEngine(t, plan, 78), guard.DefaultConfig())
+	args, pts, weights := plainRecombineFixture(t, g)
+	guard.Underlying(args[2]).(*ckks.Ciphertext).C0.Coeffs[1][5] = ^uint64(0)
+	err := catchGuard(t, func() { g.PlainRecombine(args, pts, weights) })
+	var se *guard.StageError
+	if !errors.Is(err, guard.ErrCorruptCiphertext) || !errors.As(err, &se) || se.Op != "PlainRecombine" {
+		t.Fatalf("delegated call: got %v, want ErrCorruptCiphertext at op PlainRecombine", err)
+	}
+
+	// The first two MulPlainPt calls build the fixture's plain terms; the
+	// fourth is the second product inside the fused call.
+	inj := faults.Wrap(rnsEngine(t, plan, 78), faults.Injection{Kind: faults.CorruptLimb, Op: "MulPlainPt", Nth: 4, Seed: 11})
+	g = guard.New(inj, guard.DefaultConfig())
+	args, pts, weights = plainRecombineFixture(t, g)
+	err = catchGuard(t, func() { g.PlainRecombine(args, pts, weights) })
+	if !inj.Fired() || !errors.Is(err, guard.ErrCorruptCiphertext) {
+		t.Fatalf("chain behind injector: fired=%v, got %v, want ErrCorruptCiphertext", inj.Fired(), err)
 	}
 }

@@ -185,20 +185,31 @@ func (e *RNSEngine) MulInt(ct Ct, n int64) Ct {
 	return e.Ev.MulInt(ct.(*ckks.Ciphertext), n)
 }
 
-// Recombine implements ir.Recombiner: Σᵢ weights[i]·args[i] as one
-// fused engine call, accumulating the same residues the MulInt/Add
-// chain would (elided MulInt for weight 1 is a residue identity), so
-// the result is bit-identical to the unfused evaluation.
+// Recombine implements ir.Recombiner: Σᵢ weights[i]·args[i] accumulated
+// in place into one fresh ciphertext. Modular addition is exact, so the
+// result is bit-identical to the MulInt/Add chain.
 func (e *RNSEngine) Recombine(args []Ct, weights []int64) Ct {
-	acc := args[0].(*ckks.Ciphertext) // weights[0] = 1
-	for i := 1; i < len(args); i++ {
-		c := args[i].(*ckks.Ciphertext)
-		if weights[i] != 1 {
-			c = e.Ev.MulInt(c, weights[i])
-		}
-		acc = e.Ev.Add(acc, c)
+	return e.PlainRecombine(args, nil, weights)
+}
+
+// PlainRecombine implements ir.PlainRecombiner: the recombination and the
+// plaintext products it absorbs as one evaluator call (see
+// ckks.Evaluator.PlainRecombine for the bit-identity argument).
+func (e *RNSEngine) PlainRecombine(args []Ct, pts []Pt, weights []int64) Ct {
+	cts := make([]*ckks.Ciphertext, len(args))
+	for i, a := range args {
+		cts[i] = a.(*ckks.Ciphertext)
 	}
-	return acc
+	var plains []*ckks.Plaintext
+	if pts != nil {
+		plains = make([]*ckks.Plaintext, len(pts))
+		for i, pt := range pts {
+			if pt != nil {
+				plains[i] = pt.(*ckks.Plaintext)
+			}
+		}
+	}
+	return e.Ev.PlainRecombine(cts, plains, weights)
 }
 
 // Rescale implements Engine.
@@ -468,8 +479,9 @@ func (e *BigEngine) AddPlainPt(ct Ct, pt Pt) Ct {
 }
 
 var (
-	_ Engine = (*RNSEngine)(nil)
-	_ Engine = (*BigEngine)(nil)
+	_ Engine             = (*RNSEngine)(nil)
+	_ Engine             = (*BigEngine)(nil)
+	_ ir.PlainRecombiner = (*RNSEngine)(nil)
 )
 
 func init() {

@@ -15,8 +15,11 @@
 // schedules ops over a bounded worker pool as their data dependencies
 // resolve; hoisted rotation groups always execute as one RotateMany
 // call so the shared key-switch decomposition is preserved in both
-// modes. Intermediate ciphertexts are reference-counted and released at
-// last use, keeping the live set close to the interpreter's.
+// modes, and on engines offering ir.PlainRecombiner an OpRecombine
+// executes together with the plaintext products it absorbs as one
+// PlainRecombine call. Intermediate ciphertexts are reference-counted
+// and released at last use, keeping the live set close to the
+// interpreter's.
 package exec
 
 import (
@@ -69,10 +72,14 @@ type Result struct {
 type stageAware interface{ BeginStage(name string) }
 type noiseAware interface{ NoiseBits(ct ir.Ct) float64 }
 
-// task is one schedulable unit: a single op, or a whole hoist group
-// (which must execute as one RotateMany call).
+// task is one schedulable unit: a single op, a whole hoist group (which
+// must execute as one RotateMany call), or an OpRecombine with the
+// OpMulPlain ops it absorbs (one PlainRecombine call).
 type task struct {
-	ops      []int // op IDs, in graph order
+	// ops holds the task's op IDs in graph order. The task runs by
+	// entering execOp with the last one: any member stands for a hoist
+	// group, and a recombine follows everything it absorbs.
+	ops      []int
 	stage    int
 	children []int // dependent task indices (deduplicated)
 	indeg    int32 // static in-degree
@@ -82,8 +89,13 @@ type task struct {
 // for one engine. Immutable after Prepare; share freely across Runs.
 type Prepared struct {
 	e  ir.Engine
-	rc ir.Recombiner // non-nil when e supports fused recombination
+	rc ir.Recombiner      // non-nil when e supports fused recombination
+	pr ir.PlainRecombiner // non-nil when e also fuses the absorbed products
 	g  *ir.Graph
+
+	// absorbedBy is g.AbsorbedBy() when pr is set, nil otherwise: ops
+	// with an entry ≥ 0 never execute on their own.
+	absorbedBy []int
 
 	pts        []ir.Pt // per-op pre-encoded operand (nil where none)
 	use        []int32 // static consumer count per op (+1 for the output)
@@ -125,6 +137,9 @@ func Prepare(e ir.Engine, g *ir.Graph) (p *Prepared, err error) {
 		opTask:    make([]int, len(g.Ops)),
 	}
 	p.rc, _ = e.(ir.Recombiner)
+	if p.pr, _ = e.(ir.PlainRecombiner); p.pr != nil {
+		p.absorbedBy = g.AbsorbedBy()
+	}
 	// Batch-encode the plaintext operands, deduplicating by content: a
 	// digest selects candidate specs, a full bit-compare confirms (so a
 	// digest collision can never alias two different operands).
@@ -222,27 +237,43 @@ func plainBitsEqual(a, b []float64) bool {
 	return true
 }
 
+// absorbed reports whether op id executes inside its recombine's call.
+func (p *Prepared) absorbed(id int) bool { return p.absorbedBy != nil && p.absorbedBy[id] >= 0 }
+
 // buildTasks groups ops into schedulable tasks and wires the static
 // dependency edges for the parallel executor.
 func (p *Prepared) buildTasks() {
 	g := p.g
-	hoistTask := make([]int, len(g.Hoists))
-	for i := range hoistTask {
-		hoistTask[i] = -1
+	// group keys the multi-op task an op belongs to (-1: a task of its
+	// own): hoist groups by their index, fused recombines after them by
+	// the recombine's op ID.
+	group := func(i int) int {
+		op := &g.Ops[i]
+		switch {
+		case op.Kind == ir.OpRotate && op.Hoist >= 0:
+			return op.Hoist
+		case p.absorbed(i):
+			return len(g.Hoists) + p.absorbedBy[i]
+		case op.Kind == ir.OpRecombine && p.absorbedBy != nil:
+			return len(g.Hoists) + i
+		}
+		return -1
 	}
+	groupTask := map[int]int{}
 	for i := range g.Ops {
 		op := &g.Ops[i]
 		if op.Kind == ir.OpEncrypt {
 			p.opTask[i] = -1
 			continue
 		}
-		if op.Kind == ir.OpRotate && op.Hoist >= 0 {
-			if t := hoistTask[op.Hoist]; t >= 0 {
-				p.opTask[i] = t
-				p.tasks[t].ops = append(p.tasks[t].ops, i)
-				continue
-			}
-			hoistTask[op.Hoist] = len(p.tasks)
+		k := group(i)
+		if t, ok := groupTask[k]; ok {
+			p.opTask[i] = t
+			p.tasks[t].ops = append(p.tasks[t].ops, i)
+			continue
+		}
+		if k >= 0 {
+			groupTask[k] = len(p.tasks)
 		}
 		p.opTask[i] = len(p.tasks)
 		p.tasks = append(p.tasks, task{ops: []int{i}, stage: op.Stage})
@@ -447,6 +478,7 @@ func (rs *runState) execOp(id, worker, taskIdx int) (err error) {
 		args[i] = rs.slots[a]
 	}
 	var ct ir.Ct
+	covered := 1 // logical ops this engine call evaluates
 	switch op.Kind {
 	case ir.OpRotate:
 		ct = p.e.Rotate(args[0], op.K)
@@ -463,7 +495,12 @@ func (rs *runState) execOp(id, worker, taskIdx int) (err error) {
 	case ir.OpDropLevel:
 		ct = p.e.DropLevel(args[0], op.Drop)
 	case ir.OpRecombine:
-		if p.rc != nil {
+		if pts, n := rs.absorbedOperands(id, args); n > 0 {
+			// One engine call for the linear combination and the
+			// plaintext products feeding it.
+			ct = p.pr.PlainRecombine(args, pts, op.Weights)
+			covered += n
+		} else if p.rc != nil {
 			// Fused path: one engine call for the whole linear combination.
 			ct = p.rc.Recombine(args, op.Weights)
 		} else {
@@ -486,13 +523,36 @@ func (rs *runState) execOp(id, worker, taskIdx int) (err error) {
 	if rs.tel.tracing() {
 		he = rs.observeHE(ct)
 	}
-	rs.tel.opExecuted(op.Kind, name, worker, rs.tel.queuedAt(taskIdx), t0, now, 1, 0, he)
+	rs.tel.opExecuted(op.Kind, name, worker, rs.tel.queuedAt(taskIdx), t0, now, covered, 0, he)
 	rs.slots[id] = ct
 	rs.opDone(id, ct, now)
 	for _, a := range op.Args {
+		if p.absorbed(a) {
+			a = p.g.Ops[a].Args[0] // the product never existed; its input did
+		}
 		rs.release(a)
 	}
 	return nil
+}
+
+// absorbedOperands prepares recombine id for a PlainRecombine call: for
+// every product the recombine absorbs, args gets the product's ciphertext
+// input and the returned slice its pre-encoded plaintext. n counts the
+// absorbed products: 0 when there are none or the engine lacks the call.
+func (rs *runState) absorbedOperands(id int, args []ir.Ct) (pts []ir.Pt, n int) {
+	p := rs.p
+	for i, a := range p.g.Ops[id].Args {
+		if !p.absorbed(a) {
+			continue
+		}
+		if pts == nil {
+			pts = make([]ir.Pt, len(args))
+		}
+		args[i] = rs.slots[p.g.Ops[a].Args[0]]
+		pts[i] = p.pts[a]
+		n++
+	}
+	return pts, n
 }
 
 // EncryptInputs runs the graph's encrypt prologue serially in op order
@@ -594,8 +654,8 @@ func (rs *runState) runSequential(ctx context.Context, res *Result) error {
 	p := rs.p
 	for i := range p.g.Ops {
 		op := &p.g.Ops[i]
-		if op.Kind == ir.OpEncrypt || rs.slots[i] != nil {
-			continue // encrypted in the prologue / produced by a hoist group
+		if op.Kind == ir.OpEncrypt || rs.slots[i] != nil || p.absorbed(i) {
+			continue // encrypted in the prologue / produced by a hoist group / evaluated inside its recombine
 		}
 		name := p.g.Stages[op.Stage].Name
 		if err := ctx.Err(); err != nil {
@@ -660,7 +720,7 @@ func (rs *runState) runParallel(ctx context.Context, workers int, res *Result) e
 						return
 					}
 					rs.announce(tk.stage)
-					if err := rs.execOp(tk.ops[0], worker, t); err != nil {
+					if err := rs.execOp(tk.ops[len(tk.ops)-1], worker, t); err != nil {
 						fail(name, err)
 						return
 					}

@@ -109,8 +109,10 @@ type heAttr struct {
 	Noise float64
 }
 
-// opExecuted records one engine call covering n logical ops of the given
-// kind: a span on the run recorder, and kind-labelled global metrics.
+// opExecuted records one engine call covering n logical ops: a span on
+// the run recorder, and kind-labelled global metrics. n > 1 is a hoist
+// group (n rotations, savedKS shared decompositions) or a recombine with
+// the n−1 plaintext products it absorbed.
 func (t *runTel) opExecuted(kind ir.Kind, stage string, worker int, queued, start, end time.Time, n, savedKS int, he heAttr) {
 	if t == nil {
 		return
@@ -131,12 +133,17 @@ func (t *runTel) opExecuted(kind ir.Kind, stage string, worker int, queued, star
 		})
 	}
 	if t.m != nil {
-		t.m.opsByKind[kind].Add(int64(n))
+		if kind == ir.OpRecombine {
+			t.m.opsByKind[ir.OpRecombine].Inc()
+			t.m.opsByKind[ir.OpMulPlain].Add(int64(n - 1))
+		} else {
+			t.m.opsByKind[kind].Add(int64(n))
+		}
 		t.m.durByKind[kind].Observe(end.Sub(start).Seconds())
 		if !queued.IsZero() && start.After(queued) {
 			t.m.queueWait.Observe(start.Sub(queued).Seconds())
 		}
-		if n > 1 {
+		if kind == ir.OpRotate && n > 1 {
 			t.m.hoistGroups.Inc()
 			t.m.hoistRotations.Add(int64(n))
 			t.m.hoistSaved.Add(int64(savedKS))

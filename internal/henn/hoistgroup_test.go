@@ -2,6 +2,8 @@ package henn
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"reflect"
@@ -24,6 +26,12 @@ import (
 // to a hoisted rotation by the same k (different key-switch algorithm,
 // different rounding) — which is why the optimizer must never merge
 // standalone and hoisted rotations, and why CSE keys on hoisted-ness.
+//
+// The rns half additionally pins the key switch itself: SHA-256 digests of
+// the hoisted rotations, the standalone rotations, and relinearizations
+// plus lower-level switches, recorded from the eager per-digit
+// MulCoeffsThenAdd key switch before ring.InnerProduct replaced it. The
+// lazily reduced sums must reproduce them bit for bit.
 func TestRotateHoistedGroupingBitIdentical(t *testing.T) {
 	logN := 10
 	bits := []int{40, 30, 30, 30, 40}
@@ -53,17 +61,40 @@ func TestRotateHoistedGroupingBitIdentical(t *testing.T) {
 		ct := e.EncryptVec(vec)
 		grouped := e.RotateMany(ct, rots)
 		standaloneDiffers := false
+		hoisted, standalone := sha256.New(), sha256.New()
 		for _, k := range rots {
 			single := ctBytes(e.RotateMany(ct, []int{k})[k])
 			if !bytes.Equal(ctBytes(grouped[k]), single) {
 				t.Errorf("rns: grouped vs singleton hoisted rotation differ at k=%d", k)
 			}
-			if !bytes.Equal(ctBytes(e.Rotate(ct, k)), single) {
+			alone := ctBytes(e.Rotate(ct, k))
+			if !bytes.Equal(alone, single) {
 				standaloneDiffers = true
 			}
+			hoisted.Write(single)
+			standalone.Write(alone)
 		}
 		if !standaloneDiffers {
 			t.Error("rns: standalone Rotate became bit-identical to hoisted; revisit the CSE hoisted-ness key")
+		}
+		relin := sha256.New()
+		relin.Write(ctBytes(e.MulRelin(ct, grouped[3])))
+		low := e.DropLevel(ct, 2) // fewer digits than the key has
+		relin.Write(ctBytes(e.MulRelin(low, low)))
+		relin.Write(ctBytes(e.RotateMany(low, []int{7})[7]))
+		relin.Write(ctBytes(e.Rotate(low, -5)))
+		for _, d := range []struct {
+			name string
+			got  []byte
+			want string
+		}{
+			{"hoisted rotations", hoisted.Sum(nil), "da5e1fa47d79a63fa572fda86ac97135e119077afc050a7e363961182fdb4064"},
+			{"standalone rotations", standalone.Sum(nil), "87c18fa3feeb84b8940b6baa922d914f02b472e7dd586a7021eb48dabce50fca"},
+			{"relinearization and lower-level switches", relin.Sum(nil), "d932ed4e2c155135aad0411ccfecb6339cba6638f68226067e62a2b4fd2d4f65"},
+		} {
+			if got := hex.EncodeToString(d.got); got != d.want {
+				t.Errorf("rns: %s no longer bit-identical to the eager key switch: digest %s, want %s", d.name, got, d.want)
+			}
 		}
 	})
 

@@ -119,6 +119,20 @@ type Recombiner interface {
 	Recombine(args []Ct, weights []int64) Ct
 }
 
+// PlainRecombiner is an optional Engine extension: an OpRecombine together
+// with the OpMulPlain products it absorbs (see Graph.AbsorbedBy) as one
+// engine call. pts and weights have one entry per arg: term i is
+// MulPlainPt(args[i], pts[i]) where pts[i] is non-nil — weights[i] must
+// then be 1 — and args[i] itself otherwise; the result is
+// Σᵢ weights[i]·termᵢ. Implementations must be bit-identical to
+// the unfused MulPlainPt + Recombine evaluation: modular multiply-add is
+// exact, so any implementation that ends fully reduced qualifies. The
+// executor uses it when the engine provides it, exactly as it uses
+// Recombiner and RotateMany.
+type PlainRecombiner interface {
+	PlainRecombine(args []Ct, pts []Pt, weights []int64) Ct
+}
+
 // Kind enumerates the op taxonomy of a lowered graph.
 type Kind int
 
@@ -340,6 +354,46 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
+// AbsorbedBy maps every op to the OpRecombine that evaluates it as part
+// of its own engine call on a PlainRecombiner engine, or -1. An op is
+// absorbed when it is an OpMulPlain whose only consumer is a weight-1
+// argument of an OpRecombine in the same stage, and it is neither the
+// graph output nor a stage's reported output (those must exist as
+// ciphertexts of their own). This is the one definition both Stats and the
+// executor use.
+func (g *Graph) AbsorbedBy() []int {
+	use := make([]int, len(g.Ops))
+	for i := range g.Ops {
+		for _, a := range g.Ops[i].Args {
+			use[a]++
+		}
+	}
+	if g.Output >= 0 && g.Output < len(use) {
+		use[g.Output]++
+	}
+	for _, st := range g.Stages {
+		if st.Out >= 0 && st.Out < len(use) {
+			use[st.Out]++
+		}
+	}
+	by := make([]int, len(g.Ops))
+	for i := range by {
+		by[i] = -1
+	}
+	for i := range g.Ops {
+		rc := &g.Ops[i]
+		if rc.Kind != OpRecombine {
+			continue
+		}
+		for j, a := range rc.Args {
+			if m := &g.Ops[a]; m.Kind == OpMulPlain && use[a] == 1 && rc.Weights[j] == 1 && m.Stage == rc.Stage {
+				by[a] = i
+			}
+		}
+	}
+	return by
+}
+
 // Stats summarises a graph for logs and CLIs.
 type Stats struct {
 	Ops      int
@@ -349,16 +403,20 @@ type Stats struct {
 	MinLevel int // lowest level any op result reaches
 	// EngineCalls counts the engine interface calls a full-featured
 	// backend pays per run: every op is one call, except that a hoist
-	// group executes as a single RotateMany and an OpRecombine as a
-	// single fused Recombine (see Recombiner).
+	// group executes as a single RotateMany, an OpRecombine as a single
+	// fused Recombine (see Recombiner), and the OpMulPlain products an
+	// OpRecombine absorbs (see AbsorbedBy) inside that same call.
 	EngineCalls int
+
+	rotateCalls int
 }
 
 // Stats computes summary counts.
 func (g *Graph) Stats() Stats {
 	s := Stats{Ops: len(g.Ops), ByKind: map[Kind]int{}, Hoists: len(g.Hoists), MinLevel: 1 << 30}
 	grouped := map[int]bool{}
-	for _, op := range g.Ops {
+	absorbed := g.AbsorbedBy()
+	for i, op := range g.Ops {
 		s.ByKind[op.Kind]++
 		if op.Plain != nil {
 			s.Plains++
@@ -366,14 +424,21 @@ func (g *Graph) Stats() Stats {
 		if op.Level < s.MinLevel {
 			s.MinLevel = op.Level
 		}
-		if op.Kind == OpRotate && op.Hoist >= 0 {
+		switch {
+		case absorbed[i] >= 0:
+			// evaluated inside its recombine's call
+		case op.Kind == OpRotate && op.Hoist >= 0:
 			if !grouped[op.Hoist] {
 				grouped[op.Hoist] = true
 				s.EngineCalls++
+				s.rotateCalls++
 			}
-			continue
+		case op.Kind == OpRotate:
+			s.EngineCalls++
+			s.rotateCalls++
+		default:
+			s.EngineCalls++
 		}
-		s.EngineCalls++
 	}
 	if s.Ops == 0 {
 		s.MinLevel = 0
@@ -383,12 +448,8 @@ func (g *Graph) Stats() Stats {
 
 // RotateCalls is the number of rotation engine calls the graph pays:
 // one per hoist group (a shared key-switch decomposition) plus one per
-// standalone rotation.
-func (s Stats) RotateCalls() int {
-	// Every non-rotate op is exactly one engine call, so the rotation
-	// share is what remains of EngineCalls after subtracting them.
-	return s.EngineCalls - (s.Ops - s.ByKind[OpRotate])
-}
+// standalone rotation, counted directly.
+func (s Stats) RotateCalls() int { return s.rotateCalls }
 
 // String renders the stats on one line.
 func (s Stats) String() string {

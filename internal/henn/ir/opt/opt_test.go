@@ -451,9 +451,10 @@ func TestFuseReductionTree(t *testing.T) {
 			t.Fatalf("weight[%d] = %d, want 1", i, w)
 		}
 	}
-	// 3 add calls become 1 fused call.
-	if before, after := g.Stats().EngineCalls, st.EngineCalls; after != before-2 {
-		t.Fatalf("engine calls %d → %d, want a 2-call saving", before, after)
+	// 3 add calls become 1 fused call, which also absorbs its 4
+	// single-use weight-1 products: encrypt + one PlainRecombine remain.
+	if before, after := g.Stats().EngineCalls, st.EngineCalls; before != 8 || after != 2 {
+		t.Fatalf("engine calls %d → %d, want 8 → 2", before, after)
 	}
 }
 

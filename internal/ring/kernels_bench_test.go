@@ -154,3 +154,42 @@ func BenchmarkKernelMulScalar(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkKernelInnerProduct pits the lazily-reduced inner product against
+// the eager loop it replaces (MulCoeffs + MulCoeffsThenAdd per term) at the
+// term counts the hot sums see: ~8 baby steps of a small layer, a full
+// 32-term giant step, and 64 — the flush boundary of a 61-bit limb. The
+// logN-11 limb counts are the key switch's (digits × QP limbs).
+func BenchmarkKernelInnerProduct(b *testing.B) {
+	for _, limbs := range []int{4, 13} {
+		for _, terms := range []int{8, 32, 64} {
+			for _, par := range []bool{false, true} {
+				r := benchRing(b, 11, limbs, par)
+				as := make([]*Poly, terms)
+				bs := make([]*Poly, terms)
+				for t := range as {
+					as[t] = benchPoly(r, int64(2*t+1))
+					bs[t] = benchPoly(r, int64(2*t+2))
+				}
+				out := r.NewPoly(r.MaxLevel())
+				ls := r.Limbs(r.MaxLevel(), true)
+				name := fmt.Sprintf("limbs=%d/terms=%d/parallel=%v", limbs, terms, par)
+				b.Run("eager/"+name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						r.MulCoeffs(ls, as[0], bs[0], out)
+						for t := 1; t < terms; t++ {
+							r.MulCoeffsThenAdd(ls, as[t], bs[t], out)
+						}
+					}
+				})
+				b.Run("lazy/"+name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						r.InnerProduct(ls, as, bs, out)
+					}
+				})
+			}
+		}
+	}
+}

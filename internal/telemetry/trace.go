@@ -12,11 +12,13 @@ import (
 	"time"
 )
 
-// OpSpan is one recorded unit of executor work: a single HE op, or a
-// whole hoisted rotation group executed as one RotateMany call.
+// OpSpan is one recorded unit of executor work: a single HE op, a whole
+// hoisted rotation group executed as one RotateMany call, or a recombine
+// executed together with the plaintext products it absorbs.
 type OpSpan struct {
 	// Kind is the op kind ("Rotate", "MulPlain", …, or "Encrypt"). A
-	// hoisted group records kind "Rotate" with Ops > 1.
+	// hoisted group records kind "Rotate" with Ops > 1, a fused
+	// recombine kind "Recombine" with Ops = 1 + absorbed products.
 	Kind string
 	// Stage is the pipeline stage the op belongs to.
 	Stage string
@@ -30,7 +32,7 @@ type OpSpan struct {
 	Start time.Time
 	End   time.Time
 	// Ops is the number of logical ops this span covers (hoist group
-	// size; 1 otherwise).
+	// size, or a recombine plus its absorbed products; 1 otherwise).
 	Ops int
 	// SavedKeySwitch counts the key-switch decompositions a hoisted
 	// RotateMany avoided versus standalone rotations (group size − 1).
