@@ -59,7 +59,10 @@ soak-chaos:
 ## the legacy interpreter (logits and report rows) at CNN scale. The
 ## suite covers the optimizer gates too: -opt=off and -opt=exact must
 ## stay bit-identical, the full pipeline within tolerance with an
-## unchanged argmax.
+## unchanged argmax. TestExecutorParityGolden* pins the answer itself —
+## SHA-256 of the logit bits and stage names for every front-end (plan
+## -opt off/exact/on, RNS k=3 seq/parallel, batch-2, 2-shard grids) —
+## so a change shared by the oracle and the executor cannot pass.
 parity:
 	$(GO) test -run TestExecutorParity -timeout 20m ./internal/henn/
 
@@ -76,13 +79,14 @@ opt-golden:
 	$(GO) test -run 'TestOptimizedGraphGolden|TestOptimizeOffPreservesLowering' ./internal/henn/
 
 ## shard-parity: the sharding gates — the shard package's unit and
-## property suites (manifest split/join, wire round trip), the 1×1-grid
-## parity suite proving the sharded path is bit-identical to the
-## unsharded pipeline on CNN1/CNN2 (both backends, seq + parallel), and
-## the cross-shard rotation/recombine round trip.
+## property suites (manifest split/join, wire round trip), the golden
+## digests pinning the 1×1 grid (which is the single-ciphertext plan
+## every Compile produces) and the 2-shard grids bit for bit, and the
+## cross-shard rotation/recombine round trips against the plaintext
+## model and the single-ciphertext pipeline.
 shard-parity:
 	$(GO) test ./internal/henn/shard/
-	$(GO) test -run 'TestShardParityTiny|TestShardParityCNN|TestShardedCrossShardDense|TestShardInputValidation' -timeout 30m ./internal/henn/
+	$(GO) test -run 'TestExecutorParityGolden|TestShardParityTiny|TestShardedCrossShardDense|TestShardInputValidation' -timeout 30m ./internal/henn/
 
 ## trend: the perf-trend regression gate — load every committed
 ## BENCH_*.json, print the per-configuration latency trend, and fail

@@ -22,6 +22,7 @@ import (
 
 	"cnnhe/internal/bench"
 	"cnnhe/internal/henn/ir/opt"
+	"cnnhe/internal/nn"
 	"cnnhe/internal/ring"
 	"cnnhe/internal/telemetry"
 )
@@ -220,18 +221,16 @@ func main() {
 		if path == "" {
 			path = "BENCH_" + now.Format("20060102T150405") + ".json"
 		}
-		var graphs *bench.GraphReport
+		graphModels := map[string]*nn.Model{}
 		if ms != nil {
-			graphs, err = bench.GraphSizes(cfg, ms)
-			if err != nil {
-				fatal("collecting graph sizes failed", "err", err)
-			}
+			graphModels["CNN1"], graphModels["CNN2"] = ms.CNN1, ms.CNN2
 		}
 		if m3 != nil {
-			graphs, err = bench.ShardedGraphSizes(cfg, "CNN3", m3.CNN3, graphs)
-			if err != nil {
-				fatal("collecting sharded graph sizes failed", "err", err)
-			}
+			graphModels["CNN3"] = m3.CNN3
+		}
+		graphs, err := bench.GraphSizes(cfg, graphModels)
+		if err != nil {
+			fatal("collecting graph sizes failed", "err", err)
 		}
 		if err := bench.WriteJSON(path, cfg, now, jsonRows, opBreakdown, graphs); err != nil {
 			fatal("writing json report failed", "path", path, "err", err)

@@ -42,11 +42,9 @@ import (
 	"cnnhe/internal/ckksbig"
 	"cnnhe/internal/guard"
 	"cnnhe/internal/henn"
-	"cnnhe/internal/henn/ir"
 	"cnnhe/internal/henn/ir/opt"
 	"cnnhe/internal/mnist"
 	"cnnhe/internal/nn"
-	"cnnhe/internal/primes"
 	"cnnhe/internal/ring"
 	"cnnhe/internal/telemetry"
 	"cnnhe/internal/tensor"
@@ -244,25 +242,18 @@ func main() {
 	fmt.Printf("backend: %s, N=2^%d, chain length %d (log q = %d)\n",
 		engine.Name(), *logN, k, params.Chain.LogQ())
 
-	var rp *henn.RNSPlan
 	if *rnsParts > 0 {
-		rp, err = henn.NewRNSPlan(plan, *rnsParts, true)
+		plan, err = henn.NewRNSPlan(plan, *rnsParts, true)
 		if err != nil {
 			fatal("building RNS decomposition plan failed", "parts", *rnsParts, "err", err)
 		}
-		rp.Opt = optOpts
 	}
 
 	// Lower and optimize once up front to report the op-graph shape —
 	// before and after the pass pipeline; errors here are compile-time
 	// problems (depth exhaustion, scale mismatch), not HE failures.
 	{
-		var g *ir.Graph
-		if rp != nil {
-			g, err = rp.Lower(engine)
-		} else {
-			g, err = plan.Lower(engine)
-		}
+		g, err := plan.Lower(engine)
 		if err != nil {
 			fatal("lowering plan failed", "model", *modelPath, "backend", *backend, "err", err)
 		}
@@ -283,14 +274,8 @@ func main() {
 	// deadline clock starts — the timeout budgets ciphertext work only.
 	attempt := func() (henn.Logits, *henn.Report, *telemetry.RunRecorder, error) {
 		g := guard.New(engine, guard.DefaultConfig())
-		var warmErr error
-		if rp != nil {
-			warmErr = rp.Warm(g)
-		} else {
-			warmErr = plan.Warm(g)
-		}
-		if warmErr != nil {
-			return nil, &henn.Report{FailedStage: "prepare"}, nil, warmErr
+		if err := plan.Warm(g); err != nil {
+			return nil, &henn.Report{FailedStage: "prepare"}, nil, err
 		}
 		ctx := context.Background()
 		if *timeout > 0 {
@@ -307,16 +292,7 @@ func main() {
 			rec.SetTrace(tc.TraceIDString(), tc.TraceIDString()[:16])
 			ctx = telemetry.WithTraceContext(telemetry.WithRecorder(ctx, rec), tc)
 		}
-		var (
-			logits henn.Logits
-			rep    *henn.Report
-			err    error
-		)
-		if rp != nil {
-			logits, rep, err = rp.InferCtx(ctx, g, img)
-		} else {
-			logits, rep, err = plan.InferCtx(ctx, g, img)
-		}
+		logits, rep, err := plan.InferCtx(ctx, g, img)
 		return logits, rep, rec, err
 	}
 
@@ -376,5 +352,4 @@ func main() {
 	}
 	fmt.Printf("\nHE prediction:    %d\n", logits.Argmax())
 	fmt.Printf("plain prediction: %d\n", henn.Logits(plain).Argmax())
-	_ = primes.PaperBitSizes
 }

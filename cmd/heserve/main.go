@@ -3,7 +3,9 @@
 // them into packed micro-batches (the paper's SIMD amortization, Table
 // I), evaluates each batch as one ciphertext through the shared
 // prepared op graph under the guard runtime, and fans the per-block
-// logits back out to the waiting requests.
+// logits back out to the waiting requests. A model whose image exceeds
+// one ciphertext (CIFAR-10 CNN3) is served by the same batcher one image
+// per batch, each image travelling as its shard set.
 //
 // Endpoints:
 //
@@ -42,7 +44,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -53,7 +54,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sync"
 	"syscall"
 	"time"
 
@@ -133,58 +133,6 @@ func buildEngine(depth int, rotations []int, backend string, logN, levels int, s
 	return guard.New(inner, guard.DefaultConfig()), rnsCtx, nil
 }
 
-// shardedClassifyHandler serves the single-image plaintext JSON route
-// for a sharded plan. No micro-batching: an image larger than the slot
-// count cannot share a ciphertext with another, so requests evaluate one
-// at a time (the mutex also keeps the guarded engine single-threaded).
-func shardedClassifyHandler(sp *henn.ShardedPlan, e henn.Engine, timeout time.Duration) http.Handler {
-	var mu sync.Mutex
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON := func(status int, v any) {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(status)
-			_ = json.NewEncoder(w).Encode(v)
-		}
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			writeJSON(http.StatusMethodNotAllowed, map[string]string{"error": "POST only"})
-			return
-		}
-		var in struct {
-			Image []float64 `json:"image"`
-		}
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<22)).Decode(&in); err != nil {
-			writeJSON(http.StatusBadRequest, map[string]string{"error": "decoding request: " + err.Error()})
-			return
-		}
-		ctx := r.Context()
-		if timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, timeout)
-			defer cancel()
-		}
-		mu.Lock()
-		logits, rep, err := sp.InferCtx(ctx, e, in.Image)
-		mu.Unlock()
-		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, henn.ErrBadInput) {
-				status = http.StatusBadRequest
-			} else if errors.Is(err, context.DeadlineExceeded) {
-				status = http.StatusGatewayTimeout
-			}
-			writeJSON(status, map[string]string{"error": err.Error()})
-			return
-		}
-		writeJSON(http.StatusOK, map[string]any{
-			"class":      logits.Argmax(),
-			"logits":     []float64(logits),
-			"batch_size": 1,
-			"eval_ms":    float64(rep.Eval) / float64(time.Millisecond),
-		})
-	})
-}
-
 func main() {
 	var (
 		modelPath  = flag.String("model", "models/cnn1.gob", "trained SLAF model (.gob)")
@@ -233,129 +181,78 @@ func main() {
 		fatal("bad -opt flag", "opt", *optFlag, "err", err)
 	}
 
-	// CompileShardedAuto decides the serving shape: a 1×1 grid keeps the
-	// micro-batching path; a model whose input tensor exceeds the slot
-	// count (CNN3 on CIFAR-10) serves through the sharded pipeline, where
-	// each image travels as NumShards ciphertexts.
-	sp, err := henn.CompileShardedAuto(model, slots)
+	// CompileShardedAuto decides the serving shape: a model whose input
+	// tensor exceeds the slot count (CNN3 on CIFAR-10) compiles to a
+	// multi-shard plan, whose images travel as NumShards ciphertexts and
+	// evaluate one per batch; any other plan packs -batch images per
+	// ciphertext.
+	plan, err := henn.CompileShardedAuto(model, slots)
 	if err != nil {
 		fatal("compiling plan failed", "model", *modelPath, "err", err)
 	}
+	plan.Opt = optOpts
+	batchSize := *batch
+	if plan.NumShards() > 1 && batchSize != 1 {
+		slog.Info("sharded plan serves single-image requests; ignoring -batch", "batch", batchSize)
+		batchSize = 1
+	}
+	bp, err := plan.Batched(batchSize)
+	if err != nil {
+		fatal("compiling batched plan failed", "model", *modelPath, "batch", batchSize, "err", err)
+	}
+	slog.Info("compiled plan", "model", arch, "slots", slots, "shards", plan.NumShards(),
+		"manifest", plan.Input.String(), "batch", bp.Batch, "block", bp.BlockSize,
+		"depth", bp.Plan.Depth, "optimizer", optOpts.Setting())
+
+	engine, rnsCtx, err := buildEngine(bp.Plan.Depth, bp.Plan.Rotations(), *backend, *logN, *levels, *seed)
+	if err != nil {
+		fatal("creating engine failed", "backend", *backend, "err", err)
+	}
+
+	// New warms the plan (lowering + ahead-of-time plaintext encoding),
+	// so startup pays the one-time cost, not the first request.
+	t0 := time.Now()
+	srv, err := serve.New(serve.Config{
+		Batch:          bp,
+		Engine:         engine,
+		MaxWait:        *maxWait,
+		QueueSize:      *queueSize,
+		RequestTimeout: *reqTimeout,
+		TargetLatency:  *targetLat,
+	})
+	if err != nil {
+		fatal("starting batch server failed", "err", err)
+	}
+	slog.Info("plan warmed", "in", time.Since(t0).Round(time.Millisecond))
 
 	mux := http.NewServeMux()
-	var srv *serve.Server // micro-batching server; nil in sharded mode
-	var engine henn.Engine
-	batchSize := *batch
-	if sp.NumShards() > 1 {
-		if *batch != 1 {
-			slog.Info("sharded plan serves single-image requests; ignoring -batch", "batch", *batch)
-		}
-		batchSize = 1
-		sp.Opt = optOpts
-		slog.Info("compiled sharded plan", "model", arch, "slots", slots,
-			"shards", sp.NumShards(), "manifest", sp.Input.String(),
-			"depth", sp.Depth, "optimizer", optOpts.Setting())
-		var rnsCtx *ckks.Context
-		engine, rnsCtx, err = buildEngine(sp.Depth, sp.Rotations(), *backend, *logN, *levels, *seed)
-		if err != nil {
-			fatal("creating engine failed", "backend", *backend, "err", err)
-		}
-		t0 := time.Now()
-		if err := sp.Warm(engine); err != nil {
-			fatal("warming sharded plan failed", "err", err)
-		}
-		slog.Info("plan warmed", "in", time.Since(t0).Round(time.Millisecond))
-		mux.Handle("/classify", shardedClassifyHandler(sp, engine, *reqTimeout))
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-			w.WriteHeader(http.StatusOK)
-			fmt.Fprintln(w, "ok")
-		})
-		if rnsCtx != nil {
-			keyed, err := serve.NewKeyed(serve.KeyedConfig{
-				Ctx:            rnsCtx,
-				Sharded:        sp,
-				Model:          arch,
-				Backend:        engine.Name(),
-				MaxClients:     *maxClients,
-				KeyTTL:         *keyTTL,
-				StoreDir:       *keyStore,
-				RequestTimeout: *reqTimeout,
-			})
-			if err != nil {
-				fatal("starting keyed routes failed", "err", err)
-			}
-			defer keyed.Close()
-			keyed.Routes(mux)
-			slog.Info("encrypted key-holder routes mounted", "shards", sp.NumShards(),
-				"rotations", len(sp.Rotations()), "max_clients", *maxClients,
-				"key_store", *keyStore, "resident_bundles", keyed.Store().Len())
-		}
-	} else {
-		bp, err := henn.CompileBatched(model, slots, *batch)
-		if err != nil {
-			fatal("compiling batched plan failed", "model", *modelPath, "batch", *batch, "err", err)
-		}
-		bp.Plan.Opt = optOpts
-		slog.Info("compiled batched plan", "model", arch, "slots", slots,
-			"batch", bp.Batch, "block", bp.BlockSize, "depth", bp.Plan.Depth,
-			"optimizer", optOpts.Setting())
+	mux.Handle("/classify", srv.Handler())
+	mux.Handle("/healthz", srv.Handler())
 
-		var rnsCtx *ckks.Context
-		engine, rnsCtx, err = buildEngine(bp.Plan.Depth, bp.Plan.Rotations(), *backend, *logN, *levels, *seed)
-		if err != nil {
-			fatal("creating engine failed", "backend", *backend, "err", err)
-		}
-
-		// New warms the plan (lowering + ahead-of-time plaintext encoding),
-		// so startup pays the one-time cost, not the first request.
-		t0 := time.Now()
-		srv, err = serve.New(serve.Config{
-			Batch:          bp,
-			Engine:         engine,
-			MaxWait:        *maxWait,
-			QueueSize:      *queueSize,
+	// The client-held-key protocol: /v1/info, /v1/keys and
+	// /v1/classify/encrypted. rns backend only — the encrypted route
+	// evaluates on an eval-only RNS engine built from each client's
+	// registered bundle, so the server never holds a key that could
+	// decrypt what it computes on.
+	if rnsCtx != nil {
+		keyed, err := serve.NewKeyed(serve.KeyedConfig{
+			Ctx:            rnsCtx,
+			Plan:           plan,
+			Model:          arch,
+			Backend:        engine.Name(),
+			MaxClients:     *maxClients,
+			KeyTTL:         *keyTTL,
+			StoreDir:       *keyStore,
 			RequestTimeout: *reqTimeout,
-			TargetLatency:  *targetLat,
 		})
 		if err != nil {
-			fatal("starting batch server failed", "err", err)
+			fatal("starting keyed routes failed", "err", err)
 		}
-		slog.Info("plan warmed", "in", time.Since(t0).Round(time.Millisecond))
-		batchSize = bp.Batch
-
-		mux.Handle("/classify", srv.Handler())
-		mux.Handle("/healthz", srv.Handler())
-
-		// The client-held-key protocol: /v1/info, /v1/keys and
-		// /v1/classify/encrypted. rns backend only — the encrypted route
-		// evaluates on an eval-only RNS engine built from each client's
-		// registered bundle, so the server never holds a key that could
-		// decrypt what it computes on.
-		if rnsCtx != nil {
-			base, err := henn.Compile(model, slots)
-			if err != nil {
-				fatal("compiling single-image plan failed", "model", *modelPath, "err", err)
-			}
-			base.Opt = optOpts
-			keyed, err := serve.NewKeyed(serve.KeyedConfig{
-				Ctx:            rnsCtx,
-				Plan:           base,
-				Model:          arch,
-				Backend:        engine.Name(),
-				MaxClients:     *maxClients,
-				KeyTTL:         *keyTTL,
-				StoreDir:       *keyStore,
-				RequestTimeout: *reqTimeout,
-			})
-			if err != nil {
-				fatal("starting keyed routes failed", "err", err)
-			}
-			defer keyed.Close()
-			keyed.Routes(mux)
-			slog.Info("encrypted key-holder routes mounted",
-				"rotations", len(base.Rotations()), "max_clients", *maxClients,
-				"key_store", *keyStore, "resident_bundles", keyed.Store().Len())
-		}
+		defer keyed.Close()
+		keyed.Routes(mux)
+		slog.Info("encrypted key-holder routes mounted", "shards", plan.NumShards(),
+			"rotations", len(plan.Rotations()), "max_clients", *maxClients,
+			"key_store", *keyStore, "resident_bundles", keyed.Store().Len())
 	}
 
 	tmux := telemetry.Handler(telemetry.Default())
@@ -400,10 +297,6 @@ func main() {
 	defer cancel()
 	if err := httpSrv.Shutdown(dctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		slog.Warn("http shutdown incomplete", "err", err)
-	}
-	if srv == nil {
-		slog.Info("drained, exiting")
-		return
 	}
 	if err := srv.Shutdown(dctx); err != nil {
 		slog.Warn("drain budget exceeded; force-closing remaining connections",

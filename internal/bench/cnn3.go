@@ -7,10 +7,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"cnnhe/internal/ckksbig"
 	"cnnhe/internal/dataset"
 	"cnnhe/internal/henn"
-	"cnnhe/internal/henn/ir/opt"
 	"cnnhe/internal/nn"
 )
 
@@ -128,53 +126,4 @@ func TableCNN3(cfg Config, models *CNN3Models, w io.Writer) ([]HEResult, error) 
 	writeRow(w, row)
 	fmt.Fprintf(w, "\nPlaintext SLAF test accuracy for reference: %.2f%% (%s)\n", 100*models.TestAcc, models.DataSource)
 	return []HEResult{row}, nil
-}
-
-// ShardedGraphSizes appends the sharded CNN3 lowering's graph shapes to
-// rep (creating it when nil) under "CNN3/<backend>" keys, so hetrend can
-// join engine-call counts for the CNN3 series like it does for the
-// paper models. Lowering is symbolic; this costs milliseconds.
-func ShardedGraphSizes(cfg Config, name string, model *nn.Model, rep *GraphReport) (*GraphReport, error) {
-	if rep == nil {
-		rep = &GraphReport{
-			Optimizer: cfg.Opt.Setting(),
-			Before:    map[string]JSONGraph{},
-			After:     map[string]JSONGraph{},
-		}
-	}
-	sp, err := henn.CompileShardedAuto(model, 1<<(cfg.LogN-1))
-	if err != nil {
-		return nil, err
-	}
-	sp.Opt = cfg.Opt
-	k := sp.Depth + 1
-	if k < 13 {
-		k = 13
-	}
-	params, err := rnsParams(cfg, k)
-	if err != nil {
-		return nil, err
-	}
-	bigParams, err := ckksbig.FromRNSParameters(params)
-	if err != nil {
-		return nil, err
-	}
-	engines := []henn.Engine{
-		henn.ParamsOnlyEngine("ckks-rns", params.Slots(), params.MaxLevel(), params.Scale, params.QiFloat),
-		henn.ParamsOnlyEngine("ckks-big", bigParams.Slots(), bigParams.MaxLevel(), bigParams.Scale, bigParams.QiFloat),
-	}
-	for _, e := range engines {
-		g, err := sp.Lower(e)
-		if err != nil {
-			return nil, fmt.Errorf("bench: lowering sharded %s on %s: %w", name, e.Name(), err)
-		}
-		res, err := opt.Optimize(e, g, cfg.Opt)
-		if err != nil {
-			return nil, fmt.Errorf("bench: optimizing sharded %s on %s: %w", name, e.Name(), err)
-		}
-		key := name + "/" + e.Name()
-		rep.Before[key] = jsonGraph(g.Stats())
-		rep.After[key] = jsonGraph(res.After)
-	}
-	return rep, nil
 }

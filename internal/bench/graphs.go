@@ -42,21 +42,21 @@ type GraphReport struct {
 	After     map[string]JSONGraph
 }
 
-// GraphSizes lowers and optimizes each benchmarked model on both
-// backends and records the graph shapes. Lowering is symbolic — it
-// only reads engine parameters — so this uses params-only engine stubs
-// and costs milliseconds, no key generation.
-func GraphSizes(cfg Config, models *Models) (*GraphReport, error) {
+// GraphSizes lowers and optimizes each named model on both backends and
+// records the graph shapes under "<name>/<backend>" keys. Models compile
+// with the smallest input grid that fits (a single ciphertext for the
+// paper's MNIST models, a shard grid for CIFAR-10 CNN3), as the tables
+// that measure them do. Lowering is symbolic — it only reads engine
+// parameters — so this uses params-only engine stubs and costs
+// milliseconds, no key generation.
+func GraphSizes(cfg Config, models map[string]*nn.Model) (*GraphReport, error) {
 	rep := &GraphReport{
 		Optimizer: cfg.Opt.Setting(),
 		Before:    map[string]JSONGraph{},
 		After:     map[string]JSONGraph{},
 	}
-	for _, mc := range []struct {
-		name  string
-		model *nn.Model
-	}{{"CNN1", models.CNN1}, {"CNN2", models.CNN2}} {
-		plan, err := compilePlan(cfg, mc.model)
+	for name, model := range models {
+		plan, err := henn.CompileShardedAuto(model, 1<<(cfg.LogN-1))
 		if err != nil {
 			return nil, err
 		}
@@ -79,13 +79,13 @@ func GraphSizes(cfg Config, models *Models) (*GraphReport, error) {
 		for _, e := range engines {
 			g, err := plan.Lower(e)
 			if err != nil {
-				return nil, fmt.Errorf("bench: lowering %s on %s: %w", mc.name, e.Name(), err)
+				return nil, fmt.Errorf("bench: lowering %s on %s: %w", name, e.Name(), err)
 			}
 			res, err := opt.Optimize(e, g, cfg.Opt)
 			if err != nil {
-				return nil, fmt.Errorf("bench: optimizing %s on %s: %w", mc.name, e.Name(), err)
+				return nil, fmt.Errorf("bench: optimizing %s on %s: %w", name, e.Name(), err)
 			}
-			key := mc.name + "/" + e.Name()
+			key := name + "/" + e.Name()
 			rep.Before[key] = jsonGraph(g.Stats())
 			rep.After[key] = jsonGraph(res.After)
 		}

@@ -41,6 +41,15 @@ func checkDecodeErr(t *testing.T, err error) {
 	t.Fatalf("untyped decode error: %v", err)
 }
 
+// checkDigits asserts an accepted switching key has exactly the digit
+// count key switching slices from: one per chain modulus.
+func checkDigits(t *testing.T, ctx *Context, swk *SwitchingKey) {
+	t.Helper()
+	if want := ctx.Params.MaxLevel() + 1; len(swk.B) != want || len(swk.A) != want {
+		t.Fatalf("accepted a switching key with %d/%d digits, want %d", len(swk.B), len(swk.A), want)
+	}
+}
+
 // fuzzSeeds builds one golden frame per reader from a deterministic key
 // set, plus a few structurally hostile prefixes.
 func fuzzSeeds(f *testing.F, write func(ctx *Context, w io.Writer) error) {
@@ -97,9 +106,21 @@ func FuzzReadRelinearizationKey(f *testing.F) {
 		return ctx.WriteRelinearizationKey(w, kg.GenRelinearizationKey(kg.GenSecretKey()))
 	})
 	ctx := fuzzCtx(f)
+	// A well-formed frame one digit short of the chain.
+	kg := NewKeyGenerator(ctx, 1)
+	short := kg.GenRelinearizationKey(kg.GenSecretKey())
+	short.B, short.A = short.B[1:], short.A[1:]
+	var buf bytes.Buffer
+	if err := ctx.WriteRelinearizationKey(&buf, short); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, err := ctx.ReadRelinearizationKey(bytes.NewReader(data))
+		rlk, err := ctx.ReadRelinearizationKey(bytes.NewReader(data))
 		checkDecodeErr(t, err)
+		if err == nil {
+			checkDigits(t, ctx, &rlk.SwitchingKey)
+		}
 	})
 }
 
@@ -111,8 +132,13 @@ func FuzzReadRotationKeySet(f *testing.F) {
 	})
 	ctx := fuzzCtx(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, err := ctx.ReadRotationKeySet(bytes.NewReader(data))
+		set, err := ctx.ReadRotationKeySet(bytes.NewReader(data))
 		checkDecodeErr(t, err)
+		if err == nil {
+			for _, swk := range set.Keys {
+				checkDigits(t, ctx, swk)
+			}
+		}
 	})
 }
 

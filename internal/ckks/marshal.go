@@ -312,7 +312,10 @@ func (ctx *Context) WriteSwitchingKey(w io.Writer, swk *SwitchingKey) error {
 	return cw.writeSum()
 }
 
-// ReadSwitchingKey deserializes a switching key.
+// ReadSwitchingKey deserializes a switching key. A key carries exactly
+// one digit per modulus of the chain (MaxLevel+1, as key generation
+// produces): key switching slices the first level+1 digits, so a shorter
+// key would pass registration and fail only at evaluation.
 func (ctx *Context) ReadSwitchingKey(r io.Reader) (*SwitchingKey, error) {
 	cr := newCRCReader(r)
 	if err := readHeader(cr, tagSwitchKey, "switching key"); err != nil {
@@ -322,8 +325,8 @@ func (ctx *Context) ReadSwitchingKey(r io.Reader) (*SwitchingKey, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 || n > uint64(ctx.Params.MaxLevel()+1) {
-		return nil, fmt.Errorf("%w: switching key digit count %d out of range", ErrFormat, n)
+	if n != uint64(ctx.Params.MaxLevel()+1) {
+		return nil, fmt.Errorf("%w: switching key has %d digits, want %d", ErrFormat, n, ctx.Params.MaxLevel()+1)
 	}
 	swk := &SwitchingKey{}
 	for i := uint64(0); i < n; i++ {

@@ -19,8 +19,7 @@
 //     stage surfaces context.DeadlineExceeded at the next op boundary.
 //
 // Errors are raised by panicking with a *StageError; henn.Plan.InferCtx
-// (and RNSPlan.InferCtx) recover the panic and return it as the error, so
-// the composition
+// recovers the panic and returns it as the error, so the composition
 //
 //	g := guard.New(engine, guard.Config{Ctx: ctx})
 //	logits, report, err := plan.InferCtx(ctx, g, image)

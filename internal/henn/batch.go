@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"cnnhe/internal/henn/exec"
 	"cnnhe/internal/nn"
-	"cnnhe/internal/telemetry"
 )
 
 // Batched inference packs B images into one ciphertext at a fixed block
@@ -27,36 +25,50 @@ type BatchPlan struct {
 // block size is slots/batch and must be a power of two at least as large
 // as the widest layer dimension.
 func CompileBatched(m *nn.Model, slots, batch int) (*BatchPlan, error) {
-	if batch < 1 || slots%batch != 0 {
-		return nil, fmt.Errorf("henn: batch %d must divide %d slots", batch, slots)
-	}
-	block := slots / batch
-	if block&(block-1) != 0 {
-		return nil, fmt.Errorf("henn: block size %d must be a power of two", block)
-	}
-	// Compile once at the block dimension to discover stage matrices.
 	base, err := Compile(m, slots)
 	if err != nil {
 		return nil, err
 	}
-	if batch == 1 {
-		return &BatchPlan{Plan: base, Batch: 1, BlockSize: block}, nil
+	return base.Batched(batch)
+}
+
+// Batched packs `batch` images per ciphertext at block stride
+// slots/batch, rebuilding every stage tiled across the blocks. Batch 1
+// serves p itself — any plan, multi-shard ones included, one image per
+// evaluation; packing several images needs a single-ciphertext plan.
+func (p *Plan) Batched(batch int) (*BatchPlan, error) {
+	if batch < 1 || p.Slots%batch != 0 {
+		return nil, fmt.Errorf("henn: batch %d must divide %d slots", batch, p.Slots)
 	}
-	// Rebuild each stage tiled across blocks.
-	out := &Plan{Slots: slots, InputDim: base.InputDim, OutputDim: base.OutputDim, Depth: base.Depth}
-	for _, st := range base.Stages {
+	block := p.Slots / batch
+	if block&(block-1) != 0 {
+		return nil, fmt.Errorf("henn: block size %d must be a power of two", block)
+	}
+	if batch == 1 {
+		return &BatchPlan{Plan: p, Batch: 1, BlockSize: block}, nil
+	}
+	if p.Digits != nil || p.NumShards() > 1 {
+		return nil, fmt.Errorf("henn: only a single-ciphertext plan packs %d images per ciphertext", batch)
+	}
+	out := &Plan{Slots: p.Slots, InputDim: p.InputDim, OutputDim: p.OutputDim, Input: p.Input, Depth: p.Depth, Opt: p.Opt}
+	for _, st := range p.Stages {
 		switch s := st.(type) {
-		case *LinearStage:
-			tiled, err := tileLinear(s, block, batch, slots)
-			if err != nil {
-				return nil, err
+		case *ShardedLinear:
+			if len(s.Blocks) == 1 && len(s.Blocks[0]) == 1 {
+				tiled, err := tileLinear(s.Blocks[0][0], block, batch, p.Slots)
+				if err != nil {
+					return nil, err
+				}
+				out.Stages = append(out.Stages, &ShardedLinear{Label: tiled.Label, Blocks: [][]*LinearStage{{tiled}}})
+				continue
 			}
-			out.Stages = append(out.Stages, tiled)
-		case *ActStage:
-			out.Stages = append(out.Stages, tileAct(s, block, batch, slots))
-		default:
-			return nil, fmt.Errorf("henn: cannot batch stage %T", st)
+		case *ShardedAct:
+			if len(s.Acts) == 1 {
+				out.Stages = append(out.Stages, &ShardedAct{Acts: []*ActStage{tileAct(s.Acts[0], block, batch, p.Slots)}})
+				continue
+			}
 		}
+		return nil, fmt.Errorf("henn: cannot batch stage %s", st.Describe())
 	}
 	return &BatchPlan{Plan: out, Batch: batch, BlockSize: block}, nil
 }
@@ -144,45 +156,32 @@ func (bp *BatchPlan) PackBatch(images [][]float64) ([]float64, error) {
 // evaluation, with the same contract as Plan.InferCtx: the context is
 // checked before every op, engine panics surface as classified errors,
 // and a per-stage Report is returned non-nil even on failure
-// (FailedStage names the stage that errored). The packed ciphertext runs
-// through the plan's lowered op graph with ahead-of-time encoded
-// plaintexts, shared across calls.
+// (FailedStage names the stage that errored). A lone image travels
+// through the plan's own input layout (its shards, for a multi-shard
+// plan); several are packed at the block stride. Either way the inputs
+// run through the plan's lowered op graph with ahead-of-time encoded
+// plaintexts, shared across calls, and the batch shares one decrypt.
 func (bp *BatchPlan) InferBatchCtx(ctx context.Context, e Engine, images [][]float64) ([]Logits, *Report, error) {
 	rep := &Report{Engine: e.Name()}
-	if len(images) == 0 {
-		rep.FailedStage = "pack"
-		return nil, rep, badInput("no images in batch")
+	var inputs [][]float64
+	var err error
+	switch len(images) {
+	case 0:
+		err = badInput("no images in batch")
+	case 1:
+		inputs, err = bp.Plan.inputs(images[0])
+	default:
+		var packed []float64
+		packed, err = bp.PackBatch(images)
+		inputs = [][]float64{packed}
 	}
-	packed, err := bp.PackBatch(images)
 	if err != nil {
 		rep.FailedStage = "pack"
 		return nil, rep, err
 	}
-	pr, err := bp.Plan.prepare(e)
-	if err != nil {
-		rep.FailedStage = "prepare"
-		return nil, rep, err
-	}
-	defer telInferStart()()
-	res, err := pr.Run(ctx, [][]float64{packed}, exec.Options{})
-	fillReport(rep, res)
+	slots, err := bp.Plan.run(ctx, e, inputs, (len(images)-1)*bp.BlockSize+bp.Plan.OutputDim, rep)
 	if err != nil {
 		return nil, rep, err
-	}
-	// The decrypted vector is sliced per block, so the whole batch shares
-	// one decrypt rather than reusing the single-image epilogue.
-	sr := newStageRunner(ctx, e, rep)
-	var slots []float64
-	t := time.Now()
-	_, err = sr.step("decrypt", func() Ct { slots = e.DecryptVec(res.Out); return nil })
-	rep.Decrypt = time.Since(t)
-	telemetry.RecorderFrom(ctx).RecordPhase("decrypt", t, time.Now())
-	if err != nil {
-		return nil, rep, err
-	}
-	need := (len(images)-1)*bp.BlockSize + bp.Plan.OutputDim
-	if len(slots) < need {
-		return nil, rep, badInput("engine decrypted %d slots, batch needs %d", len(slots), need)
 	}
 	out := make([]Logits, len(images))
 	for b := range images {

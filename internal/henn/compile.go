@@ -2,18 +2,24 @@ package henn
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 
 	"cnnhe/internal/henn/exec"
 	"cnnhe/internal/henn/ir"
 	"cnnhe/internal/henn/ir/opt"
+	"cnnhe/internal/henn/shard"
 	"cnnhe/internal/nn"
+	"cnnhe/internal/rnsdec"
 	"cnnhe/internal/tensor"
 )
 
-// Plan is a compiled homomorphic evaluation pipeline: a sequence of stages
-// over one packed ciphertext.
+// Plan is a compiled homomorphic evaluation pipeline. The input image
+// splits across Input.NumShards() ciphertexts (one for Compile's 1×1
+// grid), every stage maps a shard set to a shard set, and the pipeline
+// converges to a single ciphertext holding the logits. An optional RNS
+// digit front-end (NewRNSPlan) decomposes the image into digit parts
+// before the first stage.
 type Plan struct {
 	// Slots is the SIMD width the plan was compiled for.
 	Slots int
@@ -21,65 +27,247 @@ type Plan struct {
 	InputDim int
 	// OutputDim is the number of logits.
 	OutputDim int
+	// Input is the manifest images split by; a multi-shard plan
+	// advertises its wire form in /v1/info.
+	Input shard.Manifest
 	// Stages in evaluation order.
 	Stages []Stage
 	// Depth is the number of levels the plan consumes.
 	Depth int
+	// Digits, when set, is the Fig. 5 CNN-RNS front-end: the image is
+	// decomposed into Digits.Digits digit tensors (rnsdec digit mode —
+	// the exact, fully homomorphic variant of the paper's residue
+	// decomposition, see DESIGN.md S4), the first linear stage runs on
+	// every part, and the parts recombine linearly inside the ciphertext
+	// before the remaining stages run once.
+	Digits *rnsdec.DigitBasis
+	// Parallel schedules independent ops — notably per-shard block
+	// products and per-part convolutions — on the executor's bounded
+	// worker pool, one worker per input ciphertext.
+	Parallel bool
 	// Opt configures the graph optimizer run between lowering and
 	// preparation; nil selects the full default pass pipeline, and
 	// opt.Disabled() (the -opt=off escape hatch) executes the canonical
 	// lowering unchanged.
 	Opt *opt.Options
 
-	// prepared caches one lowered, optimized, plaintext-pre-encoded graph
-	// per engine; the zero value is ready to use.
-	mu         sync.Mutex
-	prepared   map[Engine]*exec.Prepared
-	optResults map[Engine]*opt.Result
+	// The plan holds one prepared graph, for the engine it was last
+	// prepared for; the zero value is ready to use.
+	mu          sync.Mutex
+	preparedFor Engine
+	prepared    *exec.Prepared
+	optResult   *opt.Result
 }
 
-// prepare lowers the plan for e (once per engine), optimizes the graph,
-// and pre-encodes every plaintext operand at its statically inferred
-// (level, scale).
-func (p *Plan) prepare(e Engine) (*exec.Prepared, error) {
+// prepare returns the plan lowered for e, optimized, and with every
+// plaintext operand pre-encoded at its statically inferred (level,
+// scale). The result is kept for the next call on the same engine;
+// preparing for another engine drops the previous engine's graph first,
+// so one plan never holds more than one engine's plaintexts.
+func (p *Plan) prepare(e Engine) (*exec.Prepared, *opt.Result, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if pr, ok := p.prepared[e]; ok {
+	if p.prepared != nil && p.preparedFor == e {
 		telPrepare(true)
-		return pr, nil
+		return p.prepared, p.optResult, nil
 	}
 	telPrepare(false)
+	p.preparedFor, p.prepared, p.optResult = nil, nil, nil
 	g, err := p.Lower(e)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res, err := optimizeLowered(e, g, p.Opt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pr, err := exec.Prepare(e, res.Graph)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if p.prepared == nil {
-		p.prepared = map[Engine]*exec.Prepared{}
-		p.optResults = map[Engine]*opt.Result{}
-	}
-	p.prepared[e] = pr
-	p.optResults[e] = res
-	return pr, nil
+	p.preparedFor, p.prepared, p.optResult = e, pr, res
+	return pr, res, nil
 }
 
 // OptResult returns the optimizer outcome for e, preparing the plan if
 // needed (before/after stats and per-pass deltas, for CLIs and bench
 // reports).
 func (p *Plan) OptResult(e Engine) (*opt.Result, error) {
-	if _, err := p.prepare(e); err != nil {
+	_, res, err := p.prepare(e)
+	return res, err
+}
+
+// Warm lowers the plan for e and pre-encodes its plaintext operands, so
+// a later InferCtx pays no one-time preparation cost inside its
+// deadline. Safe to call concurrently; repeated calls are no-ops.
+func (p *Plan) Warm(e Engine) error {
+	_, _, err := p.prepare(e)
+	return err
+}
+
+// NumShards returns the input ciphertext count of the image layout.
+func (p *Plan) NumShards() int { return p.Input.NumShards() }
+
+// Rotations returns the union of rotation amounts needed by all stages.
+func (p *Plan) Rotations() []int {
+	var all []int
+	for _, s := range p.Stages {
+		all = append(all, s.Rotations()...)
+	}
+	return union(all)
+}
+
+// CheckDepth verifies the plan fits the engine's level budget.
+func (p *Plan) CheckDepth(maxLevel int) error {
+	if p.Depth > maxLevel {
+		return fmt.Errorf("henn: plan needs %d levels but parameters provide %d", p.Depth, maxLevel)
+	}
+	return nil
+}
+
+// Describe returns a multi-line plan summary.
+func (p *Plan) Describe() string {
+	out := fmt.Sprintf("plan: %d stages, depth %d, %d rotations\n", len(p.Stages), p.Depth, len(p.Rotations()))
+	for _, s := range p.Stages {
+		out += "  " + s.Describe() + "\n"
+	}
+	return out
+}
+
+// Options controls plan compilation.
+type Options struct {
+	// Collapse merges adjacent linear layers (conv, pool, dense, folded
+	// batch norm) into a single matrix before lowering — the paper's
+	// Table I "2-arch" dual-architecture strategy. Each collapse saves one
+	// multiplicative level and one full BSGS matrix-vector product.
+	Collapse bool
+}
+
+// Compile lowers a trained SLAF model to a single-ciphertext (1×1 grid)
+// homomorphic plan for the given slot count with linear collapsing
+// enabled.
+func Compile(m *nn.Model, slots int) (*Plan, error) {
+	return CompileWithOptions(m, slots, Options{Collapse: true})
+}
+
+// CompileWithOptions is Compile with explicit options. The first linear
+// layer absorbs the 1/255 pixel normalization (inputs are encrypted as
+// raw [0, 255] pixels); batch normalization layers are folded into the
+// preceding convolution.
+func CompileWithOptions(m *nn.Model, slots int, opts Options) (*Plan, error) {
+	return compile(m, slots, opts, &shard.Grid{Gy: 1, Gx: 1})
+}
+
+// CompileSharded compiles with the input split by grid. Intermediate
+// manifests are chosen per stage boundary (single-shard as soon as the
+// tensor fits), so a 1×1 grid is exactly Compile.
+func CompileSharded(m *nn.Model, slots int, grid shard.Grid) (*Plan, error) {
+	return compile(m, slots, Options{Collapse: true}, &grid)
+}
+
+// CompileShardedAuto compiles with the smallest horizontal-band input
+// grid whose shards fit the slot count — a 1×1 grid, and therefore
+// Compile's plan, whenever the input already fits one ciphertext.
+func CompileShardedAuto(m *nn.Model, slots int) (*Plan, error) {
+	return compile(m, slots, Options{Collapse: true}, nil)
+}
+
+// compile is the one compile walk: the model's abstract stages lowered
+// over the input manifest of grid (nil = the smallest grid that fits),
+// with every linear stage carved into inter-shard blocks.
+func compile(m *nn.Model, slots int, opts Options, grid *shard.Grid) (*Plan, error) {
+	abs, input, outputDim, err := buildAbstract(m, opts)
+	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.optResults[e], nil
+	var cur shard.Manifest
+	if grid == nil {
+		cur, err = manifestFor(input, slots)
+	} else {
+		cur, err = shard.New(shardShapeOf(input), *grid, slots)
+	}
+	if err != nil {
+		return nil, err
+	}
+	plan := &Plan{Slots: slots, InputDim: input.flat, OutputDim: outputDim, Input: cur}
+	for _, a := range abs {
+		var st Stage
+		if a.mat == nil {
+			if st, err = newShardedAct(a.label, a.slaf, a.unitOf, cur, slots); err != nil {
+				return nil, err
+			}
+		} else {
+			out, err := manifestFor(a.out, slots)
+			if err != nil {
+				return nil, fmt.Errorf("henn: stage %s: %w", a.label, err)
+			}
+			sl, err := newShardedLinear(a.label, a.mat, a.bias, cur, out, slots)
+			if err != nil {
+				return nil, err
+			}
+			// Record the cross-shard fan-in on the advertised manifest.
+			plan.Input.Halo = max(plan.Input.Halo, sl.fanIn())
+			st, cur = sl, out
+		}
+		plan.Stages = append(plan.Stages, st)
+		plan.Depth += st.Depth()
+	}
+	if cur.NumShards() != 1 {
+		return nil, fmt.Errorf("henn: pipeline ends on %d shards; the final stage must converge to one ciphertext", cur.NumShards())
+	}
+	return plan, nil
+}
+
+// NewRNSPlan returns the Fig. 5 CNN-RNS pipeline over base: a plan
+// sharing base's stages whose front-end decomposes the image into k digit
+// parts covering 8-bit pixels. It needs a single-ciphertext input and a
+// linear first stage.
+func NewRNSPlan(base *Plan, k int, parallel bool) (*Plan, error) {
+	if len(base.Stages) == 0 {
+		return nil, fmt.Errorf("henn: empty base plan")
+	}
+	if base.NumShards() != 1 {
+		return nil, fmt.Errorf("henn: RNS pipeline needs a single-ciphertext input, plan has %d shards", base.NumShards())
+	}
+	if first, ok := base.Stages[0].(*ShardedLinear); !ok || len(first.Blocks) != 1 {
+		return nil, fmt.Errorf("henn: RNS pipeline requires a single-ciphertext linear first stage")
+	}
+	if k < 1 {
+		return nil, fmt.Errorf("henn: need at least one part")
+	}
+	// Smallest base with base^k ≥ 256.
+	base256 := int64(2)
+	for pow(base256, k) < 256 {
+		base256++
+	}
+	db, err := rnsdec.NewDigitBasis(base256, k)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{
+		Slots: base.Slots, InputDim: base.InputDim, OutputDim: base.OutputDim, Input: base.Input,
+		Stages: base.Stages, Depth: base.Depth, Digits: &db, Parallel: parallel, Opt: base.Opt,
+	}, nil
+}
+
+// pow computes bᵏ, saturating at MaxInt64. The overflow guard runs
+// before every multiply: the earlier version returned mid-computation
+// once the product crossed 2³², silently capping bᵏ at whatever partial
+// power it had reached — harmless for the base-search caller (any value
+// ≥ 256 behaves the same) but wrong as soon as any caller needs the
+// true power.
+func pow(b int64, k int) int64 {
+	if b <= 0 {
+		return 0
+	}
+	r := int64(1)
+	for i := 0; i < k; i++ {
+		if r > math.MaxInt64/b {
+			return math.MaxInt64
+		}
+		r *= b
+	}
+	return r
 }
 
 // optimizeLowered runs the graph optimizer and records its pass metrics.
@@ -92,329 +280,6 @@ func optimizeLowered(e Engine, g *ir.Graph, o *opt.Options) (*opt.Result, error)
 	return res, nil
 }
 
-// Stage is one homomorphic pipeline step.
-type Stage interface {
-	// Eval applies the stage.
-	Eval(e Engine, ct Ct) Ct
-	// Rotations lists the slot rotations the stage needs.
-	Rotations() []int
-	// Depth is the number of rescales the stage consumes.
-	Depth() int
-	// Describe returns a human-readable summary.
-	Describe() string
-}
-
-// Rotations returns the union of rotation amounts needed by all stages.
-func (p *Plan) Rotations() []int {
-	set := map[int]bool{}
-	for _, s := range p.Stages {
-		for _, r := range s.Rotations() {
-			if r != 0 {
-				set[r] = true
-			}
-		}
-	}
-	out := make([]int, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// LinearStage evaluates y = M·x + b by the Halevi–Shoup diagonal method
-// with baby-step/giant-step rotations. M is held as its nonzero
-// generalized diagonals over the full slot dimension.
-type LinearStage struct {
-	Label string
-	// Diags maps diagonal index k to the vector diag_k[i] = M[i][(i+k) mod slots].
-	Diags map[int][]float64
-	// Bias is the slot-aligned bias vector.
-	Bias  []float64
-	Slots int
-	// BSGS split: Baby · Giant = Slots.
-	Baby, Giant int
-}
-
-// NewLinearStage lowers an explicit rows×cols matrix (rows, cols ≤ slots)
-// with bias to a stage.
-func NewLinearStage(label string, m *tensor.Tensor, bias []float64, slots int) (*LinearStage, error) {
-	rows, cols := m.Shape[0], m.Shape[1]
-	if rows > slots || cols > slots {
-		return nil, fmt.Errorf("henn: matrix %dx%d exceeds %d slots", rows, cols, slots)
-	}
-	st := &LinearStage{
-		Label: label,
-		Diags: map[int][]float64{},
-		Bias:  make([]float64, slots),
-		Slots: slots,
-	}
-	copy(st.Bias, bias)
-	for k := 0; k < slots; k++ {
-		var diag []float64
-		for i := 0; i < rows; i++ {
-			j := (i + k) % slots
-			if j >= cols {
-				continue
-			}
-			v := m.Data[i*cols+j]
-			if v == 0 {
-				continue
-			}
-			if diag == nil {
-				diag = make([]float64, slots)
-			}
-			diag[i] = v
-		}
-		if diag != nil {
-			st.Diags[k] = diag
-		}
-	}
-	if len(st.Diags) == 0 {
-		return nil, fmt.Errorf("henn: zero matrix for stage %s", label)
-	}
-	// Balanced power-of-two BSGS split.
-	logS := 0
-	for 1<<logS < slots {
-		logS++
-	}
-	st.Baby = 1 << ((logS + 1) / 2)
-	st.Giant = slots / st.Baby
-	return st, nil
-}
-
-// Rotations implements Stage: the used baby steps and giant steps.
-func (s *LinearStage) Rotations() []int {
-	set := map[int]bool{}
-	for k := range s.Diags {
-		i, j := k/s.Baby, k%s.Baby
-		if j != 0 {
-			set[j] = true
-		}
-		if i != 0 {
-			set[i*s.Baby] = true
-		}
-	}
-	out := make([]int, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Depth implements Stage.
-func (s *LinearStage) Depth() int { return 1 }
-
-// Describe implements Stage.
-func (s *LinearStage) Describe() string {
-	return fmt.Sprintf("linear %s: %d diagonals, bsgs %dx%d", s.Label, len(s.Diags), s.Baby, s.Giant)
-}
-
-// rotateVec cyclically rotates v left by k (k may be negative).
-func rotateVec(v []float64, k int) []float64 {
-	n := len(v)
-	k = ((k % n) + n) % n
-	if k == 0 {
-		return v
-	}
-	out := make([]float64, n)
-	copy(out, v[k:])
-	copy(out[n-k:], v[:k])
-	return out
-}
-
-// Eval implements Stage. The output scale returns to the input scale after
-// the built-in rescale; one level is consumed.
-func (s *LinearStage) Eval(e Engine, x Ct) Ct {
-	return s.eval(e, x, true)
-}
-
-// EvalNoBias evaluates the linear map without adding the bias (used by the
-// RNS decomposition pipeline, where only the weight-1 part carries it).
-func (s *LinearStage) EvalNoBias(e Engine, x Ct) Ct {
-	return s.eval(e, x, false)
-}
-
-func (s *LinearStage) eval(e Engine, x Ct, withBias bool) Ct {
-	return e.Rescale(s.evalRaw(e, x, withBias))
-}
-
-// evalRaw is eval up to (not including) the final rescale: the BSGS
-// accumulator at the pre-rescale scale S·q̃_ℓ. The sharded pipeline sums
-// several block accumulators (one per input shard) at this scale before
-// paying the single rescale; with one block the sequence rescale∘evalRaw
-// is exactly eval, which is what makes the 1×1-grid sharded lowering
-// bit-identical to the unsharded one.
-func (s *LinearStage) evalRaw(e Engine, x Ct, withBias bool) Ct {
-	level := e.Level(x)
-	ptScale := e.QiFloat(level)
-	// Hoist all baby-step rotations: the key-switch decomposition of x is
-	// computed once for the whole stage.
-	babySteps := map[int]bool{}
-	for k := range s.Diags {
-		babySteps[k%s.Baby] = true
-	}
-	var babyList []int
-	for j := range babySteps {
-		babyList = append(babyList, j)
-	}
-	babies := e.RotateMany(x, babyList)
-	var acc Ct
-	for i := 0; i < s.Giant; i++ {
-		var inner Ct
-		for j := 0; j < s.Baby; j++ {
-			k := i*s.Baby + j
-			diag, ok := s.Diags[k]
-			if !ok {
-				continue
-			}
-			baby := babies[j]
-			term := e.MulPlainVecCached(baby, fmt.Sprintf("%s/d%d", s.Label, k),
-				rotateVec(diag, -i*s.Baby), ptScale)
-			if inner == nil {
-				inner = term
-			} else {
-				inner = e.Add(inner, term)
-			}
-		}
-		if inner == nil {
-			continue
-		}
-		if i != 0 {
-			inner = e.Rotate(inner, i*s.Baby)
-		}
-		if acc == nil {
-			acc = inner
-		} else {
-			acc = e.Add(acc, inner)
-		}
-	}
-	if withBias {
-		// Bias joins at the pre-rescale scale S·q̃_ℓ.
-		acc = e.AddPlainVecCached(acc, s.Label+"/bias", s.Bias)
-	}
-	return acc
-}
-
-// ActStage evaluates a degree-≤4 polynomial activation with per-slot
-// coefficient vectors. Degrees 1–3 take multiplicative depth 2:
-//
-//	y = A0 + A1⊙x + (A2 + A3⊙x)⊙x².
-//
-// Degree 4 — the Ishiyama-style higher-fidelity activation the CIFAR-10
-// CNN3 config uses — takes depth 3:
-//
-//	y = A0 + A1⊙x + (A2 + A3⊙x + A4⊙x²)⊙x².
-type ActStage struct {
-	Label  string
-	Degree int
-	// A[p] is the slot-aligned coefficient vector for power p.
-	A      [5][]float64
-	SlotsN int
-}
-
-// NewActStage builds an activation stage from per-unit SLAF coefficients
-// broadcast over the packed layout. unitOf maps a slot index (< dim) to
-// its coefficient group.
-func NewActStage(label string, s *nn.SLAF, dim int, unitOf func(i int) int, slots int) (*ActStage, error) {
-	if s.Degree > 4 || s.Degree < 1 {
-		return nil, fmt.Errorf("henn: unsupported SLAF degree %d (1..4)", s.Degree)
-	}
-	st := &ActStage{Label: label, Degree: s.Degree, SlotsN: slots}
-	for p := 0; p <= s.Degree; p++ {
-		st.A[p] = make([]float64, slots)
-	}
-	for i := 0; i < dim; i++ {
-		u := unitOf(i)
-		for p := 0; p <= s.Degree; p++ {
-			st.A[p][i] = s.Coeffs.Data[u*(s.Degree+1)+p]
-		}
-	}
-	return st, nil
-}
-
-// Rotations implements Stage.
-func (s *ActStage) Rotations() []int { return nil }
-
-// Depth implements Stage.
-func (s *ActStage) Depth() int {
-	if s.Degree >= 4 {
-		return 3
-	}
-	return 2
-}
-
-// Describe implements Stage.
-func (s *ActStage) Describe() string {
-	return fmt.Sprintf("act %s: degree %d", s.Label, s.Degree)
-}
-
-// Eval implements Stage.
-func (s *ActStage) Eval(e Engine, x Ct) Ct {
-	level := e.Level(x)
-	scaleX := e.ScaleOf(x)
-	switch s.Degree {
-	case 1:
-		// y = A0 + A1⊙x (consume one level for uniform depth accounting).
-		t := e.Rescale(e.MulPlainVecCached(x, s.Label+"/a1", s.A[1], e.QiFloat(level)))
-		t = e.DropLevel(t, 1)
-		return e.AddPlainVecCached(t, s.Label+"/a0", s.A[0])
-	case 2:
-		// y = A0 + A1⊙x + A2⊙x²
-		x2 := e.Rescale(e.MulRelin(x, x)) // level-1, S²/q
-		t2 := e.Rescale(e.MulPlainVecCached(x2, s.Label+"/a2", s.A[2], e.QiFloat(level-1)))
-		// A1⊙x aligned to t2's scale and level.
-		target := e.ScaleOf(t2)
-		sc1 := target * e.QiFloat(level) / scaleX
-		t1 := e.DropLevel(e.Rescale(e.MulPlainVecCached(x, s.Label+"/a1", s.A[1], sc1)), 1)
-		y := e.Add(t2, t1)
-		return e.AddPlainVecCached(y, s.Label+"/a0", s.A[0])
-	case 3:
-		x2 := e.Rescale(e.MulRelin(x, x)) // level-1, S²/q_ℓ
-		// u = A3⊙x + A2 at level-1
-		u := e.Rescale(e.MulPlainVecCached(x, s.Label+"/a3", s.A[3], e.QiFloat(level)))
-		u = e.AddPlainVecCached(u, s.Label+"/a2", s.A[2])
-		v := e.Rescale(e.MulRelin(u, x2)) // level-2
-		// w = A1⊙x aligned to v.
-		target := e.ScaleOf(v)
-		sc1 := target * e.QiFloat(level) / scaleX
-		w := e.DropLevel(e.Rescale(e.MulPlainVecCached(x, s.Label+"/a1", s.A[1], sc1)), 1)
-		y := e.Add(v, w)
-		return e.AddPlainVecCached(y, s.Label+"/a0", s.A[0])
-	default: // 4
-		x2 := e.Rescale(e.MulRelin(x, x)) // level-1, s2 := S²/q_ℓ
-		// q = A4⊙x² + A3⊙x + A2 at level-2, scale s2.
-		t4 := e.Rescale(e.MulPlainVecCached(x2, s.Label+"/a4", s.A[4], e.QiFloat(level-1)))
-		target := e.ScaleOf(t4)
-		sc3 := target * e.QiFloat(level) / scaleX
-		t3 := e.DropLevel(e.Rescale(e.MulPlainVecCached(x, s.Label+"/a3", s.A[3], sc3)), 1)
-		q := e.AddPlainVecCached(e.Add(t4, t3), s.Label+"/a2", s.A[2])
-		v := e.Rescale(e.MulRelin(q, e.DropLevel(x2, 1))) // level-3
-		// w = A1⊙x aligned to v.
-		targetV := e.ScaleOf(v)
-		sc1 := targetV * e.QiFloat(level) / scaleX
-		w := e.DropLevel(e.Rescale(e.MulPlainVecCached(x, s.Label+"/a1", s.A[1], sc1)), 2)
-		y := e.Add(v, w)
-		return e.AddPlainVecCached(y, s.Label+"/a0", s.A[0])
-	}
-}
-
-// Options controls plan compilation.
-type Options struct {
-	// Collapse merges adjacent linear layers (conv, pool, dense, folded
-	// batch norm) into a single matrix before lowering — the paper's
-	// Table I "2-arch" dual-architecture strategy. Each collapse saves one
-	// multiplicative level and one full BSGS matrix-vector product.
-	Collapse bool
-}
-
-// Compile lowers a trained SLAF model to a homomorphic plan for the given
-// slot count with linear collapsing enabled.
-func Compile(m *nn.Model, slots int) (*Plan, error) {
-	return CompileWithOptions(m, slots, Options{Collapse: true})
-}
-
 // tshape tracks the tensor shape flowing between layers during the model
 // walk (c = 0 for flat vectors).
 type tshape struct {
@@ -424,10 +289,7 @@ type tshape struct {
 
 // absStage is one pipeline step in compiler-internal form: a linear map
 // (mat != nil) or a polynomial activation (slaf != nil), with the tensor
-// shapes at its boundaries. Compile and CompileSharded both lower the
-// same abstract walk — matrices, biases, labels and coefficient layouts
-// are byte-for-byte shared — which is what keeps the 1×1-grid sharded
-// lowering identical to the unsharded one.
+// shapes at its boundaries.
 type absStage struct {
 	label string
 	// Linear: rows = out.flat, cols = in.flat.
@@ -435,8 +297,8 @@ type absStage struct {
 	bias []float64
 	// Activation: per-unit SLAF coefficients; unitOf maps a global flat
 	// index (< in.flat) to its coefficient group.
-	slaf   *nn.SLAF
-	unitOf func(i int) int
+	slaf    *nn.SLAF
+	unitOf  func(i int) int
 	in, out tshape
 }
 
@@ -458,7 +320,7 @@ func (p *pendingLinear) abs() absStage {
 // adjacent linear layers when enabled, absorbs the 1/255 pixel
 // normalization into the first linear matrix (inputs are encrypted as
 // raw [0, 255] pixels), and records the tensor shape at every stage
-// boundary so sharded lowering can choose per-boundary manifests.
+// boundary so the compile walk can choose per-boundary manifests.
 func buildAbstract(m *nn.Model, opts Options) (stages []absStage, input tshape, outputDim int, err error) {
 	var cur tshape
 	layers := m.Layers
@@ -588,34 +450,6 @@ func buildAbstract(m *nn.Model, opts Options) (stages []absStage, input tshape, 
 	return stages, input, outputDim, nil
 }
 
-// CompileWithOptions lowers a trained SLAF model to a homomorphic plan for
-// the given slot count. The first linear layer absorbs the 1/255 pixel
-// normalization (inputs are encrypted as raw [0, 255] pixels); batch
-// normalization layers are folded into the preceding convolution.
-func CompileWithOptions(m *nn.Model, slots int, opts Options) (*Plan, error) {
-	abs, input, outputDim, err := buildAbstract(m, opts)
-	if err != nil {
-		return nil, err
-	}
-	plan := &Plan{Slots: slots, InputDim: input.flat, OutputDim: outputDim}
-	for _, a := range abs {
-		var st Stage
-		if a.mat != nil {
-			st, err = NewLinearStage(a.label, a.mat, a.bias, slots)
-		} else {
-			st, err = NewActStage(a.label, a.slaf, a.in.flat, a.unitOf, slots)
-		}
-		if err != nil {
-			return nil, err
-		}
-		plan.Stages = append(plan.Stages, st)
-	}
-	for _, s := range plan.Stages {
-		plan.Depth += s.Depth()
-	}
-	return plan, nil
-}
-
 // applyInputScale folds a pending input scaling into the first linear
 // matrix (columns scaled), then clears it.
 func applyInputScale(mat *tensor.Tensor, s *float64) {
@@ -628,19 +462,36 @@ func applyInputScale(mat *tensor.Tensor, s *float64) {
 	*s = 1
 }
 
-// CheckDepth verifies the plan fits the engine's level budget.
-func (p *Plan) CheckDepth(maxLevel int) error {
-	if p.Depth > maxLevel {
-		return fmt.Errorf("henn: plan needs %d levels but parameters provide %d", p.Depth, maxLevel)
+// shardShapeOf converts a walk shape to the manifest form (flat vectors
+// become 1×1×flat).
+func shardShapeOf(t tshape) shard.Shape {
+	if t.c > 0 {
+		return shard.Shape{C: t.c, H: t.h, W: t.w}
 	}
-	return nil
+	return shard.Shape{C: 1, H: 1, W: t.flat}
 }
 
-// Describe returns a multi-line plan summary.
-func (p *Plan) Describe() string {
-	out := fmt.Sprintf("plan: %d stages, depth %d, %d rotations\n", len(p.Stages), p.Depth, len(p.Rotations()))
-	for _, s := range p.Stages {
-		out += "  " + s.Describe() + "\n"
+// manifestFor picks the stage-boundary manifest for a tensor:
+// single-shard whenever it fits (so downstream stages stay on one
+// ciphertext), else the smallest horizontal band grid that does.
+func manifestFor(t tshape, slots int) (shard.Manifest, error) {
+	shape := shardShapeOf(t)
+	// Image tensors band across rows; flat vectors (H = 1) band across
+	// their single spatial axis instead.
+	for g := 1; g <= shape.H*shape.W; g++ {
+		grid := shard.Grid{Gy: g, Gx: 1}
+		if shape.H == 1 {
+			if g > shape.W {
+				break
+			}
+			grid = shard.Grid{Gy: 1, Gx: g}
+		} else if g > shape.H {
+			break
+		}
+		if m, err := shard.New(shape, grid, slots); err == nil {
+			return m, nil
+		}
 	}
-	return out
+	return shard.Manifest{}, fmt.Errorf("henn: %dx%dx%d tensor does not fit %d slots even one band per shard",
+		shape.C, shape.H, shape.W, slots)
 }

@@ -52,12 +52,11 @@ func TestDiagLogits(t *testing.T) {
 		}
 		want := hm.Forward(x).Data
 
-		ct := e.EncryptVec(img)
-		for si, s := range plan.Stages {
-			ct = s.Eval(e, ct)
-			_ = si
+		cts := []Ct{e.EncryptVec(img)}
+		for _, s := range plan.Stages {
+			cts = s.Eval(e, cts)
 		}
-		got := e.DecryptVec(ct)
+		got := e.DecryptVec(cts[0])
 		maxe := 0.0
 		for i := range want {
 			if d := math.Abs(got[i] - want[i]); d > maxe {

@@ -2,12 +2,14 @@
 // privacy-preserving CNN-HE and CNN-HE-RNS models.
 //
 // A trained internal/nn model is compiled into a Plan — a sequence of
-// homomorphic stages over a single packed ciphertext holding the flattened
-// activation vector. Every linear layer (convolutions included, with batch
-// normalization and input scaling folded in) becomes an explicit
-// slots×slots matrix evaluated by the Halevi–Shoup diagonal method with
-// baby-step/giant-step rotations; every SLAF activation becomes a depth-2
-// polynomial evaluation with per-unit coefficient vectors.
+// homomorphic stages over the packed ciphertext holding the flattened
+// activation vector (or over a shard set of them, when the tensor
+// outgrows one ciphertext; DESIGN.md §15). Every linear layer
+// (convolutions included, with batch normalization and input scaling
+// folded in) becomes an explicit slots×slots matrix evaluated by the
+// Halevi–Shoup diagonal method with baby-step/giant-step rotations; every
+// SLAF activation becomes a depth-2 polynomial evaluation with per-unit
+// coefficient vectors.
 //
 // The same Plan runs on two interchangeable engines: the RNS engine
 // (internal/ckks, the paper's CKKS-RNS) and the multiprecision baseline
@@ -17,7 +19,6 @@
 package henn
 
 import (
-	"fmt"
 	"math/big"
 	"runtime"
 	"sync"
@@ -51,17 +52,14 @@ type ptCacheKey struct {
 	scale float64
 }
 
-// RNSEngine is the CKKS-RNS backend (internal/ckks).
+// RNSEngine is the CKKS-RNS backend (internal/ckks): the evaluation-only
+// engine plus the secret-key half — encryptor, decryptor and secret key —
+// and the fused recombination calls.
 type RNSEngine struct {
-	Ctx *ckks.Context
-	Enc *ckks.Encoder
+	*RNSEvalEngine
 	Ept *ckks.Encryptor
 	Dec *ckks.Decryptor
-	Ev  *ckks.Evaluator
 	SK  *ckks.SecretKey
-
-	mu      sync.Mutex
-	ptCache map[ptCacheKey]*ckks.Plaintext
 }
 
 // NewRNSEngine builds a full CKKS-RNS deployment (keys for the given
@@ -79,65 +77,26 @@ func NewRNSEngine(params ckks.Parameters, rotations []int, seed int64) (*RNSEngi
 	if len(rotations) > 0 {
 		rtk = kg.GenRotationKeys(sk, rotations, false)
 	}
+	return NewRNSEngineFromKeys(ctx, sk, pk, rlk, rtk, seed+1), nil
+}
+
+// NewRNSEngineFromKeys builds a full engine from explicit key material
+// instead of generating its own — the client-side reference engine: the
+// e2e parity tests run the plaintext-path inference on exactly the keys
+// the client registered with the server. encSeed seeds the encryptor's
+// randomness so a wire round trip can be replayed bit-for-bit.
+func NewRNSEngineFromKeys(ctx *ckks.Context, sk *ckks.SecretKey, pk *ckks.PublicKey,
+	rlk *ckks.RelinearizationKey, rtk *ckks.RotationKeySet, encSeed int64) *RNSEngine {
 	return &RNSEngine{
-		Ctx:     ctx,
-		Enc:     ckks.NewEncoder(ctx),
-		Ept:     ckks.NewEncryptor(ctx, pk, seed+1),
-		Dec:     ckks.NewDecryptor(ctx, sk),
-		Ev:      ckks.NewEvaluator(ctx, rlk, rtk),
-		SK:      sk,
-		ptCache: map[ptCacheKey]*ckks.Plaintext{},
-	}, nil
-}
-
-func (e *RNSEngine) cachedPlaintext(key string, level int, scale float64, v []float64) *ckks.Plaintext {
-	k := ptCacheKey{key, level, scale}
-	e.mu.Lock()
-	pt, ok := e.ptCache[k]
-	e.mu.Unlock()
-	if ok {
-		return pt
+		RNSEvalEngine: NewRNSEvalEngine(ctx, rlk, rtk),
+		Ept:           ckks.NewEncryptor(ctx, pk, encSeed),
+		Dec:           ckks.NewDecryptor(ctx, sk),
+		SK:            sk,
 	}
-	pt = e.Enc.Encode(v, level, scale)
-	e.mu.Lock()
-	e.ptCache[k] = pt
-	e.mu.Unlock()
-	return pt
-}
-
-// MulPlainVecCached implements Engine.
-func (e *RNSEngine) MulPlainVecCached(ct Ct, key string, v []float64, scale float64) Ct {
-	c := ct.(*ckks.Ciphertext)
-	return e.Ev.MulPlain(c, e.cachedPlaintext(key, c.Level, scale, v))
-}
-
-// AddPlainVecCached implements Engine.
-func (e *RNSEngine) AddPlainVecCached(ct Ct, key string, v []float64) Ct {
-	c := ct.(*ckks.Ciphertext)
-	return e.Ev.AddPlain(c, e.cachedPlaintext(key, c.Level, c.Scale, v))
 }
 
 // Name implements Engine.
 func (e *RNSEngine) Name() string { return "ckks-rns" }
-
-// Slots implements Engine.
-func (e *RNSEngine) Slots() int { return e.Ctx.Params.Slots() }
-
-// MaxLevel implements Engine.
-func (e *RNSEngine) MaxLevel() int { return e.Ctx.Params.MaxLevel() }
-
-// Scale implements Engine.
-func (e *RNSEngine) Scale() float64 { return e.Ctx.Params.Scale }
-
-// QiFloat implements Engine.
-func (e *RNSEngine) QiFloat(level int) float64 { return e.Ctx.Params.QiFloat(level) }
-
-// SpecialPFloat returns the key-switching modulus P as a float64 (used by
-// the guard's key-switch noise bound).
-func (e *RNSEngine) SpecialPFloat() float64 {
-	f, _ := new(big.Float).SetInt(e.Ctx.Params.Chain.P()).Float64()
-	return f
-}
 
 // EncryptVec implements Engine.
 func (e *RNSEngine) EncryptVec(values []float64) Ct {
@@ -148,41 +107,6 @@ func (e *RNSEngine) EncryptVec(values []float64) Ct {
 // DecryptVec implements Engine.
 func (e *RNSEngine) DecryptVec(ct Ct) []float64 {
 	return e.Enc.Decode(e.Dec.DecryptNew(ct.(*ckks.Ciphertext)))
-}
-
-// Level implements Engine.
-func (e *RNSEngine) Level(ct Ct) int { return ct.(*ckks.Ciphertext).Level }
-
-// ScaleOf implements Engine.
-func (e *RNSEngine) ScaleOf(ct Ct) float64 { return ct.(*ckks.Ciphertext).Scale }
-
-// Add implements Engine.
-func (e *RNSEngine) Add(a, b Ct) Ct {
-	return e.Ev.Add(a.(*ckks.Ciphertext), b.(*ckks.Ciphertext))
-}
-
-// AddPlainVec implements Engine.
-func (e *RNSEngine) AddPlainVec(ct Ct, v []float64) Ct {
-	c := ct.(*ckks.Ciphertext)
-	pt := e.Enc.Encode(v, c.Level, c.Scale)
-	return e.Ev.AddPlain(c, pt)
-}
-
-// MulPlainVecAtScale implements Engine.
-func (e *RNSEngine) MulPlainVecAtScale(ct Ct, v []float64, scale float64) Ct {
-	c := ct.(*ckks.Ciphertext)
-	pt := e.Enc.Encode(v, c.Level, scale)
-	return e.Ev.MulPlain(c, pt)
-}
-
-// MulRelin implements Engine.
-func (e *RNSEngine) MulRelin(a, b Ct) Ct {
-	return e.Ev.Mul(a.(*ckks.Ciphertext), b.(*ckks.Ciphertext))
-}
-
-// MulInt implements Engine.
-func (e *RNSEngine) MulInt(ct Ct, n int64) Ct {
-	return e.Ev.MulInt(ct.(*ckks.Ciphertext), n)
 }
 
 // Recombine implements ir.Recombiner: Σᵢ weights[i]·args[i] accumulated
@@ -210,60 +134,6 @@ func (e *RNSEngine) PlainRecombine(args []Ct, pts []Pt, weights []int64) Ct {
 		}
 	}
 	return e.Ev.PlainRecombine(cts, plains, weights)
-}
-
-// Rescale implements Engine.
-func (e *RNSEngine) Rescale(ct Ct) Ct { return e.Ev.Rescale(ct.(*ckks.Ciphertext)) }
-
-// DropLevel implements Engine.
-func (e *RNSEngine) DropLevel(ct Ct, n int) Ct { return e.Ev.DropLevel(ct.(*ckks.Ciphertext), n) }
-
-// Rotate implements Engine.
-func (e *RNSEngine) Rotate(ct Ct, k int) Ct {
-	if k == 0 {
-		return ct
-	}
-	return e.Ev.Rotate(ct.(*ckks.Ciphertext), k)
-}
-
-// RotateMany implements Engine using hoisted rotations.
-func (e *RNSEngine) RotateMany(ct Ct, ks []int) map[int]Ct {
-	c := ct.(*ckks.Ciphertext)
-	outs := e.Ev.RotateHoisted(c, nonZero(ks))
-	m := make(map[int]Ct, len(ks))
-	for _, k := range ks {
-		if k == 0 {
-			m[0] = ct
-			continue
-		}
-		m[k] = outs[k]
-	}
-	return m
-}
-
-// EncodeVecsAt implements Engine: the ahead-of-time encoding pass. The
-// encoder is stateless, so the batch is encoded on all CPUs.
-func (e *RNSEngine) EncodeVecsAt(specs []PlainSpec) []Pt {
-	es := make([]ckks.EncodeSpec, len(specs))
-	for i, s := range specs {
-		es[i] = ckks.EncodeSpec{Values: s.Values, Level: s.Level, Scale: s.Scale}
-	}
-	pts := e.Enc.EncodeBatch(es, runtime.NumCPU())
-	out := make([]Pt, len(pts))
-	for i, pt := range pts {
-		out[i] = pt
-	}
-	return out
-}
-
-// MulPlainPt implements Engine.
-func (e *RNSEngine) MulPlainPt(ct Ct, pt Pt) Ct {
-	return e.Ev.MulPlain(ct.(*ckks.Ciphertext), pt.(*ckks.Plaintext))
-}
-
-// AddPlainPt implements Engine.
-func (e *RNSEngine) AddPlainPt(ct Ct, pt Pt) Ct {
-	return e.Ev.AddPlain(ct.(*ckks.Ciphertext), pt.(*ckks.Plaintext))
 }
 
 func nonZero(ks []int) []int {
@@ -483,8 +353,3 @@ var (
 	_ Engine             = (*BigEngine)(nil)
 	_ ir.PlainRecombiner = (*RNSEngine)(nil)
 )
-
-func init() {
-	// Guard against interface drift in one place.
-	_ = fmt.Sprintf
-}

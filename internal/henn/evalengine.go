@@ -37,24 +37,6 @@ func NewRNSEvalEngine(ctx *ckks.Context, rlk *ckks.RelinearizationKey, rtk *ckks
 	}
 }
 
-// NewRNSEngineFromKeys builds a full engine from explicit key material
-// instead of generating its own — the client-side reference engine: the
-// e2e parity tests run the plaintext-path inference on exactly the keys
-// the client registered with the server. encSeed seeds the encryptor's
-// randomness so a wire round trip can be replayed bit-for-bit.
-func NewRNSEngineFromKeys(ctx *ckks.Context, sk *ckks.SecretKey, pk *ckks.PublicKey,
-	rlk *ckks.RelinearizationKey, rtk *ckks.RotationKeySet, encSeed int64) *RNSEngine {
-	return &RNSEngine{
-		Ctx:     ctx,
-		Enc:     ckks.NewEncoder(ctx),
-		Ept:     ckks.NewEncryptor(ctx, pk, encSeed),
-		Dec:     ckks.NewDecryptor(ctx, sk),
-		Ev:      ckks.NewEvaluator(ctx, rlk, rtk),
-		SK:      sk,
-		ptCache: map[ptCacheKey]*ckks.Plaintext{},
-	}
-}
-
 func (e *RNSEvalEngine) cachedPlaintext(key string, level int, scale float64, v []float64) *ckks.Plaintext {
 	k := ptCacheKey{key, level, scale}
 	e.mu.Lock()

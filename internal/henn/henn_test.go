@@ -11,7 +11,6 @@ import (
 	"cnnhe/internal/ckks"
 	"cnnhe/internal/ckksbig"
 	"cnnhe/internal/nn"
-	"cnnhe/internal/rnsdec"
 	"cnnhe/internal/tensor"
 )
 
@@ -147,7 +146,8 @@ func TestLinearStageMatchesMatVec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := &Plan{Slots: slots, InputDim: cols, OutputDim: rows, Stages: []Stage{st}, Depth: 1}
+	plan := &Plan{Slots: slots, InputDim: cols, OutputDim: rows, Depth: 1,
+		Stages: []Stage{&ShardedLinear{Label: st.Label, Blocks: [][]*LinearStage{{st}}}}}
 
 	e := rnsEngineFor(t, plan, 10, []int{40, 30, 30})
 	x := make([]float64, cols)
@@ -179,7 +179,7 @@ func TestActStageMatchesPolynomial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := &Plan{Slots: slots, InputDim: 16, OutputDim: 16, Stages: []Stage{st}, Depth: 2}
+	plan := &Plan{Slots: slots, InputDim: 16, OutputDim: 16, Stages: []Stage{&ShardedAct{Acts: []*ActStage{st}}}, Depth: 2}
 	e := rnsEngineFor(t, plan, 10, []int{40, 30, 30, 30})
 	rng := rand.New(rand.NewSource(4))
 	x := make([]float64, 16)
@@ -308,12 +308,15 @@ func TestRNSPlanParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	img := testImage(rng, 64)
 
-	db, err := rnsdec.NewDigitBasis(16, 2)
-	if err != nil {
-		t.Fatal(err)
+	mk := func(parallel bool) *Plan {
+		rp, err := NewRNSPlan(plan, 2, parallel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rp
 	}
-	seq, _ := (&RNSPlan{Base: plan, Digits: db}).Infer(e, img)
-	par, _ := (&RNSPlan{Base: plan, Digits: db, Parallel: true}).Infer(e, img)
+	seq, _ := mk(false).Infer(e, img)
+	par, _ := mk(true).Infer(e, img)
 	// The two runs encrypt with fresh randomness, so results agree only up
 	// to encryption noise.
 	for i := range seq {

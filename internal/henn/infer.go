@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"cnnhe/internal/henn/exec"
-	"cnnhe/internal/henn/ir/opt"
-	"cnnhe/internal/rnsdec"
 	"cnnhe/internal/telemetry"
 )
 
@@ -105,68 +103,35 @@ func (r *Report) String() string {
 	return s
 }
 
-// evalGuarded runs f, converting panics — engine misuse assertions and
-// guard-engine aborts — into errors. A recovered value that already is an
-// error (e.g. *guard.StageError) is returned as-is so callers can classify
-// it with errors.Is/errors.As.
-func evalGuarded(stage string, f func() Ct) (ct Ct, err error) {
+// runStage evaluates one named stage of the eager interpreter: the
+// context is checked first, StageAware engines are told the stage, and
+// engine panics — misuse assertions and guard aborts — become errors. A
+// recovered value that already is an error (e.g. *guard.StageError) is
+// returned as-is so callers can classify it with errors.Is/errors.As. On
+// failure the report's FailedStage names the stage.
+func runStage(ctx context.Context, e Engine, rep *Report, name string, f func()) (err error) {
+	if err := ctx.Err(); err != nil {
+		rep.FailedStage = name
+		return fmt.Errorf("henn: %s: %w", name, err)
+	}
+	if sa, ok := e.(StageAware); ok {
+		sa.BeginStage(name)
+	}
 	defer func() {
 		if r := recover(); r != nil {
+			rep.FailedStage = name
 			if e, ok := r.(error); ok {
 				err = e
 			} else {
-				err = fmt.Errorf("henn: panic in %s: %v", stage, r)
+				err = fmt.Errorf("henn: panic in %s: %v", name, r)
 			}
 		}
 	}()
-	return f(), nil
+	f()
+	return nil
 }
 
-// stageRunner factors the per-stage bookkeeping shared by the plain and
-// RNS inference paths: context checks before every stage, stage
-// announcement to StageAware engines, and panic-to-error conversion.
-type stageRunner struct {
-	ctx context.Context
-	e   Engine
-	sa  StageAware
-	na  NoiseAware
-	rep *Report
-}
-
-func newStageRunner(ctx context.Context, e Engine, rep *Report) *stageRunner {
-	sr := &stageRunner{ctx: ctx, e: e, rep: rep}
-	sr.sa, _ = e.(StageAware)
-	sr.na, _ = e.(NoiseAware)
-	return sr
-}
-
-// step evaluates one named stage. On failure the report's FailedStage is
-// set and a classified error is returned.
-func (sr *stageRunner) step(name string, f func() Ct) (Ct, error) {
-	if err := sr.ctx.Err(); err != nil {
-		sr.rep.FailedStage = name
-		return nil, fmt.Errorf("henn: %s: %w", name, err)
-	}
-	if sr.sa != nil {
-		sr.sa.BeginStage(name)
-	}
-	ct, err := evalGuarded(name, f)
-	if err != nil {
-		sr.rep.FailedStage = name
-	}
-	return ct, err
-}
-
-// record appends a stage row for ct to the report.
-func (sr *stageRunner) record(name string, d time.Duration, ct Ct) {
-	row := StageReport{Stage: name, Duration: d, Level: sr.e.Level(ct), Scale: sr.e.ScaleOf(ct), NoiseBits: math.NaN()}
-	if sr.na != nil {
-		row.NoiseBits = sr.na.NoiseBits(ct)
-	}
-	sr.rep.Stages = append(sr.rep.Stages, row)
-}
-
-// fillReport copies an executor result into the legacy Report shape.
+// fillReport copies an executor result into the Report shape.
 func fillReport(rep *Report, res *exec.Result) {
 	rep.Encrypt = res.Encrypt
 	rep.Eval = res.Eval
@@ -181,21 +146,60 @@ func fillReport(rep *Report, res *exec.Result) {
 	}
 }
 
-// decryptLogits runs the shared decrypt epilogue of both pipelines.
-func decryptLogits(ctx context.Context, e Engine, ct Ct, outputDim int, rep *Report) (Logits, *Report, error) {
-	sr := newStageRunner(ctx, e, rep)
+// decrypt is the shared decrypt epilogue: one guarded DecryptVec of the
+// output ciphertext, which must yield at least need slots.
+func decrypt(ctx context.Context, e Engine, ct Ct, need int, rep *Report) ([]float64, error) {
 	var out []float64
 	t := time.Now()
-	_, err := sr.step("decrypt", func() Ct { out = e.DecryptVec(ct); return nil })
+	err := runStage(ctx, e, rep, "decrypt", func() { out = e.DecryptVec(ct) })
 	rep.Decrypt = time.Since(t)
 	telemetry.RecorderFrom(ctx).RecordPhase("decrypt", t, time.Now())
 	if err != nil {
-		return nil, rep, err
+		return nil, err
 	}
-	if len(out) < outputDim {
-		return nil, rep, badInput("engine decrypted %d slots, plan outputs %d", len(out), outputDim)
+	if len(out) < need {
+		return nil, badInput("engine decrypted %d slots, plan needs %d", len(out), need)
 	}
-	return Logits(out[:outputDim]), rep, nil
+	return out, nil
+}
+
+// inputs turns one raw image into the plan's input vectors: its digit
+// parts under the RNS front-end, else its shards by the input manifest.
+func (p *Plan) inputs(image []float64) ([][]float64, error) {
+	if len(image) != p.InputDim {
+		return nil, badInput("image length %d does not match plan input dim %d", len(image), p.InputDim)
+	}
+	if p.Digits != nil {
+		return p.Digits.DecomposeTensor(image), nil
+	}
+	parts, err := p.Input.Split(image)
+	if err != nil {
+		return nil, badInput("%v", err)
+	}
+	return parts, nil
+}
+
+// run evaluates one set of input vectors on the prepared graph and
+// decrypts at least need output slots. In Parallel mode independent ops
+// are scheduled over one worker per input ciphertext; every op's operands
+// are fixed by the graph, so the result does not depend on the schedule.
+func (p *Plan) run(ctx context.Context, e Engine, inputs [][]float64, need int, rep *Report) ([]float64, error) {
+	pr, _, err := p.prepare(e)
+	if err != nil {
+		rep.FailedStage = "prepare"
+		return nil, err
+	}
+	workers := 1
+	if p.Parallel {
+		workers = len(inputs)
+	}
+	defer telInferStart()()
+	res, err := pr.Run(ctx, inputs, exec.Options{Workers: workers})
+	fillReport(rep, res)
+	if err != nil {
+		return nil, err
+	}
+	return decrypt(ctx, e, res.Out, need, rep)
 }
 
 // InferCtx classifies one raw image (pixels in [0, 255], length InputDim)
@@ -207,65 +211,59 @@ func decryptLogits(ctx context.Context, e Engine, ct Ct, outputDim int, rep *Rep
 // noise-budget enforcement.
 //
 // The evaluation runs on the lowered op graph (Lower) with ahead-of-time
-// encoded plaintexts, prepared once per engine and shared by every
-// subsequent inference. The sequential executor replays the graph in the
-// legacy interpreter's exact engine-call order, so logits are
-// bit-identical to InferCtxLegacy.
+// encoded plaintexts, prepared on the first inference on an engine and
+// shared by every later one until the plan is prepared for another
+// engine. The sequential executor replays the graph in the legacy
+// interpreter's exact engine-call order, so logits are bit-identical to
+// InferCtxLegacy.
 func (p *Plan) InferCtx(ctx context.Context, e Engine, image []float64) (Logits, *Report, error) {
 	rep := &Report{Engine: e.Name()}
-	if len(image) != p.InputDim {
-		return nil, rep, badInput("image length %d does not match plan input dim %d", len(image), p.InputDim)
-	}
-	pr, err := p.prepare(e)
-	if err != nil {
-		rep.FailedStage = "prepare"
-		return nil, rep, err
-	}
-	defer telInferStart()()
-	res, err := pr.Run(ctx, [][]float64{image}, exec.Options{})
-	fillReport(rep, res)
+	parts, err := p.inputs(image)
 	if err != nil {
 		return nil, rep, err
 	}
-	return decryptLogits(ctx, e, res.Out, p.OutputDim, rep)
+	out, err := p.run(ctx, e, parts, p.OutputDim, rep)
+	if err != nil {
+		return nil, rep, err
+	}
+	return Logits(out[:p.OutputDim]), rep, nil
 }
 
-// InferCtxLegacy is the original eager stage interpreter, retained as the
-// reference oracle the executor is tested bit-identical against.
+// InferCtxLegacy is the eager step interpreter, retained as the reference
+// oracle the executor is tested bit-identical against: it runs the same
+// steps Lower traces, sequentially, straight against the engine.
 func (p *Plan) InferCtxLegacy(ctx context.Context, e Engine, image []float64) (Logits, *Report, error) {
 	rep := &Report{Engine: e.Name()}
-	if len(image) != p.InputDim {
-		return nil, rep, badInput("image length %d does not match plan input dim %d", len(image), p.InputDim)
-	}
-	sr := newStageRunner(ctx, e, rep)
-
-	t0 := time.Now()
-	ct, err := sr.step("encrypt", func() Ct { return e.EncryptVec(image) })
-	rep.Encrypt = time.Since(t0)
+	parts, err := p.inputs(image)
 	if err != nil {
 		return nil, rep, err
 	}
-	for i, s := range p.Stages {
-		name := fmt.Sprintf("stage %d (%s)", i, s.Describe())
-		s := s
-		t1 := time.Now()
-		ct, err = sr.step(name, func() Ct { return s.Eval(e, ct) })
-		d := time.Since(t1)
+	cur := make([]Ct, len(parts))
+	t0 := time.Now()
+	for i := range parts {
+		if err := runStage(ctx, e, rep, p.encryptName(i), func() { cur[i] = e.EncryptVec(parts[i]) }); err != nil {
+			rep.Encrypt = time.Since(t0)
+			return nil, rep, err
+		}
+	}
+	rep.Encrypt = time.Since(t0)
+	for _, s := range p.steps() {
+		t := time.Now()
+		err := runStage(ctx, e, rep, s.name, func() { cur = s.eval(e, cur) })
+		d := time.Since(t)
 		rep.Eval += d
 		if err != nil {
 			return nil, rep, err
 		}
-		sr.record(name, d, ct)
+		row := StageReport{Stage: s.name, Duration: d, Level: e.Level(cur[0]), Scale: e.ScaleOf(cur[0]), NoiseBits: math.NaN()}
+		if na, ok := e.(NoiseAware); ok {
+			row.NoiseBits = na.NoiseBits(cur[0])
+		}
+		rep.Stages = append(rep.Stages, row)
 	}
-	var out []float64
-	t2 := time.Now()
-	_, err = sr.step("decrypt", func() Ct { out = e.DecryptVec(ct); return nil })
-	rep.Decrypt = time.Since(t2)
+	out, err := decrypt(ctx, e, cur[0], p.OutputDim, rep)
 	if err != nil {
 		return nil, rep, err
-	}
-	if len(out) < p.OutputDim {
-		return nil, rep, badInput("engine decrypted %d slots, plan outputs %d", len(out), p.OutputDim)
 	}
 	return Logits(out[:p.OutputDim]), rep, nil
 }
@@ -293,29 +291,26 @@ func (p *Plan) Infer(e Engine, image []float64) (Logits, time.Duration) {
 // engine serializes internally). Results are in image order; the first
 // error aborts the batch.
 func (p *Plan) InferBatch(ctx context.Context, e Engine, images [][]float64, workers int) ([]Logits, error) {
+	inputs := make([][][]float64, len(images))
 	for i, img := range images {
-		if len(img) != p.InputDim {
-			return nil, badInput("image %d length %d does not match plan input dim %d", i, len(img), p.InputDim)
+		var err error
+		if inputs[i], err = p.inputs(img); err != nil {
+			return nil, fmt.Errorf("image %d: %w", i, err)
 		}
 	}
-	pr, err := p.prepare(e)
+	pr, _, err := p.prepare(e)
 	if err != nil {
 		return nil, err
 	}
 	encs := make([][]Ct, len(images))
-	for i, img := range images {
-		cts, _, _, err := pr.EncryptInputs(ctx, [][]float64{img})
+	for i := range images {
+		cts, _, _, err := pr.EncryptInputs(ctx, inputs[i])
 		if err != nil {
 			return nil, fmt.Errorf("image %d: %w", i, err)
 		}
 		encs[i] = cts
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(images) {
-		workers = len(images)
-	}
+	workers = max(1, min(workers, len(images)))
 	out := make([]Logits, len(images))
 	errs := make([]error, len(images))
 	var next int64
@@ -331,13 +326,13 @@ func (p *Plan) InferBatch(ctx context.Context, e Engine, images [][]float64, wor
 				}
 				done := telInferStart()
 				res, err := pr.RunEncrypted(ctx, encs[i], exec.Options{})
-				if err != nil {
-					errs[i] = err
-					done()
-					continue
+				if err == nil {
+					var slots []float64
+					if slots, err = decrypt(ctx, e, res.Out, p.OutputDim, &Report{Engine: e.Name()}); err == nil {
+						out[i] = Logits(slots[:p.OutputDim])
+					}
 				}
-				logits, _, err := decryptLogits(ctx, e, res.Out, p.OutputDim, &Report{Engine: e.Name()})
-				out[i], errs[i] = logits, err
+				errs[i] = err
 				done()
 			}
 		}()
@@ -349,14 +344,6 @@ func (p *Plan) InferBatch(ctx context.Context, e Engine, images [][]float64, wor
 		}
 	}
 	return out, nil
-}
-
-// Warm lowers the plan for e and pre-encodes its plaintext operands, so
-// a later InferCtx pays no one-time preparation cost inside its
-// deadline. Safe to call concurrently; repeated calls are no-ops.
-func (p *Plan) Warm(e Engine) error {
-	_, err := p.prepare(e)
-	return err
 }
 
 // LatencyStats aggregates per-inference latencies.
@@ -424,40 +411,29 @@ func (s LatencyStats) String() string {
 		s.Min.Seconds(), s.Max.Seconds(), s.Avg.Seconds(), s.N)
 }
 
-// checkEvalArgs validates an EvaluateEncrypted batch and resolves n.
-func checkEvalArgs(images [][]float64, labels []int, n, inputDim int) (int, error) {
+// EvaluateEncrypted classifies images[0:n] homomorphically and returns the
+// accuracy against labels plus latency statistics. Mis-sized inputs and
+// label/image mismatches yield a typed error (errors.Is ErrBadInput)
+// before any ciphertext work starts.
+func (p *Plan) EvaluateEncrypted(e Engine, images [][]float64, labels []int, n int) (float64, LatencyStats, error) {
 	if n <= 0 || n > len(images) {
 		n = len(images)
 	}
 	if n == 0 {
-		return 0, badInput("no images to evaluate")
+		return 0, LatencyStats{}, badInput("no images to evaluate")
 	}
 	if len(labels) < n {
-		return 0, badInput("%d labels for %d images", len(labels), n)
+		return 0, LatencyStats{}, badInput("%d labels for %d images", len(labels), n)
 	}
 	for i := 0; i < n; i++ {
-		if len(images[i]) != inputDim {
-			return 0, badInput("image %d length %d does not match plan input dim %d", i, len(images[i]), inputDim)
+		if len(images[i]) != p.InputDim {
+			return 0, LatencyStats{}, badInput("image %d length %d does not match plan input dim %d", i, len(images[i]), p.InputDim)
 		}
-	}
-	return n, nil
-}
-
-// inferFunc is the shape shared by Plan.InferCtx and RNSPlan.InferCtx.
-type inferFunc func(ctx context.Context, e Engine, image []float64) (Logits, *Report, error)
-
-// evaluateEncrypted classifies images[0:n] via infer and returns the
-// accuracy against labels plus latency statistics — the shared body of
-// both pipelines' EvaluateEncrypted.
-func evaluateEncrypted(infer inferFunc, e Engine, images [][]float64, labels []int, n, inputDim int) (float64, LatencyStats, error) {
-	n, err := checkEvalArgs(images, labels, n, inputDim)
-	if err != nil {
-		return 0, LatencyStats{}, err
 	}
 	stats := newLatencyStats()
 	correct := 0
 	for i := 0; i < n; i++ {
-		logits, rep, err := infer(context.Background(), e, images[i])
+		logits, rep, err := p.InferCtx(context.Background(), e, images[i])
 		if err != nil {
 			stats.finish()
 			return 0, stats, fmt.Errorf("image %d: %w", i, err)
@@ -469,285 +445,4 @@ func evaluateEncrypted(infer inferFunc, e Engine, images [][]float64, labels []i
 	}
 	stats.finish()
 	return float64(correct) / float64(n), stats, nil
-}
-
-// EvaluateEncrypted classifies images[0:n] homomorphically and returns the
-// accuracy against labels plus latency statistics. Mis-sized inputs and
-// label/image mismatches yield a typed error (errors.Is ErrBadInput)
-// before any ciphertext work starts.
-func (p *Plan) EvaluateEncrypted(e Engine, images [][]float64, labels []int, n int) (float64, LatencyStats, error) {
-	return evaluateEncrypted(p.InferCtx, e, images, labels, n, p.InputDim)
-}
-
-// RNSPlan is the Fig. 5 CNN-RNS pipeline: the input image is decomposed
-// into K digit tensors (rnsdec digit mode — the exact, fully homomorphic
-// variant of the paper's residue decomposition, see DESIGN.md S4), the
-// first convolutional stage is evaluated on every part independently (in
-// parallel when Parallel is set), the parts are recombined linearly inside
-// the ciphertext, and the remaining stages run once.
-type RNSPlan struct {
-	Base   *Plan
-	Digits rnsdec.DigitBasis
-	// Parallel evaluates independent graph ops (notably the per-part
-	// convolutions) on a bounded worker pool.
-	Parallel bool
-	// Opt configures the graph optimizer, like Plan.Opt (nil = default
-	// pipeline; the RNS graph is where the lazy-rescale sink fires, on
-	// the recompose reduction).
-	Opt *opt.Options
-
-	// prepared caches one lowered, optimized, pre-encoded graph per engine
-	// (the RNS graph differs from Base's: k inputs, replicated first
-	// stage).
-	mu         sync.Mutex
-	prepared   map[Engine]*exec.Prepared
-	optResults map[Engine]*opt.Result
-}
-
-// prepare lowers the decomposed pipeline for e, once per engine.
-func (p *RNSPlan) prepare(e Engine) (*exec.Prepared, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if pr, ok := p.prepared[e]; ok {
-		telPrepare(true)
-		return pr, nil
-	}
-	telPrepare(false)
-	g, err := p.Lower(e)
-	if err != nil {
-		return nil, err
-	}
-	res, err := optimizeLowered(e, g, p.Opt)
-	if err != nil {
-		return nil, err
-	}
-	pr, err := exec.Prepare(e, res.Graph)
-	if err != nil {
-		return nil, err
-	}
-	if p.prepared == nil {
-		p.prepared = map[Engine]*exec.Prepared{}
-		p.optResults = map[Engine]*opt.Result{}
-	}
-	p.prepared[e] = pr
-	p.optResults[e] = res
-	return pr, nil
-}
-
-// OptResult returns the optimizer outcome for e, preparing the RNS plan
-// if needed.
-func (p *RNSPlan) OptResult(e Engine) (*opt.Result, error) {
-	if _, err := p.prepare(e); err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.optResults[e], nil
-}
-
-// NewRNSPlan wraps a compiled plan with a k-part digit decomposition
-// covering 8-bit pixels.
-func NewRNSPlan(base *Plan, k int, parallel bool) (*RNSPlan, error) {
-	if len(base.Stages) == 0 {
-		return nil, fmt.Errorf("henn: empty base plan")
-	}
-	if _, ok := base.Stages[0].(*LinearStage); !ok {
-		return nil, fmt.Errorf("henn: RNS pipeline requires a linear first stage")
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("henn: need at least one part")
-	}
-	// Smallest base with base^k ≥ 256.
-	base256 := int64(2)
-	for pow(base256, k) < 256 {
-		base256++
-	}
-	db, err := rnsdec.NewDigitBasis(base256, k)
-	if err != nil {
-		return nil, err
-	}
-	return &RNSPlan{Base: base, Digits: db, Parallel: parallel}, nil
-}
-
-// pow computes bᵏ, saturating at MaxInt64. The overflow guard runs
-// before every multiply: the earlier version returned mid-computation
-// once the product crossed 2³², silently capping bᵏ at whatever partial
-// power it had reached — harmless for the base-search caller (any value
-// ≥ 256 behaves the same) but wrong as soon as any caller needs the
-// true power.
-func pow(b int64, k int) int64 {
-	if b <= 0 {
-		return 0
-	}
-	r := int64(1)
-	for i := 0; i < k; i++ {
-		if r > math.MaxInt64/b {
-			return math.MaxInt64
-		}
-		r *= b
-	}
-	return r
-}
-
-// InferCtx classifies one raw image through the decomposed pipeline with
-// the same validation, cancellation, and reporting contract as
-// Plan.InferCtx. In Parallel mode independent ops — in particular the
-// per-part convolutions — are scheduled over a worker pool; since every
-// op's operands are fixed by the graph, the logits do not depend on the
-// schedule.
-func (p *RNSPlan) InferCtx(ctx context.Context, e Engine, image []float64) (Logits, *Report, error) {
-	rep := &Report{Engine: e.Name()}
-	if len(image) != p.Base.InputDim {
-		return nil, rep, badInput("image length %d does not match plan input dim %d", len(image), p.Base.InputDim)
-	}
-	pr, err := p.prepare(e)
-	if err != nil {
-		rep.FailedStage = "prepare"
-		return nil, rep, err
-	}
-	parts := p.Digits.DecomposeTensor(image)
-	workers := 1
-	if p.Parallel {
-		workers = len(parts)
-	}
-	res, err := pr.Run(ctx, parts, exec.Options{Workers: workers})
-	fillReport(rep, res)
-	if err != nil {
-		return nil, rep, err
-	}
-	return decryptLogits(ctx, e, res.Out, p.Base.OutputDim, rep)
-}
-
-// InferCtxLegacy is the original eager interpreter for the decomposed
-// pipeline, retained as the executor's reference oracle. In Parallel mode
-// the per-part convolutions each recover their own panics; the first
-// error wins.
-func (p *RNSPlan) InferCtxLegacy(ctx context.Context, e Engine, image []float64) (Logits, *Report, error) {
-	rep := &Report{Engine: e.Name()}
-	if len(image) != p.Base.InputDim {
-		return nil, rep, badInput("image length %d does not match plan input dim %d", len(image), p.Base.InputDim)
-	}
-	sr := newStageRunner(ctx, e, rep)
-
-	parts := p.Digits.DecomposeTensor(image)
-	cts := make([]Ct, len(parts))
-	t0 := time.Now()
-	for i, part := range parts {
-		i, part := i, part
-		ct, err := sr.step(fmt.Sprintf("encrypt part %d", i), func() Ct { return e.EncryptVec(part) })
-		if err != nil {
-			rep.Encrypt = time.Since(t0)
-			return nil, rep, err
-		}
-		cts[i] = ct
-	}
-	rep.Encrypt = time.Since(t0)
-	first := p.Base.Stages[0].(*LinearStage)
-	weights := p.Digits.Weights()
-
-	start := time.Now()
-	outs := make([]Ct, len(parts))
-	errs := make([]error, len(parts))
-	evalOne := func(i int) {
-		name := fmt.Sprintf("rns part %d (%s)", i, first.Label)
-		outs[i], errs[i] = evalGuarded(name, func() Ct { return p.evalPart(e, first, cts[i], i) })
-	}
-	if err := ctx.Err(); err != nil {
-		rep.FailedStage = "rns parts"
-		return nil, rep, fmt.Errorf("henn: rns parts: %w", err)
-	}
-	if sr.sa != nil {
-		sr.sa.BeginStage("rns parts")
-	}
-	if p.Parallel && len(parts) > 1 {
-		var wg sync.WaitGroup
-		wg.Add(len(parts))
-		for i := range parts {
-			go func(i int) {
-				defer wg.Done()
-				evalOne(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range parts {
-			evalOne(i)
-		}
-	}
-	for i, err := range errs {
-		if err != nil {
-			rep.FailedStage = fmt.Sprintf("rns part %d", i)
-			rep.Eval = time.Since(start)
-			return nil, rep, err
-		}
-	}
-	sr.record("rns parts", time.Since(start), outs[0])
-
-	// Linear recomposition: y = Σ Bⁱ·L(dᵢ) (exact; weights are integers).
-	t1 := time.Now()
-	acc, err := sr.step("rns recompose", func() Ct {
-		acc := outs[0] // weight B⁰ = 1; carries the bias
-		for i := 1; i < len(outs); i++ {
-			acc = e.Add(acc, e.MulInt(outs[i], int64(weights[i])))
-		}
-		return acc
-	})
-	if err != nil {
-		rep.Eval = time.Since(start)
-		return nil, rep, err
-	}
-	sr.record("rns recompose", time.Since(t1), acc)
-
-	for i, s := range p.Base.Stages[1:] {
-		name := fmt.Sprintf("stage %d (%s)", i+1, s.Describe())
-		s := s
-		t2 := time.Now()
-		acc, err = sr.step(name, func() Ct { return s.Eval(e, acc) })
-		if err != nil {
-			rep.Eval = time.Since(start)
-			return nil, rep, err
-		}
-		sr.record(name, time.Since(t2), acc)
-	}
-	rep.Eval = time.Since(start)
-
-	var out []float64
-	t3 := time.Now()
-	_, err = sr.step("decrypt", func() Ct { out = e.DecryptVec(acc); return nil })
-	rep.Decrypt = time.Since(t3)
-	if err != nil {
-		return nil, rep, err
-	}
-	if len(out) < p.Base.OutputDim {
-		return nil, rep, badInput("engine decrypted %d slots, plan outputs %d", len(out), p.Base.OutputDim)
-	}
-	return Logits(out[:p.Base.OutputDim]), rep, nil
-}
-
-// Warm mirrors Plan.Warm for the decomposed pipeline.
-func (p *RNSPlan) Warm(e Engine) error {
-	_, err := p.prepare(e)
-	return err
-}
-
-// Infer classifies one raw image through the decomposed pipeline. Like
-// Plan.Infer it panics on error; use InferCtx for typed errors.
-func (p *RNSPlan) Infer(e Engine, image []float64) (Logits, time.Duration) {
-	logits, rep, err := p.InferCtx(context.Background(), e, image)
-	if err != nil {
-		panic(err)
-	}
-	return logits, rep.Eval
-}
-
-func (p *RNSPlan) evalPart(e Engine, first *LinearStage, ct Ct, idx int) Ct {
-	if idx == 0 {
-		return first.Eval(e, ct)
-	}
-	return first.EvalNoBias(e, ct)
-}
-
-// EvaluateEncrypted mirrors Plan.EvaluateEncrypted for the RNS pipeline.
-func (p *RNSPlan) EvaluateEncrypted(e Engine, images [][]float64, labels []int, n int) (float64, LatencyStats, error) {
-	return evaluateEncrypted(p.InferCtx, e, images, labels, n, p.Base.InputDim)
 }

@@ -7,9 +7,9 @@ import (
 	"cnnhe/internal/henn/ir"
 )
 
-// This file lowers a compiled Plan (or RNSPlan) to the explicit op graph
-// of internal/henn/ir. Lowering runs the legacy Stage.Eval closures
-// against a symbolic tracing engine whose ciphertexts carry only an op
+// This file lowers a compiled Plan to the explicit op graph of
+// internal/henn/ir. Lowering runs the plan's steps (Stage.Eval and the
+// RNS front-end) against a symbolic tracing engine whose ciphertexts carry only an op
 // ID and the statically inferred (level, scale). Because every engine
 // primitive transforms level and scale by a fixed arithmetic rule (see
 // the ir package doc), the trace is exact: the op sequence, levels and
@@ -195,15 +195,15 @@ func (t *tracer) MulRelin(a, b Ct) Ct {
 	})
 }
 
-// MulInt implements Engine. Integer recombination is lowered directly to
-// OpRecombine by RNSPlan.Lower; no stage multiplies by a bare integer.
+// MulInt implements Engine. Integer recombination lowers to OpRecombine
+// through Recombine; no stage multiplies by a bare integer.
 func (t *tracer) MulInt(ct Ct, n int64) Ct {
 	panic(fmt.Errorf("henn: lower: MulInt called inside a stage (recombination lowers to OpRecombine)"))
 }
 
-// Recombine implements ir.Recombiner symbolically, so sharded stages can
-// fuse their cross-shard block sums into one OpRecombine exactly like
-// the real engines do at runtime (the executor dispatches the op back to
+// Recombine implements ir.Recombiner symbolically, so cross-shard block
+// sums and the RNS recomposition lower to one OpRecombine exactly like
+// the real engines evaluate them at runtime (the executor dispatches the op back to
 // the engine's fused Recombine, or to the bit-identical MulInt/Add chain
 // with weight-1 multiplies elided).
 func (t *tracer) Recombine(args []Ct, weights []int64) Ct {
@@ -334,85 +334,95 @@ func recoverLowerErr(err *error) {
 	}
 }
 
-// Lower compiles the plan into an explicit ir.Graph for the parameters
-// of e (slots, modulus chain, default scale). The graph is engine-shape
-// specific but data independent: one lowering serves every inference on
-// that engine. Structural problems — modulus chain too short for the
-// plan's depth, scale drift, level mismatches — surface here as errors
-// rather than mid-inference panics.
-func (p *Plan) Lower(e Engine) (g *ir.Graph, err error) {
-	defer recoverLowerErr(&err)
-	t := newTracer(e, 1)
-	t.beginStage("encrypt", false)
-	ct := t.encrypt(0)
-	t.setStageOut(ct.id)
-	for i, s := range p.Stages {
-		t.beginStage(fmt.Sprintf("stage %d (%s)", i, s.Describe()), true)
-		ct = t.in("stage output", s.Eval(t, ct))
-		t.setStageOut(ct.id)
-	}
-	t.g.Output = ct.id
-	if err := t.g.Validate(); err != nil {
-		return nil, err
-	}
-	return t.g, nil
+// step is one recorded pipeline step over the current shard set. Lower
+// runs it against the symbolic tracer; the legacy interpreter runs it
+// eagerly against a real engine.
+type step struct {
+	name string
+	eval func(e Engine, in []Ct) []Ct
 }
 
-// Lower compiles the RNS-decomposed plan into an ir.Graph with one input
-// per digit part. The first linear stage is replicated per part (bias
-// only on part 0, matching the linearity argument of §4), the parts are
-// recombined with exact integer weights, and the remaining stages run on
-// the recomposed ciphertext.
-func (p *RNSPlan) Lower(e Engine) (g *ir.Graph, err error) {
+// steps lists the plan's recorded steps in order. With the RNS front-end
+// the first linear stage runs once per digit part (bias on part 0 only,
+// by the linearity argument of §4) and the parts recombine with exact
+// integer weights before the remaining stages run on the recomposed
+// ciphertext.
+func (p *Plan) steps() []step {
+	var out []step
+	stages, first := p.Stages, 0
+	if p.Digits != nil {
+		lin := p.Stages[0].(*ShardedLinear)
+		weights := make([]int64, p.Digits.Digits)
+		for i, w := range p.Digits.Weights() {
+			weights[i] = int64(w)
+		}
+		out = append(out,
+			step{"rns parts", func(e Engine, in []Ct) []Ct {
+				parts := make([]Ct, len(in))
+				for i, ct := range in {
+					parts[i] = lin.eval(e, []Ct{ct}, i == 0)[0]
+				}
+				return parts
+			}},
+			step{"rns recompose", func(e Engine, in []Ct) []Ct {
+				return []Ct{recombine(e, in, weights)}
+			}})
+		stages, first = stages[1:], 1
+	}
+	for i, s := range stages {
+		out = append(out, step{fmt.Sprintf("stage %d (%s)", first+i, s.Describe()), s.Eval})
+	}
+	return out
+}
+
+// encryptName names the encrypt step of input ciphertext i.
+func (p *Plan) encryptName(i int) string {
+	switch {
+	case p.Digits != nil:
+		return fmt.Sprintf("encrypt part %d", i)
+	case p.NumShards() > 1:
+		return fmt.Sprintf("encrypt shard %d", i)
+	}
+	return "encrypt"
+}
+
+// numInputs is the input ciphertext count: digit parts or shards.
+func (p *Plan) numInputs() int {
+	if p.Digits != nil {
+		return p.Digits.Digits
+	}
+	return p.NumShards()
+}
+
+// Lower compiles the plan into an explicit ir.Graph for the parameters
+// of e (slots, modulus chain, default scale), with one input per shard
+// (or digit part). The graph is engine-shape specific but data
+// independent: one lowering serves every inference on that engine.
+// Structural problems — modulus chain too short for the plan's depth,
+// scale drift, level mismatches — surface here as errors rather than
+// mid-inference panics.
+func (p *Plan) Lower(e Engine) (g *ir.Graph, err error) {
 	defer recoverLowerErr(&err)
-	weights := p.Digits.Weights()
-	k := len(weights)
-	if len(p.Base.Stages) == 0 {
-		return nil, fmt.Errorf("henn: lower: rns plan has no stages")
+	if len(p.Stages) == 0 {
+		return nil, fmt.Errorf("henn: lower: plan has no stages")
 	}
-	first, ok := p.Base.Stages[0].(*LinearStage)
-	if !ok {
-		return nil, fmt.Errorf("henn: lower: rns plan first stage is %T, want *LinearStage", p.Base.Stages[0])
-	}
-	t := newTracer(e, k)
-	cts := make([]*traceCt, k)
-	for i := 0; i < k; i++ {
-		t.beginStage(fmt.Sprintf("encrypt part %d", i), false)
-		cts[i] = t.encrypt(i)
-		t.setStageOut(cts[i].id)
-	}
-	t.beginStage("rns parts", true)
-	outs := make([]*traceCt, k)
-	args := make([]int, k)
-	w64 := make([]int64, k)
-	for i := 0; i < k; i++ {
-		if i == 0 {
-			outs[i] = t.in("rns part output", first.Eval(t, cts[i]))
-		} else {
-			outs[i] = t.in("rns part output", first.EvalNoBias(t, cts[i]))
-		}
-		args[i] = outs[i].id
-		w64[i] = int64(weights[i])
-	}
-	t.setStageOut(outs[0].id)
-	for i := 1; i < k; i++ {
-		if outs[i].level != outs[0].level || !traceScaleClose(outs[i].scale, outs[0].scale) {
-			return nil, fmt.Errorf("henn: lower: rns part %d at (level %d, scale 2^%.2f), part 0 at (level %d, scale 2^%.2f)",
-				i, outs[i].level, math.Log2(outs[i].scale), outs[0].level, math.Log2(outs[0].scale))
-		}
-	}
-	t.beginStage("rns recompose", true)
-	ct := t.emit(ir.Op{
-		Kind: ir.OpRecombine, Args: args, Weights: w64, Hoist: -1,
-		Level: outs[0].level, Scale: outs[0].scale,
-	})
-	t.setStageOut(ct.id)
-	for i, s := range p.Base.Stages[1:] {
-		t.beginStage(fmt.Sprintf("stage %d (%s)", i+1, s.Describe()), true)
-		ct = t.in("stage output", s.Eval(t, ct))
+	t := newTracer(e, p.numInputs())
+	cur := make([]Ct, p.numInputs())
+	for i := range cur {
+		t.beginStage(p.encryptName(i), false)
+		ct := t.encrypt(i)
 		t.setStageOut(ct.id)
+		cur[i] = ct
 	}
-	t.g.Output = ct.id
+	for _, s := range p.steps() {
+		t.beginStage(s.name, true)
+		cur = s.eval(t, cur)
+		t.setStageOut(t.in("stage output", cur[0]).id)
+	}
+	if len(cur) != 1 {
+		return nil, fmt.Errorf("henn: lower: pipeline ended on %d shards", len(cur))
+	}
+	t.g.Output = t.in("graph output", cur[0]).id
 	if err := t.g.Validate(); err != nil {
 		return nil, err
 	}

@@ -65,7 +65,7 @@ func TestOptimizedGraphGolden(t *testing.T) {
 		arch  string
 		slots int
 		logN  int
-		k     int // 0 = plain Plan, >0 = RNSPlan with k parts, -1 = sharded (auto grid)
+		k     int // 0 = plain Plan, >0 = RNS front-end with k parts, -1 = sharded (auto grid)
 		want  goldenSize
 	}{
 		{"cnn1/plan", "cnn1", 1024, 11, 0, goldenSize{ops: 2331, engineCalls: 164, rotateCalls: 68, hoists: 3}},
@@ -106,7 +106,7 @@ func TestOptimizedGraphGolden(t *testing.T) {
 					if tc.k == 0 {
 						g, err = plan.Lower(e)
 					} else {
-						var rp *RNSPlan
+						var rp *Plan
 						rp, err = NewRNSPlan(plan, tc.k, false)
 						if err == nil {
 							g, err = rp.Lower(e)

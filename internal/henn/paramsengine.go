@@ -2,7 +2,7 @@ package henn
 
 // ParamsOnlyEngine returns an Engine that implements only the five
 // parameter accessors (Name, Slots, MaxLevel, Scale, QiFloat). That is
-// everything Plan.Lower, RNSPlan.Lower and the graph optimizer touch —
+// everything Plan.Lower and the graph optimizer touch —
 // lowering is symbolic — so callers that only need graph shapes (the
 // hebench JSON report, the golden graph-size gate) can skip key
 // generation entirely. Any evaluation method panics via the embedded

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"cnnhe/internal/ckks"
@@ -171,6 +172,9 @@ func checkPlanParity(t *testing.T, plan *Plan, mk engineMaker, image []float64) 
 	}
 	defer func() { plan.Opt = nil }()
 	for _, mode := range parityModes() {
+		// Return the previous leg's plaintexts before this one encodes its
+		// own: at CNN scale each set is gigabytes.
+		debug.FreeOSMemory()
 		plan.Opt = mode.opts
 		lgX, repX, errX := plan.InferCtx(ctx, mk(t), image)
 		if errX != nil {
@@ -191,7 +195,7 @@ func checkPlanParity(t *testing.T, plan *Plan, mk engineMaker, image []float64) 
 // exercising assertCloseRun.
 func checkRNSParity(t *testing.T, base *Plan, k int, mk engineMaker, image []float64) {
 	ctx := context.Background()
-	mkPlan := func(parallel bool, o *opt.Options) *RNSPlan {
+	mkPlan := func(parallel bool, o *opt.Options) *Plan {
 		rp, err := NewRNSPlan(base, k, parallel)
 		if err != nil {
 			t.Fatal(err)
@@ -208,11 +212,13 @@ func checkRNSParity(t *testing.T, base *Plan, k int, mk engineMaker, image []flo
 		if mode.bitExact {
 			check = assertSameRun
 		}
+		debug.FreeOSMemory()
 		lgS, repS, errS := mkPlan(false, mode.opts).InferCtx(ctx, mk(t), image)
 		if errS != nil {
 			t.Fatalf("rns sequential/%s: %v", mode.name, errS)
 		}
 		check(t, "rns sequential/"+mode.name, lgL, lgS, repL, repS)
+		debug.FreeOSMemory()
 		lgP, repP, errP := mkPlan(true, mode.opts).InferCtx(ctx, mk(t), image)
 		if errP != nil {
 			t.Fatalf("rns parallel/%s: %v", mode.name, errP)

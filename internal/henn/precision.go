@@ -50,20 +50,32 @@ func (p *Plan) EstimatePrecision(params ckks.Parameters, valueBound float64) (*P
 	for _, s := range p.Stages {
 		ks := m.KeySwitch(level+1, maxQi, pf)
 		switch st := s.(type) {
-		case *LinearStage:
+		case *ShardedLinear:
 			// Baby rotations add key-switch noise to the operand once
 			// (hoisted); each diagonal product scales noise by the
 			// plaintext; giant rotations add key-switch noise again.
+			maxDiag := 0.0
+			for _, row := range st.Blocks {
+				for _, blk := range row {
+					if blk != nil {
+						maxDiag = math.Max(maxDiag, maxAbsVec(blk.Diags))
+					}
+				}
+			}
 			b.AfterRotation(ks)
-			b.AfterMulPlain(params.QiFloat(level), maxAbsVec(st.Diags), params.QiFloat(level))
+			b.AfterMulPlain(params.QiFloat(level), maxDiag, params.QiFloat(level))
 			b.AfterRotation(ks)
 			level--
-		case *ActStage:
+		case *ShardedAct:
 			// x² (one mult+relin+rescale), then the coefficient layer
 			// (plaintext mult + rescale).
+			maxCoeff := 0.0
+			for _, act := range st.Acts {
+				maxCoeff = math.Max(maxCoeff, maxActCoeff(act))
+			}
 			b.AfterMul(b.Noise, valueBound, valueBound, ks, params.QiFloat(level))
 			level--
-			b.AfterMulPlain(params.QiFloat(level), maxActCoeff(st), params.QiFloat(level))
+			b.AfterMulPlain(params.QiFloat(level), maxCoeff, params.QiFloat(level))
 			level--
 		default:
 			return nil, fmt.Errorf("henn: cannot estimate stage %T", s)

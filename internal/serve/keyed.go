@@ -28,14 +28,11 @@ type KeyedConfig struct {
 	// match its params digest exactly.
 	Ctx *ckks.Context
 	// Plan is the single-image inference plan evaluated on the encrypted
-	// route. Its rotation set is the registration requirement.
+	// route. Its rotation set is the registration requirement. A
+	// multi-shard plan's image travels as its shard set (one ciphertext
+	// frame per shard, back to back in the request body) and /v1/info
+	// advertises the input manifest.
 	Plan *henn.Plan
-	// Sharded is the multi-ciphertext alternative to Plan: an input image
-	// that exceeds the slot count travels as the plan's shard set (one
-	// ciphertext frame per shard, back to back in the request body) and
-	// /v1/info advertises the input manifest. Exactly one of Plan and
-	// Sharded must be set.
-	Sharded *henn.ShardedPlan
 	// Model and Backend name the loaded architecture and engine for
 	// GET /v1/info.
 	Model   string
@@ -74,8 +71,7 @@ type Keyed struct {
 	// all shard frames of one request).
 	bundleLimit int64
 	ctLimit     int64
-	// shards is how many ciphertext frames one classify body carries
-	// (1 for an unsharded Plan).
+	// shards is how many ciphertext frames one classify body carries.
 	shards int
 }
 
@@ -98,24 +94,17 @@ func NewKeyed(cfg KeyedConfig) (*Keyed, error) {
 	if cfg.Ctx == nil {
 		return nil, fmt.Errorf("serve: KeyedConfig.Ctx is required")
 	}
-	if (cfg.Plan == nil) == (cfg.Sharded == nil) {
-		return nil, fmt.Errorf("serve: exactly one of KeyedConfig.Plan and KeyedConfig.Sharded is required")
+	if cfg.Plan == nil {
+		return nil, fmt.Errorf("serve: KeyedConfig.Plan is required")
 	}
 	if cfg.Guard == (guard.Config{}) {
 		cfg.Guard = guard.DefaultConfig()
 	}
-	inputDim, outputDim := 0, 0
-	shards := 1
-	var rotations []int
+	rotations := cfg.Plan.Rotations()
+	shards := cfg.Plan.NumShards()
 	var manifest string
-	if cfg.Plan != nil {
-		rotations = cfg.Plan.Rotations()
-		inputDim, outputDim = cfg.Plan.InputDim, cfg.Plan.OutputDim
-	} else {
-		rotations = cfg.Sharded.Rotations()
-		inputDim, outputDim = cfg.Sharded.InputDim, cfg.Sharded.OutputDim
-		shards = cfg.Sharded.NumShards()
-		manifest = client.EncodeManifest(cfg.Sharded.Input)
+	if shards > 1 {
+		manifest = client.EncodeManifest(cfg.Plan.Input)
 	}
 	store, err := keys.NewStore(keys.Config{
 		Ctx:               cfg.Ctx,
@@ -134,8 +123,8 @@ func NewKeyed(cfg KeyedConfig) (*Keyed, error) {
 		info: client.InfoResponse{
 			Model:          cfg.Model,
 			Backend:        cfg.Backend,
-			InputDim:       inputDim,
-			OutputDim:      outputDim,
+			InputDim:       cfg.Plan.InputDim,
+			OutputDim:      cfg.Plan.OutputDim,
 			Slots:          p.Slots(),
 			Levels:         p.MaxLevel(),
 			Rotations:      rotations,
@@ -381,13 +370,7 @@ func (k *Keyed) evalFor(entry *keys.Entry) (*keyedEval, error) {
 	}
 	eng := henn.NewRNSEvalEngine(k.cfg.Ctx, entry.Bundle.RLK, entry.Bundle.RTK)
 	g := guard.New(eng, k.cfg.Guard)
-	var graph *ir.Graph
-	var err error
-	if k.cfg.Plan != nil {
-		graph, err = k.cfg.Plan.Lower(g)
-	} else {
-		graph, err = k.cfg.Sharded.Lower(g)
-	}
+	graph, err := k.cfg.Plan.Lower(g)
 	if err != nil {
 		return nil, err
 	}

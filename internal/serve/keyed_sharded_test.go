@@ -24,7 +24,7 @@ type shardedFixture struct {
 	keyed *Keyed
 	srv   *httptest.Server
 	cl    *client.Client
-	sp    *henn.ShardedPlan
+	sp    *henn.Plan
 	ctx   *ckks.Context
 }
 
@@ -52,7 +52,7 @@ func newShardedFixture(t testing.TB) *shardedFixture {
 	}
 	k, err := NewKeyed(KeyedConfig{
 		Ctx:     ctx,
-		Sharded: sp,
+		Plan:    sp,
 		Model:   "shardeddense",
 		Backend: "ckks-rns",
 	})

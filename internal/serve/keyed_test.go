@@ -251,6 +251,35 @@ func TestKeyedRejectsIncompatibleBundle(t *testing.T) {
 	}
 }
 
+// TestKeyedRejectsShortSwitchingKey: a bundle whose relinearization key
+// carries one digit fewer than the chain has moduli is refused at
+// registration with a 400, instead of registering and failing inside
+// the first encrypted evaluation.
+func TestKeyedRejectsShortSwitchingKey(t *testing.T) {
+	f := newKeyedFixture(t)
+	kg := ckks.NewKeyGenerator(f.ctx, 56)
+	sk := kg.GenSecretKey()
+	rlk := kg.GenRelinearizationKey(sk)
+	rlk.B, rlk.A = rlk.B[1:], rlk.A[1:]
+	var buf bytes.Buffer
+	if err := f.ctx.WriteKeyBundle(&buf, &ckks.KeyBundle{
+		ParamsDigest: f.ctx.Params.ParamsDigest(),
+		PK:           kg.GenPublicKey(sk),
+		RLK:          rlk,
+		RTK:          kg.GenRotationKeys(sk, f.plan.Rotations(), false),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(f.srv.URL+client.PathKeys, client.ContentTypeCKKS, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("short switching key: status %d, want 400", resp.StatusCode)
+	}
+}
+
 func TestKeyedOversizeBodies(t *testing.T) {
 	f := newKeyedFixture(t)
 	ks := f.clientKeys(t, 92)

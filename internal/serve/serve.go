@@ -257,12 +257,15 @@ func (s *Server) enqueue(ctx context.Context, image []float64) (*request, error)
 // finish delivers one admitted request's terminal result and returns
 // its admission slot. Every admitted request reaches exactly one finish
 // call — that is the no-silent-drop invariant the soak suite asserts.
+// The request is counted and filed with the flight recorder before its
+// result is delivered, so a caller that has its response can already
+// find it in /metrics and /debug/requests.
 func (s *Server) finish(r *request, res result, outcome string) {
-	r.resp <- res
-	s.adm.release()
 	total := time.Since(r.enq)
 	s.tel.request(outcome, total)
 	s.flightRecord(r, res, outcome, total)
+	s.adm.release()
+	r.resp <- res
 }
 
 // run is the batcher: it blocks for the first request, then fills the

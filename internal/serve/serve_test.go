@@ -184,6 +184,70 @@ func TestServeConcurrentParity(t *testing.T) {
 	}
 }
 
+// TestServeMultiShardPlan: a plan whose image spans several ciphertexts
+// serves /classify through the same micro-batching server, one image per
+// evaluation, and answers with exactly the logits Plan.InferCtx computes
+// on an identically seeded engine.
+func TestServeMultiShardPlan(t *testing.T) {
+	compile := func() *henn.Plan {
+		m := &nn.Model{Layers: []nn.Layer{nn.NewDense(rand.New(rand.NewSource(41)), 1200, 7)}}
+		plan, err := henn.CompileShardedAuto(m, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	plan := compile()
+	if plan.NumShards() != 3 {
+		t.Fatalf("%d shards, want 3", plan.NumShards())
+	}
+	p, err := ckks.NewParameters(10, []int{40, 30, 30}, 60, 1, math.Exp2(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := func() henn.Engine {
+		e, err := henn.NewRNSEngine(p, plan.Rotations(), 611)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	bp, err := plan.Batched(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Batch: bp, Engine: engine()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Shutdown(context.Background()) }()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	img := testImage(rand.New(rand.NewSource(14)), plan.InputDim)
+	resp := postClassify(t, ts.URL, img)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %s", resp.Status)
+	}
+	var cr ClassifyResponse
+	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := compile().InferCtx(context.Background(), engine(), img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr.BatchSize != 1 || len(cr.Logits) != len(want) {
+		t.Fatalf("batch size %d, %d logits; want 1, %d", cr.BatchSize, len(cr.Logits), len(want))
+	}
+	for i := range want {
+		if cr.Logits[i] != want[i] {
+			t.Fatalf("logit %d: served %v, Plan.InferCtx %v", i, cr.Logits[i], want[i])
+		}
+	}
+}
+
 // TestServeQueueFullRejects: with the batcher stopped and the queue at
 // capacity, a request is rejected with 429 and a Retry-After hint.
 func TestServeQueueFullRejects(t *testing.T) {
