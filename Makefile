@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet staticcheck build test race race-ring race-serve race-chaos parity opt-parity opt-golden shard-parity bench bench-kernels bench-selftest telemetry-overhead fuzz-smoke e2e-encrypted soak-chaos trend
+.PHONY: check vet staticcheck build test race race-ring race-serve race-chaos parity opt-parity opt-golden shard-parity bench-kernels bench-selftest telemetry-overhead fuzz-smoke e2e-encrypted soak-chaos trend
 
 ## check: the full CI gate — vet, staticcheck, build, tests, the race
 ## detector (including the ring worker-pool hammer), the
@@ -88,16 +88,12 @@ shard-parity:
 	$(GO) test ./internal/henn/shard/
 	$(GO) test -run 'TestExecutorParityGolden|TestShardParityTiny|TestShardedCrossShardDense|TestShardInputValidation' -timeout 30m ./internal/henn/
 
-## trend: the perf-trend regression gate — load every committed
-## BENCH_*.json, print the per-configuration latency trend, and fail
-## when the newest run is >15% slower than the best prior run of the
-## same (model, backend, logN, chain).
+## trend: the benchmark harness's own two-set bound check — every
+## BENCHMARK.json workload twice (benchmark/run.sh --twice), then each
+## end-to-end metric of set B against set A and its bound; exits 1 on a
+## breach. Reports land in benchmark/out/.
 trend:
-	$(GO) run ./cmd/hetrend -dir . -out trend-report.md
-
-## bench: executor vs interpreter latency on CNN1 single-image.
-bench:
-	$(GO) test -run xxx -bench 'InferExecutorCNN1|InferLegacyCNN1' -benchtime 5x -timeout 30m ./internal/henn/
+	bash benchmark/run.sh --twice
 
 ## bench-kernels: ring kernel micro-benchmarks — NTT, pointwise multiply,
 ## rescale division and cached-scalar multiply per limb count, and the

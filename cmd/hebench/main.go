@@ -1,5 +1,6 @@
 // Command hebench regenerates the paper's evaluation tables and figures
-// (see DESIGN.md §4 for the experiment index).
+// as markdown (see DESIGN.md §4 for the experiment index). Latency is
+// recorded and gated by the benchmark/ harness (BENCHMARK.json), not here.
 //
 // Usage:
 //
@@ -18,11 +19,9 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"cnnhe/internal/bench"
 	"cnnhe/internal/henn/ir/opt"
-	"cnnhe/internal/nn"
 	"cnnhe/internal/ring"
 	"cnnhe/internal/telemetry"
 )
@@ -50,7 +49,6 @@ func main() {
 		epochs   = flag.Int("epochs", 0, "override training epochs")
 		paper    = flag.Bool("paper", false, "paper-scale settings (N=2^14, 30 epochs; hours)")
 		outPath  = flag.String("out", "", "also write the report to this file")
-		jsonOut  = flag.String("json", "", "machine-readable report path (default BENCH_<timestamp>.json; \"none\" disables)")
 		models   = flag.String("models", "models", "model cache directory")
 		seed     = flag.Int64("seed", 1, "random seed")
 		optFlag  = flag.String("opt", "on", "graph optimizer: on, off, exact, or a comma-separated pass list")
@@ -69,10 +67,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Metric collection is always on in hebench: the per-op counters feed
-	// the JSON report's op_breakdown section (atomic increments, noise-
-	// level next to the NTTs being measured).
-	telemetry.SetEnabled(true)
 	if *telAddr != "" {
 		srv, err := telemetry.Serve(*telAddr, nil)
 		if err != nil {
@@ -148,93 +142,46 @@ func main() {
 	}
 
 	var measured []bench.HEResult
-	var jsonRows []bench.JSONRow
-	opBreakdown := map[string][]bench.JSONOpKind{}
-	// run executes one table, diffing the telemetry registry around it so
-	// the JSON report carries a per-op-kind executor profile per table
-	// (key matches JSONRow.Table).
-	run := func(key, name string, f func() error) {
+	run := func(name string, f func() error) {
 		fmt.Fprintf(os.Stderr, "--- running %s ---\n", name)
-		before := telemetry.Default().Snapshot()
 		if err := f(); err != nil {
 			fatal("experiment failed", "table", name, "err", err)
-		}
-		diff := telemetry.Default().Snapshot().Sub(before)
-		if ops := bench.OpBreakdownFromDiff(diff); ops != nil {
-			opBreakdown[key] = ops
 		}
 	}
 
 	if all || want["2"] {
-		run("II", "Table II", func() error { return bench.TableII(w) })
+		run("Table II", func() error { return bench.TableII(w) })
 	}
 	if all || want["3"] {
-		run("III", "Table III", func() error {
+		run("Table III", func() error {
 			rows, err := bench.TableIII(cfg, ms, w)
 			measured = append(measured, rows...)
-			jsonRows = append(jsonRows, bench.JSONRows("III", cfg.LogN, rows)...)
 			return err
 		})
 	}
 	if all || want["4"] {
-		run("IV", "Table IV", func() error {
-			rows, err := bench.TableIV(cfg, ms, w)
-			jsonRows = append(jsonRows, bench.JSONRows("IV", cfg.LogN, rows)...)
-			return err
-		})
+		run("Table IV", func() error { return bench.TableIV(cfg, ms, w) })
 	}
 	if all || want["5"] {
-		run("V", "Table V", func() error {
+		run("Table V", func() error {
 			rows, err := bench.TableV(cfg, ms, w)
 			measured = append(measured, rows...)
-			jsonRows = append(jsonRows, bench.JSONRows("V", cfg.LogN, rows)...)
 			return err
 		})
 	}
 	if all || want["6"] {
-		run("VI", "Table VI", func() error {
-			rows, err := bench.TableVI(cfg, ms, w)
-			jsonRows = append(jsonRows, bench.JSONRows("VI", cfg.LogN, rows)...)
-			return err
-		})
+		run("Table VI", func() error { return bench.TableVI(cfg, ms, w) })
 	}
 	if all || want["fig5"] {
-		run("fig5", "Figure 5", func() error { return bench.Fig5(cfg, ms, w) })
+		run("Figure 5", func() error { return bench.Fig5(cfg, ms, w) })
 	}
 	if all || want["ablation"] {
-		run("ablation", "limb-width ablation", func() error { return bench.LimbWidthAblation(cfg, w) })
+		run("limb-width ablation", func() error { return bench.LimbWidthAblation(cfg, w) })
 	}
 	if want["cnn3"] {
-		run("CNN3", "Table CNN3 (sharded CIFAR-10)", func() error {
-			rows, err := bench.TableCNN3(cfg, m3, w)
-			jsonRows = append(jsonRows, bench.JSONRows("CNN3", cfg.LogN, rows)...)
-			return err
-		})
+		run("Table CNN3 (sharded CIFAR-10)", func() error { return bench.TableCNN3(cfg, m3, w) })
 	}
 	if all || want["1"] {
 		bench.TableI(w, measured, ms.DataSource)
-	}
-
-	if *jsonOut != "none" && len(jsonRows) > 0 {
-		now := time.Now()
-		path := *jsonOut
-		if path == "" {
-			path = "BENCH_" + now.Format("20060102T150405") + ".json"
-		}
-		graphModels := map[string]*nn.Model{}
-		if ms != nil {
-			graphModels["CNN1"], graphModels["CNN2"] = ms.CNN1, ms.CNN2
-		}
-		if m3 != nil {
-			graphModels["CNN3"] = m3.CNN3
-		}
-		graphs, err := bench.GraphSizes(cfg, graphModels)
-		if err != nil {
-			fatal("collecting graph sizes failed", "err", err)
-		}
-		if err := bench.WriteJSON(path, cfg, now, jsonRows, opBreakdown, graphs); err != nil {
-			fatal("writing json report failed", "path", path, "err", err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d rows)\n", path, len(jsonRows))
 	}
 }

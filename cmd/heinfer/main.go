@@ -40,10 +40,10 @@ import (
 
 	"cnnhe/internal/ckks"
 	"cnnhe/internal/ckksbig"
+	"cnnhe/internal/dataset"
 	"cnnhe/internal/guard"
 	"cnnhe/internal/henn"
 	"cnnhe/internal/henn/ir/opt"
-	"cnnhe/internal/mnist"
 	"cnnhe/internal/nn"
 	"cnnhe/internal/ring"
 	"cnnhe/internal/telemetry"
@@ -184,7 +184,7 @@ func main() {
 	if err != nil {
 		fatal("loading model failed (run hetrain first)", "model", *modelPath, "err", err)
 	}
-	_, test, src := mnist.Load(16, *imageIdx+1, *seed)
+	_, test, src := dataset.LoadMNIST(16, *imageIdx+1, *seed)
 	fmt.Printf("model: %s   data: %s\n", arch, src)
 	img := test.Image(*imageIdx)
 	label := test.Labels[*imageIdx]

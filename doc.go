@@ -6,6 +6,7 @@
 // compiler that evaluates the trained networks on encrypted images.
 //
 // See README.md for the tour, DESIGN.md for the system inventory and
-// experiment index, and EXPERIMENTS.md for paper-vs-measured results. The
-// benchmarks in bench_test.go regenerate each of the paper's tables.
+// experiment index, and EXPERIMENTS.md for paper-vs-measured results.
+// cmd/hebench regenerates each of the paper's tables; BENCHMARK.json and
+// benchmark/ are where latency is recorded and gated.
 package cnnhe

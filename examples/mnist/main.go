@@ -17,8 +17,8 @@ import (
 	"time"
 
 	"cnnhe/internal/ckks"
+	"cnnhe/internal/dataset"
 	"cnnhe/internal/henn"
-	"cnnhe/internal/mnist"
 	"cnnhe/internal/nn"
 	"cnnhe/internal/tensor"
 )
@@ -31,7 +31,7 @@ func main() {
 	if *quick {
 		trainN, epochs = 2000, 4
 	}
-	train, test, src := mnist.Load(trainN, 200, 1)
+	train, test, src := dataset.LoadMNIST(trainN, 200, 1)
 	fmt.Printf("dataset: %s\n", src)
 
 	// --- plaintext training (paper §V.D) ------------------------------------

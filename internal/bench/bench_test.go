@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
+	"cnnhe/internal/dataset"
 	"cnnhe/internal/henn"
+	"cnnhe/internal/nn"
 )
 
 func TestPaperShapeBits(t *testing.T) {
@@ -136,5 +139,42 @@ func TestModelCaching(t *testing.T) {
 	}
 	if !strings.Contains(log2.String(), "loaded cached cnn1") {
 		t.Fatalf("second run should hit the cache:\n%s", log2.String())
+	}
+}
+
+// TestRunsBeyondTestSet: asking for more latency runs than the test set
+// holds measures every test image once instead of slicing past the end
+// (Table III panicked after key generation, Table CNN3 before it).
+func TestRunsBeyondTestSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	model := &nn.Model{Layers: []nn.Layer{nn.NewFlatten(), nn.NewDense(rng, 64, 4)}}
+	test := dataset.Dataset{C: 1, H: 8, W: 8}
+	for i := 0; i < 3; i++ {
+		px := make([]byte, test.Dim())
+		rng.Read(px)
+		test.Pixels = append(test.Pixels, px)
+		test.Labels = append(test.Labels, i)
+	}
+	cfg := DefaultConfig()
+	cfg.LogN, cfg.Runs, cfg.AccImages = 10, 1001, 2
+
+	var buf bytes.Buffer
+	rows, err := TableIII(cfg, &Models{CNN1: model, Test: test}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0].Lat.N != 3 || rows[1].Lat.N != 3 {
+		t.Fatalf("rows %+v, want two rows over all 3 test images", rows)
+	}
+	if !strings.Contains(buf.String(), "3 encrypted images") {
+		t.Fatalf("Table III header should report the clamped image count:\n%s", buf.String())
+	}
+
+	buf.Reset()
+	if err := TableCNN3(cfg, &CNN3Models{CNN3: model, Test: test}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "3 encrypted images") {
+		t.Fatalf("Table CNN3 header should report the clamped image count:\n%s", buf.String())
 	}
 }

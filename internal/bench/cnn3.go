@@ -84,10 +84,10 @@ func TrainCNN3(cfg Config, logw io.Writer) (*CNN3Models, error) {
 // backend. Encrypted inference at this scale runs tens of seconds per
 // image, so latency and accuracy are both measured over cfg.Runs images
 // (like the multiprecision baseline rows, not the AccImages sweep).
-func TableCNN3(cfg Config, models *CNN3Models, w io.Writer) ([]HEResult, error) {
+func TableCNN3(cfg Config, models *CNN3Models, w io.Writer) error {
 	sp, err := henn.CompileShardedAuto(models.CNN3, 1<<(cfg.LogN-1))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sp.Opt = cfg.Opt
 	k := 13 // the paper's Table II chain length, as in heVsRNS
@@ -96,14 +96,14 @@ func TableCNN3(cfg Config, models *CNN3Models, w io.Writer) ([]HEResult, error) 
 	}
 	params, err := rnsParams(cfg, k)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := sp.CheckDepth(params.MaxLevel()); err != nil {
-		return nil, err
+		return err
 	}
-	n := cfg.Runs
+	n := min(cfg.Runs, models.Test.Len())
 	images := make([][]float64, n)
-	for i := 0; i < n && i < models.Test.Len(); i++ {
+	for i := range images {
 		images[i] = models.Test.Image(i)
 	}
 	labels := models.Test.Labels[:n]
@@ -115,15 +115,14 @@ func TableCNN3(cfg Config, models *CNN3Models, w io.Writer) ([]HEResult, error) 
 
 	re, err := henn.NewRNSEngine(params, sp.Rotations(), cfg.Seed+40)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sp.Infer(re, images[0]) // warm the weight cache untimed
 	acc, stats, err := sp.EvaluateEncrypted(re, images, labels, n)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	row := HEResult{Model: "CNN3-HE-RNS", Backend: "ckks-rns", Chain: k, Lat: stats, Acc: acc, TrainAcc: models.TrainAcc}
-	writeRow(w, row)
+	writeRow(w, HEResult{Model: "CNN3-HE-RNS", Lat: stats, Acc: acc, TrainAcc: models.TrainAcc})
 	fmt.Fprintf(w, "\nPlaintext SLAF test accuracy for reference: %.2f%% (%s)\n", 100*models.TestAcc, models.DataSource)
-	return []HEResult{row}, nil
+	return nil
 }

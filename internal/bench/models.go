@@ -10,8 +10,8 @@ import (
 	"os"
 	"path/filepath"
 
+	"cnnhe/internal/dataset"
 	"cnnhe/internal/henn/ir/opt"
-	"cnnhe/internal/mnist"
 	"cnnhe/internal/nn"
 )
 
@@ -68,7 +68,7 @@ type Models struct {
 	TrainAcc1, TestAcc1 float64
 	TrainAcc2, TestAcc2 float64
 	// Test data in raw pixel form.
-	Test mnist.Dataset
+	Test dataset.Dataset
 	// DataSource describes where the data came from.
 	DataSource string
 }
@@ -76,7 +76,7 @@ type Models struct {
 // TrainModels trains (or loads cached) CNN1 and CNN2, retrofits SLAFs per
 // the paper's recipe, and reports plaintext accuracies.
 func TrainModels(cfg Config, logw io.Writer) (*Models, error) {
-	train, test, src := mnist.Load(cfg.TrainN, cfg.TestN, cfg.Seed)
+	train, test, src := dataset.LoadMNIST(cfg.TrainN, cfg.TestN, cfg.Seed)
 	out := &Models{Test: test, DataSource: src}
 	trainNN := train.ToNN()
 	testNN := test.ToNN()

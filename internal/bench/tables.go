@@ -51,8 +51,6 @@ func compilePlan(cfg Config, m *nn.Model) (*henn.Plan, error) {
 // HEResult is one measured table row.
 type HEResult struct {
 	Model    string
-	Backend  string
-	Chain    int // moduli chain length
 	Lat      henn.LatencyStats
 	Acc      float64 // encrypted test accuracy (NaN when not measured)
 	TrainAcc float64
@@ -85,11 +83,10 @@ func heVsRNS(cfg Config, models *Models, w io.Writer, name string, model *nn.Mod
 	if err := plan.CheckDepth(params.MaxLevel()); err != nil {
 		return nil, err
 	}
-	n := cfg.AccImages
-	if n < cfg.Runs {
-		n = cfg.Runs
-	}
-	images, labels := models.TestSlice(n)
+	images, labels := models.TestSlice(max(cfg.AccImages, cfg.Runs))
+	// TestSlice clamps to the test set, so cfg.Runs may exceed it.
+	n := len(images)
+	runs := min(cfg.Runs, n)
 
 	fmt.Fprintf(w, "\n## Table %s: %s-HE vs %s-HE-RNS (logN=%d, chain length %d, %d encrypted images)\n\n",
 		map[string]string{"CNN1": "III", "CNN2": "V"}[name], name, name, cfg.LogN, k, n)
@@ -107,16 +104,15 @@ func heVsRNS(cfg Config, models *Models, w io.Writer, name string, model *nn.Mod
 	if err != nil {
 		return nil, err
 	}
-	// The multiprecision backend is far slower; measure over cfg.Runs only.
-	// One untimed warm-up populates the pre-encoded weight cache, as a
-	// deployed service would at model-load time.
+	// The multiprecision backend is far slower; measure over the first
+	// runs images only. One untimed warm-up populates the pre-encoded
+	// weight cache, as a deployed service would at model-load time.
 	plan.Infer(be, images[0])
-	bImages, bLabels := images[:cfg.Runs], labels[:cfg.Runs]
-	accB, statsB, err := plan.EvaluateEncrypted(be, bImages, bLabels, cfg.Runs)
+	accB, statsB, err := plan.EvaluateEncrypted(be, images, labels, runs)
 	if err != nil {
 		return nil, err
 	}
-	rowB := HEResult{Model: name + "-HE", Backend: "ckks-big", Chain: k, Lat: statsB, Acc: accB, TrainAcc: trainAcc}
+	rowB := HEResult{Model: name + "-HE", Lat: statsB, Acc: accB, TrainAcc: trainAcc}
 	out = append(out, rowB)
 	writeRow(w, rowB)
 
@@ -130,7 +126,7 @@ func heVsRNS(cfg Config, models *Models, w io.Writer, name string, model *nn.Mod
 	if err != nil {
 		return nil, err
 	}
-	rowR := HEResult{Model: name + "-HE-RNS", Backend: "ckks-rns", Chain: k, Lat: statsR, Acc: accR, TrainAcc: trainAcc}
+	rowR := HEResult{Model: name + "-HE-RNS", Lat: statsR, Acc: accR, TrainAcc: trainAcc}
 	out = append(out, rowR)
 	writeRow(w, rowR)
 
@@ -148,49 +144,47 @@ func writeRow(w io.Writer, r HEResult) {
 // below the plan's depth+1 cannot evaluate the network under CKKS
 // rescaling and are reported as infeasible (see EXPERIMENTS.md for the
 // discussion of the paper's 3..10 range).
-func TableIV(cfg Config, models *Models, w io.Writer) ([]HEResult, error) {
+func TableIV(cfg Config, models *Models, w io.Writer) error {
 	return moduliSweep(cfg, models, w, "CNN1", models.CNN1, "IV", 3, 13)
 }
 
 // TableVI is the CNN2 moduli sweep; the k=1 row is the multiprecision
 // baseline (matching the paper, whose k=1 latency equals CNN2-HE).
-func TableVI(cfg Config, models *Models, w io.Writer) ([]HEResult, error) {
+func TableVI(cfg Config, models *Models, w io.Writer) error {
 	return moduliSweep(cfg, models, w, "CNN2", models.CNN2, "VI", 1, 13)
 }
 
-func moduliSweep(cfg Config, models *Models, w io.Writer, name string, model *nn.Model, tableNo string, kMin, kMax int) ([]HEResult, error) {
+func moduliSweep(cfg Config, models *Models, w io.Writer, name string, model *nn.Model, tableNo string, kMin, kMax int) error {
 	plan, err := compilePlan(cfg, model)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	images, labels := models.TestSlice(cfg.Runs)
 	fmt.Fprintf(w, "\n## Table %s: %s-HE-RNS latency vs moduli chain length (logN=%d, %d runs each)\n\n",
 		tableNo, name, cfg.LogN, cfg.Runs)
 	fmt.Fprintf(w, "| Moduli chain length | Lat avg (s) | Note |\n|---|---|---|\n")
 
-	var out []HEResult
 	for k := kMin; k <= kMax; k++ {
 		if k == 1 && tableNo == "VI" {
 			// Multiprecision single-modulus baseline row.
 			params, err := rnsParams(cfg, plan.Depth+1)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			bigParams, err := ckksbig.FromRNSParameters(params)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			be, err := henn.NewBigEngine(bigParams, plan.Rotations(), cfg.Seed+20)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			plan.Infer(be, images[0]) // warm the weight cache untimed
 			_, stats, err := plan.EvaluateEncrypted(be, images, labels, cfg.Runs)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			fmt.Fprintf(w, "| 1 | %.2f | multiprecision baseline (%s-HE) |\n", stats.Avg.Seconds(), name)
-			out = append(out, HEResult{Model: name, Backend: "ckks-big", Chain: 1, Lat: stats, Acc: math.NaN()})
 			continue
 		}
 		if k > 1 && k < plan.Depth+1 {
@@ -202,21 +196,20 @@ func moduliSweep(cfg Config, models *Models, w io.Writer, name string, model *nn
 		}
 		params, err := rnsParams(cfg, k)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		re, err := henn.NewRNSEngine(params, plan.Rotations(), cfg.Seed+21+int64(k))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		plan.Infer(re, images[0]) // warm the weight cache untimed
 		_, stats, err := plan.EvaluateEncrypted(re, images, labels, cfg.Runs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		fmt.Fprintf(w, "| %d | %.2f | |\n", k, stats.Avg.Seconds())
-		out = append(out, HEResult{Model: name, Backend: "ckks-rns", Chain: k, Lat: stats, Acc: math.NaN()})
 	}
-	return out, nil
+	return nil
 }
 
 // LimbWidthAblation isolates the mechanism behind the paper's
@@ -299,7 +292,6 @@ func Fig5(cfg Config, models *Models, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		rp.Opt = cfg.Opt
 		acc, stats, err := rp.EvaluateEncrypted(re, images, labels, cfg.Runs)
 		if err != nil {
 			return err

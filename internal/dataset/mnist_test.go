@@ -1,4 +1,4 @@
-package mnist
+package dataset
 
 import (
 	"bytes"
@@ -12,15 +12,15 @@ import (
 	"cnnhe/internal/nn"
 )
 
-func TestSyntheticDeterministic(t *testing.T) {
-	a := Synthetic(50, 42)
-	b := Synthetic(50, 42)
+func TestSyntheticMNISTDeterministic(t *testing.T) {
+	a := SyntheticMNIST(50, 42)
+	b := SyntheticMNIST(50, 42)
 	for i := range a.Pixels {
 		if a.Labels[i] != b.Labels[i] || !bytes.Equal(a.Pixels[i], b.Pixels[i]) {
 			t.Fatal("synthetic generation is not deterministic")
 		}
 	}
-	c := Synthetic(50, 43)
+	c := SyntheticMNIST(50, 43)
 	same := true
 	for i := range a.Pixels {
 		if !bytes.Equal(a.Pixels[i], c.Pixels[i]) {
@@ -33,8 +33,8 @@ func TestSyntheticDeterministic(t *testing.T) {
 	}
 }
 
-func TestSyntheticCoversAllClasses(t *testing.T) {
-	d := Synthetic(500, 1)
+func TestSyntheticMNISTCoversAllClasses(t *testing.T) {
+	d := SyntheticMNIST(500, 1)
 	counts := make([]int, 10)
 	for _, l := range d.Labels {
 		counts[l]++
@@ -46,10 +46,13 @@ func TestSyntheticCoversAllClasses(t *testing.T) {
 	}
 }
 
-func TestSyntheticPixelRangeAndInk(t *testing.T) {
-	d := Synthetic(100, 2)
+func TestSyntheticMNISTPixelRangeAndInk(t *testing.T) {
+	d := SyntheticMNIST(100, 2)
+	if d.C != 1 || d.H != MNISTRows || d.W != MNISTCols {
+		t.Fatalf("shape %dx%dx%d", d.C, d.H, d.W)
+	}
 	for i := range d.Pixels {
-		if len(d.Pixels[i]) != Rows*Cols {
+		if len(d.Pixels[i]) != MNISTRows*MNISTCols {
 			t.Fatal("wrong image size")
 		}
 		ink := 0
@@ -61,20 +64,20 @@ func TestSyntheticPixelRangeAndInk(t *testing.T) {
 		if ink < 10 {
 			t.Fatalf("image %d (label %d) has almost no ink (%d bright pixels)", i, d.Labels[i], ink)
 		}
-		if ink > Rows*Cols/2 {
+		if ink > MNISTRows*MNISTCols/2 {
 			t.Fatalf("image %d is mostly ink (%d bright pixels)", i, ink)
 		}
 	}
 }
 
-func TestToNNAndImage(t *testing.T) {
-	d := Synthetic(10, 3)
+func TestMNISTToNNAndImage(t *testing.T) {
+	d := SyntheticMNIST(10, 3)
 	ds := d.ToNN()
 	if ds.Len() != 10 {
 		t.Fatal("length mismatch")
 	}
 	img := ds.Images[0]
-	if img.Shape[0] != 1 || img.Shape[1] != Rows || img.Shape[2] != Cols {
+	if img.Shape[0] != 1 || img.Shape[1] != MNISTRows || img.Shape[2] != MNISTCols {
 		t.Fatalf("shape %v", img.Shape)
 	}
 	raw := d.Image(0)
@@ -88,29 +91,32 @@ func TestToNNAndImage(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	d := Synthetic(20, 4)
+func TestMNISTSubset(t *testing.T) {
+	d := SyntheticMNIST(20, 4)
 	s := d.Subset(5)
 	if s.Len() != 5 {
 		t.Fatal("subset length")
+	}
+	if s.Dim() != d.Dim() {
+		t.Fatalf("subset dim %d, want %d", s.Dim(), d.Dim())
 	}
 	if d.Subset(0).Len() != 20 || d.Subset(100).Len() != 20 {
 		t.Fatal("subset bounds handling")
 	}
 }
 
-// writeIDX creates a tiny valid IDX pair for loader tests.
-func writeIDX(t *testing.T, dir string, gzipped bool) {
+// writeMNISTIDX creates a tiny valid IDX pair for loader tests.
+func writeMNISTIDX(t *testing.T, dir string, gzipped bool) {
 	t.Helper()
 	n := 3
 	var imgBuf bytes.Buffer
 	binary.Write(&imgBuf, binary.BigEndian, uint32(0x803))
 	binary.Write(&imgBuf, binary.BigEndian, uint32(n))
-	binary.Write(&imgBuf, binary.BigEndian, uint32(Rows))
-	binary.Write(&imgBuf, binary.BigEndian, uint32(Cols))
+	binary.Write(&imgBuf, binary.BigEndian, uint32(MNISTRows))
+	binary.Write(&imgBuf, binary.BigEndian, uint32(MNISTCols))
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < n; i++ {
-		img := make([]byte, Rows*Cols)
+		img := make([]byte, MNISTRows*MNISTCols)
 		rng.Read(img)
 		imgBuf.Write(img)
 	}
@@ -141,11 +147,11 @@ func writeIDX(t *testing.T, dir string, gzipped bool) {
 	}
 }
 
-func TestLoadIDXPlainAndGzip(t *testing.T) {
+func TestLoadMNISTIDXPlainAndGzip(t *testing.T) {
 	for _, gz := range []bool{false, true} {
 		dir := t.TempDir()
-		writeIDX(t, dir, gz)
-		train, test, err := LoadIDX(dir)
+		writeMNISTIDX(t, dir, gz)
+		train, test, err := LoadMNISTIDX(dir)
 		if err != nil {
 			t.Fatalf("gz=%v: %v", gz, err)
 		}
@@ -158,20 +164,26 @@ func TestLoadIDXPlainAndGzip(t *testing.T) {
 	}
 }
 
-func TestLoadIDXErrors(t *testing.T) {
-	if _, _, err := LoadIDX(t.TempDir()); err == nil {
+func TestLoadMNISTIDXErrors(t *testing.T) {
+	if _, _, err := LoadMNISTIDX(t.TempDir()); err == nil {
 		t.Fatal("expected error for empty dir")
 	}
 	dir := t.TempDir()
 	os.WriteFile(filepath.Join(dir, "train-images-idx3-ubyte"), []byte{1, 2, 3}, 0o644)
-	if _, _, err := LoadIDX(dir); err == nil {
+	if _, _, err := LoadMNISTIDX(dir); err == nil {
 		t.Fatal("expected error for truncated file")
 	}
 }
 
-func TestLoadFallsBackToSynthetic(t *testing.T) {
-	os.Unsetenv("MNIST_DIR")
-	train, test, source := Load(30, 10, 7)
+func TestLoadMNISTFallsBackToSynthetic(t *testing.T) {
+	dir := t.TempDir()
+	writeMNISTIDX(t, dir, false)
+	t.Setenv("MNIST_DIR", dir)
+	if _, test, source := LoadMNIST(30, 2, 7); source != "mnist-idx:"+dir || test.Len() != 2 {
+		t.Fatalf("MNIST_DIR: source %q, %d test images", source, test.Len())
+	}
+	t.Setenv("MNIST_DIR", "")
+	train, test, source := LoadMNIST(30, 10, 7)
 	if source != "synthetic" {
 		t.Fatalf("source %q", source)
 	}
@@ -180,19 +192,19 @@ func TestLoadFallsBackToSynthetic(t *testing.T) {
 	}
 }
 
-func TestSyntheticIsLearnable(t *testing.T) {
+func TestSyntheticMNISTIsLearnable(t *testing.T) {
 	// A small dense model must learn the synthetic digits well above
 	// chance in a few epochs — the property that makes the substitution
 	// meaningful.
 	if testing.Short() {
 		t.Skip("training test skipped in -short mode")
 	}
-	train := Synthetic(1500, 11).ToNN()
-	test := Synthetic(300, 12).ToNN()
+	train := SyntheticMNIST(1500, 11).ToNN()
+	test := SyntheticMNIST(300, 12).ToNN()
 	rng := rand.New(rand.NewSource(5))
 	m := &nn.Model{Layers: []nn.Layer{
 		nn.NewFlatten(),
-		nn.NewDense(rng, Rows*Cols, 64),
+		nn.NewDense(rng, MNISTRows*MNISTCols, 64),
 		nn.NewReLU(),
 		nn.NewDense(rng, 64, 10),
 	}}

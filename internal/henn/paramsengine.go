@@ -2,12 +2,11 @@ package henn
 
 // ParamsOnlyEngine returns an Engine that implements only the five
 // parameter accessors (Name, Slots, MaxLevel, Scale, QiFloat). That is
-// everything Plan.Lower and the graph optimizer touch —
-// lowering is symbolic — so callers that only need graph shapes (the
-// hebench JSON report, the golden graph-size gate) can skip key
-// generation entirely. Any evaluation method panics via the embedded
-// nil Engine, which doubles as an assertion that lowering stayed
-// symbolic.
+// everything Plan.Lower and the graph optimizer touch — lowering is
+// symbolic — so callers that only need graph shapes (the golden
+// graph-size gate) can skip key generation entirely. Any evaluation
+// method panics via the embedded nil Engine, which doubles as an
+// assertion that lowering stayed symbolic.
 func ParamsOnlyEngine(name string, slots, maxLevel int, scale float64, qi func(level int) float64) Engine {
 	return &paramsOnlyEngine{name: name, slots: slots, maxLevel: maxLevel, scale: scale, qi: qi}
 }
