@@ -3,8 +3,8 @@ GO ?= go
 .PHONY: check vet staticcheck build test race race-ring race-serve race-chaos parity opt-parity opt-golden shard-parity bench-kernels bench-selftest telemetry-overhead fuzz-smoke e2e-encrypted soak-chaos trend
 
 ## check: the full CI gate — vet, staticcheck, build, tests, the race
-## detector (including the ring worker-pool hammer), the
-## executor-vs-interpreter parity suite, and the benchmark module's own
+## detector (including the ring worker-pool hammer), the optimizer
+## parity suite with its golden digests, and the benchmark module's own
 ## tests.
 check: vet staticcheck build test race race-ring parity bench-selftest
 
@@ -55,14 +55,14 @@ race-chaos:
 soak-chaos:
 	bash scripts/soak_chaos.sh
 
-## parity: the op-graph executor must replay plans bit-identically to
-## the legacy interpreter (logits and report rows) at CNN scale. The
-## suite covers the optimizer gates too: -opt=off and -opt=exact must
-## stay bit-identical, the full pipeline within tolerance with an
-## unchanged argmax. TestExecutorParityGolden* pins the answer itself —
-## SHA-256 of the logit bits and stage names for every front-end (plan
-## -opt off/exact/on, RNS k=3 seq/parallel, batch-2, 2-shard grids) —
-## so a change shared by the oracle and the executor cannot pass.
+## parity: the optimizer gates at CNN scale, against the executor's own
+## sequential -opt=off run — -opt=exact and the parallel executor at
+## off/exact bit-identical (logits and report rows), the full pipeline
+## within tolerance with an unchanged argmax — plus the fused-recombine
+## legs. TestExecutorParityGolden*
+## pins the answer itself — SHA-256 of the logit bits and stage names for
+## every front-end (plan -opt off/exact/on, RNS k=3 seq/parallel, batch-2,
+## 2-shard grids) — so a change shared by every leg cannot pass.
 parity:
 	$(GO) test -run TestExecutorParity -timeout 20m ./internal/henn/
 
@@ -119,11 +119,16 @@ telemetry-overhead:
 	$(GO) test -run xxx -bench BenchmarkRunEncrypted -benchtime 2s ./internal/henn/exec/
 
 ## fuzz-smoke: short native-fuzzing passes over the wire-format readers
-## (ciphertext, key-bundle and shard-manifest frames); they must reject
-## corrupt input with typed errors, never panic.
+## (ciphertext, key-bundle, each key type and shard-manifest frames); they
+## must reject corrupt input with typed errors, never panic, and an
+## accepted switching key must carry exactly one digit per chain modulus.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadCiphertext -fuzztime 10s ./internal/ckks/
 	$(GO) test -run xxx -fuzz FuzzReadKeyBundle -fuzztime 10s ./internal/ckks/
+	$(GO) test -run xxx -fuzz FuzzReadPublicKey -fuzztime 10s ./internal/ckks/
+	$(GO) test -run xxx -fuzz FuzzReadSecretKey -fuzztime 10s ./internal/ckks/
+	$(GO) test -run xxx -fuzz FuzzReadRelinearizationKey -fuzztime 10s ./internal/ckks/
+	$(GO) test -run xxx -fuzz FuzzReadRotationKeySet -fuzztime 10s ./internal/ckks/
 	$(GO) test -run xxx -fuzz FuzzDecodeManifest -fuzztime 10s ./internal/henn/shard/
 
 ## e2e-encrypted: the client-held-key protocol end to end — heserve on

@@ -230,10 +230,10 @@ func main() {
 	mux.Handle("/healthz", srv.Handler())
 
 	// The client-held-key protocol: /v1/info, /v1/keys and
-	// /v1/classify/encrypted. rns backend only — the encrypted route
-	// evaluates on an eval-only RNS engine built from each client's
-	// registered bundle, so the server never holds a key that could
-	// decrypt what it computes on.
+	// /v1/classify/encrypted. rns backend only — NewKeyed compiles the
+	// plan for the route once (per -opt) and rebinds that graph to an
+	// eval-only RNS engine built from each client's registered bundle, so
+	// the server never holds a key that could decrypt what it computes on.
 	if rnsCtx != nil {
 		keyed, err := serve.NewKeyed(serve.KeyedConfig{
 			Ctx:            rnsCtx,

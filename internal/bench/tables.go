@@ -105,8 +105,9 @@ func heVsRNS(cfg Config, models *Models, w io.Writer, name string, model *nn.Mod
 		return nil, err
 	}
 	// The multiprecision backend is far slower; measure over the first
-	// runs images only. One untimed warm-up populates the pre-encoded
-	// weight cache, as a deployed service would at model-load time.
+	// runs images only. One untimed warm-up prepares the plan's graph
+	// (lowering, optimization, pre-encoded weights), as a deployed service
+	// would at model-load time.
 	plan.Infer(be, images[0])
 	accB, statsB, err := plan.EvaluateEncrypted(be, images, labels, runs)
 	if err != nil {
@@ -121,7 +122,7 @@ func heVsRNS(cfg Config, models *Models, w io.Writer, name string, model *nn.Mod
 	if err != nil {
 		return nil, err
 	}
-	plan.Infer(re, images[0]) // warm the weight cache untimed
+	plan.Infer(re, images[0]) // untimed: prepares the plan's graph
 	accR, statsR, err := plan.EvaluateEncrypted(re, images, labels, n)
 	if err != nil {
 		return nil, err
@@ -179,7 +180,7 @@ func moduliSweep(cfg Config, models *Models, w io.Writer, name string, model *nn
 			if err != nil {
 				return err
 			}
-			plan.Infer(be, images[0]) // warm the weight cache untimed
+			plan.Infer(be, images[0]) // untimed: prepares the plan's graph
 			_, stats, err := plan.EvaluateEncrypted(be, images, labels, cfg.Runs)
 			if err != nil {
 				return err
@@ -202,7 +203,7 @@ func moduliSweep(cfg Config, models *Models, w io.Writer, name string, model *nn
 		if err != nil {
 			return err
 		}
-		plan.Infer(re, images[0]) // warm the weight cache untimed
+		plan.Infer(re, images[0]) // untimed: prepares the plan's graph
 		_, stats, err := plan.EvaluateEncrypted(re, images, labels, cfg.Runs)
 		if err != nil {
 			return err

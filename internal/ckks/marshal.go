@@ -177,7 +177,7 @@ func readPoly(r io.Reader, rg *ring.Ring, level int) (*ring.Poly, error) {
 		if err != nil {
 			return nil, err
 		}
-		if int(li) >= len(p.Coeffs) {
+		if li >= uint64(len(p.Coeffs)) { // unsigned: int(li) wraps negative past 2^63
 			return nil, fmt.Errorf("%w: limb index %d out of range", ErrFormat, li)
 		}
 		n, err := readUint64(r)

@@ -165,7 +165,7 @@ type specialModulus interface {
 
 // GuardedEngine wraps a henn.Engine with invariant checking, noise-budget
 // tracking, panic conversion, and cancellation. It implements henn.Engine
-// plus the optional henn.StageAware and henn.NoiseAware interfaces. Safe
+// plus the optional henn.StageAware interface and NoiseBits. Safe
 // for the same concurrency the wrapped engine supports (the guard's own
 // state is mutex-protected).
 type GuardedEngine struct {
@@ -297,7 +297,9 @@ func (g *GuardedEngine) BeginStage(name string) {
 	g.telBeginStage(name)
 }
 
-// NoiseBits implements henn.NoiseAware.
+// NoiseBits returns log2(scale/noiseBound) of a guarded ciphertext — the
+// significant fractional bits remaining (NaN for a foreign handle). The
+// executor reads it for every stage output.
 func (g *GuardedEngine) NoiseBits(ct henn.Ct) float64 {
 	if t, ok := ct.(*trackedCt); ok {
 		return math.Log2(t.scale / t.noise)
@@ -810,7 +812,6 @@ func (g *GuardedEngine) AddPlainPt(ct henn.Ct, pt henn.Pt) henn.Ct {
 var (
 	_ henn.Engine        = (*GuardedEngine)(nil)
 	_ henn.StageAware    = (*GuardedEngine)(nil)
-	_ henn.NoiseAware    = (*GuardedEngine)(nil)
 	_ ir.Recombiner      = (*GuardedEngine)(nil)
 	_ ir.PlainRecombiner = (*GuardedEngine)(nil)
 )

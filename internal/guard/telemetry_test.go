@@ -12,8 +12,8 @@ import (
 // TestExecutorReportNoiseBits is the regression pin for StageReport
 // noise population on the executor path: every recorded stage of a
 // guarded InferCtx run (which lowers to the op-graph executor) must
-// carry a real NoiseBits value, not NaN — the guard implements
-// henn.NoiseAware and the executor must consult it for stage outputs.
+// carry a real NoiseBits value, not NaN — the guard reports NoiseBits
+// and the executor must consult it for stage outputs.
 func TestExecutorReportNoiseBits(t *testing.T) {
 	plan := tinyPlan(t)
 	e := rnsEngine(t, plan, 15)

@@ -137,7 +137,8 @@ func tileAct(s *ActStage, block, batch, slots int) *ActStage {
 	return t
 }
 
-// PackBatch lays images out at the block stride.
+// PackBatch lays images out at the block stride, rejecting pixels the
+// plan's InferCtx would reject.
 func (bp *BatchPlan) PackBatch(images [][]float64) ([]float64, error) {
 	if len(images) > bp.Batch {
 		return nil, badInput("%d images exceed batch %d", len(images), bp.Batch)
@@ -146,6 +147,9 @@ func (bp *BatchPlan) PackBatch(images [][]float64) ([]float64, error) {
 	for b, img := range images {
 		if len(img) > bp.BlockSize {
 			return nil, badInput("image length %d exceeds block %d", len(img), bp.BlockSize)
+		}
+		if err := bp.Plan.checkPixels(img); err != nil {
+			return nil, fmt.Errorf("image %d: %w", b, err)
 		}
 		copy(out[b*bp.BlockSize:], img)
 	}

@@ -59,9 +59,28 @@ type Plan struct {
 	optResult   *opt.Result
 }
 
-// prepare returns the plan lowered for e, optimized, and with every
-// plaintext operand pre-encoded at its statically inferred (level,
-// scale). The result is kept for the next call on the same engine;
+// Prepare compiles the plan for e: it lowers, optimizes per p.Opt, and
+// pre-encodes every plaintext operand at its statically inferred (level,
+// scale). The result is the caller's to keep — nothing is cached, so a
+// holder of its own graph (the keyed route, which rebinds it per client
+// with exec.Prepared.On) never competes for the plan's cached slot.
+func (p *Plan) Prepare(e Engine) (*exec.Prepared, *opt.Result, error) {
+	g, err := p.Lower(e)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := optimizeLowered(e, g, p.Opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	pr, err := exec.Prepare(e, res.Graph)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pr, res, nil
+}
+
+// prepare is Prepare kept for the next call on the same engine;
 // preparing for another engine drops the previous engine's graph first,
 // so one plan never holds more than one engine's plaintexts.
 func (p *Plan) prepare(e Engine) (*exec.Prepared, *opt.Result, error) {
@@ -73,15 +92,7 @@ func (p *Plan) prepare(e Engine) (*exec.Prepared, *opt.Result, error) {
 	}
 	telPrepare(false)
 	p.preparedFor, p.prepared, p.optResult = nil, nil, nil
-	g, err := p.Lower(e)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := optimizeLowered(e, g, p.Opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	pr, err := exec.Prepare(e, res.Graph)
+	pr, res, err := p.Prepare(e)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -21,7 +21,6 @@ package henn
 import (
 	"math/big"
 	"runtime"
-	"sync"
 
 	"cnnhe/internal/ckks"
 	"cnnhe/internal/ckksbig"
@@ -44,13 +43,6 @@ type PlainSpec = ir.PlainSpec
 // compiled plans and lowered op graphs need; see ir.Engine for the full
 // method contract.
 type Engine = ir.Engine
-
-// ptCacheKey identifies a cached plaintext encoding.
-type ptCacheKey struct {
-	key   string
-	level int
-	scale float64
-}
 
 // RNSEngine is the CKKS-RNS backend (internal/ckks): the evaluation-only
 // engine plus the secret-key half — encryptor, decryptor and secret key —
@@ -154,9 +146,6 @@ type BigEngine struct {
 	Dec *ckksbig.Decryptor
 	Ev  *ckksbig.Evaluator
 	SK  *ckksbig.SecretKey
-
-	mu      sync.Mutex
-	ptCache map[ptCacheKey]*ckksbig.Plaintext
 }
 
 // NewBigEngine builds the baseline deployment.
@@ -174,41 +163,24 @@ func NewBigEngine(params ckksbig.Parameters, rotations []int, seed int64) (*BigE
 		rtk = kg.GenRotationKeys(sk, rotations, false)
 	}
 	return &BigEngine{
-		Ctx:     ctx,
-		Enc:     ckksbig.NewEncoder(ctx),
-		Ept:     ckksbig.NewEncryptor(ctx, pk, seed+1),
-		Dec:     ckksbig.NewDecryptor(ctx, sk),
-		Ev:      ckksbig.NewEvaluator(ctx, rlk, rtk),
-		SK:      sk,
-		ptCache: map[ptCacheKey]*ckksbig.Plaintext{},
+		Ctx: ctx,
+		Enc: ckksbig.NewEncoder(ctx),
+		Ept: ckksbig.NewEncryptor(ctx, pk, seed+1),
+		Dec: ckksbig.NewDecryptor(ctx, sk),
+		Ev:  ckksbig.NewEvaluator(ctx, rlk, rtk),
+		SK:  sk,
 	}, nil
 }
 
-func (e *BigEngine) cachedPlaintext(key string, level int, scale float64, v []float64) *ckksbig.Plaintext {
-	k := ptCacheKey{key, level, scale}
-	e.mu.Lock()
-	pt, ok := e.ptCache[k]
-	e.mu.Unlock()
-	if ok {
-		return pt
-	}
-	pt = e.Enc.Encode(v, level, scale)
-	e.mu.Lock()
-	e.ptCache[k] = pt
-	e.mu.Unlock()
-	return pt
+// MulPlainVecCached implements Engine: the key is ignored, the vector
+// encoded afresh (graphs pre-encode through EncodeVecsAt instead).
+func (e *BigEngine) MulPlainVecCached(ct Ct, _ string, v []float64, scale float64) Ct {
+	return e.MulPlainVecAtScale(ct, v, scale)
 }
 
-// MulPlainVecCached implements Engine.
-func (e *BigEngine) MulPlainVecCached(ct Ct, key string, v []float64, scale float64) Ct {
-	c := ct.(*ckksbig.Ciphertext)
-	return e.Ev.MulPlain(c, e.cachedPlaintext(key, c.Level, scale, v))
-}
-
-// AddPlainVecCached implements Engine.
-func (e *BigEngine) AddPlainVecCached(ct Ct, key string, v []float64) Ct {
-	c := ct.(*ckksbig.Ciphertext)
-	return e.Ev.AddPlain(c, e.cachedPlaintext(key, c.Level, c.Scale, v))
+// AddPlainVecCached implements Engine like MulPlainVecCached.
+func (e *BigEngine) AddPlainVecCached(ct Ct, _ string, v []float64) Ct {
+	return e.AddPlainVec(ct, v)
 }
 
 // Name implements Engine.

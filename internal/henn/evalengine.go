@@ -3,7 +3,6 @@ package henn
 import (
 	"math/big"
 	"runtime"
-	"sync"
 
 	"cnnhe/internal/ckks"
 )
@@ -20,9 +19,6 @@ type RNSEvalEngine struct {
 	Ctx *ckks.Context
 	Enc *ckks.Encoder
 	Ev  *ckks.Evaluator
-
-	mu      sync.Mutex
-	ptCache map[ptCacheKey]*ckks.Plaintext
 }
 
 // NewRNSEvalEngine builds an evaluation-only engine from a client's
@@ -30,38 +26,21 @@ type RNSEvalEngine struct {
 // rotations.
 func NewRNSEvalEngine(ctx *ckks.Context, rlk *ckks.RelinearizationKey, rtk *ckks.RotationKeySet) *RNSEvalEngine {
 	return &RNSEvalEngine{
-		Ctx:     ctx,
-		Enc:     ckks.NewEncoder(ctx),
-		Ev:      ckks.NewEvaluator(ctx, rlk, rtk),
-		ptCache: map[ptCacheKey]*ckks.Plaintext{},
+		Ctx: ctx,
+		Enc: ckks.NewEncoder(ctx),
+		Ev:  ckks.NewEvaluator(ctx, rlk, rtk),
 	}
 }
 
-func (e *RNSEvalEngine) cachedPlaintext(key string, level int, scale float64, v []float64) *ckks.Plaintext {
-	k := ptCacheKey{key, level, scale}
-	e.mu.Lock()
-	pt, ok := e.ptCache[k]
-	e.mu.Unlock()
-	if ok {
-		return pt
-	}
-	pt = e.Enc.Encode(v, level, scale)
-	e.mu.Lock()
-	e.ptCache[k] = pt
-	e.mu.Unlock()
-	return pt
+// MulPlainVecCached implements Engine: the key is ignored, the vector
+// encoded afresh (graphs pre-encode through EncodeVecsAt instead).
+func (e *RNSEvalEngine) MulPlainVecCached(ct Ct, _ string, v []float64, scale float64) Ct {
+	return e.MulPlainVecAtScale(ct, v, scale)
 }
 
-// MulPlainVecCached implements Engine.
-func (e *RNSEvalEngine) MulPlainVecCached(ct Ct, key string, v []float64, scale float64) Ct {
-	c := ct.(*ckks.Ciphertext)
-	return e.Ev.MulPlain(c, e.cachedPlaintext(key, c.Level, scale, v))
-}
-
-// AddPlainVecCached implements Engine.
-func (e *RNSEvalEngine) AddPlainVecCached(ct Ct, key string, v []float64) Ct {
-	c := ct.(*ckks.Ciphertext)
-	return e.Ev.AddPlain(c, e.cachedPlaintext(key, c.Level, c.Scale, v))
+// AddPlainVecCached implements Engine like MulPlainVecCached.
+func (e *RNSEvalEngine) AddPlainVecCached(ct Ct, _ string, v []float64) Ct {
+	return e.AddPlainVec(ct, v)
 }
 
 // Name implements Engine.

@@ -5,21 +5,19 @@
 // validation and batch-encoding of every plaintext operand at its
 // statically inferred (level, scale), deduplicated by cache key. The
 // resulting Prepared value is immutable and safe to share across
-// concurrent and batched inferences — the encoded plaintext set is paid
-// for once per (plan, engine) pair instead of once per locked cache
-// lookup on the hot path.
+// concurrent and batched inferences, and On rebinds it to another engine
+// of the same parameters (a server's per-client key sets) without
+// re-encoding.
 //
-// Run replays the graph. The sequential mode visits ops in graph order,
-// which is exactly the legacy interpreter's engine-call order, so its
-// results are bit-identical to the eager path. The parallel mode
-// schedules ops over a bounded worker pool as their data dependencies
-// resolve; hoisted rotation groups always execute as one RotateMany
-// call so the shared key-switch decomposition is preserved in both
-// modes, and on engines offering ir.PlainRecombiner an OpRecombine
-// executes together with the plaintext products it absorbs as one
-// PlainRecombine call. Intermediate ciphertexts are reference-counted
-// and released at last use, keeping the live set close to the
-// interpreter's.
+// Run replays the graph. The sequential mode visits ops in graph order.
+// The parallel mode schedules ops over a bounded worker pool as their
+// data dependencies resolve; every op's operands are fixed by the graph,
+// so both modes produce the same bits. Hoisted rotation groups always
+// execute as one RotateMany call so the shared key-switch decomposition
+// is preserved in both modes, and on engines offering ir.PlainRecombiner
+// an OpRecombine executes together with the plaintext products it
+// absorbs as one PlainRecombine call. Intermediate ciphertexts are
+// reference-counted and released at last use.
 package exec
 
 import (
@@ -37,13 +35,11 @@ import (
 // Options configures one Run.
 type Options struct {
 	// Workers bounds the scheduling pool. Values ≤ 1 select the
-	// sequential executor, whose engine-call order is bit-identical to
-	// the legacy interpreter.
+	// sequential executor, which visits ops in graph order.
 	Workers int
 }
 
-// StageStat is the per-stage execution record, mirroring the legacy
-// interpreter's Report rows.
+// StageStat is the per-stage execution record behind henn's Report rows.
 type StageStat struct {
 	Name      string
 	Duration  time.Duration
@@ -67,8 +63,9 @@ type Result struct {
 	FailedStage string
 }
 
-// stageAware and noiseAware mirror the optional engine interfaces of
-// internal/henn (structural, so no import is needed).
+// stageAware mirrors henn.StageAware (structural, so no import is
+// needed); noiseAware engines (the guard) report a noise budget per stage
+// output.
 type stageAware interface{ BeginStage(name string) }
 type noiseAware interface{ NoiseBits(ct ir.Ct) float64 }
 
@@ -108,6 +105,35 @@ type Prepared struct {
 
 // Graph returns the prepared graph (for stats and diagnostics).
 func (p *Prepared) Graph() *ir.Graph { return p.g }
+
+// On returns a copy of p bound to e. The copy shares the graph, the task
+// table and the pre-encoded plaintexts, so a server compiles and encodes
+// once and rebinds per key set; e must accept the preparing engine's
+// plaintext handles (the same engine type over the same CKKS context).
+// e must also match the preparing engine's parameters — slots, top
+// level, default scale, every level's prime — and offer the same optional
+// ir.Recombiner and ir.PlainRecombiner calls, which the task table
+// depends on; otherwise On returns an error.
+func (p *Prepared) On(e ir.Engine) (*Prepared, error) {
+	if e.Slots() != p.e.Slots() || e.MaxLevel() != p.e.MaxLevel() || e.Scale() != p.e.Scale() {
+		return nil, fmt.Errorf("exec: rebind to %s: slots/level/scale %d/%d/%g, prepared for %d/%d/%g",
+			e.Name(), e.Slots(), e.MaxLevel(), e.Scale(), p.e.Slots(), p.e.MaxLevel(), p.e.Scale())
+	}
+	for l := 0; l <= e.MaxLevel(); l++ {
+		if e.QiFloat(l) != p.e.QiFloat(l) {
+			return nil, fmt.Errorf("exec: rebind to %s: level %d prime %g, prepared for %g",
+				e.Name(), l, e.QiFloat(l), p.e.QiFloat(l))
+		}
+	}
+	q := *p
+	q.e = e
+	q.rc, _ = e.(ir.Recombiner)
+	q.pr, _ = e.(ir.PlainRecombiner)
+	if (q.rc == nil) != (p.rc == nil) || (q.pr == nil) != (p.pr == nil) {
+		return nil, fmt.Errorf("exec: rebind to %s: optional recombine calls differ from the preparing engine's", e.Name())
+	}
+	return &q, nil
+}
 
 // Prepare validates g and pre-encodes every plaintext operand on e at
 // its exact (level, scale). Operands with bit-identical content at the
@@ -334,7 +360,7 @@ func (p *Prepared) newRunState() *runState {
 
 // announce tells a StageAware engine the current stage, once per
 // transition. In parallel runs stage attribution is best-effort (ops of
-// different stages interleave), exactly like the legacy parallel path.
+// different stages interleave).
 func (rs *runState) announce(stage int) {
 	if rs.sa == nil {
 		return
@@ -403,7 +429,7 @@ func (rs *runState) observeHE(ct ir.Ct) heAttr {
 }
 
 // release decrements an argument's reference count, freeing the slot at
-// zero so peak live ciphertexts track the interpreter's.
+// zero so only ciphertexts with pending consumers stay live.
 func (rs *runState) release(id int) {
 	if atomic.AddInt32(&rs.use[id], -1) == 0 {
 		rs.slots[id] = nil
@@ -556,9 +582,9 @@ func (rs *runState) absorbedOperands(id int, args []ir.Ct) (pts []ir.Pt, n int) 
 }
 
 // EncryptInputs runs the graph's encrypt prologue serially in op order
-// (encryption draws from the engine's PRNG, whose call order must match
-// the legacy path for bit-identical runs). The returned slice is
-// indexed like the graph's encrypt ops.
+// (encryption draws from the engine's PRNG, so a fixed call order keeps
+// identically seeded runs bit-identical). The returned slice is indexed
+// like the graph's encrypt ops.
 func (p *Prepared) EncryptInputs(ctx context.Context, inputs [][]float64) (cts []ir.Ct, d time.Duration, failedStage string, err error) {
 	if len(inputs) != p.g.Inputs {
 		return nil, 0, "", fmt.Errorf("exec: %d inputs for a %d-input graph", len(inputs), p.g.Inputs)
@@ -648,8 +674,7 @@ func (p *Prepared) Run(ctx context.Context, inputs [][]float64, opts Options) (*
 	return res, err
 }
 
-// runSequential replays ops in graph order — the legacy interpreter's
-// exact engine-call order.
+// runSequential replays ops in graph order.
 func (rs *runState) runSequential(ctx context.Context, res *Result) error {
 	p := rs.p
 	for i := range p.g.Ops {

@@ -418,7 +418,7 @@ func TestBadInputCount(t *testing.T) {
 }
 
 func TestStatsNoise(t *testing.T) {
-	// fakeEngine is not noiseAware: rows carry NaN, like the legacy path.
+	// fakeEngine is not noiseAware: rows carry NaN.
 	res, _ := runGraph(t, &fakeEngine{}, Options{})
 	if !math.IsNaN(res.Stages[0].NoiseBits) {
 		t.Fatalf("noise bits %v, want NaN", res.Stages[0].NoiseBits)

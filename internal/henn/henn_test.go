@@ -379,6 +379,46 @@ func TestInferCtxRejectsBadInput(t *testing.T) {
 	if _, _, err := plan.EvaluateEncrypted(e, bad, []int{0}, 1); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("want ErrBadInput for mis-sized batch image, got %v", err)
 	}
+
+	// Pixel values: non-finite ones on every plan, and values the digit
+	// front-end cannot decompose, are typed errors — never a panic, never
+	// garbage logits.
+	rp, err := NewRNSPlan(plan, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := plan.Batched(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withPixel := func(v float64) []float64 {
+		img := make([]float64, plan.InputDim)
+		img[5] = v
+		return img
+	}
+	for _, tc := range []struct {
+		name  string
+		plan  *Plan
+		pixel float64
+	}{
+		{"plain NaN", plan, math.NaN()},
+		{"plain +Inf", plan, math.Inf(1)},
+		{"plain -Inf", plan, math.Inf(-1)},
+		{"rns NaN", rp, math.NaN()},
+		{"rns -1", rp, -1},
+		{"rns 256", rp, 256},
+		{"rns 255.5", rp, 255.5},
+	} {
+		if _, rep, err := tc.plan.InferCtx(context.Background(), e, withPixel(tc.pixel)); !errors.Is(err, ErrBadInput) || rep == nil {
+			t.Fatalf("%s: want ErrBadInput with a report, got %v", tc.name, err)
+		}
+	}
+	if _, _, err := rp.InferCtx(context.Background(), e, withPixel(255.4)); err != nil {
+		t.Fatalf("rns pixel 255.4 rounds into range, got %v", err)
+	}
+	if _, err := bp.PackBatch([][]float64{withPixel(1), withPixel(math.NaN())}); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("PackBatch: want ErrBadInput for a NaN pixel, got %v", err)
+	}
 }
 
 func TestInferCtxCancelled(t *testing.T) {

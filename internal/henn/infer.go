@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cnnhe/internal/henn/exec"
@@ -55,13 +53,6 @@ type StageAware interface {
 	BeginStage(name string)
 }
 
-// NoiseAware is optionally implemented by engines that track a
-// per-ciphertext noise-budget estimate. NoiseBits returns
-// log2(scale/noiseBound) — the significant fractional bits remaining.
-type NoiseAware interface {
-	NoiseBits(ct Ct) float64
-}
-
 // StageReport records one pipeline step of an InferCtx run.
 type StageReport struct {
 	Stage    string
@@ -103,34 +94,6 @@ func (r *Report) String() string {
 	return s
 }
 
-// runStage evaluates one named stage of the eager interpreter: the
-// context is checked first, StageAware engines are told the stage, and
-// engine panics — misuse assertions and guard aborts — become errors. A
-// recovered value that already is an error (e.g. *guard.StageError) is
-// returned as-is so callers can classify it with errors.Is/errors.As. On
-// failure the report's FailedStage names the stage.
-func runStage(ctx context.Context, e Engine, rep *Report, name string, f func()) (err error) {
-	if err := ctx.Err(); err != nil {
-		rep.FailedStage = name
-		return fmt.Errorf("henn: %s: %w", name, err)
-	}
-	if sa, ok := e.(StageAware); ok {
-		sa.BeginStage(name)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			rep.FailedStage = name
-			if e, ok := r.(error); ok {
-				err = e
-			} else {
-				err = fmt.Errorf("henn: panic in %s: %v", name, r)
-			}
-		}
-	}()
-	f()
-	return nil
-}
-
 // fillReport copies an executor result into the Report shape.
 func fillReport(rep *Report, res *exec.Result) {
 	rep.Encrypt = res.Encrypt
@@ -146,28 +109,65 @@ func fillReport(rep *Report, res *exec.Result) {
 	}
 }
 
-// decrypt is the shared decrypt epilogue: one guarded DecryptVec of the
-// output ciphertext, which must yield at least need slots.
-func decrypt(ctx context.Context, e Engine, ct Ct, need int, rep *Report) ([]float64, error) {
-	var out []float64
+// decrypt is the shared decrypt epilogue: one DecryptVec of the output
+// ciphertext, which must yield at least need slots. The context is
+// checked first, a StageAware engine is told the "decrypt" stage, and an
+// engine panic becomes the returned error — as-is when it already is one
+// (e.g. *guard.StageError), so callers classify it with errors.Is/As.
+func decrypt(ctx context.Context, e Engine, ct Ct, need int, rep *Report) (out []float64, err error) {
+	const stage = "decrypt"
 	t := time.Now()
-	err := runStage(ctx, e, rep, "decrypt", func() { out = e.DecryptVec(ct) })
-	rep.Decrypt = time.Since(t)
-	telemetry.RecorderFrom(ctx).RecordPhase("decrypt", t, time.Now())
-	if err != nil {
-		return nil, err
+	defer func() {
+		rep.Decrypt = time.Since(t)
+		telemetry.RecorderFrom(ctx).RecordPhase(stage, t, time.Now())
+		if r := recover(); r != nil {
+			rep.FailedStage = stage
+			out = nil
+			if err, _ = r.(error); err == nil {
+				err = fmt.Errorf("henn: panic in %s: %v", stage, r)
+			}
+		}
+	}()
+	if err := ctx.Err(); err != nil {
+		rep.FailedStage = stage
+		return nil, fmt.Errorf("henn: %s: %w", stage, err)
 	}
+	if sa, ok := e.(StageAware); ok {
+		sa.BeginStage(stage)
+	}
+	out = e.DecryptVec(ct)
 	if len(out) < need {
 		return nil, badInput("engine decrypted %d slots, plan needs %d", len(out), need)
 	}
 	return out, nil
 }
 
-// inputs turns one raw image into the plan's input vectors: its digit
-// parts under the RNS front-end, else its shards by the input manifest.
+// checkPixels rejects pixels the plan cannot encrypt faithfully: NaN and
+// ±Inf on every plan and, under the RNS front-end, values that round
+// outside the digit range [0, Base^k).
+func (p *Plan) checkPixels(image []float64) error {
+	for i, v := range image {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return badInput("pixel %d is %v", i, v)
+		}
+		if p.Digits != nil {
+			if r := math.Round(v); r < 0 || r >= float64(p.Digits.Range()) {
+				return badInput("pixel %d = %v outside the digit range [0, %d)", i, v, p.Digits.Range())
+			}
+		}
+	}
+	return nil
+}
+
+// inputs validates one raw image and turns it into the plan's input
+// vectors: its digit parts under the RNS front-end, else its shards by
+// the input manifest.
 func (p *Plan) inputs(image []float64) ([][]float64, error) {
 	if len(image) != p.InputDim {
 		return nil, badInput("image length %d does not match plan input dim %d", len(image), p.InputDim)
+	}
+	if err := p.checkPixels(image); err != nil {
+		return nil, err
 	}
 	if p.Digits != nil {
 		return p.Digits.DecomposeTensor(image), nil
@@ -210,12 +210,12 @@ func (p *Plan) run(ctx context.Context, e Engine, inputs [][]float64, need int, 
 // errored). Pair with guard.New to also get per-op invariant checking and
 // noise-budget enforcement.
 //
-// The evaluation runs on the lowered op graph (Lower) with ahead-of-time
-// encoded plaintexts, prepared on the first inference on an engine and
-// shared by every later one until the plan is prepared for another
-// engine. The sequential executor replays the graph in the legacy
-// interpreter's exact engine-call order, so logits are bit-identical to
-// InferCtxLegacy.
+// The evaluation runs on the lowered, optimized op graph with
+// ahead-of-time encoded plaintexts (Prepare), prepared on the first
+// inference on an engine and shared by every later one until the plan is
+// prepared for another engine. Pixels that are not finite — or, under the
+// RNS front-end, round outside the digit range — are rejected with
+// ErrBadInput before any homomorphic work.
 func (p *Plan) InferCtx(ctx context.Context, e Engine, image []float64) (Logits, *Report, error) {
 	rep := &Report{Engine: e.Name()}
 	parts, err := p.inputs(image)
@@ -223,45 +223,6 @@ func (p *Plan) InferCtx(ctx context.Context, e Engine, image []float64) (Logits,
 		return nil, rep, err
 	}
 	out, err := p.run(ctx, e, parts, p.OutputDim, rep)
-	if err != nil {
-		return nil, rep, err
-	}
-	return Logits(out[:p.OutputDim]), rep, nil
-}
-
-// InferCtxLegacy is the eager step interpreter, retained as the reference
-// oracle the executor is tested bit-identical against: it runs the same
-// steps Lower traces, sequentially, straight against the engine.
-func (p *Plan) InferCtxLegacy(ctx context.Context, e Engine, image []float64) (Logits, *Report, error) {
-	rep := &Report{Engine: e.Name()}
-	parts, err := p.inputs(image)
-	if err != nil {
-		return nil, rep, err
-	}
-	cur := make([]Ct, len(parts))
-	t0 := time.Now()
-	for i := range parts {
-		if err := runStage(ctx, e, rep, p.encryptName(i), func() { cur[i] = e.EncryptVec(parts[i]) }); err != nil {
-			rep.Encrypt = time.Since(t0)
-			return nil, rep, err
-		}
-	}
-	rep.Encrypt = time.Since(t0)
-	for _, s := range p.steps() {
-		t := time.Now()
-		err := runStage(ctx, e, rep, s.name, func() { cur = s.eval(e, cur) })
-		d := time.Since(t)
-		rep.Eval += d
-		if err != nil {
-			return nil, rep, err
-		}
-		row := StageReport{Stage: s.name, Duration: d, Level: e.Level(cur[0]), Scale: e.ScaleOf(cur[0]), NoiseBits: math.NaN()}
-		if na, ok := e.(NoiseAware); ok {
-			row.NoiseBits = na.NoiseBits(cur[0])
-		}
-		rep.Stages = append(rep.Stages, row)
-	}
-	out, err := decrypt(ctx, e, cur[0], p.OutputDim, rep)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -280,70 +241,6 @@ func (p *Plan) Infer(e Engine, image []float64) (Logits, time.Duration) {
 		panic(err)
 	}
 	return logits, rep.Eval
-}
-
-// InferBatch classifies images concurrently on up to workers goroutines,
-// all sharing one prepared graph (and thus one ahead-of-time encoded
-// plaintext set). Encryption is serialized — the engines' encryptors
-// draw from a non-thread-safe PRNG — while evaluation and decryption,
-// which are stateless, overlap freely. The engine must be one whose
-// evaluator is safe for concurrent use (both backends are; a guarded
-// engine serializes internally). Results are in image order; the first
-// error aborts the batch.
-func (p *Plan) InferBatch(ctx context.Context, e Engine, images [][]float64, workers int) ([]Logits, error) {
-	inputs := make([][][]float64, len(images))
-	for i, img := range images {
-		var err error
-		if inputs[i], err = p.inputs(img); err != nil {
-			return nil, fmt.Errorf("image %d: %w", i, err)
-		}
-	}
-	pr, _, err := p.prepare(e)
-	if err != nil {
-		return nil, err
-	}
-	encs := make([][]Ct, len(images))
-	for i := range images {
-		cts, _, _, err := pr.EncryptInputs(ctx, inputs[i])
-		if err != nil {
-			return nil, fmt.Errorf("image %d: %w", i, err)
-		}
-		encs[i] = cts
-	}
-	workers = max(1, min(workers, len(images)))
-	out := make([]Logits, len(images))
-	errs := make([]error, len(images))
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(images) {
-					return
-				}
-				done := telInferStart()
-				res, err := pr.RunEncrypted(ctx, encs[i], exec.Options{})
-				if err == nil {
-					var slots []float64
-					if slots, err = decrypt(ctx, e, res.Out, p.OutputDim, &Report{Engine: e.Name()}); err == nil {
-						out[i] = Logits(slots[:p.OutputDim])
-					}
-				}
-				errs[i] = err
-				done()
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("image %d: %w", i, err)
-		}
-	}
-	return out, nil
 }
 
 // LatencyStats aggregates per-inference latencies.

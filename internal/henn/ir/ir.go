@@ -40,10 +40,10 @@ type PlainSpec struct {
 }
 
 // Engine abstracts the CKKS backends behind the operations compiled plans
-// and lowered graphs need. The first block mirrors the historical eager
-// interface (still used by the legacy Stage.Eval oracle); the final three
-// methods are the ahead-of-time encoding contract the executor's hot path
-// uses instead of the lazy per-op cache.
+// and lowered graphs need. The first block is what Stage.Eval calls when
+// lowering traces a plan (and what the stage-kernel tests call
+// directly); the final three methods are the ahead-of-time encoding
+// contract the executor uses for every plaintext operand.
 type Engine interface {
 	// Name identifies the backend ("ckks-rns" or "ckks-big").
 	Name() string
@@ -76,10 +76,11 @@ type Engine interface {
 	// given scale.
 	MulPlainVecAtScale(ct Ct, v []float64, scale float64) Ct
 	// MulPlainVecCached is MulPlainVecAtScale for vectors that are constant
-	// across inferences (model weights): the encoded plaintext is cached
-	// under (key, level, scale). Safe for concurrent use.
+	// across inferences (model weights), named by key. Lowering records
+	// the key on the op (ir.Op.PlainKey); the backends encode afresh and
+	// ignore it, since the executor pre-encodes every such operand once.
 	MulPlainVecCached(ct Ct, key string, v []float64, scale float64) Ct
-	// AddPlainVecCached is AddPlainVec with the same caching contract.
+	// AddPlainVecCached is AddPlainVec with the same key contract.
 	AddPlainVecCached(ct Ct, key string, v []float64) Ct
 	// MulRelin returns a·b relinearized.
 	MulRelin(a, b Ct) Ct
@@ -219,8 +220,7 @@ type Op struct {
 	Scale float64
 }
 
-// StageInfo names one pipeline stage of the graph, mirroring the legacy
-// interpreter's reporting contract.
+// StageInfo names one pipeline stage of the graph and its report row.
 type StageInfo struct {
 	// Name is the stage label announced to StageAware engines and used in
 	// Report rows ("encrypt", "stage 0 (…)", "rns parts", …).
@@ -228,8 +228,7 @@ type StageInfo struct {
 	// Out is the op whose result is the stage's reported ciphertext
 	// (-1 when the stage has no reportable output).
 	Out int
-	// Record marks stages that get a Report row (encrypt stages do not,
-	// matching the legacy interpreter).
+	// Record marks stages that get a Report row (encrypt stages do not).
 	Record bool
 }
 
@@ -240,7 +239,7 @@ type Graph struct {
 	Slots int
 	// Inputs is the number of input vectors (OpEncrypt.InputIdx range).
 	Inputs int
-	// Ops in topological (and legacy-interpreter call) order.
+	// Ops in topological (and lowering's trace) order.
 	Ops []Op
 	// Output is the op producing the final ciphertext.
 	Output int

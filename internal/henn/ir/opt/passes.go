@@ -17,7 +17,7 @@ import (
 // ciphertext, so later ones collapse onto the first. Exact for every
 // kind except OpEncrypt, which is never merged: each encrypt is a
 // fresh-randomness PRNG call and the prologue's call order is part of
-// the bit-parity contract with the legacy interpreter.
+// the bit-parity contract between optimized and unoptimized runs.
 //
 // Hoisted and standalone rotations are kept apart (the hoisted-ness
 // flag is in the key): RotateHoisted and Rotate use different

@@ -9,14 +9,13 @@ import (
 
 // This file lowers a compiled Plan to the explicit op graph of
 // internal/henn/ir. Lowering runs the plan's steps (Stage.Eval and the
-// RNS front-end) against a symbolic tracing engine whose ciphertexts carry only an op
-// ID and the statically inferred (level, scale). Because every engine
-// primitive transforms level and scale by a fixed arithmetic rule (see
-// the ir package doc), the trace is exact: the op sequence, levels and
-// scales recorded here are precisely those the eager interpreter would
-// produce against a real backend with the same parameters. Trace
-// emission order IS the legacy engine-call order, which is what lets
-// the sequential executor replay a graph bit-identically.
+// RNS front-end) against a symbolic tracing engine whose ciphertexts
+// carry only an op ID and the statically inferred (level, scale).
+// Because every engine primitive transforms level and scale by a fixed
+// arithmetic rule (see the ir package doc), the trace is exact: the
+// levels and scales recorded here are precisely those a real backend
+// with the same parameters produces when the executor replays the graph.
+// Inference never runs the steps on a real engine; it runs the graph.
 
 // traceCt is the tracer's symbolic ciphertext: the ID of the producing
 // op plus the statically inferred level and scale of its output.
@@ -202,10 +201,9 @@ func (t *tracer) MulInt(ct Ct, n int64) Ct {
 }
 
 // Recombine implements ir.Recombiner symbolically, so cross-shard block
-// sums and the RNS recomposition lower to one OpRecombine exactly like
-// the real engines evaluate them at runtime (the executor dispatches the op back to
-// the engine's fused Recombine, or to the bit-identical MulInt/Add chain
-// with weight-1 multiplies elided).
+// sums and the RNS recomposition lower to one OpRecombine (the executor
+// dispatches the op to the engine's fused Recombine, or to the
+// bit-identical MulInt/Add chain with weight-1 multiplies elided).
 func (t *tracer) Recombine(args []Ct, weights []int64) Ct {
 	if len(args) == 0 || len(weights) != len(args) {
 		panic(fmt.Errorf("henn: lower: Recombine with %d args, %d weights", len(args), len(weights)))
@@ -273,13 +271,12 @@ func (t *tracer) Rotate(ct Ct, k int) Ct {
 // rotation becomes its own singleton hoist group rather than one
 // per-call group, and regrouping is the optimizer's job (the replan
 // pass merges every hoisted rotation of a source into one fan-out,
-// which subsumes — and usually beats — the per-stage grouping the
-// eager interpreter gets from a literal RotateMany call). Grouped and
-// singleton hoisted rotations are bit-identical per k on both backends
-// (see TestRotateHoistedGroupingBitIdentical), so the grouping choice
-// affects key-switch decomposition count, never bits; an unoptimized
-// (-opt=off) run stays bit-identical to the legacy interpreter, just
-// paying one decomposition per rotation.
+// which subsumes — and usually beats — the per-stage grouping of a
+// literal RotateMany call). Grouped and singleton hoisted rotations are
+// bit-identical per k on both backends (see
+// TestRotateHoistedGroupingBitIdentical), so the grouping choice affects
+// key-switch decomposition count, never bits; an unoptimized (-opt=off)
+// run just pays one decomposition per rotation.
 func (t *tracer) RotateMany(ct Ct, ks []int) map[int]Ct {
 	x := t.in("RotateMany", ct)
 	out := make(map[int]Ct, len(ks))
@@ -334,9 +331,8 @@ func recoverLowerErr(err *error) {
 	}
 }
 
-// step is one recorded pipeline step over the current shard set. Lower
-// runs it against the symbolic tracer; the legacy interpreter runs it
-// eagerly against a real engine.
+// step is one recorded pipeline step over the current shard set, which
+// Lower runs against the symbolic tracer.
 type step struct {
 	name string
 	eval func(e Engine, in []Ct) []Ct

@@ -58,14 +58,19 @@ type KeyedConfig struct {
 //	POST /v1/keys                register an evaluation-key bundle
 //	POST /v1/classify/encrypted  ciphertext in, encrypted logits out
 //
-// The encrypted route runs the lowered op-graph on an eval-only engine
-// (henn.RNSEvalEngine) built from the client's registered bundle: no
-// secret key, encryptor, or decryptor is reachable from it, so the
+// The encrypted route runs the plan's optimized op graph on an eval-only
+// engine (henn.RNSEvalEngine) built from the client's registered bundle:
+// no secret key, encryptor, or decryptor is reachable from it, so the
 // handler cannot decrypt what it computes on even in principle.
 type Keyed struct {
 	cfg   KeyedConfig
 	store *keys.Store
 	info  client.InfoResponse
+	// prep is the plan compiled once — lowered, optimized per Plan.Opt,
+	// plaintexts pre-encoded — against a guarded key-less eval engine;
+	// evalFor rebinds it to each client's engine. It is the route's own,
+	// apart from the plan's cached graph the plaintext route uses.
+	prep *exec.Prepared
 	// bundleLimit and ctLimit bound request bodies, computed from the
 	// exact wire sizes of the largest legitimate payloads (ctLimit covers
 	// all shard frames of one request).
@@ -76,8 +81,8 @@ type Keyed struct {
 }
 
 // keyedEval is the per-client evaluation state cached on a store entry:
-// a guarded eval-only engine plus the plan's graph prepared (plaintext
-// operands pre-encoded) against it. Guarded by Entry.Mu.
+// a guarded eval-only engine plus the route's prepared graph rebound to
+// it. Guarded by Entry.Mu.
 type keyedEval struct {
 	g    *guard.GuardedEngine
 	prep *exec.Prepared
@@ -89,7 +94,9 @@ type keyedEval struct {
 // harmless).
 const bundleSlackRotations = 4
 
-// NewKeyed builds the keyed handler for one plan on one CKKS context.
+// NewKeyed builds the keyed handler for one plan on one CKKS context. It
+// compiles the plan for the context up front, so a plan the parameters
+// cannot evaluate (too deep for the chain) fails here, not per request.
 func NewKeyed(cfg KeyedConfig) (*Keyed, error) {
 	if cfg.Ctx == nil {
 		return nil, fmt.Errorf("serve: KeyedConfig.Ctx is required")
@@ -99,6 +106,10 @@ func NewKeyed(cfg KeyedConfig) (*Keyed, error) {
 	}
 	if cfg.Guard == (guard.Config{}) {
 		cfg.Guard = guard.DefaultConfig()
+	}
+	prep, _, err := cfg.Plan.Prepare(guard.New(henn.NewRNSEvalEngine(cfg.Ctx, nil, nil), cfg.Guard))
+	if err != nil {
+		return nil, fmt.Errorf("serve: compiling the plan for the encrypted route: %w", err)
 	}
 	rotations := cfg.Plan.Rotations()
 	shards := cfg.Plan.NumShards()
@@ -120,6 +131,7 @@ func NewKeyed(cfg KeyedConfig) (*Keyed, error) {
 	k := &Keyed{
 		cfg:   cfg,
 		store: store,
+		prep:  prep,
 		info: client.InfoResponse{
 			Model:          cfg.Model,
 			Backend:        cfg.Backend,
@@ -362,19 +374,14 @@ func (k *Keyed) finishEncrypted(tc telemetry.TraceContext, outcome string, start
 
 // evalFor returns the entry's cached evaluation state, building it on
 // first use: an eval-only engine over the client's relinearization and
-// rotation keys, wrapped in a guard, with the plan lowered and its
-// plaintext operands pre-encoded against it. Caller holds entry.Mu.
+// rotation keys, wrapped in a guard, with the route's prepared graph
+// rebound to it. Caller holds entry.Mu.
 func (k *Keyed) evalFor(entry *keys.Entry) (*keyedEval, error) {
 	if ev, ok := entry.Eval.(*keyedEval); ok {
 		return ev, nil
 	}
-	eng := henn.NewRNSEvalEngine(k.cfg.Ctx, entry.Bundle.RLK, entry.Bundle.RTK)
-	g := guard.New(eng, k.cfg.Guard)
-	graph, err := k.cfg.Plan.Lower(g)
-	if err != nil {
-		return nil, err
-	}
-	prep, err := exec.Prepare(g, graph)
+	g := guard.New(henn.NewRNSEvalEngine(k.cfg.Ctx, entry.Bundle.RLK, entry.Bundle.RTK), k.cfg.Guard)
+	prep, err := k.prep.On(g)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 	"cnnhe/internal/ckks"
 	"cnnhe/internal/client"
 	"cnnhe/internal/henn"
-	"cnnhe/internal/henn/exec"
+	"cnnhe/internal/henn/ir/opt"
 	"cnnhe/internal/nn"
 	"cnnhe/internal/tensor"
 )
@@ -28,7 +28,7 @@ type shardedFixture struct {
 	ctx   *ckks.Context
 }
 
-func newShardedFixture(t testing.TB) *shardedFixture {
+func newShardedFixture(t testing.TB, o *opt.Options) *shardedFixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
 	m := &nn.Model{Layers: []nn.Layer{nn.NewDense(rng, 1200, 7)}}
@@ -39,6 +39,7 @@ func newShardedFixture(t testing.TB) *shardedFixture {
 	if sp.NumShards() != 3 {
 		t.Fatalf("auto grid: %d shards, want 3", sp.NumShards())
 	}
+	sp.Opt = o
 	p, err := ckks.NewParameters(10, []int{40, 30, 30}, 60, 1, math.Exp2(30))
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +86,7 @@ func (f *shardedFixture) clientKeys(t testing.TB, seed int64) (*client.KeySet, *
 // sharded plan advertises its shard count and a decodable input manifest
 // that splits images into exactly the server's expected frame set.
 func TestKeyedShardedInfoAdvertisesManifest(t *testing.T) {
-	f := newShardedFixture(t)
+	f := newShardedFixture(t, nil)
 	info, err := f.cl.Info(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -114,10 +115,18 @@ func TestKeyedShardedInfoAdvertisesManifest(t *testing.T) {
 // TestKeyedShardedRoundTrip is the sharded protocol end to end: the
 // client splits the image by the advertised manifest, ships one
 // ciphertext frame per shard, and the decrypted logits are bit-identical
-// to the same sharded plan evaluated locally under the same keys and
-// encryption randomness.
+// to the same sharded plan's InferCtx under the same keys and encryption
+// randomness, optimized or not.
 func TestKeyedShardedRoundTrip(t *testing.T) {
-	f := newShardedFixture(t)
+	for _, leg := range []struct {
+		name string
+		opts *opt.Options
+	}{{"opt=on", nil}, {"opt=off", opt.Disabled()}} {
+		t.Run(leg.name, func(t *testing.T) { testKeyedShardedRoundTrip(t, newShardedFixture(t, leg.opts)) })
+	}
+}
+
+func testKeyedShardedRoundTrip(t *testing.T, f *shardedFixture) {
 	ks, info := f.clientKeys(t, 98)
 	man, err := info.Manifest()
 	if err != nil {
@@ -138,28 +147,11 @@ func TestKeyedShardedRoundTrip(t *testing.T) {
 	// Reference: identical computation locally with the same key material
 	// and encryption randomness.
 	ref := henn.NewRNSEngineFromKeys(ks.Context(), ks.SK, ks.PK, ks.RLK, ks.RTK, encSeed)
-	g, err := f.sp.Lower(ref)
+	want, _, err := f.sp.InferCtx(context.Background(), ref, img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep, err := exec.Prepare(ref, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := f.sp.Input.Split(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := prep.Run(context.Background(), parts, exec.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.DecryptVec(res.Out)[:f.sp.OutputDim]
-	for i := range want {
-		if got.Logits[i] != want[i] {
-			t.Fatalf("logit %d: encrypted route %v, local reference %v", i, got.Logits[i], want[i])
-		}
-	}
+	assertSameLogits(t, "encrypted route", got.Logits, want)
 
 	// Sanity beyond bit-identity: the encrypted logits track the
 	// plaintext matrix product.
@@ -188,7 +180,7 @@ func nnForwardDense(t testing.TB, img []float64) []float64 {
 // body with bytes past the expected frame set is a 400, not a silent
 // truncation. (A whole extra frame trips the 413 size cap even earlier.)
 func TestKeyedShardedRejectsWrongFrameCount(t *testing.T) {
-	f := newShardedFixture(t)
+	f := newShardedFixture(t, nil)
 	ks, info := f.clientKeys(t, 99)
 	man, err := info.Manifest()
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 	"cnnhe/internal/ckks"
 	"cnnhe/internal/client"
 	"cnnhe/internal/henn"
-	"cnnhe/internal/henn/exec"
+	"cnnhe/internal/henn/ir/opt"
 )
 
 // keyedFixture is a running keyed server over the tiny model plus the
@@ -95,56 +95,94 @@ func (f *keyedFixture) clientKeys(t testing.TB, seed int64) *client.KeySet {
 
 // TestKeyedEncryptedRoundTrip is the protocol's end-to-end core: keygen
 // → register → encrypt → server-side eval under client keys → local
-// decrypt, with logits bit-identical to the same keys evaluated through
-// the full (secret-holding) engine locally.
+// decrypt, with logits bit-identical to plan.InferCtx on the full
+// (secret-holding) engine over the same keys and encryption randomness.
+// The route compiles through the plan's own path, so it follows Plan.Opt:
+// each leg's served graph is the one InferCtx prepares, and the optimized
+// leg's is the smaller.
 func TestKeyedEncryptedRoundTrip(t *testing.T) {
-	f := newKeyedFixture(t)
-	ks := f.clientKeys(t, 91)
-	img := testImage(rand.New(rand.NewSource(7)), f.plan.InputDim)
-	const encSeed = 777
+	calls := map[string]int{}
+	for _, leg := range []struct {
+		name string
+		opts *opt.Options
+	}{{"opt=on", nil}, {"opt=off", opt.Disabled()}} {
+		t.Run(leg.name, func(t *testing.T) {
+			f := newKeyedFixtureCfg(t, func(cfg *KeyedConfig) { cfg.Plan.Opt = leg.opts })
+			ks := f.clientKeys(t, 91)
+			img := testImage(rand.New(rand.NewSource(7)), f.plan.InputDim)
+			const encSeed = 777
 
-	got, err := f.cl.ClassifyEncrypted(context.Background(), ks, img, f.plan.OutputDim,
-		client.WithEncryptionSeed(encSeed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Logits) != f.plan.OutputDim {
-		t.Fatalf("got %d logits, want %d", len(got.Logits), f.plan.OutputDim)
-	}
+			got, err := f.cl.ClassifyEncrypted(context.Background(), ks, img, f.plan.OutputDim,
+				client.WithEncryptionSeed(encSeed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := henn.NewRNSEngineFromKeys(ks.Context(), ks.SK, ks.PK, ks.RLK, ks.RTK, encSeed)
+			want, _, err := f.plan.InferCtx(context.Background(), ref, img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameLogits(t, "encrypted route", got.Logits, want)
 
-	// Reference: the identical computation run locally with the same key
-	// material and the same encryption randomness.
-	ref := henn.NewRNSEngineFromKeys(ks.Context(), ks.SK, ks.PK, ks.RLK, ks.RTK, encSeed)
-	g, err := f.plan.Lower(ref)
-	if err != nil {
-		t.Fatal(err)
+			// A second round trip under the cached per-client engine must agree
+			// too (exercises the Entry.Eval reuse path).
+			again, err := f.cl.ClassifyEncrypted(context.Background(), ks, img, f.plan.OutputDim,
+				client.WithEncryptionSeed(encSeed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameLogits(t, "cached-engine", again.Logits, want)
+
+			res, err := f.plan.OptResult(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := f.keyed.prep.Graph().Stats(); st.Ops != res.After.Ops || st.EngineCalls != res.After.EngineCalls {
+				t.Fatalf("served graph %d ops / %d engine calls, plan compiles %d / %d",
+					st.Ops, st.EngineCalls, res.After.Ops, res.After.EngineCalls)
+			}
+			calls[leg.name] = res.After.EngineCalls
+		})
 	}
-	prep, err := exec.Prepare(ref, g)
-	if err != nil {
-		t.Fatal(err)
+	if calls["opt=on"] >= calls["opt=off"] {
+		t.Fatalf("optimized route makes %d engine calls, unoptimized %d", calls["opt=on"], calls["opt=off"])
 	}
-	res, err := prep.Run(context.Background(), [][]float64{img}, exec.Options{})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// assertSameLogits requires bit-identical logits.
+func assertSameLogits(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d logits, want %d", label, len(got), len(want))
 	}
-	want := ref.DecryptVec(res.Out)[:f.plan.OutputDim]
 	for i := range want {
-		if got.Logits[i] != want[i] {
-			t.Fatalf("logit %d: encrypted route %v, local reference %v", i, got.Logits[i], want[i])
+		if got[i] != want[i] {
+			t.Fatalf("%s logit %d: %v, local reference %v", label, i, got[i], want[i])
 		}
 	}
+}
 
-	// A second round trip under the cached per-client engine must agree
-	// too (exercises the Entry.Eval reuse path).
-	again, err := f.cl.ClassifyEncrypted(context.Background(), ks, img, f.plan.OutputDim,
-		client.WithEncryptionSeed(encSeed))
+// TestNewKeyedRejectsTooDeepPlan: a plan the parameters cannot evaluate
+// fails at construction, not with a 500 on every classify.
+func TestNewKeyedRejectsTooDeepPlan(t *testing.T) {
+	plan, err := henn.Compile(tinyModel(61), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if again.Logits[i] != want[i] {
-			t.Fatalf("cached-engine logit %d: %v, want %v", i, again.Logits[i], want[i])
-		}
+	p, err := ckks.NewParameters(10, []int{40, 30, 30}, 60, 1, math.Exp2(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.CheckDepth(p.MaxLevel()) == nil {
+		t.Fatalf("fixture: plan depth %d fits %d levels", plan.Depth, p.MaxLevel())
+	}
+	ctx, err := ckks.NewContext(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k, err := NewKeyed(KeyedConfig{Ctx: ctx, Plan: plan}); err == nil {
+		k.Close()
+		t.Fatal("NewKeyed accepted a plan deeper than the modulus chain")
 	}
 }
 
