@@ -96,13 +96,18 @@ trend:
 	bash benchmark/run.sh --twice
 
 ## bench-kernels: ring kernel micro-benchmarks — NTT, pointwise multiply,
-## rescale division and cached-scalar multiply per limb count, and the
+## rescale division and cached-scalar multiply per limb count, the
 ## lazily-reduced inner product against the eager per-term loop per term
-## and limb count — serial vs pool-parallel, with allocation counts. The
+## and limb count, and the key switch's NTT-domain ModDown and one-job
+## digit raise against the coefficient-domain shapes they replaced —
+## serial vs pool-parallel, with allocation counts; then the scheme ops
+## those kernels make up (Rescale, Rotate, Mul+relinearize, eight hoisted
+## rotations), so one command prints the kernel → scheme-op chain. The
 ## parallel/serial ratio at a given limb count is the limb-level speedup;
 ## it scales with GOMAXPROCS.
 bench-kernels:
 	$(GO) test -run xxx -bench 'BenchmarkKernel' -benchtime 20x -benchmem -timeout 30m ./internal/ring/
+	$(GO) test -run xxx -bench '^Benchmark(Rescale|Rotate|MulRelin|RotateHoisted8)$$' -benchtime 20x -benchmem -timeout 30m ./internal/ckks/
 
 ## bench-selftest: the nested benchmark module (benchmark/, which the root
 ## `go test ./...` does not enter) — vet plus its short tests: the

@@ -292,6 +292,42 @@ func TestRotateZeroAndHoisted(t *testing.T) {
 	}
 }
 
+// TestRotateBySlotMultipleIsCopy: a rotation by a multiple of the slot
+// count has Galois element 1, the identity. It must return an exact copy —
+// standalone or hoisted, with only an unrelated key present — and key
+// generation must not build a switching key for it.
+func TestRotateBySlotMultipleIsCopy(t *testing.T) {
+	p, err := TinyParameters()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := newTestKit(t, p, []int{1}, false)
+	slots := k.ctx.Params.Slots()
+	if keys := k.kg.GenRotationKeys(k.sk, []int{0, slots, -slots, 3 * slots}, false).Keys; len(keys) != 0 {
+		t.Fatalf("identity rotations generated %d keys, want 0", len(keys))
+	}
+	rng := rand.New(rand.NewSource(14))
+	ct := k.ept.Encrypt(k.enc.Encode(randVec(rng, slots, 1), k.ctx.Params.MaxLevel(), k.ctx.Params.Scale))
+	r := k.ctx.R
+	limbs := r.Limbs(ct.Level, false)
+	same := func(got *Ciphertext) bool {
+		return got.Level == ct.Level && got.Scale == ct.Scale &&
+			r.Equal(limbs, got.C0, ct.C0) && r.Equal(limbs, got.C1, ct.C1)
+	}
+	for _, rot := range []int{0, slots, -slots, 2 * slots} {
+		if !same(k.ev.Rotate(ct, rot)) {
+			t.Errorf("Rotate(%d) is not a copy", rot)
+		}
+		hoisted := k.ev.RotateHoisted(ct, []int{rot, 1})
+		if !same(hoisted[rot]) {
+			t.Errorf("RotateHoisted(%d) is not a copy", rot)
+		}
+		if hoisted[1] == nil || same(hoisted[1]) {
+			t.Errorf("RotateHoisted(%d, 1) lost the real rotation", rot)
+		}
+	}
+}
+
 func TestScaleMismatchPanics(t *testing.T) {
 	k := tiny(t)
 	L := k.ctx.Params.MaxLevel()

@@ -187,25 +187,24 @@ func (ev *Evaluator) Mul(a, b *Ciphertext) *Ciphertext {
 	r := ev.ctx.R
 	limbs := r.Limbs(level, false)
 
-	d0 := r.NewPolyQ(level)
-	d1 := r.NewPolyQ(level)
-	d2 := r.GetPoly()
-	tmp := r.GetPoly()
+	d0, d1, d2, tmp := r.GetPoly(), r.GetPoly(), r.GetPoly(), r.GetPoly()
 	r.MulCoeffs(limbs, a.C0, b.C0, d0)
 	r.MulCoeffs(limbs, a.C0, b.C1, d1)
 	r.MulCoeffs(limbs, a.C1, b.C0, tmp)
 	r.Add(limbs, d1, tmp, d1)
 	r.MulCoeffs(limbs, a.C1, b.C1, d2)
-	r.PutPoly(tmp)
 
-	// Relinearize d2·s² via key switching.
-	r.INTT(limbs, d2)
-	ks0, ks1 := ev.keySwitchCoeff(level, d2, &ev.rlk.SwitchingKey)
-	r.PutPoly(d2)
-	out := &Ciphertext{C0: d0, C1: d1, Level: level, Scale: a.Scale * b.Scale}
-	r.Add(limbs, out.C0, ks0, out.C0)
-	r.Add(limbs, out.C1, ks1, out.C1)
-	return out
+	// Relinearize d2·s² via key switching; the digit raise takes d2 in
+	// both domains.
+	r.Copy(limbs, d2, tmp)
+	r.INTT(limbs, tmp)
+	ks0, ks1 := ev.keySwitchCoeff(level, tmp, d2, &ev.rlk.SwitchingKey)
+	r.Add(limbs, ks0, d0, ks0)
+	r.Add(limbs, ks1, d1, ks1)
+	for _, p := range []*ring.Poly{d0, d1, d2, tmp} {
+		r.PutPoly(p)
+	}
+	return &Ciphertext{C0: ks0, C1: ks1, Level: level, Scale: a.Scale * b.Scale}
 }
 
 func (ev *Evaluator) checkMulPair(a, b *Ciphertext) int {
@@ -219,29 +218,31 @@ func (ev *Evaluator) checkMulPair(a, b *Ciphertext) int {
 func (ev *Evaluator) Square(a *Ciphertext) *Ciphertext { return ev.Mul(a, a) }
 
 // Rescale divides the ciphertext by its top prime q_level, dropping one
-// level and dividing the scale accordingly.
+// level and dividing the scale accordingly. Only limb `level` leaves the
+// NTT domain, in scratch: the other limbs of ct are read in place and ct
+// is never written, since the parallel executor shares input ciphertexts
+// across tasks.
 func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 	if ct.Level == 0 {
 		panic("ckks: cannot rescale at level 0")
 	}
 	r := ev.ctx.R
 	level := ct.Level
-	limbsAll := r.Limbs(level, false)
-	limbsDown := r.Limbs(level-1, false)
 	out := &Ciphertext{
 		C0: r.NewPolyQ(level - 1), C1: r.NewPolyQ(level - 1),
 		Level: level - 1,
 		Scale: ct.Scale / ev.ctx.Params.QiFloat(level),
 	}
-	tmp := r.GetPoly()
-	for _, pair := range [][2]*ring.Poly{{ct.C0, out.C0}, {ct.C1, out.C1}} {
-		r.Copy(limbsAll, pair[0], tmp)
-		r.INTT(limbsAll, tmp)
-		r.DivideExactByLimb(level, limbsDown, tmp, tmp)
-		r.NTT(limbsDown, tmp)
-		r.Copy(limbsDown, tmp, pair[1])
-	}
-	r.PutPoly(tmp)
+	top := []int{level}
+	top0, top1 := r.GetPoly(), r.GetPoly()
+	r.Copy(top, ct.C0, top0)
+	r.Copy(top, ct.C1, top1)
+	r.INTT(top, top0)
+	r.INTT(top, top1)
+	r.DivideExactByLimbNTT(level, r.Limbs(level-1, false),
+		[]*ring.Poly{top0, top1}, []*ring.Poly{ct.C0, ct.C1}, []*ring.Poly{out.C0, out.C1})
+	r.PutPoly(top0)
+	r.PutPoly(top1)
 	return out
 }
 

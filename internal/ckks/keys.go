@@ -117,13 +117,14 @@ func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *RelinearizationKey
 
 // GenRotationKeys builds switching keys for the given slot rotations
 // (left rotations; negatives allowed) and, when conjugate is set, for
-// complex conjugation.
+// complex conjugation. Rotations by a multiple of the slot count are the
+// identity (Galois element 1) and get no key.
 func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, rotations []int, conjugate bool) *RotationKeySet {
 	set := &RotationKeySet{Keys: map[uint64]*SwitchingKey{}}
 	logN := kg.ctx.Params.LogN
 	for _, rot := range rotations {
 		galEl := ring.GaloisElementForRotation(logN, rot)
-		if _, ok := set.Keys[galEl]; ok || rot == 0 {
+		if _, ok := set.Keys[galEl]; ok || galEl == 1 {
 			continue
 		}
 		set.Keys[galEl] = kg.genRotationKey(sk, galEl)

@@ -4,9 +4,10 @@ import (
 	"cnnhe/internal/ring"
 )
 
-// keySwitchCoeff applies the RNS-decomposition key switch to the
-// coefficient-domain polynomial c at the given level: it returns NTT-domain
-// polynomials (p0, p1) on limbs 0..level such that
+// keySwitchCoeff applies the RNS-decomposition key switch to a polynomial
+// given in both domains on limbs 0..level — c in coefficient form, cNTT in
+// NTT form — and returns fresh NTT-domain polynomials (p0, p1) on limbs
+// 0..level only, such that
 //
 //	p0 + p1·s ≈ c·s'
 //
@@ -14,41 +15,35 @@ import (
 // relinearization, φ(s) for rotations).
 //
 // Procedure (one digit per ciphertext limb, special primes P):
-//  1. raise digit i = [c]_{q_i} to all QP limbs by modular reduction;
-//  2. take the inner products Σ_i NTT(digit_i) ⊙ swk.B[i] and ⊙ swk.A[i]
+//  1. raise digit i = [c]_{q_i} to all QP limbs and transform it
+//     (ring.DecomposeNTT: digit i's own limb is cNTT's, copied);
+//  2. take the inner products Σ_i digit_i ⊙ swk.B[i] and ⊙ swk.A[i]
 //     over QP, lazily reduced (ring.InnerProduct: one Barrett per
 //     coefficient instead of one per digit);
-//  3. divide by P with rounding (ModDown) back to Q.
-func (ev *Evaluator) keySwitchCoeff(level int, c *ring.Poly, swk *SwitchingKey) (*ring.Poly, *ring.Poly) {
+//  3. divide by P with rounding (modDown) back to Q, in the NTT domain.
+func (ev *Evaluator) keySwitchCoeff(level int, c, cNTT *ring.Poly, swk *SwitchingKey) (*ring.Poly, *ring.Poly) {
 	r := ev.ctx.R
 	limbsQP := r.Limbs(level, true)
 
-	digits := ev.decompose(level, c)
-	acc0 := r.NewPoly(level)
-	acc1 := r.NewPoly(level)
+	digits := ev.decompose(level, c, cNTT)
+	acc0, acc1 := r.GetPoly(), r.GetPoly()
 	r.InnerProduct(limbsQP, digits, swk.B[:level+1], acc0)
 	r.InnerProduct(limbsQP, digits, swk.A[:level+1], acc1)
 	ev.releaseDigits(digits)
-
-	ev.modDownNTT(level, acc0)
-	ev.modDownNTT(level, acc1)
-	return acc0, acc1
+	return ev.modDown(level, acc0, acc1)
 }
 
-// decompose raises every RNS digit [c]_{q_i}, i ≤ level, of the
-// coefficient-domain polynomial c to all QP limbs and transforms it to the
-// NTT domain. The digits are pooled polynomials: hand them back with
-// releaseDigits.
-func (ev *Evaluator) decompose(level int, c *ring.Poly) []*ring.Poly {
+// decompose raises every RNS digit [c]_{q_i}, i ≤ level, of the polynomial
+// given as c (coefficient domain) and cNTT (NTT domain) to all QP limbs,
+// in the NTT domain. The digits are pooled polynomials: hand them back
+// with releaseDigits.
+func (ev *Evaluator) decompose(level int, c, cNTT *ring.Poly) []*ring.Poly {
 	r := ev.ctx.R
-	limbsQP := r.Limbs(level, true)
 	digits := make([]*ring.Poly, level+1)
 	for i := range digits {
-		d := r.GetPoly()
-		r.ExtendLimb(i, limbsQP, c, d)
-		r.NTT(limbsQP, d)
-		digits[i] = d
+		digits[i] = r.GetPoly()
 	}
+	r.DecomposeNTT(r.Limbs(level, true), c, cNTT, digits)
 	return digits
 }
 
@@ -58,30 +53,33 @@ func (ev *Evaluator) releaseDigits(digits []*ring.Poly) {
 	}
 }
 
-// modDownNTT takes the NTT-domain key-switch accumulator p on QP limbs to
-// its final form: divided by P with rounding, NTT domain, limbs 0..level.
-func (ev *Evaluator) modDownNTT(level int, p *ring.Poly) {
+// modDown divides the NTT-domain key-switch accumulators acc0 and acc1 (on
+// limbs 0..level + specials) by the special modulus P with rounding and
+// returns the quotients as fresh NTT-domain polynomials on limbs 0..level.
+// It divides by one special prime at a time, the last first, and the
+// remaining specials stay targets until their own turn; only the prime
+// being divided out leaves the NTT domain. The accumulators are pooled
+// scratch and are handed back here.
+func (ev *Evaluator) modDown(level int, acc0, acc1 *ring.Poly) (*ring.Poly, *ring.Poly) {
 	r := ev.ctx.R
-	r.INTT(r.Limbs(level, true), p)
-	ev.modDown(level, p)
-	r.NTT(r.Limbs(level, false), p)
-}
-
-// modDown divides the coefficient-domain polynomial p (on limbs
-// 0..level + specials) by the full special modulus P with rounding,
-// leaving the result on limbs 0..level.
-func (ev *Evaluator) modDown(level int, p *ring.Poly) {
-	r := ev.ctx.R
-	nLimbs := len(r.SubRings)
-	special := make([]int, 0, r.Special)
-	for i := nLimbs - r.Special; i < nLimbs; i++ {
-		special = append(special, i)
+	limbsQ := r.Limbs(level, false)
+	accs := []*ring.Poly{acc0, acc1}
+	outs := []*ring.Poly{r.NewPolyQ(level), r.NewPolyQ(level)}
+	first := len(r.SubRings) - r.Special
+	if r.Special == 0 { // nothing to divide out
+		r.Copy(limbsQ, acc0, outs[0])
+		r.Copy(limbsQ, acc1, outs[1])
 	}
-	// Divide by one special prime at a time; remaining specials stay live
-	// as targets until their own turn.
-	for si := len(special) - 1; si >= 0; si-- {
-		targets := r.Limbs(level, false)
-		targets = append(targets, special[:si]...)
-		r.DivideExactByLimb(special[si], targets, p, p)
+	for src := len(r.SubRings) - 1; src >= first; src-- {
+		targets, dst := limbsQ, outs
+		if src > first {
+			targets, dst = r.Limbs(level, true)[:level+1+src-first], accs
+		}
+		r.INTT([]int{src}, acc0)
+		r.INTT([]int{src}, acc1)
+		r.DivideExactByLimbNTT(src, targets, accs, accs, dst)
 	}
+	r.PutPoly(acc0)
+	r.PutPoly(acc1)
+	return outs[0], outs[1]
 }

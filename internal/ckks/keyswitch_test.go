@@ -6,7 +6,10 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+
+	"cnnhe/internal/ring"
 )
 
 // ctDigest is the SHA-256 of the wire encodings of cts, in order.
@@ -101,5 +104,84 @@ func TestKeySwitchRescaleDigests(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// countingSubRing counts the limb transforms that pass through one limb
+// of a ring. It hides the concrete limb type, so ring.InnerProduct takes
+// its eager path: slower, bit-identical, and transform-free either way.
+type countingSubRing struct {
+	ring.SubRing
+	ntt, intt *atomic.Int64
+}
+
+func (c countingSubRing) NTT(a []uint64)  { c.ntt.Add(1); c.SubRing.NTT(a) }
+func (c countingSubRing) INTT(a []uint64) { c.intt.Add(1); c.SubRing.INTT(a) }
+
+// ReduceFrom unwraps a counting source: the limb backends dispatch on the
+// source's concrete type.
+func (c countingSubRing) ReduceFrom(src ring.SubRing, a, out []uint64) {
+	if s, ok := src.(countingSubRing); ok {
+		src = s.SubRing
+	}
+	c.SubRing.ReduceFrom(src, a, out)
+}
+
+// TestKeySwitchTransformCounts pins how many limb NTTs and INTTs each
+// key-switching operation and Rescale performs, at n = level+1 ciphertext
+// limbs and one special prime. Counts repeat exactly, so they gate "fewer
+// transforms" where wall time cannot: only the limb divided out of a
+// ModDown or Rescale and the coefficient form of the digit raise leave the
+// NTT domain, and digit i's own limb is copied, not re-transformed.
+func TestKeySwitchTransformCounts(t *testing.T) {
+	p, err := TinyParameters()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hoist8 := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	k := newTestKit(t, p, hoist8, false)
+	if k.ctx.R.Special != 1 {
+		t.Fatalf("formulas assume one special prime, chain has %d", k.ctx.R.Special)
+	}
+	var ntt, intt atomic.Int64
+	for i, sr := range k.ctx.R.SubRings {
+		k.ctx.R.SubRings[i] = countingSubRing{SubRing: sr, ntt: &ntt, intt: &intt}
+	}
+	rng := rand.New(rand.NewSource(31))
+	top := k.ctx.Params.MaxLevel()
+	fresh := k.ept.Encrypt(k.enc.Encode(randVec(rng, k.ctx.Params.Slots(), 1), top, k.ctx.Params.Scale))
+	for _, tc := range []struct {
+		name   string
+		level  int
+		op     func(ct *Ciphertext)
+		nttOf  func(n int) int
+		inttOf func(n int) int
+	}{
+		{"Rotate", top, func(ct *Ciphertext) { k.ev.Rotate(ct, 1) },
+			func(n int) int { return n*n + 2*n }, func(n int) int { return n + 2 }},
+		{"Rotate", top - 2, func(ct *Ciphertext) { k.ev.Rotate(ct, 1) },
+			func(n int) int { return n*n + 2*n }, func(n int) int { return n + 2 }},
+		{"Mul", top, func(ct *Ciphertext) { k.ev.Mul(ct, ct) },
+			func(n int) int { return n*n + 2*n }, func(n int) int { return n + 2 }},
+		{"RotateHoisted/m=1", top, func(ct *Ciphertext) { k.ev.RotateHoisted(ct, hoist8[:1]) },
+			func(n int) int { return n*n + 2*n }, func(n int) int { return n + 2 }},
+		{"RotateHoisted/m=8", top, func(ct *Ciphertext) { k.ev.RotateHoisted(ct, hoist8) },
+			func(n int) int { return n*n + 16*n }, func(n int) int { return n + 16 }},
+		{"Rescale", top, func(ct *Ciphertext) { k.ev.Rescale(ct) },
+			func(n int) int { return 2 * (n - 1) }, func(int) int { return 2 }},
+		{"Rescale", 1, func(ct *Ciphertext) { k.ev.Rescale(ct) },
+			func(n int) int { return 2 * (n - 1) }, func(int) int { return 2 }},
+	} {
+		ct := k.ev.DropLevel(fresh, top-tc.level)
+		n := tc.level + 1
+		ntt.Store(0)
+		intt.Store(0)
+		tc.op(ct)
+		if got, want := int(ntt.Load()), tc.nttOf(n); got != want {
+			t.Errorf("%s at n=%d: %d limb NTTs, want %d", tc.name, n, got, want)
+		}
+		if got, want := int(intt.Load()), tc.inttOf(n); got != want {
+			t.Errorf("%s at n=%d: %d limb INTTs, want %d", tc.name, n, got, want)
+		}
 	}
 }

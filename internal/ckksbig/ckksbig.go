@@ -333,15 +333,13 @@ func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *SwitchingKey {
 }
 
 // GenRotationKeys builds switching keys for slot rotations (and
-// conjugation when requested).
+// conjugation when requested). Rotations by a multiple of the slot count
+// are the identity (Galois element 1) and get no key.
 func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, rotations []int, conjugate bool) *RotationKeySet {
 	set := &RotationKeySet{Keys: map[uint64]*SwitchingKey{}}
 	for _, rot := range rotations {
-		if rot == 0 {
-			continue
-		}
 		galEl := ring.GaloisElementForRotation(kg.ctx.Params.LogN, rot)
-		if _, ok := set.Keys[galEl]; ok {
+		if _, ok := set.Keys[galEl]; ok || galEl == 1 {
 			continue
 		}
 		set.Keys[galEl] = kg.genRotationKeyFor(sk, galEl)

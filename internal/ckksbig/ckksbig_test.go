@@ -3,6 +3,7 @@ package ckksbig
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"cnnhe/internal/ckks"
@@ -11,6 +12,7 @@ import (
 type kit struct {
 	ctx *Context
 	enc *Encoder
+	kg  *KeyGenerator
 	sk  *SecretKey
 	ept *Encryptor
 	dec *Decryptor
@@ -43,6 +45,7 @@ func newKit(t testing.TB, rotations []int, conjugate bool) *kit {
 	return &kit{
 		ctx: ctx,
 		enc: NewEncoder(ctx),
+		kg:  kg,
 		sk:  sk,
 		ept: NewEncryptor(ctx, pk, 22),
 		dec: NewDecryptor(ctx, sk),
@@ -212,6 +215,31 @@ func TestBigRotateHoisted(t *testing.T) {
 			if math.Abs(got[i]-want) > 1e-3 {
 				t.Fatalf("hoisted rotate %d error at slot %d", rot, i)
 			}
+		}
+	}
+}
+
+// TestBigRotateBySlotMultipleIsCopy mirrors the RNS backend's test: a
+// rotation by a multiple of the slot count (Galois element 1) is an exact
+// copy, standalone or hoisted, and gets no switching key.
+func TestBigRotateBySlotMultipleIsCopy(t *testing.T) {
+	k := newKit(t, []int{1}, false)
+	slots := k.ctx.Params.Slots()
+	if keys := k.kg.GenRotationKeys(k.sk, []int{0, slots, -slots, 3 * slots}, false).Keys; len(keys) != 0 {
+		t.Fatalf("identity rotations generated %d keys, want 0", len(keys))
+	}
+	rng := rand.New(rand.NewSource(16))
+	ct := k.ept.Encrypt(k.enc.Encode(randVec(rng, slots, 1), k.L, k.ctx.Params.Scale))
+	for _, rot := range []int{0, slots, -slots, 2 * slots} {
+		if !reflect.DeepEqual(k.ev.Rotate(ct, rot), ct) {
+			t.Errorf("Rotate(%d) is not a copy", rot)
+		}
+		hoisted := k.ev.RotateHoisted(ct, []int{rot, 1})
+		if !reflect.DeepEqual(hoisted[rot], ct) {
+			t.Errorf("RotateHoisted(%d) is not a copy", rot)
+		}
+		if hoisted[1] == nil || reflect.DeepEqual(hoisted[1], ct) {
+			t.Errorf("RotateHoisted(%d, 1) lost the real rotation", rot)
 		}
 	}
 }

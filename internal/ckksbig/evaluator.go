@@ -298,12 +298,13 @@ func (ev *Evaluator) modDownP(level int, x *bigring.Poly) *bigring.Poly {
 	return out
 }
 
-// Rotate returns ct with slots rotated left by k.
+// Rotate returns ct with slots rotated left by k. A rotation by a multiple
+// of the slot count is the identity and returns a copy.
 func (ev *Evaluator) Rotate(ct *Ciphertext, k int) *Ciphertext {
-	if k == 0 {
+	galEl := ring.GaloisElementForRotation(ev.ctx.Params.LogN, k)
+	if galEl == 1 {
 		return ct.CopyNew(ev.ctx)
 	}
-	galEl := ring.GaloisElementForRotation(ev.ctx.Params.LogN, k)
 	return ev.automorphism(ct, galEl)
 }
 
@@ -315,13 +316,14 @@ func (ev *Evaluator) Conjugate(ct *Ciphertext) *Ciphertext {
 // RotateHoisted returns rotations of ct by each k in ks, hoisting the
 // expensive lift-and-NTT of c1 modulo Q·P across all rotations; each
 // rotation then costs only an NTT-domain permutation, the key product and
-// the mod-down.
+// the mod-down. Rotations by a multiple of the slot count are copies.
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, ks []int) map[int]*Ciphertext {
+	logN := ev.ctx.Params.LogN
 	out := make(map[int]*Ciphertext, len(ks))
 	var rest []int
 	for _, k := range ks {
-		if k == 0 {
-			out[0] = ct.CopyNew(ev.ctx)
+		if ring.GaloisElementForRotation(logN, k) == 1 {
+			out[k] = ct.CopyNew(ev.ctx)
 		} else {
 			rest = append(rest, k)
 		}
@@ -335,7 +337,6 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, ks []int) map[int]*Ciphertext
 	level := ct.Level
 	rq := ev.ctx.RingQ(level)
 	rqp := ev.ctx.RingQP(level)
-	logN := ev.ctx.Params.LogN
 
 	// Hoist: lift c1 to mod Q·P and transform once.
 	c1 := rq.Copy(ct.C1)

@@ -130,11 +130,8 @@ func NewStore(cfg Config) (*Store, error) {
 	seen := map[uint64]bool{}
 	var els []uint64
 	for _, rot := range cfg.RequiredRotations {
-		if rot == 0 {
-			continue
-		}
 		g := ring.GaloisElementForRotation(logN, rot)
-		if !seen[g] {
+		if g != 1 && !seen[g] { // element 1 is the identity, which needs no key
 			seen[g] = true
 			els = append(els, g)
 		}

@@ -345,3 +345,104 @@ func TestDifferentialDivideExactByLimb(t *testing.T) {
 		})
 	}
 }
+
+// clonePoly returns a copy of p on every limb.
+func clonePoly(r *Ring, p *Poly) *Poly {
+	out := r.NewPoly(r.MaxLevel())
+	r.Copy(r.Limbs(r.MaxLevel(), true), p, out)
+	return out
+}
+
+// TestDifferentialNTTDomainKeySwitchKernels pins the two NTT-domain
+// key-switch kernels to the coefficient-domain path they replace:
+// DivideExactByLimbNTT must equal DivideExactByLimb followed by NTT — for
+// the Rescale shape (top ciphertext limb divided out) and the ModDown shape
+// (special limb), one and two polynomials per call, the coefficient-form
+// source limb held in a separate polynomial or in place — and DecomposeNTT
+// must equal ExtendLimb followed by NTT for every digit. Word, wide and
+// mixed chains, serial and pool-parallel.
+func TestDifferentialNTTDomainKeySwitchKernels(t *testing.T) {
+	for _, cfg := range diffChains() {
+		for _, parallel := range []bool{false, true} {
+			cfg, parallel := cfg, parallel
+			t.Run(fmt.Sprintf("%s/parallel=%v", cfg.name, parallel), func(t *testing.T) {
+				chain, err := primes.BuildChain(5, cfg.bits, cfg.specialBits, cfg.special)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := NewRing(32, chain.Moduli, cfg.special, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Parallel = parallel
+				rng := rand.New(rand.NewSource(29))
+				all := r.Limbs(r.MaxLevel(), true)
+
+				srcLimbs := []int{r.MaxLevel()}
+				if r.Special > 0 {
+					srcLimbs = append(srcLimbs, len(r.SubRings)-1)
+				}
+				for _, src := range srcLimbs {
+					var targets []int
+					for _, i := range all {
+						if i != src {
+							targets = append(targets, i)
+						}
+					}
+					for polys := 1; polys <= 2; polys++ {
+						want := make([]*Poly, polys)
+						ps := make([]*Poly, polys)
+						srcOnly := make([]*Poly, polys)
+						outs := make([]*Poly, polys)
+						for k := range ps {
+							coeffs := randPoly(r, rng)
+							want[k] = r.NewPoly(r.MaxLevel())
+							r.DivideExactByLimb(src, targets, coeffs, want[k])
+							r.NTT(targets, want[k])
+							// NTT-domain operand with its src limb left in
+							// coefficient form, and a separate polynomial
+							// holding only that limb.
+							ps[k] = clonePoly(r, coeffs)
+							r.NTT(targets, ps[k])
+							srcOnly[k] = r.NewPoly(r.MaxLevel())
+							r.Copy([]int{src}, coeffs, srcOnly[k])
+							outs[k] = r.NewPoly(r.MaxLevel())
+						}
+						r.DivideExactByLimbNTT(src, targets, srcOnly, ps, outs)
+						for k := range ps {
+							if !r.Equal(targets, outs[k], want[k]) {
+								t.Fatalf("src %d, %d polys: separate-source division differs from INTT→DivideExactByLimb→NTT on poly %d", src, polys, k)
+							}
+						}
+						r.DivideExactByLimbNTT(src, targets, ps, ps, ps)
+						for k := range ps {
+							if !r.Equal(targets, ps[k], want[k]) {
+								t.Fatalf("src %d, %d polys: in-place division differs from INTT→DivideExactByLimb→NTT on poly %d", src, polys, k)
+							}
+						}
+					}
+				}
+
+				for _, level := range []int{0, r.MaxLevel()} {
+					limbs := r.Limbs(level, true)
+					c := randPoly(r, rng)
+					cNTT := clonePoly(r, c)
+					r.NTT(r.Limbs(level, false), cNTT)
+					digits := make([]*Poly, level+1)
+					for i := range digits {
+						digits[i] = r.NewPoly(r.MaxLevel())
+					}
+					r.DecomposeNTT(limbs, c, cNTT, digits)
+					for i, d := range digits {
+						want := r.NewPoly(r.MaxLevel())
+						r.ExtendLimb(i, limbs, c, want)
+						r.NTT(limbs, want)
+						if !r.Equal(limbs, d, want) {
+							t.Fatalf("level %d: DecomposeNTT digit %d differs from ExtendLimb→NTT", level, i)
+						}
+					}
+				}
+			})
+		}
+	}
+}

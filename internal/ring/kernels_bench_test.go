@@ -193,3 +193,72 @@ func BenchmarkKernelInnerProduct(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKernelModDown is the ModDown of one key switch — both
+// accumulators divided by the special prime — in the coefficient-domain
+// shape it replaced (INTT every QP limb, DivideExactByLimb, NTT the Q limbs
+// back) against the NTT-domain one (INTT the special limb,
+// DivideExactByLimbNTT on both polynomials in one job).
+func BenchmarkKernelModDown(b *testing.B) {
+	for _, tc := range kernelCases() {
+		r := benchRing(b, 12, tc.limbs, tc.parallel)
+		accs := []*Poly{benchPoly(r, 1), benchPoly(r, 2)}
+		outs := []*Poly{r.NewPolyQ(r.MaxLevel()), r.NewPolyQ(r.MaxLevel())}
+		special := len(r.SubRings) - 1
+		qLimbs := r.Limbs(r.MaxLevel(), false)
+		qpLimbs := r.Limbs(r.MaxLevel(), true)
+		name := fmt.Sprintf("limbs=%d/parallel=%v", tc.limbs, tc.parallel)
+		b.Run("coeff/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for k, acc := range accs {
+					r.INTT(qpLimbs, acc)
+					r.DivideExactByLimb(special, qLimbs, acc, outs[k])
+					r.NTT(qLimbs, outs[k])
+				}
+			}
+		})
+		b.Run("ntt/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, acc := range accs {
+					r.INTT([]int{special}, acc)
+				}
+				r.DivideExactByLimbNTT(special, qLimbs, accs, accs, outs)
+			}
+		})
+	}
+}
+
+// BenchmarkKernelDecompose is the digit raise of one key switch at every
+// ciphertext limb: per digit ExtendLimb + NTT on all QP limbs (the shape
+// it replaced) against DecomposeNTT, one job that copies each digit's own
+// limb from the NTT-domain input.
+func BenchmarkKernelDecompose(b *testing.B) {
+	for _, tc := range kernelCases() {
+		r := benchRing(b, 12, tc.limbs, tc.parallel)
+		c := benchPoly(r, 1)
+		cNTT := benchPoly(r, 2)
+		qpLimbs := r.Limbs(r.MaxLevel(), true)
+		digits := make([]*Poly, r.MaxLevel()+1)
+		for i := range digits {
+			digits[i] = r.NewPoly(r.MaxLevel())
+		}
+		name := fmt.Sprintf("limbs=%d/parallel=%v", tc.limbs, tc.parallel)
+		b.Run("extend+ntt/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j, d := range digits {
+					r.ExtendLimb(j, qpLimbs, c, d)
+					r.NTT(qpLimbs, d)
+				}
+			}
+		})
+		b.Run("decompose/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.DecomposeNTT(qpLimbs, c, cNTT, digits)
+			}
+		})
+	}
+}

@@ -100,8 +100,9 @@ func hammerRing(t *testing.T) *Ring {
 }
 
 // opMix runs a representative op sequence (the same mix a CNN1 forward
-// pass issues: NTT-domain muls, adds, automorphisms, a rescale division)
-// and leaves the result in out.
+// pass issues: NTT-domain muls, adds, a rescale division, and a key
+// switch's digit raise and NTT-domain division) and leaves the result in
+// out.
 func opMix(r *Ring, seed int64, out *Poly) {
 	rng := rand.New(rand.NewSource(seed))
 	limbs := r.Limbs(r.MaxLevel(), true)
@@ -121,6 +122,18 @@ func opMix(r *Ring, seed int64, out *Poly) {
 	r.INTT(limbs, tmp)
 	qLimbs := r.Limbs(r.MaxLevel()-1, false)
 	r.DivideExactByLimb(r.MaxLevel(), qLimbs, tmp, out)
+
+	tmpNTT := r.NewPoly(r.MaxLevel())
+	r.Copy(limbs, tmp, tmpNTT)
+	r.NTT(limbs, tmpNTT)
+	digits := []*Poly{r.NewPoly(r.MaxLevel()), r.NewPoly(r.MaxLevel())}
+	r.DecomposeNTT(limbs, tmp, tmpNTT, digits)
+	top := []int{r.MaxLevel()}
+	r.INTT(top, digits[0])
+	r.INTT(top, digits[1])
+	r.DivideExactByLimbNTT(r.MaxLevel(), qLimbs, digits, digits, digits)
+	r.Add(qLimbs, out, digits[0], out)
+	r.Add(qLimbs, out, digits[1], out)
 }
 
 // TestPoolHammerDeterministic launches 4×workers goroutines concurrently
@@ -237,6 +250,32 @@ func TestAllocsDivideExactByLimbSerial(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("DivideExactByLimb allocated %.1f objects/op in serial mode, want ≤1 (closure header only)", allocs)
+	}
+}
+
+// TestAllocsDivideExactByLimbNTTSerial pins the NTT-domain division to the
+// same budget: its target transforms run in pooled slabs, so a serial call
+// allocates only the closure header handed to forTasks.
+func TestAllocsDivideExactByLimbNTTSerial(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector allocation instrumentation skews AllocsPerRun")
+	}
+	r := hammerRing(t)
+	r.Parallel = false
+	limbs := r.Limbs(r.MaxLevel(), true)
+	qLimbs := r.Limbs(r.MaxLevel()-1, false)
+	rng := rand.New(rand.NewSource(4))
+	src := r.NewPoly(r.MaxLevel())
+	for _, i := range limbs {
+		r.SubRings[i].SampleUniform(rng, src.Coeffs[i])
+	}
+	srcs, outs := []*Poly{src, src}, []*Poly{r.NewPolyQ(r.MaxLevel() - 1), r.NewPolyQ(r.MaxLevel() - 1)}
+	r.DivideExactByLimbNTT(r.MaxLevel(), qLimbs, srcs, srcs, outs) // warm the slab pool
+	allocs := testing.AllocsPerRun(20, func() {
+		r.DivideExactByLimbNTT(r.MaxLevel(), qLimbs, srcs, srcs, outs)
+	})
+	if allocs > 1 {
+		t.Fatalf("DivideExactByLimbNTT allocated %.1f objects/op in serial mode, want ≤1 (closure header only)", allocs)
 	}
 }
 

@@ -158,6 +158,18 @@ func (r *Ring) forLimbs(limbs []int, f func(i int)) {
 	pool().Run(len(limbs), func(k int) { f(limbs[k]) })
 }
 
+// forTasks runs f(0..n-1), across the shared worker pool when the ring is
+// parallel — for kernels whose tasks are not one per limb.
+func (r *Ring) forTasks(n int, f func(t int)) {
+	if !r.Parallel || n == 1 {
+		for t := 0; t < n; t++ {
+			f(t)
+		}
+		return
+	}
+	pool().Run(n, f)
+}
+
 // forLimbSlabs runs f(limb, c0, c1) over coefficient sub-ranges [c0, c1) of
 // every limb, splitting each limb into cache-sized slabs when parallel so a
 // single large limb (logN ≥ 13) also spreads across workers. f must be
@@ -351,6 +363,37 @@ func (r *Ring) DivideExactByLimb(src int, limbs []int, p, out *Poly) {
 	})
 }
 
+// DivideExactByLimbNTT is DivideExactByLimb for NTT-domain polynomials.
+// For every k it sets, on `limbs`,
+//
+//	outs[k]_i = (ps[k]_i − NTT_i([srcs[k]_src] mod q_i)) · q_src^{-1} mod q_i,
+//
+// where ps[k] and outs[k] are in the NTT domain and limb src of srcs[k]
+// holds the same polynomial's limb src in the coefficient domain (srcs[k]
+// may be ps[k] itself, its limb src inverse-transformed in place, or a
+// scratch polynomial). NTT is linear mod q_i and every step ends fully
+// reduced, so the result equals INTT → DivideExactByLimb → NTT bit for bit
+// while transforming one limb per target instead of every limb twice.
+// All len(ps)·len(limbs) tasks run as one pool job. ps[k] and outs[k] may
+// alias; limb src is never written.
+func (r *Ring) DivideExactByLimbNTT(src int, limbs []int, srcs, ps, outs []*Poly) {
+	qsrc := r.SubRings[src]
+	r.forTasks(len(ps)*len(limbs), func(t int) {
+		k, i := t/len(limbs), limbs[t%len(limbs)]
+		if i == src {
+			return
+		}
+		sr := r.SubRings[i]
+		buf := r.slab()
+		tmp := (*buf)[:r.NVal*sr.Width()]
+		sr.ReduceFrom(qsrc, srcs[k].Coeffs[src], tmp)
+		sr.NTT(tmp)
+		sr.Sub(ps[k].Coeffs[i], tmp, tmp)
+		sr.MulScalar(tmp, r.invQ[src][i], outs[k].Coeffs[i])
+		r.putSlab(buf)
+	})
+}
+
 // ExtendLimb lifts the src-limb coefficients of p onto the given target
 // limbs of out by plain modular reduction (the digit-raise step of RNS
 // key-switch decomposition).
@@ -362,6 +405,30 @@ func (r *Ring) ExtendLimb(src int, limbs []int, p, out *Poly) {
 		sr := r.SubRings[i]
 		w := sr.Width()
 		sr.ReduceFrom(qsrc, srcCoeffs[c0*sw:c1*sw], out.Coeffs[i][c0*w:c1*w])
+	})
+}
+
+// DecomposeNTT is the digit raise of the RNS key switch: for every digit
+// i < len(digits) and every target limb j it sets
+//
+//	digits[i]_j = NTT_j([c_i] mod q_j)   (j ≠ i),   digits[i]_i = cNTT_i,
+//
+// where c and cNTT are one polynomial on limbs 0..len(digits)−1 in the
+// coefficient and the NTT domain. On digit i's own limb [c_i] mod q_i is
+// c_i itself, so its transform is copied from cNTT instead of recomputed —
+// bit-identical to ExtendLimb followed by NTT on every limb. Every
+// (digit, limb) pair is one task of a single pool job.
+func (r *Ring) DecomposeNTT(limbs []int, c, cNTT *Poly, digits []*Poly) {
+	r.forTasks(len(digits)*len(limbs), func(t int) {
+		i, j := t/len(limbs), limbs[t%len(limbs)]
+		d := digits[i].Coeffs[j]
+		if j == i {
+			copy(d, cNTT.Coeffs[i])
+			return
+		}
+		sr := r.SubRings[j]
+		sr.ReduceFrom(r.SubRings[i], c.Coeffs[i], d)
+		sr.NTT(d)
 	})
 }
 
