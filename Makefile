@@ -56,25 +56,26 @@ soak-chaos:
 	bash scripts/soak_chaos.sh
 
 ## parity: the optimizer gates at CNN scale, against the executor's own
-## sequential -opt=off run — -opt=exact and the parallel executor at
-## off/exact bit-identical (logits and report rows), the full pipeline
-## within tolerance with an unchanged argmax — plus the fused-recombine
+## sequential -opt=off run — -opt=on and the parallel executor in both
+## modes bit-identical (logits and report rows) — plus the fused-recombine
 ## legs. TestExecutorParityGolden*
 ## pins the answer itself — SHA-256 of the logit bits and stage names for
-## every front-end (plan -opt off/exact/on, RNS k=3 seq/parallel, batch-2,
+## every front-end (plan -opt off/on, RNS k=3 seq/parallel/off, batch-2,
 ## 2-shard grids) — so a change shared by every leg cannot pass.
 parity:
 	$(GO) test -run TestExecutorParity -timeout 20m ./internal/henn/
 
 ## opt-parity: just the optimizer oracle — the parity suite plus the
-## hoisted-rotation grouping bit-identity fixture the replan pass and
-## the canonical singleton lowering rely on.
+## hoisted-rotation grouping bit-identity fixture the lowering's
+## one-group-per-source rule relies on.
 opt-parity:
 	$(GO) test -run 'TestExecutorParity|TestRotateHoistedGrouping' -timeout 20m ./internal/henn/
 
-## opt-golden: the graph-size gate — checked-in post-optimization Stats
-## for CNN1/CNN2 on both backends, with the ≥15% engine-call reduction
-## floor. Symbolic (no keygen), seconds.
+## opt-golden: the graph gate — checked-in post-optimization Stats and
+## structural shape digests for CNN1/CNN2/CNN3 plans, RNS, sharded and
+## batched front-ends on both backends, the lowering's one-group-per-source
+## rotation plan, and the ≥15% engine-call reduction floor. Symbolic (no
+## keygen), seconds.
 opt-golden:
 	$(GO) test -run 'TestOptimizedGraphGolden|TestOptimizeOffPreservesLowering' ./internal/henn/
 
@@ -127,6 +128,8 @@ telemetry-overhead:
 ## (ciphertext, key-bundle, each key type and shard-manifest frames); they
 ## must reject corrupt input with typed errors, never panic, and an
 ## accepted switching key must carry exactly one digit per chain modulus.
+## FuzzOptimize runs the optimizer on random valid graphs against an exact
+## mod-p fake engine: same values, valid output, no extra engine calls.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadCiphertext -fuzztime 10s ./internal/ckks/
 	$(GO) test -run xxx -fuzz FuzzReadKeyBundle -fuzztime 10s ./internal/ckks/
@@ -135,6 +138,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadRelinearizationKey -fuzztime 10s ./internal/ckks/
 	$(GO) test -run xxx -fuzz FuzzReadRotationKeySet -fuzztime 10s ./internal/ckks/
 	$(GO) test -run xxx -fuzz FuzzDecodeManifest -fuzztime 10s ./internal/henn/shard/
+	$(GO) test -run xxx -fuzz FuzzOptimize -fuzztime 10s ./internal/henn/ir/opt/
 
 ## e2e-encrypted: the client-held-key protocol end to end — heserve on
 ## CNN1, hectl keygen/register/classify, encrypted vs plaintext route

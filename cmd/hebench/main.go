@@ -51,7 +51,7 @@ func main() {
 		outPath  = flag.String("out", "", "also write the report to this file")
 		models   = flag.String("models", "models", "model cache directory")
 		seed     = flag.Int64("seed", 1, "random seed")
-		optFlag  = flag.String("opt", "on", "graph optimizer: on, off, exact, or a comma-separated pass list")
+		optFlag  = flag.String("opt", "on", "graph optimizer: on or off")
 		telAddr  = flag.String("telemetry-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while benchmarking (empty = off)")
 		logLevel = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
 		ringPar  = flag.Bool("ring-parallel", ring.ParallelDefault(), "limb/slab-parallel ring kernels (default: on when GOMAXPROCS > 1)")

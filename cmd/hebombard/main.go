@@ -70,7 +70,7 @@ type Report struct {
 	ChaosFired map[string]int64 `json:"chaos_fired,omitempty"`
 
 	// ServerOptimizer is the graph-optimizer setting the target server
-	// reported on /healthz at startup ("off", "on (cse,…)"); an SLO
+	// reported on /healthz at startup ("off" or "on"); an SLO
 	// number is not comparable across optimizer settings. Empty when
 	// the probe failed (e.g. an older server).
 	ServerOptimizer string `json:"server_optimizer,omitempty"`

@@ -154,7 +154,7 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "per-attempt inference deadline (0 = none)")
 		retries   = flag.Int("retries", 0, "additional attempts after a failed inference")
 		verbose   = flag.Bool("report", false, "print the per-stage timing and noise-budget report")
-		optFlag   = flag.String("opt", "on", "graph optimizer: on, off, exact, or a comma-separated pass list (cse,fold,replan,rescale,fuse,dce)")
+		optFlag   = flag.String("opt", "on", "graph optimizer: on or off")
 		telAddr   = flag.String("telemetry-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. localhost:8080; empty = off)")
 		tracePath = flag.String("trace", "", "export the inference as Chrome trace-event JSON to this path")
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
@@ -250,22 +250,19 @@ func main() {
 	}
 
 	// Lower and optimize once up front to report the op-graph shape —
-	// before and after the pass pipeline; errors here are compile-time
+	// before and after the optimizer; errors here are compile-time
 	// problems (depth exhaustion, scale mismatch), not HE failures.
 	{
 		g, err := plan.Lower(engine)
 		if err != nil {
 			fatal("lowering plan failed", "model", *modelPath, "backend", *backend, "err", err)
 		}
-		fmt.Printf("lowered graph: %s\n", g.Stats())
 		res, err := opt.Optimize(engine, g, optOpts)
 		if err != nil {
 			fatal("graph optimizer failed", "model", *modelPath, "backend", *backend, "err", err)
 		}
-		fmt.Println(res.Summary())
-		for _, line := range res.PassLines() {
-			fmt.Printf("  %s\n", line)
-		}
+		fmt.Printf("lowered graph: %s\n", res.Before)
+		fmt.Printf("optimized graph (-opt=%s): %s\n", optOpts.Setting(), res.After)
 	}
 
 	// Each attempt gets a fresh guard and a fresh deadline: a tripped

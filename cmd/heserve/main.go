@@ -153,7 +153,7 @@ func main() {
 		targetLat  = flag.Duration("target-latency", 0, "batch-latency SLO driving adaptive admission (0 = request-timeout/2)")
 		chaosSpec  = flag.String("chaos", "", "network fault spec, e.g. 'latency:ms=100:p=0.3,reset:p=0.05' (testing only)")
 		chaosSeed  = flag.Int64("chaos-seed", 1, "seed for -chaos fault randomness")
-		optFlag    = flag.String("opt", "on", "graph optimizer: on, off, exact, or a comma-separated pass list")
+		optFlag    = flag.String("opt", "on", "graph optimizer: on or off")
 		ringPar    = flag.Bool("ring-parallel", ring.ParallelDefault(), "limb/slab-parallel ring kernels (default: on when GOMAXPROCS > 1)")
 	)
 	flag.Parse()

@@ -36,7 +36,7 @@ type Config struct {
 	// Verbose enables training progress logs.
 	Verbose bool
 	// Opt configures the graph optimizer for every measured plan
-	// (nil = default pipeline; see henn/ir/opt).
+	// (nil = on; see henn/ir/opt).
 	Opt *opt.Options
 }
 

@@ -46,9 +46,9 @@ type Plan struct {
 	// worker pool, one worker per input ciphertext.
 	Parallel bool
 	// Opt configures the graph optimizer run between lowering and
-	// preparation; nil selects the full default pass pipeline, and
-	// opt.Disabled() (the -opt=off escape hatch) executes the canonical
-	// lowering unchanged.
+	// preparation; nil fuses reduction trees, and opt.Disabled()
+	// (-opt=off, the parity reference) executes the canonical lowering
+	// unchanged.
 	Opt *opt.Options
 
 	// The plan holds one prepared graph, for the engine it was last
@@ -101,8 +101,7 @@ func (p *Plan) prepare(e Engine) (*exec.Prepared, *opt.Result, error) {
 }
 
 // OptResult returns the optimizer outcome for e, preparing the plan if
-// needed (before/after stats and per-pass deltas, for CLIs and bench
-// reports).
+// needed (before/after stats, for CLIs and bench reports).
 func (p *Plan) OptResult(e Engine) (*opt.Result, error) {
 	_, res, err := p.prepare(e)
 	return res, err

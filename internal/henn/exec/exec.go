@@ -138,8 +138,8 @@ func (p *Prepared) On(e ir.Engine) (*Prepared, error) {
 // Prepare validates g and pre-encodes every plaintext operand on e at
 // its exact (level, scale). Operands with bit-identical content at the
 // same (level, scale) encode once — keyed by a content digest rather
-// than PlainKey alone, so post-optimization specs (whose folded or
-// merged operands carry no PlainKey) still deduplicate.
+// than PlainKey alone, so operands that carry no PlainKey (the
+// AddPlainVec/MulPlainVecAtScale forms) still deduplicate.
 func Prepare(e ir.Engine, g *ir.Graph) (p *Prepared, err error) {
 	if err := g.Validate(); err != nil {
 		return nil, err

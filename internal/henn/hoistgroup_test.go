@@ -14,18 +14,17 @@ import (
 )
 
 // TestRotateHoistedGroupingBitIdentical pins the empirical fact the
-// graph optimizer's rotation replanning relies on: for a hoisted
-// rotation, the GROUPING does not affect the bits — RotateMany(ct, ks)
-// and RotateMany(ct, [k]) produce identical ciphertexts for every
-// k ∈ ks, on both backends, because the key-switch decomposition
-// depends only on the source ciphertext. This is what makes the replan
-// pass (merging per-stage hoist groups into one per-source fan-out) and
-// the canonical singleton-group lowering bit-exact.
+// lowering's rotation plan relies on: for a hoisted rotation, the
+// GROUPING does not affect the bits — RotateMany(ct, ks) and
+// RotateMany(ct, [k]) produce identical ciphertexts for every k ∈ ks, on
+// both backends, because the key-switch decomposition depends only on
+// the source ciphertext. This is what lets lowering put every hoisted
+// rotation of a source, from whichever stage, into one fan-out group.
 //
 // It also pins the converse: a standalone Rotate is NOT bit-identical
 // to a hoisted rotation by the same k (different key-switch algorithm,
-// different rounding) — which is why the optimizer must never merge
-// standalone and hoisted rotations, and why CSE keys on hoisted-ness.
+// different rounding) — which is why lowering never merges standalone
+// and hoisted rotations.
 //
 // The rns half additionally pins the key switch itself: SHA-256 digests of
 // the hoisted rotations, the standalone rotations, and relinearizations
@@ -75,7 +74,7 @@ func TestRotateHoistedGroupingBitIdentical(t *testing.T) {
 			standalone.Write(alone)
 		}
 		if !standaloneDiffers {
-			t.Error("rns: standalone Rotate became bit-identical to hoisted; revisit the CSE hoisted-ness key")
+			t.Error("rns: standalone Rotate became bit-identical to hoisted; revisit the lowering's standalone/hoisted split")
 		}
 		relin := sha256.New()
 		relin.Write(ctBytes(e.MulRelin(ct, grouped[3])))
@@ -120,7 +119,7 @@ func TestRotateHoistedGroupingBitIdentical(t *testing.T) {
 			}
 		}
 		if !standaloneDiffers {
-			t.Error("big: standalone Rotate became bit-identical to hoisted; revisit the CSE hoisted-ness key")
+			t.Error("big: standalone Rotate became bit-identical to hoisted; revisit the lowering's standalone/hoisted split")
 		}
 	})
 }

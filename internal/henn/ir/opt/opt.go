@@ -1,51 +1,27 @@
 // Package opt rewrites lowered op graphs (internal/henn/ir) between
-// lowering and execution: a pass manager runs an ordered, individually
-// toggleable list of passes, each returning a rewritten graph plus a
-// machine-readable PassStats.
+// lowering and execution. Lowering already emits the canonical graph —
+// all-zero AddPlains elided, every hoisted rotation of a source in one
+// hoist group, no repeated (source, k) rotation (see henn's tracer) — so
+// the optimizer keeps one pass:
 //
-// The pipeline ships six passes, in default order:
-//
-//	cse      hash-cons ops on (kind, args, rotation, plaintext content,
-//	         hoisted-ness) so duplicate producers collapse to one
-//	fold     plaintext constant folding: drop all-zero AddPlains and
-//	         pre-combine AddPlain/MulPlain chains against one operand
-//	replan   rotation replanning: merge hoisted rotations that share a
-//	         source ciphertext into one RotateMany fan-out, so a single
-//	         key-switch decomposition serves the whole fan-out
-//	         (double-hoisting across the per-stage groups lowering emits)
-//	rescale  lazy rescale: sink OpRescale/OpDropLevel past adds and
-//	         recombines so the sum happens at high scale and one
-//	         rescale serves the whole reduction tree
 //	fuse     collapse single-use Add/Recombine reduction trees into one
 //	         OpRecombine the engine evaluates as a fused linear
 //	         combination (ir.Recombiner)
-//	dce      drop ops unreachable from the output and the recorded
-//	         stage outputs (encrypt ops are pinned: the PRNG call order
-//	         of the prologue is part of the bit-parity contract)
 //
-// Exactness. cse, replan, fuse, dce, and the exact subset of fold and
-// rescale are bit-exact: an optimized graph decrypts to bit-identical
-// logits (grouped and singleton hoisted rotations produce identical
-// ciphertexts — see TestRotateHoistedGroupingBitIdentical — and modular
-// addition is associative, so reassociating reduction trees is exact).
-// Two rewrites trade bits for speed and are tolerance-gated instead:
-// rescale-sinking (rounding once after the sum instead of once per
-// addend) and plaintext chain folding (one encoding rounding instead of
-// two). Options.Exact restricts every pass to its bit-exact subset;
-// that is the configuration the executor-parity oracle asserts
-// bit-identical, while the full pipeline is gated on logits tolerance
-// plus an unchanged argmax.
+// The pass is bit-exact: ciphertext addition is componentwise modular
+// addition (associative) and integer multiplication distributes over it,
+// so an optimized graph decrypts to the same bits as the unoptimized
+// lowering (-opt=off), which is the reference the executor-parity suite
+// compares against.
 //
-// Every pass rebuilds the graph through one builder that renumbers ops,
+// The pass rebuilds the graph through a builder that renumbers ops,
 // remaps Stages/Hoists, re-runs the exact level/scale inference, and
-// re-validates, so structural invariants cannot silently rot between
-// passes.
+// re-validates, so structural invariants cannot silently rot.
 package opt
 
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"cnnhe/internal/henn/ir"
 )
@@ -58,194 +34,58 @@ type Params interface {
 	QiFloat(level int) float64
 }
 
-// Options selects and restricts the pass pipeline.
+// Options configures the optimizer; nil means on.
 type Options struct {
 	// Off disables optimization entirely: Optimize returns the input
-	// graph unchanged (the -opt=off escape hatch).
+	// graph unchanged (-opt=off, the parity reference).
 	Off bool
-	// Passes is the ordered pass list to run; nil means DefaultPasses.
-	// Unknown names are an error.
-	Passes []string
-	// Exact restricts every pass to its bit-exact rewrites (see the
-	// package comment): rescale-sinking and plaintext chain folding are
-	// skipped, DropLevel-sinking and zero-AddPlain elision still run.
-	Exact bool
 }
 
 // Disabled returns the -opt=off options value.
 func Disabled() *Options { return &Options{Off: true} }
 
-// DefaultPasses is the standard pipeline order. fold runs after cse so
-// collapsed producers expose chains; replan runs before rescale/fuse so
-// reduction-tree rewrites see final rotation sources; dce runs last to
-// sweep orphans the other passes leave behind.
-var DefaultPasses = []string{"cse", "fold", "replan", "rescale", "fuse", "dce"}
-
-// Setting renders the configuration for logs, SLO reports and health
-// endpoints ("off", "on (cse,fold,…)", "exact (cse,…)").
+// Setting renders the configuration for logs and health endpoints.
 func (o *Options) Setting() string {
 	if o != nil && o.Off {
 		return "off"
 	}
-	passes := DefaultPasses
-	mode := "on"
-	if o != nil {
-		if o.Passes != nil {
-			passes = o.Passes
-		}
-		if o.Exact {
-			mode = "exact"
-		}
-	}
-	return mode + " (" + strings.Join(passes, ",") + ")"
+	return "on"
 }
 
-// ParseFlag parses a CLI -opt value: "on" or "" (default pipeline),
-// "off", "exact", or a comma-separated pass list ("cse,dce").
+// ParseFlag parses a CLI -opt value: "on" (or "") or "off".
 func ParseFlag(s string) (*Options, error) {
 	switch s {
 	case "", "on":
 		return nil, nil
 	case "off":
 		return Disabled(), nil
-	case "exact":
-		return &Options{Exact: true}, nil
 	}
-	names := strings.Split(s, ",")
-	for _, n := range names {
-		if _, ok := passRegistry[n]; !ok {
-			return nil, fmt.Errorf("opt: unknown pass %q (have %s, or on/off/exact)",
-				n, strings.Join(DefaultPasses, ","))
-		}
-	}
-	return &Options{Passes: names}, nil
-}
-
-// PassStats is one pass's machine-readable outcome.
-type PassStats struct {
-	// Pass is the pass name.
-	Pass string `json:"pass"`
-	// OpsBefore and OpsAfter count graph ops around the pass.
-	OpsBefore int `json:"ops_before"`
-	OpsAfter  int `json:"ops_after"`
-	// Removed maps op-kind name to the net count the pass removed
-	// (negative when the pass added ops of the kind, e.g. the trailing
-	// rescale the sink rewrite inserts). Only non-zero kinds appear.
-	Removed map[string]int `json:"removed,omitempty"`
+	return nil, fmt.Errorf("opt: -opt %q: want on or off", s)
 }
 
 // Result is the outcome of one Optimize run.
 type Result struct {
 	// Graph is the optimized graph (the input graph when Off).
 	Graph *ir.Graph
-	// Before and After summarise the graph around the whole pipeline.
+	// Before and After summarise the graph around the optimizer.
 	Before, After ir.Stats
-	// Passes holds one entry per executed pass, in order.
-	Passes []PassStats
-	// Setting echoes Options.Setting for attribution.
-	Setting string
 }
 
-// Summary renders the before/after on one line for CLIs.
-func (r *Result) Summary() string {
-	if r.Before.Ops == 0 {
-		return "optimizer: empty graph"
-	}
-	pct := func(before, after int) float64 {
-		if before == 0 {
-			return 0
-		}
-		return 100 * float64(before-after) / float64(before)
-	}
-	return fmt.Sprintf("optimizer %s: %d → %d ops (−%.1f%%), %d → %d engine calls (−%.1f%%), rotation calls %d → %d, rescales %d → %d, hoist groups %d → %d",
-		r.Setting,
-		r.Before.Ops, r.After.Ops, pct(r.Before.Ops, r.After.Ops),
-		r.Before.EngineCalls, r.After.EngineCalls, pct(r.Before.EngineCalls, r.After.EngineCalls),
-		r.Before.RotateCalls(), r.After.RotateCalls(),
-		r.Before.ByKind[ir.OpRescale], r.After.ByKind[ir.OpRescale],
-		r.Before.Hoists, r.After.Hoists)
-}
-
-// PassLines renders one line per pass that changed the graph.
-func (r *Result) PassLines() []string {
-	var out []string
-	for _, p := range r.Passes {
-		if p.OpsBefore == p.OpsAfter && len(p.Removed) == 0 {
-			continue
-		}
-		var kinds []string
-		for _, k := range []ir.Kind{ir.OpEncrypt, ir.OpRotate, ir.OpMulPlain, ir.OpAddPlain,
-			ir.OpAdd, ir.OpMulRelin, ir.OpRescale, ir.OpDropLevel, ir.OpRecombine} {
-			if d := p.Removed[k.String()]; d != 0 {
-				kinds = append(kinds, fmt.Sprintf("%s %+d", k, -d))
-			}
-		}
-		out = append(out, fmt.Sprintf("pass %-7s %d → %d ops (%s)",
-			p.Pass, p.OpsBefore, p.OpsAfter, strings.Join(kinds, ", ")))
-	}
-	return out
-}
-
-// passFunc rewrites g, honoring the bit-exact restriction when exact.
-type passFunc func(g *ir.Graph, par Params, exact bool) (*ir.Graph, error)
-
-var passRegistry = map[string]passFunc{
-	"cse":     passCSE,
-	"fold":    passFold,
-	"replan":  passReplan,
-	"rescale": passRescale,
-	"fuse":    passFuse,
-	"dce":     passDCE,
-}
-
-// Optimize runs the configured pass pipeline over a validated graph and
-// returns the rewritten graph plus per-pass stats. o may be nil (the
-// default pipeline). The input graph is never mutated.
+// Optimize fuses the reduction trees of a validated graph, or returns it
+// unchanged when o.Off. o may be nil (on). The input graph is never
+// mutated.
 func Optimize(par Params, g *ir.Graph, o *Options) (*Result, error) {
-	res := &Result{Graph: g, Before: g.Stats(), Setting: o.Setting()}
+	res := &Result{Graph: g, Before: g.Stats()}
 	if o != nil && o.Off {
 		res.After = res.Before
 		return res, nil
 	}
-	passes := DefaultPasses
-	exact := false
-	if o != nil {
-		if o.Passes != nil {
-			passes = o.Passes
-		}
-		exact = o.Exact
+	out, err := passFuse(g, par)
+	if err != nil {
+		return nil, fmt.Errorf("opt: fuse: %w", err)
 	}
-	cur := g
-	for _, name := range passes {
-		fn, ok := passRegistry[name]
-		if !ok {
-			return nil, fmt.Errorf("opt: unknown pass %q", name)
-		}
-		before := cur.Stats()
-		next, err := fn(cur, par, exact)
-		if err != nil {
-			return nil, fmt.Errorf("opt: pass %s: %w", name, err)
-		}
-		after := next.Stats()
-		ps := PassStats{Pass: name, OpsBefore: before.Ops, OpsAfter: after.Ops, Removed: map[string]int{}}
-		for k, n := range before.ByKind {
-			if d := n - after.ByKind[k]; d != 0 {
-				ps.Removed[k.String()] = d
-			}
-		}
-		for k, n := range after.ByKind {
-			if before.ByKind[k] == 0 && n != 0 {
-				ps.Removed[k.String()] = -n
-			}
-		}
-		if len(ps.Removed) == 0 {
-			ps.Removed = nil
-		}
-		res.Passes = append(res.Passes, ps)
-		cur = next
-	}
-	res.Graph = cur
-	res.After = cur.Stats()
+	res.Graph = out
+	res.After = out.Stats()
 	return res, nil
 }
 
@@ -257,7 +97,7 @@ func scaleClose(a, b float64) bool {
 
 // builder accumulates a rewritten op list over a source graph and
 // finishes it into a renumbered, re-inferred, re-validated ir.Graph.
-// Passes emit ops whose Args are NEW ids (use arg to remap); Hoist
+// The pass emits ops whose Args are NEW ids (use arg to remap); Hoist
 // fields are opaque tags that finish normalizes into compact group ids
 // by first appearance.
 type builder struct {
@@ -275,8 +115,7 @@ func newBuilder(src *ir.Graph) *builder {
 }
 
 // arg resolves an old op id to its new id; a dropped producer is a pass
-// bug surfaced as a panic (recovered into an error by finish callers
-// via Validate failing first in practice, so keep it loud).
+// bug surfaced as a panic, so keep it loud.
 func (b *builder) arg(old int) int {
 	n := b.remap[old]
 	if n < 0 {
@@ -307,9 +146,8 @@ func (b *builder) carry(i int) int {
 	return id
 }
 
-// alias maps old op i onto an existing new op (CSE merge, fold elision,
-// sunk-rescale replacement): later references, including stage outputs,
-// resolve there.
+// alias maps old op i onto an existing new op (a fused root onto its
+// recombine): later references, including stage outputs, resolve there.
 func (b *builder) alias(i, newID int) { b.remap[i] = newID }
 
 // finish renumbers, rebuilds Stages and Hoists, re-runs the exact
@@ -364,9 +202,8 @@ func (b *builder) finish(par Params) (*ir.Graph, error) {
 }
 
 // reinfer recomputes every op's (Level, Scale) from scratch with the
-// tracer's exact rules, so rewrites that move rescales cannot leave
-// stale metadata behind (ahead-of-time plaintext encoding depends on
-// it being exact).
+// tracer's exact rules, so a rewrite cannot leave stale metadata behind
+// (ahead-of-time plaintext encoding depends on it being exact).
 func reinfer(par Params, g *ir.Graph) error {
 	for i := range g.Ops {
 		op := &g.Ops[i]

@@ -34,13 +34,19 @@ type tracer struct {
 	e     Engine
 	g     *ir.Graph
 	stage int
+	// hoistOf maps a hoisted rotation source to its hoist group, and
+	// rotated maps (source, k) to the hoisted rotation already emitted.
+	hoistOf map[int]int
+	rotated map[[2]int]*traceCt
 }
 
 func newTracer(e Engine, inputs int) *tracer {
 	return &tracer{
-		e:     e,
-		g:     &ir.Graph{Slots: e.Slots(), Inputs: inputs, Output: -1},
-		stage: -1,
+		e:       e,
+		g:       &ir.Graph{Slots: e.Slots(), Inputs: inputs, Output: -1},
+		stage:   -1,
+		hoistOf: map[int]int{},
+		rotated: map[[2]int]*traceCt{},
 	}
 }
 
@@ -139,9 +145,14 @@ func (t *tracer) Add(a, b Ct) Ct {
 }
 
 // addPlain emits an OpAddPlain; the plaintext encodes at the operand's
-// exact (level, scale), so the sum keeps both.
+// exact (level, scale), so the sum keeps both. An all-zero vector encodes
+// to the zero polynomial, so adding it is the identity and, like a
+// rotation by 0, emits nothing.
 func (t *tracer) addPlain(op string, ct Ct, key string, v []float64) Ct {
 	x := t.in(op, ct)
+	if allZero(v) {
+		return x
+	}
 	return t.emit(ir.Op{
 		Kind: ir.OpAddPlain, Args: []int{x.id}, Hoist: -1,
 		Plain: v, PlainKey: key, PtScale: x.scale,
@@ -267,16 +278,16 @@ func (t *tracer) Rotate(ct Ct, k int) Ct {
 	})
 }
 
-// RotateMany implements Engine. Lowering is canonical: each non-zero
-// rotation becomes its own singleton hoist group rather than one
-// per-call group, and regrouping is the optimizer's job (the replan
-// pass merges every hoisted rotation of a source into one fan-out,
-// which subsumes — and usually beats — the per-stage grouping of a
-// literal RotateMany call). Grouped and singleton hoisted rotations are
-// bit-identical per k on both backends (see
-// TestRotateHoistedGroupingBitIdentical), so the grouping choice affects
-// key-switch decomposition count, never bits; an unoptimized (-opt=off)
-// run just pays one decomposition per rotation.
+// RotateMany implements Engine. Lowering is canonical: every hoisted
+// rotation of one source ciphertext joins that source's single hoist
+// group, whichever stage asks for it, so one key-switch decomposition
+// serves the whole fan-out; a repeated (source, k) returns the rotation
+// already emitted. Group ids and member order follow first appearance.
+// Grouped and singleton hoisted rotations are bit-identical per k on
+// both backends (TestRotateHoistedGroupingBitIdentical), so grouping
+// changes the decomposition count, never bits. A standalone Rotate is
+// never merged with a hoisted one: the two key-switch algorithms round
+// differently.
 func (t *tracer) RotateMany(ct Ct, ks []int) map[int]Ct {
 	x := t.in("RotateMany", ct)
 	out := make(map[int]Ct, len(ks))
@@ -285,15 +296,23 @@ func (t *tracer) RotateMany(ct Ct, ks []int) map[int]Ct {
 			out[0] = x
 			continue
 		}
-		if _, dup := out[k]; dup {
+		if c, ok := t.rotated[[2]int{x.id, k}]; ok {
+			out[k] = c
 			continue
 		}
+		h, ok := t.hoistOf[x.id]
+		if !ok {
+			h = len(t.g.Hoists)
+			t.hoistOf[x.id] = h
+			t.g.Hoists = append(t.g.Hoists, nil)
+		}
 		c := t.emit(ir.Op{
-			Kind: ir.OpRotate, Args: []int{x.id}, K: k, Hoist: len(t.g.Hoists),
+			Kind: ir.OpRotate, Args: []int{x.id}, K: k, Hoist: h,
 			Level: x.level, Scale: x.scale,
 		})
+		t.g.Hoists[h] = append(t.g.Hoists[h], c.id)
+		t.rotated[[2]int{x.id, k}] = c
 		out[k] = c
-		t.g.Hoists = append(t.g.Hoists, []int{c.id})
 	}
 	return out
 }
@@ -318,6 +337,15 @@ var (
 	_ Engine        = (*tracer)(nil)
 	_ ir.Recombiner = (*tracer)(nil)
 )
+
+func allZero(v []float64) bool {
+	for _, x := range v {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // recoverLowerErr converts a trace panic into a lowering error. Error
 // values panic through unwrapped; other panics are formatted.

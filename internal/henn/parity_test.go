@@ -19,12 +19,9 @@ import (
 // Encryption is randomized, so each side runs on its own
 // identically-seeded engine: key generation and the encrypt prologue then
 // draw the same PRNG sequence, and every evaluation op downstream is
-// deterministic. Against that reference:
-//   - -opt=exact: only bit-exact rewrites (CSE, DCE, replan, fuse,
-//     zero-fold, droplevel-sink) → bit-identical logits and report rows
-//   - -opt=on (default): adds rescale-sinking and plaintext chain
-//     folding, which re-round → logits within tolerance, argmax unchanged
-//   - the parallel executor, in every mode, matches its sequential run
+// deterministic. The optimizer's one pass (fuse) is bit-exact, so against
+// that reference -opt=on and the parallel executor, in both modes, must
+// produce bit-identical logits and report rows.
 //
 // The reference itself is pinned by TestExecutorParityGolden*, whose
 // digests a change shared by every leg here cannot pass.
@@ -104,62 +101,16 @@ func assertSameRun(t *testing.T, label string, lgA, lgB Logits, repA, repB *Repo
 	}
 }
 
-// assertCloseRun is the tolerance gate for the full optimizer pipeline:
-// same stage rows and levels, logits within an absolute tolerance, and
-// an unchanged argmax.
-func assertCloseRun(t *testing.T, label string, lgA, lgB Logits, repA, repB *Report) {
-	t.Helper()
-	const tol = 1e-3
-	if len(lgA) != len(lgB) {
-		t.Fatalf("%s: %d vs %d logits", label, len(lgA), len(lgB))
-	}
-	amA, amB := 0, 0
-	for i := range lgA {
-		if d := math.Abs(lgA[i] - lgB[i]); d > tol {
-			t.Fatalf("%s: logit %d differs: %.17g vs %.17g (Δ=%g > %g)",
-				label, i, lgA[i], lgB[i], lgA[i]-lgB[i], tol)
-		}
-		if lgA[i] > lgA[amA] {
-			amA = i
-		}
-		if lgB[i] > lgB[amB] {
-			amB = i
-		}
-	}
-	if amA != amB {
-		t.Fatalf("%s: argmax changed: %d vs %d", label, amA, amB)
-	}
-	a, b := stageNames(repA), stageNames(repB)
-	if len(a) != len(b) {
-		t.Fatalf("%s: %d vs %d report rows (%v vs %v)", label, len(a), len(b), a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("%s: report row %d named %q vs %q", label, i, a[i], b[i])
-		}
-		if repA.Stages[i].Level != repB.Stages[i].Level {
-			t.Fatalf("%s: stage %q level %d vs %d", label, a[i], repA.Stages[i].Level, repB.Stages[i].Level)
-		}
-		sa, sb := repA.Stages[i].Scale, repB.Stages[i].Scale
-		if math.Abs(sa-sb) > math.Max(sa, sb)*1e-6 {
-			t.Fatalf("%s: stage %q scale %g vs %g", label, a[i], sa, sb)
-		}
-	}
-}
-
 // parityMode is one optimizer configuration gated by the oracle.
 type parityMode struct {
 	name string
 	opts *opt.Options
-	// bitExact selects assertSameRun; otherwise assertCloseRun.
-	bitExact bool
 }
 
 func parityModes() []parityMode {
 	return []parityMode{
-		{"opt=off", opt.Disabled(), true},
-		{"opt=exact", &opt.Options{Exact: true}, true},
-		{"opt=on", nil, false},
+		{"opt=off", opt.Disabled()},
+		{"opt=on", nil},
 	}
 }
 
@@ -179,31 +130,21 @@ func checkPlanParity(t *testing.T, plan *Plan, mk engineMaker, image []float64) 
 		if err != nil {
 			t.Fatalf("plan/%s: %v", mode.name, err)
 		}
-		switch {
-		case lgR == nil:
+		if lgR == nil {
 			lgR, repR = lg, rep // opt=off: the reference
-		case mode.bitExact:
-			assertSameRun(t, "plan/"+mode.name, lgR, lg, repR, rep)
-		default:
-			assertCloseRun(t, "plan/"+mode.name, lgR, lg, repR, rep)
+			continue
 		}
+		assertSameRun(t, "plan/"+mode.name, lgR, lg, repR, rep)
 	}
 }
 
 // checkRNSParity runs the decomposed pipeline sequentially and in
 // parallel in every optimizer mode against its sequential -opt=off run.
-// The RNS graph is where the tolerance-class rescale sink fires (on the
-// recompose reduction), so the opt=on legs are the ones exercising
-// assertCloseRun.
 func checkRNSParity(t *testing.T, base *Plan, k int, mk engineMaker, image []float64) {
 	ctx := context.Background()
 	var lgR Logits
 	var repR *Report
 	for _, mode := range parityModes() {
-		check := assertCloseRun
-		if mode.bitExact {
-			check = assertSameRun
-		}
 		for _, parallel := range []bool{false, true} {
 			label := fmt.Sprintf("rns parallel=%v/%s", parallel, mode.name)
 			rp, err := NewRNSPlan(base, k, parallel)
@@ -220,7 +161,7 @@ func checkRNSParity(t *testing.T, base *Plan, k int, mk engineMaker, image []flo
 				lgR, repR = lg, rep // sequential opt=off: the reference
 				continue
 			}
-			check(t, label, lgR, lg, repR, rep)
+			assertSameRun(t, label, lgR, lg, repR, rep)
 		}
 	}
 }

@@ -71,10 +71,7 @@ func telPrepare(hit bool) {
 // optTelSet bundles the graph-optimizer instruments (cnnhe_opt_*).
 // Registered once, on the first optimizer run with telemetry enabled.
 type optTelSet struct {
-	runs *telemetry.Counter
-	mu   sync.Mutex
-	// per pass-name counters, created lazily (the pass list is dynamic)
-	passRemoved map[string]*telemetry.Counter
+	runs        *telemetry.Counter
 	opsBefore   *telemetry.Counter
 	opsAfter    *telemetry.Counter
 	callsBefore *telemetry.Counter
@@ -94,8 +91,7 @@ func optTel() *optTelSet {
 		r := telemetry.Default()
 		optTelVal = &optTelSet{
 			runs: r.Counter("cnnhe_opt_runs_total",
-				"graph optimizer pipeline runs"),
-			passRemoved: map[string]*telemetry.Counter{},
+				"graph optimizer runs"),
 			opsBefore: r.Counter("cnnhe_opt_ops_before_total",
 				"graph ops entering the optimizer"),
 			opsAfter: r.Counter("cnnhe_opt_ops_after_total",
@@ -109,7 +105,7 @@ func optTel() *optTelSet {
 	return optTelVal
 }
 
-// telOptimize records one optimizer pipeline outcome.
+// telOptimize records one optimizer outcome.
 func telOptimize(res *opt.Result) {
 	t := optTel()
 	if t == nil || res == nil {
@@ -120,15 +116,4 @@ func telOptimize(res *opt.Result) {
 	t.opsAfter.Add(int64(res.After.Ops))
 	t.callsBefore.Add(int64(res.Before.EngineCalls))
 	t.callsAfter.Add(int64(res.After.EngineCalls))
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, p := range res.Passes {
-		c, ok := t.passRemoved[p.Pass]
-		if !ok {
-			c = telemetry.Default().Counter("cnnhe_opt_pass_removed_ops_total",
-				"net ops removed by optimizer pass", telemetry.L("pass", p.Pass))
-			t.passRemoved[p.Pass] = c
-		}
-		c.Add(int64(p.OpsBefore - p.OpsAfter))
-	}
 }
