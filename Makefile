@@ -130,6 +130,9 @@ telemetry-overhead:
 ## accepted switching key must carry exactly one digit per chain modulus.
 ## FuzzOptimize runs the optimizer on random valid graphs against an exact
 ## mod-p fake engine: same values, valid output, no extra engine calls.
+## FuzzCombine runs ir.Combine's three dispatch shapes (PlainRecombine,
+## Recombine, MulInt/Add chain) on random sums over the same kind of fake:
+## same values, and only the calls each shape promises.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadCiphertext -fuzztime 10s ./internal/ckks/
 	$(GO) test -run xxx -fuzz FuzzReadKeyBundle -fuzztime 10s ./internal/ckks/
@@ -139,6 +142,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadRotationKeySet -fuzztime 10s ./internal/ckks/
 	$(GO) test -run xxx -fuzz FuzzDecodeManifest -fuzztime 10s ./internal/henn/shard/
 	$(GO) test -run xxx -fuzz FuzzOptimize -fuzztime 10s ./internal/henn/ir/opt/
+	$(GO) test -run xxx -fuzz FuzzCombine -fuzztime 10s ./internal/henn/ir/
 
 ## e2e-encrypted: the client-held-key protocol end to end — heserve on
 ## CNN1, hectl keygen/register/classify, encrypted vs plaintext route

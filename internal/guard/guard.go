@@ -589,65 +589,20 @@ func weightFactor(n int64) float64 {
 	return 1
 }
 
-// Recombine implements ir.Recombiner so a guarded engine keeps the
-// executor's fused-recombine fast path. It delegates to the inner
-// engine's fused implementation when present — its Recombine, or else
-// its PlainRecombine with no plaintexts, which the ir.PlainRecombiner
-// contract makes the same call — falling back to the equivalent
-// MulInt/Add chain otherwise, and tracks the accumulated noise bound
-// Σᵢ max(|wᵢ|,1)·noiseᵢ exactly like the chain would.
-func (g *GuardedEngine) Recombine(args []henn.Ct, weights []int64) henn.Ct {
-	const op = "Recombine"
-	g.pre(op)
-	ts := make([]*trackedCt, len(args))
-	noise := 0.0
-	for i, a := range args {
-		ts[i] = g.in(op, a)
-		if !scaleClose(ts[i].scale, ts[0].scale, g.cfg.ScaleTol) {
-			g.fail(op, fmt.Errorf("%w: operand %d scale 2^%.4f vs 2^%.4f",
-				ErrScaleDrift, i, math.Log2(ts[i].scale), math.Log2(ts[0].scale)))
-		}
-		noise += ts[i].noise * weightFactor(weights[i])
-	}
-	ct := g.call(op, func() henn.Ct {
-		rc, fused := g.inner.(ir.Recombiner)
-		pr, plainFused := g.inner.(ir.PlainRecombiner)
-		if fused || plainFused {
-			inner := make([]henn.Ct, len(ts))
-			for i, t := range ts {
-				inner[i] = t.ct
-			}
-			if fused {
-				return rc.Recombine(inner, weights)
-			}
-			return pr.PlainRecombine(inner, make([]henn.Pt, len(inner)), weights)
-		}
-		acc := ts[0].ct // weights[0] = 1
-		for i := 1; i < len(ts); i++ {
-			c := ts[i].ct
-			if weights[i] != 1 {
-				c = g.inner.MulInt(c, weights[i])
-			}
-			acc = g.inner.Add(acc, c)
-		}
-		return acc
-	})
-	return g.out(op, ct, noise, ts[0].scale)
-}
-
 // PlainRecombine implements ir.PlainRecombiner, so a guarded engine keeps
-// the executor's fused linear-stage call. When the inner engine offers it
-// too, the whole call pays one preamble and one output validation: every
+// the executor's fused linear-stage call; nil pts is a pure integer
+// recombination. When the inner engine offers the call too, or there are
+// no products, the whole combination pays one preamble and one output
+// validation and runs on the inner engine through ir.Combine: every
 // operand is still validated and scale-checked, every absorbed plaintext
 // still level-checked, and the tracked noise bound is the chain's —
 // Σ model.MulPlain(noiseᵢ, maxScaledᵢ) over the products plus
 // Σ max(|wⱼ|,1)·noiseⱼ over the rest, summed in argument order so the
-// float result is the chain's to the bit. Otherwise it evaluates the
-// chain through the guard's own MulPlainPt and Recombine.
+// float result is the chain's to the bit. Otherwise each product is
+// first evaluated and validated by the guard's own MulPlainPt.
 func (g *GuardedEngine) PlainRecombine(args []henn.Ct, pts []henn.Pt, weights []int64) henn.Ct {
 	const op = "PlainRecombine"
-	pr, ok := g.inner.(ir.PlainRecombiner)
-	if !ok {
+	if _, fused := g.inner.(ir.PlainRecombiner); !fused && pts != nil {
 		terms := make([]henn.Ct, len(args))
 		for i, a := range args {
 			terms[i] = a
@@ -655,17 +610,20 @@ func (g *GuardedEngine) PlainRecombine(args []henn.Ct, pts []henn.Pt, weights []
 				terms[i] = g.MulPlainPt(a, pts[i])
 			}
 		}
-		return g.Recombine(terms, weights)
+		return g.PlainRecombine(terms, nil, weights)
 	}
 	g.pre(op)
 	innerArgs := make([]henn.Ct, len(args))
-	innerPts := make([]henn.Pt, len(args))
+	var innerPts []henn.Pt
+	if pts != nil {
+		innerPts = make([]henn.Pt, len(args))
+	}
 	var scale, noise float64
 	for i, a := range args {
 		t := g.in(op, a)
 		innerArgs[i] = t.ct
 		termScale, termNoise := t.scale, t.noise
-		if pts[i] != nil {
+		if pts != nil && pts[i] != nil {
 			tp := g.inPt(op, t, pts[i])
 			innerPts[i] = tp.pt
 			termScale, termNoise = t.scale*tp.scale, g.model.MulPlain(t.noise, tp.maxScaled)
@@ -678,7 +636,7 @@ func (g *GuardedEngine) PlainRecombine(args []henn.Ct, pts []henn.Pt, weights []
 		}
 		noise += termNoise * weightFactor(weights[i])
 	}
-	ct := g.call(op, func() henn.Ct { return pr.PlainRecombine(innerArgs, innerPts, weights) })
+	ct := g.call(op, func() henn.Ct { return ir.Combine(g.inner, innerArgs, innerPts, weights) })
 	return g.out(op, ct, noise, scale)
 }
 
@@ -727,8 +685,14 @@ func (g *GuardedEngine) RotateMany(ct henn.Ct, ks []int) map[int]henn.Ct {
 	t := g.in(op, ct)
 	var outs map[int]henn.Ct
 	g.call(op, func() henn.Ct { outs = g.inner.RotateMany(t.ct, ks); return nil })
+	// Validate in the caller's order, so the first bad output named is
+	// the same on every call (and so are the stage gauges it publishes).
 	m := make(map[int]henn.Ct, len(outs))
-	for k, o := range outs {
+	for _, k := range ks {
+		o, ok := outs[k]
+		if !ok {
+			continue // dropped by the backend; the executor reports it
+		}
 		if k == 0 {
 			m[0] = t
 			continue
@@ -817,6 +781,5 @@ func (g *GuardedEngine) AddPlainPt(ct henn.Ct, pt henn.Pt) henn.Ct {
 var (
 	_ henn.Engine        = (*GuardedEngine)(nil)
 	_ henn.StageAware    = (*GuardedEngine)(nil)
-	_ ir.Recombiner      = (*GuardedEngine)(nil)
 	_ ir.PlainRecombiner = (*GuardedEngine)(nil)
 )

@@ -3,9 +3,11 @@ package guard_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -475,7 +477,7 @@ func TestPlainRecombineMatchesChain(t *testing.T) {
 						terms[i] = g.MulPlainPt(a, pts[i])
 					}
 				}
-				return g.Recombine(terms, weights), l
+				return g.PlainRecombine(terms, nil, weights), l
 			}
 			fc, fl := run(true)
 			cc, cl := run(false)
@@ -505,9 +507,10 @@ func (e *plainOnly) MulInt(ct henn.Ct, n int64) henn.Ct {
 }
 
 // TestRecombineDelegatesToPlainRecombine: over an engine with
-// PlainRecombine but no Recombine, the guard's Recombine is that one fused
-// call (no Add or MulInt reaches the engine), and it matches the guarded
-// MulInt/Add chain in bits, level, scale and tracked noise bound.
+// PlainRecombine but no Recombine, the guard's pure integer recombination
+// (PlainRecombine with nil plaintexts) is that one fused call (no Add or
+// MulInt reaches the engine), and it matches the guarded MulInt/Add chain
+// in bits, level, scale and tracked noise bound.
 func TestRecombineDelegatesToPlainRecombine(t *testing.T) {
 	plan := tinyPlan(t)
 	full, eval := rnsEngineAndEval(t, plan, 79)
@@ -529,9 +532,9 @@ func TestRecombineDelegatesToPlainRecombine(t *testing.T) {
 	}
 
 	eng.chainCalls = 0
-	fused := g.Recombine(terms, weights)
+	fused := g.PlainRecombine(terms, nil, weights)
 	if eng.chainCalls != 0 {
-		t.Fatalf("guarded Recombine made %d Add/MulInt engine calls, want one fused call", eng.chainCalls)
+		t.Fatalf("guarded recombination made %d Add/MulInt engine calls, want one fused call", eng.chainCalls)
 	}
 	chain := terms[0]
 	for i := 1; i < len(terms); i++ {
@@ -542,6 +545,66 @@ func TestRecombineDelegatesToPlainRecombine(t *testing.T) {
 		chain = g.Add(chain, c)
 	}
 	assertSameResult(t, "delegated Recombine", l, fused, l, chain)
+}
+
+// chainCounter hides every optional call of the engine it wraps and logs
+// the Add and MulInt calls that reach it.
+type chainCounter struct {
+	henn.Engine
+	calls []string
+}
+
+func (e *chainCounter) Unwrap() henn.Engine { return e.Engine }
+
+func (e *chainCounter) Add(a, b henn.Ct) henn.Ct {
+	e.calls = append(e.calls, "Add")
+	return e.Engine.Add(a, b)
+}
+
+func (e *chainCounter) MulInt(ct henn.Ct, n int64) henn.Ct {
+	e.calls = append(e.calls, fmt.Sprintf("MulInt(%d)", n))
+	return e.Engine.MulInt(ct, n)
+}
+
+// TestPlainRecombineChainBehindInjector: behind middleware that offers no
+// fused call (a faults.Injector that never fires), the guarded call
+// evaluates each product through the guard's own MulPlainPt and sums the
+// terms with the inner MulInt/Add chain. It matches the guarded op-by-op
+// chain in bits, level, scale and tracked noise bound, and makes the same
+// inner MulInt/Add calls.
+func TestPlainRecombineChainBehindInjector(t *testing.T) {
+	plan := tinyPlan(t)
+	run := func(fused bool) (henn.Ct, fusedLeg, []string) {
+		full := rnsEngine(t, plan, 81)
+		inner := &chainCounter{Engine: full}
+		inj := faults.Wrap(inner, faults.Injection{Kind: faults.PanicOp, Op: "no such op"})
+		l := fusedLeg{g: guard.New(inj, guard.DefaultConfig()), full: full}
+		g := l.g
+		args, pts, weights := plainRecombineFixture(t, l)
+		inner.calls = nil
+		if fused {
+			return g.PlainRecombine(args, pts, weights), l, inner.calls
+		}
+		acc := g.MulPlainPt(args[0], pts[0])
+		for i := 1; i < len(args); i++ {
+			c := args[i]
+			if pts[i] != nil {
+				c = g.MulPlainPt(c, pts[i])
+			}
+			if weights[i] != 1 {
+				c = g.MulInt(c, weights[i])
+			}
+			acc = g.Add(acc, c)
+		}
+		return acc, l, inner.calls
+	}
+	fc, fl, fcalls := run(true)
+	cc, cl, ccalls := run(false)
+	assertSameResult(t, "guarded call behind injector", fl, fc, cl, cc)
+	want := []string{"Add", "Add", "MulInt(-3)", "Add", "Add"}
+	if !reflect.DeepEqual(fcalls, want) || !reflect.DeepEqual(ccalls, want) {
+		t.Fatalf("inner MulInt/Add calls: guarded call %v, op-by-op chain %v, want %v", fcalls, ccalls, want)
+	}
 }
 
 // TestPlainRecombineCatchesCorruptTerm: a corrupt limb in one term of a
@@ -606,5 +669,51 @@ func TestValidateNamesFirstCorruptComponent(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// twoBadRotations corrupts two outputs of every RotateMany in different
+// ways: rotation 1 gets a coefficient ≥ q, rotation 3 loses a limb.
+type twoBadRotations struct{ *henn.RNSEngine }
+
+func (e twoBadRotations) Unwrap() henn.Engine { return e.RNSEngine }
+
+func (e twoBadRotations) RotateMany(ct henn.Ct, ks []int) map[int]henn.Ct {
+	outs := e.RNSEngine.RotateMany(ct, ks)
+	outs[1].(*ckks.Ciphertext).C0.Coeffs[0][3] = ^uint64(0)
+	outs[3].(*ckks.Ciphertext).C1.Coeffs[1] = nil
+	return outs
+}
+
+// TestRotateManyReportsFirstBadOutput: the guard validates RotateMany's
+// outputs in the caller's order, so with two bad outputs every call
+// reports the first listed one, with the same StageError.
+func TestRotateManyReportsFirstBadOutput(t *testing.T) {
+	plan := tinyPlan(t)
+	e := rnsEngine(t, plan, 85)
+	g := guard.New(twoBadRotations{e}, guard.DefaultConfig())
+	for _, tc := range []struct {
+		ks   []int
+		want error
+	}{
+		{[]int{1, 3}, guard.ErrCorruptCiphertext},
+		{[]int{3, 1}, guard.ErrResidueMissing},
+	} {
+		g.Reset()
+		ct := g.EncryptVec([]float64{1, 2, 3})
+		var first string
+		for i := 0; i < 20; i++ {
+			g.Reset()
+			err := catchGuard(t, func() { g.RotateMany(ct, tc.ks) })
+			var se *guard.StageError
+			if !errors.As(err, &se) || !errors.Is(err, tc.want) || se.Op != "RotateMany" {
+				t.Fatalf("ks %v, call %d: got %v, want %v at op RotateMany", tc.ks, i, err, tc.want)
+			}
+			if i == 0 {
+				first = err.Error()
+			} else if err.Error() != first {
+				t.Fatalf("ks %v, call %d: %v, first call %v", tc.ks, i, err, first)
+			}
+		}
 	}
 }

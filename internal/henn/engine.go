@@ -48,9 +48,8 @@ type Engine = ir.Engine
 // engine plus the secret-key half — encryptor, decryptor and secret key.
 // The fused linear-stage call (PlainRecombine) is the embedded engine's,
 // so both routes run it; only the full engine adds the pure integer
-// Recombine. The eval engine offering no Recombine is pinned by the
-// benchmark decorator's test, and the guard reaches the same fused call
-// through PlainRecombine with no plaintexts instead.
+// Recombine: the benchmark's timing decorator forwards only that call,
+// and its test pins it here and absent on the eval engine.
 type RNSEngine struct {
 	*RNSEvalEngine
 	Ept *ckks.Encryptor
@@ -233,20 +232,6 @@ func (e *BigEngine) MulRelin(a, b Ct) Ct {
 // MulInt implements Engine.
 func (e *BigEngine) MulInt(ct Ct, n int64) Ct {
 	return e.Ev.MulInt(ct.(*ckksbig.Ciphertext), n)
-}
-
-// Recombine implements ir.Recombiner with the same bit-identity
-// contract as RNSEngine.Recombine.
-func (e *BigEngine) Recombine(args []Ct, weights []int64) Ct {
-	acc := args[0].(*ckksbig.Ciphertext) // weights[0] = 1
-	for i := 1; i < len(args); i++ {
-		c := args[i].(*ckksbig.Ciphertext)
-		if weights[i] != 1 {
-			c = e.Ev.MulInt(c, weights[i])
-		}
-		acc = e.Ev.Add(acc, c)
-	}
-	return acc
 }
 
 // Rescale implements Engine.

@@ -14,9 +14,9 @@
 // data dependencies resolve; every op's operands are fixed by the graph,
 // so both modes produce the same bits. Hoisted rotation groups always
 // execute as one RotateMany call so the shared key-switch decomposition
-// is preserved in both modes, and on engines offering ir.PlainRecombiner
-// an OpRecombine executes together with the plaintext products it
-// absorbs as one PlainRecombine call. Intermediate ciphertexts are
+// is preserved in both modes, and an OpRecombine executes together with
+// the plaintext products it absorbs as one ir.Combine call (one engine
+// call on an ir.PlainRecombiner engine). Intermediate ciphertexts are
 // reference-counted and released at last use.
 package exec
 
@@ -71,7 +71,7 @@ type noiseAware interface{ NoiseBits(ct ir.Ct) float64 }
 
 // task is one schedulable unit: a single op, a whole hoist group (which
 // must execute as one RotateMany call), or an OpRecombine with the
-// OpMulPlain ops it absorbs (one PlainRecombine call).
+// OpMulPlain ops it absorbs (one ir.Combine call).
 type task struct {
 	// ops holds the task's op IDs in graph order. The task runs by
 	// entering execOp with the last one: any member stands for a hoist
@@ -85,13 +85,11 @@ type task struct {
 // Prepared is a validated graph with its plaintext operands pre-encoded
 // for one engine. Immutable after Prepare; share freely across Runs.
 type Prepared struct {
-	e  ir.Engine
-	rc ir.Recombiner      // non-nil when e supports fused recombination
-	pr ir.PlainRecombiner // non-nil when e also fuses the absorbed products
-	g  *ir.Graph
+	e ir.Engine
+	g *ir.Graph
 
-	// absorbedBy is g.AbsorbedBy() when pr is set, nil otherwise: ops
-	// with an entry ≥ 0 never execute on their own.
+	// absorbedBy is g.AbsorbedBy(): ops with an entry ≥ 0 never execute
+	// on their own.
 	absorbedBy []int
 
 	pts        []ir.Pt // per-op pre-encoded operand (nil where none)
@@ -111,9 +109,7 @@ func (p *Prepared) Graph() *ir.Graph { return p.g }
 // once and rebinds per key set; e must accept the preparing engine's
 // plaintext handles (the same engine type over the same CKKS context).
 // e must also match the preparing engine's parameters — slots, top
-// level, default scale, every level's prime — and offer the same optional
-// ir.Recombiner and ir.PlainRecombiner calls, which the task table
-// depends on; otherwise On returns an error.
+// level, default scale, every level's prime — or On returns an error.
 func (p *Prepared) On(e ir.Engine) (*Prepared, error) {
 	if e.Slots() != p.e.Slots() || e.MaxLevel() != p.e.MaxLevel() || e.Scale() != p.e.Scale() {
 		return nil, fmt.Errorf("exec: rebind to %s: slots/level/scale %d/%d/%g, prepared for %d/%d/%g",
@@ -127,11 +123,6 @@ func (p *Prepared) On(e ir.Engine) (*Prepared, error) {
 	}
 	q := *p
 	q.e = e
-	q.rc, _ = e.(ir.Recombiner)
-	q.pr, _ = e.(ir.PlainRecombiner)
-	if (q.rc == nil) != (p.rc == nil) || (q.pr == nil) != (p.pr == nil) {
-		return nil, fmt.Errorf("exec: rebind to %s: optional recombine calls differ from the preparing engine's", e.Name())
-	}
 	return &q, nil
 }
 
@@ -154,17 +145,14 @@ func Prepare(e ir.Engine, g *ir.Graph) (p *Prepared, err error) {
 		}
 	}()
 	p = &Prepared{
-		e:         e,
-		g:         g,
-		pts:       make([]ir.Pt, len(g.Ops)),
-		use:       make([]int32, len(g.Ops)),
-		outStages: make([][]int, len(g.Ops)),
-		stageOps:  make([]int, len(g.Stages)),
-		opTask:    make([]int, len(g.Ops)),
-	}
-	p.rc, _ = e.(ir.Recombiner)
-	if p.pr, _ = e.(ir.PlainRecombiner); p.pr != nil {
-		p.absorbedBy = g.AbsorbedBy()
+		e:          e,
+		g:          g,
+		absorbedBy: g.AbsorbedBy(),
+		pts:        make([]ir.Pt, len(g.Ops)),
+		use:        make([]int32, len(g.Ops)),
+		outStages:  make([][]int, len(g.Ops)),
+		stageOps:   make([]int, len(g.Stages)),
+		opTask:     make([]int, len(g.Ops)),
 	}
 	// Batch-encode the plaintext operands, deduplicating by content: a
 	// digest selects candidate specs, a full bit-compare confirms (so a
@@ -264,15 +252,15 @@ func plainBitsEqual(a, b []float64) bool {
 }
 
 // absorbed reports whether op id executes inside its recombine's call.
-func (p *Prepared) absorbed(id int) bool { return p.absorbedBy != nil && p.absorbedBy[id] >= 0 }
+func (p *Prepared) absorbed(id int) bool { return p.absorbedBy[id] >= 0 }
 
 // buildTasks groups ops into schedulable tasks and wires the static
 // dependency edges for the parallel executor.
 func (p *Prepared) buildTasks() {
 	g := p.g
 	// group keys the multi-op task an op belongs to (-1: a task of its
-	// own): hoist groups by their index, fused recombines after them by
-	// the recombine's op ID.
+	// own): hoist groups by their index, recombines with the products they
+	// absorb after them by the recombine's op ID.
 	group := func(i int) int {
 		op := &g.Ops[i]
 		switch {
@@ -280,7 +268,7 @@ func (p *Prepared) buildTasks() {
 			return op.Hoist
 		case p.absorbed(i):
 			return len(g.Hoists) + p.absorbedBy[i]
-		case op.Kind == ir.OpRecombine && p.absorbedBy != nil:
+		case op.Kind == ir.OpRecombine:
 			return len(g.Hoists) + i
 		}
 		return -1
@@ -521,26 +509,9 @@ func (rs *runState) execOp(id, worker, taskIdx int) (err error) {
 	case ir.OpDropLevel:
 		ct = p.e.DropLevel(args[0], op.Drop)
 	case ir.OpRecombine:
-		if pts, n := rs.absorbedOperands(id, args); n > 0 {
-			// One engine call for the linear combination and the
-			// plaintext products feeding it.
-			ct = p.pr.PlainRecombine(args, pts, op.Weights)
-			covered += n
-		} else if p.rc != nil {
-			// Fused path: one engine call for the whole linear combination.
-			ct = p.rc.Recombine(args, op.Weights)
-		} else {
-			acc := args[0] // weight 1; carries the bias
-			for i := 1; i < len(args); i++ {
-				if op.Weights[i] == 1 {
-					// MulInt by 1 is a residue identity; skip the copy.
-					acc = p.e.Add(acc, args[i])
-					continue
-				}
-				acc = p.e.Add(acc, p.e.MulInt(args[i], op.Weights[i]))
-			}
-			ct = acc
-		}
+		pts, n := rs.absorbedOperands(id, args)
+		ct = ir.Combine(p.e, args, pts, op.Weights)
+		covered += n
 	default:
 		return fmt.Errorf("henn: %s: cannot execute %s op", name, op.Kind)
 	}
@@ -561,10 +532,10 @@ func (rs *runState) execOp(id, worker, taskIdx int) (err error) {
 	return nil
 }
 
-// absorbedOperands prepares recombine id for a PlainRecombine call: for
+// absorbedOperands prepares recombine id for its ir.Combine call: for
 // every product the recombine absorbs, args gets the product's ciphertext
-// input and the returned slice its pre-encoded plaintext. n counts the
-// absorbed products: 0 when there are none or the engine lacks the call.
+// input and the returned slice its pre-encoded plaintext (nil when there
+// are none). n counts the absorbed products.
 func (rs *runState) absorbedOperands(id int, args []ir.Ct) (pts []ir.Pt, n int) {
 	p := rs.p
 	for i, a := range p.g.Ops[id].Args {

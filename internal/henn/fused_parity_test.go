@@ -14,10 +14,10 @@ import (
 	"cnnhe/internal/henn/shard"
 )
 
-// The fused-vs-fallback parity suite. On an engine offering
-// ir.PlainRecombiner the executor evaluates every OpRecombine together
-// with the products it absorbs as one call; on any other engine it issues
-// MulPlainPt per product and Recombine. Both must leave the same bits: the
+// The fused-vs-fallback parity suite. The executor evaluates every
+// OpRecombine together with the products it absorbs through ir.Combine:
+// one call on an engine offering ir.PlainRecombiner, MulPlainPt per
+// product and Recombine on one offering only ir.Recombiner. Both must leave the same bits: the
 // same optimized graph is prepared twice over ONE backend — once as is,
 // once behind a wrapper that hides PlainRecombine — fed the same encrypted
 // inputs, and the serialized output ciphertexts compared, sequentially and
@@ -223,13 +223,14 @@ func TestExecutorParityFusedCNN(t *testing.T) {
 	})
 }
 
-// TestFusedCallCapability pins who offers the fused call: both RNS engines
-// do, so the keyed route's guard delegates its linear stages instead of
-// unrolling them; the big-integer baseline (the paper's CNN-HE stays the
-// baseline and is the in-tree fallback fixture) does not. Only the full
-// engine adds Recombine: the benchmark decorator's
-// TestTracedEngineKeepsOptionalInterfaces pins that the evaluation-only
-// engine has none, and the guard reaches its PlainRecombine instead.
+// TestFusedCallCapability pins who offers the fused calls: both RNS
+// engines offer PlainRecombine, so the keyed route's guard delegates its
+// linear stages instead of unrolling them; the big-integer baseline (the
+// paper's CNN-HE stays the baseline and is the in-tree fallback fixture)
+// offers neither call, so ir.Combine runs its chain. Only the full engine
+// adds Recombine: the benchmark decorator forwards that call alone, and
+// its TestTracedEngineKeepsOptionalInterfaces pins that the
+// evaluation-only engine has none.
 func TestFusedCallCapability(t *testing.T) {
 	for name, e := range map[string]Engine{"RNSEngine": &RNSEngine{}, "RNSEvalEngine": &RNSEvalEngine{}} {
 		if _, ok := e.(ir.PlainRecombiner); !ok {
@@ -238,6 +239,9 @@ func TestFusedCallCapability(t *testing.T) {
 	}
 	if _, ok := Engine(&BigEngine{}).(ir.PlainRecombiner); ok {
 		t.Error("BigEngine gained PlainRecombine")
+	}
+	if _, ok := Engine(&BigEngine{}).(ir.Recombiner); ok {
+		t.Error("BigEngine gained Recombine")
 	}
 	if _, ok := Engine(&RNSEngine{}).(ir.Recombiner); !ok {
 		t.Error("RNSEngine lost Recombine")

@@ -111,27 +111,56 @@ type Engine interface {
 // Recombiner is an optional Engine extension: a fused integer linear
 // combination Σᵢ Weights[i]·args[i] (Weights[0] = 1) evaluated in one
 // engine call instead of a MulInt/Add chain. Implementations must be
-// bit-identical to the chain acc = args[0]; acc = Add(acc,
-// MulInt(args[i], w)) with the MulInt elided for w = 1 — modular
-// addition is exact, so any implementation that accumulates the same
-// residues qualifies. The executor uses it for OpRecombine when the
-// engine provides it.
+// bit-identical to Combine's chain — modular addition is exact, so any
+// implementation that accumulates the same residues qualifies.
 type Recombiner interface {
 	Recombine(args []Ct, weights []int64) Ct
 }
 
 // PlainRecombiner is an optional Engine extension: an OpRecombine together
 // with the OpMulPlain products it absorbs (see Graph.AbsorbedBy) as one
-// engine call. pts and weights have one entry per arg: term i is
-// MulPlainPt(args[i], pts[i]) where pts[i] is non-nil — weights[i] must
-// then be 1 — and args[i] itself otherwise; the result is
-// Σᵢ weights[i]·termᵢ. Implementations must be bit-identical to
-// the unfused MulPlainPt + Recombine evaluation: modular multiply-add is
-// exact, so any implementation that ends fully reduced qualifies. The
-// executor uses it when the engine provides it, exactly as it uses
-// Recombiner and RotateMany.
+// engine call. weights has one entry per arg, and so has pts unless it is
+// nil (no products): term i is MulPlainPt(args[i], pts[i]) where pts[i]
+// is non-nil — weights[i] must then be 1 — and args[i] itself otherwise;
+// the result is Σᵢ weights[i]·termᵢ. Implementations must be
+// bit-identical to Combine's unfused evaluation: modular multiply-add is
+// exact, so any implementation that ends fully reduced qualifies.
 type PlainRecombiner interface {
 	PlainRecombine(args []Ct, pts []Pt, weights []int64) Ct
+}
+
+// Combine returns Σᵢ weights[i]·termᵢ on e (weights[0] = 1), with termᵢ
+// as PlainRecombiner defines it; nil pts means no products. It is the
+// one dispatch for a linear combination: e's PlainRecombine when it has
+// one; otherwise MulPlainPt per product, then e's Recombine when it has
+// one, else the chain acc = Add(acc, MulInt(termᵢ, wᵢ)) with the MulInt
+// elided for wᵢ = 1. Every branch leaves the same bits.
+func Combine(e Engine, args []Ct, pts []Pt, weights []int64) Ct {
+	if pr, ok := e.(PlainRecombiner); ok {
+		return pr.PlainRecombine(args, pts, weights)
+	}
+	terms := args
+	if pts != nil {
+		terms = make([]Ct, len(args))
+		for i, a := range args {
+			terms[i] = a
+			if pts[i] != nil {
+				terms[i] = e.MulPlainPt(a, pts[i])
+			}
+		}
+	}
+	if rc, ok := e.(Recombiner); ok {
+		return rc.Recombine(terms, weights)
+	}
+	acc := terms[0]
+	for i := 1; i < len(terms); i++ {
+		c := terms[i]
+		if weights[i] != 1 {
+			c = e.MulInt(c, weights[i])
+		}
+		acc = e.Add(acc, c)
+	}
+	return acc
 }
 
 // Kind enumerates the op taxonomy of a lowered graph.
@@ -353,8 +382,8 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// AbsorbedBy maps every op to the OpRecombine that evaluates it as part
-// of its own engine call on a PlainRecombiner engine, or -1. An op is
+// AbsorbedBy maps every op to the OpRecombine whose Combine call
+// evaluates it (one engine call on a PlainRecombiner engine), or -1. An op is
 // absorbed when it is an OpMulPlain whose only consumer is a weight-1
 // argument of an OpRecombine in the same stage, and it is neither the
 // graph output nor a stage's reported output (those must exist as

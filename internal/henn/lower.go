@@ -213,8 +213,7 @@ func (t *tracer) MulInt(ct Ct, n int64) Ct {
 
 // Recombine implements ir.Recombiner symbolically, so cross-shard block
 // sums and the RNS recomposition lower to one OpRecombine (the executor
-// dispatches the op to the engine's fused Recombine, or to the
-// bit-identical MulInt/Add chain with weight-1 multiplies elided).
+// evaluates the op through ir.Combine).
 func (t *tracer) Recombine(args []Ct, weights []int64) Ct {
 	if len(args) == 0 || len(weights) != len(args) {
 		panic(fmt.Errorf("henn: lower: Recombine with %d args, %d weights", len(args), len(weights)))

@@ -23,7 +23,7 @@ import (
 // off-diagonal blocks being non-zero; all-zero blocks are skipped
 // outright. Each output shard sums its block accumulators at the shared
 // pre-rescale scale with one fused ir.OpRecombine (all weights 1,
-// bit-identical to an Add chain by the Recombiner contract) and then pays
+// bit-identical to an Add chain, see ir.Combine) and then pays
 // a single rescale, so a one-block row lowers to exactly the
 // single-ciphertext op sequence. Activations apply per shard with
 // coefficient vectors sliced through the manifest's slot→global
@@ -56,9 +56,8 @@ func union(ks []int) []int {
 }
 
 // recombine returns Σ weights[i]·cts[i] (weights[0] = 1; nil weights are
-// all 1) with the engine's fused Recombine when it offers one, else the
-// bit-identical MulInt/Add chain with weight-1 multiplies elided — the
-// same dispatch the executor makes for an OpRecombine.
+// all 1) through ir.Combine, the dispatch the executor makes for an
+// OpRecombine.
 func recombine(e Engine, cts []Ct, weights []int64) Ct {
 	if weights == nil {
 		weights = make([]int64, len(cts))
@@ -66,17 +65,7 @@ func recombine(e Engine, cts []Ct, weights []int64) Ct {
 			weights[i] = 1
 		}
 	}
-	if rc, ok := e.(ir.Recombiner); ok {
-		return rc.Recombine(cts, weights)
-	}
-	acc := cts[0]
-	for i, ct := range cts[1:] {
-		if w := weights[i+1]; w != 1 {
-			ct = e.MulInt(ct, w)
-		}
-		acc = e.Add(acc, ct)
-	}
-	return acc
+	return ir.Combine(e, cts, nil, weights)
 }
 
 // ShardedLinear evaluates y = M·x + b as a grid of inter-shard block
