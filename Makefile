@@ -31,9 +31,9 @@ race:
 
 ## race-ring: the ring/zq kernel suites in full under the race detector —
 ## the worker-pool hammer (concurrent ring ops from many goroutines,
-## mirroring heserve's batcher), the limb differential suites and the
-## Barrett/Shoup reduction tests. Proves the revived limb-parallel path
-## is data-race-free and deterministic.
+## mirroring heserve's batcher, grouped-digit raise included), the limb
+## differential suites and the Barrett/Shoup reduction tests. Proves the
+## revived limb-parallel path is data-race-free and deterministic.
 race-ring:
 	$(GO) test -race ./internal/ring/... ./internal/zq/...
 
@@ -127,7 +127,9 @@ telemetry-overhead:
 ## fuzz-smoke: short native-fuzzing passes over the wire-format readers
 ## (ciphertext, key-bundle, each key type and shard-manifest frames); they
 ## must reject corrupt input with typed errors, never panic, and an
-## accepted switching key must carry exactly one digit per chain modulus.
+## accepted switching key must carry exactly one (b, a) pair per
+## key-switch digit of the layout, every QP limb present (the ckks
+## targets fuzz a grouped-digit chain).
 ## FuzzOptimize runs the optimizer on random valid graphs against an exact
 ## mod-p fake engine: same values, valid output, no extra engine calls.
 ## FuzzCombine runs ir.Combine's three dispatch shapes (PlainRecombine,

@@ -4,16 +4,21 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"sync"
 	"testing"
+
+	"cnnhe/internal/ring"
 )
 
 // Fuzz targets for every wire-format reader: arbitrary input must yield
 // a typed error (ErrFormat/ErrChecksum) or a clean EOF pass-through —
 // never a panic, and never an unclassified error.
 
+// fuzzCtxOnce is a grouped-digit context: [40, 26, 26, 26] under a
+// 60-bit special prime has the key-switch digits [0,1), [1,3), [3,4).
 var fuzzCtxOnce = sync.OnceValues(func() (*Context, error) {
-	p, err := TinyParameters()
+	p, err := NewParameters(10, []int{40, 26, 26, 26}, 60, 1, math.Exp2(26))
 	if err != nil {
 		return nil, err
 	}
@@ -30,23 +35,35 @@ func fuzzCtx(f *testing.F) *Context {
 }
 
 // checkDecodeErr asserts the reader's error contract on arbitrary input.
+// ErrParamsMismatch is the key bundle's typed answer to a foreign digest.
 func checkDecodeErr(t *testing.T, err error) {
 	t.Helper()
 	if err == nil {
 		return
 	}
-	if errors.Is(err, ErrFormat) || errors.Is(err, ErrChecksum) || err == io.EOF {
+	if errors.Is(err, ErrFormat) || errors.Is(err, ErrChecksum) || errors.Is(err, ErrParamsMismatch) || err == io.EOF {
 		return
 	}
 	t.Fatalf("untyped decode error: %v", err)
 }
 
 // checkDigits asserts an accepted switching key has exactly the digit
-// count key switching slices from: one per chain modulus.
+// count key switching slices from — one per top-level digit of the
+// layout — with every QP limb of every polynomial present.
 func checkDigits(t *testing.T, ctx *Context, swk *SwitchingKey) {
 	t.Helper()
-	if want := ctx.Params.MaxLevel() + 1; len(swk.B) != want || len(swk.A) != want {
+	top := ctx.Params.MaxLevel()
+	if want := len(ctx.Params.Digits(top)); len(swk.B) != want || len(swk.A) != want {
 		t.Fatalf("accepted a switching key with %d/%d digits, want %d", len(swk.B), len(swk.A), want)
+	}
+	for g := range swk.B {
+		for _, p := range []*ring.Poly{swk.B[g], swk.A[g]} {
+			for _, i := range ctx.R.Limbs(top, true) {
+				if len(p.Coeffs[i]) != ctx.Params.N()*ctx.R.SubRings[i].Width() {
+					t.Fatalf("accepted a switching key whose digit %d lacks limb %d", g, i)
+				}
+			}
+		}
 	}
 }
 

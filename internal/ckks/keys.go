@@ -20,9 +20,10 @@ type PublicKey struct {
 	B, A *ring.Poly
 }
 
-// SwitchingKey re-encrypts x·s' into a ciphertext under s: one (b_i, a_i)
-// pair per RNS digit, on all QP limbs in the NTT domain, with
-// b_i = −a_i·s + e_i + P·g_i·s' (g_i the CRT unit of limb i).
+// SwitchingKey re-encrypts x·s' into a ciphertext under s: one (b_g, a_g)
+// pair per key-switch digit of the top level (Parameters.Digits), on all
+// QP limbs in the NTT domain, with b_g = −a_g·s + e_g + P·T_g·s' (T_g the
+// CRT unit of digit g: 1 on its limbs, 0 on every other limb).
 type SwitchingKey struct {
 	B, A []*ring.Poly
 }
@@ -76,15 +77,15 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	return &PublicKey{B: b, A: a}
 }
 
-// genSwitchingKey builds the switching key whose message is P·g_i·target
-// per digit, target given on all QP limbs in NTT domain.
+// genSwitchingKey builds the switching key whose message is P·T_g·target
+// per digit g, target given on all QP limbs in NTT domain.
 func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, target *ring.Poly) *SwitchingKey {
 	r := kg.ctx.R
 	maxLevel := kg.ctx.Params.MaxLevel()
 	limbs := r.Limbs(maxLevel, true)
 	P := r.P()
 	swk := &SwitchingKey{}
-	for i := 0; i <= maxLevel; i++ {
+	for _, d := range kg.ctx.digits[maxLevel] {
 		a := r.NewPoly(maxLevel)
 		r.SampleUniform(kg.rng, limbs, a)
 		e := r.NewPoly(maxLevel)
@@ -94,11 +95,13 @@ func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, target *ring.Poly) *Switc
 		r.MulCoeffs(limbs, a, sk.S, b)
 		r.Neg(limbs, b, b)
 		r.Add(limbs, b, e, b)
-		// Message on limb i only: (P mod q_i) · target.
-		sr := r.SubRings[i]
-		msg := make([]uint64, len(target.Coeffs[i]))
-		sr.MulScalar(target.Coeffs[i], P, msg)
-		sr.Add(b.Coeffs[i], msg, b.Coeffs[i])
+		// Message on the digit's limbs only: (P mod q_i) · target.
+		for i := d.Lo; i < d.Hi; i++ {
+			sr := r.SubRings[i]
+			msg := make([]uint64, len(target.Coeffs[i]))
+			sr.MulScalar(target.Coeffs[i], P, msg)
+			sr.Add(b.Coeffs[i], msg, b.Coeffs[i])
+		}
 		swk.B = append(swk.B, b)
 		swk.A = append(swk.A, a)
 	}

@@ -4,9 +4,9 @@ import (
 	"cnnhe/internal/ring"
 )
 
-// keySwitchCoeff applies the RNS-decomposition key switch to a polynomial
-// given in both domains on limbs 0..level — c in coefficient form, cNTT in
-// NTT form — and returns fresh NTT-domain polynomials (p0, p1) on limbs
+// keySwitchCoeff applies the hybrid key switch to a polynomial given in
+// both domains on limbs 0..level — c in coefficient form, cNTT in NTT
+// form — and returns fresh NTT-domain polynomials (p0, p1) on limbs
 // 0..level only, such that
 //
 //	p0 + p1·s ≈ c·s'
@@ -14,36 +14,42 @@ import (
 // where s' is the key the switching key was generated for (s² for
 // relinearization, φ(s) for rotations).
 //
-// Procedure (one digit per ciphertext limb, special primes P):
-//  1. raise digit i = [c]_{q_i} to all QP limbs and transform it
-//     (ring.DecomposeNTT: digit i's own limb is cNTT's, copied);
-//  2. take the inner products Σ_i digit_i ⊙ swk.B[i] and ⊙ swk.A[i]
+// Procedure (d digits live at level, Parameters.Digits; special primes P):
+//  1. raise each digit [c]_{Q_g} to all QP limbs by fast basis
+//     conversion and transform it (ring.DecomposeNTT: the digit's own
+//     limbs are cNTT's, copied);
+//  2. take the inner products Σ_g digit_g ⊙ swk.B[g] and ⊙ swk.A[g]
 //     over QP, lazily reduced (ring.InnerProduct: one Barrett per
 //     coefficient instead of one per digit);
-//  3. divide by P with rounding (modDown) back to Q, in the NTT domain.
+//  3. divide by P (modDown, an exact division that floors) back to Q, in
+//     the NTT domain.
+//
+// With n = level+1 and one special prime that is d(n+1)+n limb NTTs:
+// d(n+1)−n for the raise, 2n for modDown.
 func (ev *Evaluator) keySwitchCoeff(level int, c, cNTT *ring.Poly, swk *SwitchingKey) (*ring.Poly, *ring.Poly) {
 	r := ev.ctx.R
 	limbsQP := r.Limbs(level, true)
 
 	digits := ev.decompose(level, c, cNTT)
 	acc0, acc1 := r.GetPoly(), r.GetPoly()
-	r.InnerProduct(limbsQP, digits, swk.B[:level+1], acc0)
-	r.InnerProduct(limbsQP, digits, swk.A[:level+1], acc1)
+	r.InnerProduct(limbsQP, digits, swk.B[:len(digits)], acc0)
+	r.InnerProduct(limbsQP, digits, swk.A[:len(digits)], acc1)
 	ev.releaseDigits(digits)
 	return ev.modDown(level, acc0, acc1)
 }
 
-// decompose raises every RNS digit [c]_{q_i}, i ≤ level, of the polynomial
+// decompose raises every key-switch digit live at level of the polynomial
 // given as c (coefficient domain) and cNTT (NTT domain) to all QP limbs,
 // in the NTT domain. The digits are pooled polynomials: hand them back
 // with releaseDigits.
 func (ev *Evaluator) decompose(level int, c, cNTT *ring.Poly) []*ring.Poly {
 	r := ev.ctx.R
-	digits := make([]*ring.Poly, level+1)
+	ds := ev.ctx.digits[level]
+	digits := make([]*ring.Poly, len(ds))
 	for i := range digits {
 		digits[i] = r.GetPoly()
 	}
-	r.DecomposeNTT(r.Limbs(level, true), c, cNTT, digits)
+	r.DecomposeNTT(r.Limbs(level, true), c, cNTT, ds, digits)
 	return digits
 }
 
@@ -54,7 +60,7 @@ func (ev *Evaluator) releaseDigits(digits []*ring.Poly) {
 }
 
 // modDown divides the NTT-domain key-switch accumulators acc0 and acc1 (on
-// limbs 0..level + specials) by the special modulus P with rounding and
+// limbs 0..level + specials) by the special modulus P, flooring, and
 // returns the quotients as fresh NTT-domain polynomials on limbs 0..level.
 // It divides by one special prime at a time, the last first, and the
 // remaining specials stay targets until their own turn; only the prime

@@ -129,59 +129,97 @@ func (c countingSubRing) ReduceFrom(src ring.SubRing, a, out []uint64) {
 
 // TestKeySwitchTransformCounts pins how many limb NTTs and INTTs each
 // key-switching operation and Rescale performs, at n = level+1 ciphertext
-// limbs and one special prime. Counts repeat exactly, so they gate "fewer
-// transforms" where wall time cannot: only the limb divided out of a
-// ModDown or Rescale and the coefficient form of the digit raise leave the
-// NTT domain, and digit i's own limb is copied, not re-transformed.
+// limbs, d digits live at the level and one special prime. Counts repeat
+// exactly, so they gate "fewer transforms" where wall time cannot: only
+// the limb divided out of a ModDown or Rescale and the coefficient form of
+// the digit raise leave the NTT domain, and a digit's own limbs are
+// copied, not re-transformed. TinyParameters has one limb per digit
+// (d = n); the paper chain k = 13 groups limb pairs (d = 8 at the top).
 func TestKeySwitchTransformCounts(t *testing.T) {
-	p, err := TinyParameters()
+	tinyParams, err := TinyParameters()
 	if err != nil {
 		t.Fatal(err)
 	}
 	hoist8 := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	k := newTestKit(t, p, hoist8, false)
-	if k.ctx.R.Special != 1 {
-		t.Fatalf("formulas assume one special prime, chain has %d", k.ctx.R.Special)
-	}
-	var ntt, intt atomic.Int64
-	for i, sr := range k.ctx.R.SubRings {
-		k.ctx.R.SubRings[i] = countingSubRing{SubRing: sr, ntt: &ntt, intt: &intt}
-	}
-	rng := rand.New(rand.NewSource(31))
-	top := k.ctx.Params.MaxLevel()
-	fresh := k.ept.Encrypt(k.enc.Encode(randVec(rng, k.ctx.Params.Slots(), 1), top, k.ctx.Params.Scale))
-	for _, tc := range []struct {
+	type row struct {
 		name   string
 		level  int
-		op     func(ct *Ciphertext)
-		nttOf  func(n int) int
+		op     func(k *testKit, ct *Ciphertext)
+		nttOf  func(n, d int) int
 		inttOf func(n int) int
+	}
+	rotate := func(k *testKit, ct *Ciphertext) { k.ev.Rotate(ct, 1) }
+	mul := func(k *testKit, ct *Ciphertext) { k.ev.Mul(ct, ct) }
+	hoisted := func(m int) func(k *testKit, ct *Ciphertext) {
+		return func(k *testKit, ct *Ciphertext) { k.ev.RotateHoisted(ct, hoist8[:m]) }
+	}
+	rescale := func(k *testKit, ct *Ciphertext) { k.ev.Rescale(ct) }
+	tinyTop := tinyParams.MaxLevel()
+	for _, leg := range []struct {
+		name   string
+		params Parameters
+		rows   []row
 	}{
-		{"Rotate", top, func(ct *Ciphertext) { k.ev.Rotate(ct, 1) },
-			func(n int) int { return n*n + 2*n }, func(n int) int { return n + 2 }},
-		{"Rotate", top - 2, func(ct *Ciphertext) { k.ev.Rotate(ct, 1) },
-			func(n int) int { return n*n + 2*n }, func(n int) int { return n + 2 }},
-		{"Mul", top, func(ct *Ciphertext) { k.ev.Mul(ct, ct) },
-			func(n int) int { return n*n + 2*n }, func(n int) int { return n + 2 }},
-		{"RotateHoisted/m=1", top, func(ct *Ciphertext) { k.ev.RotateHoisted(ct, hoist8[:1]) },
-			func(n int) int { return n*n + 2*n }, func(n int) int { return n + 2 }},
-		{"RotateHoisted/m=8", top, func(ct *Ciphertext) { k.ev.RotateHoisted(ct, hoist8) },
-			func(n int) int { return n*n + 16*n }, func(n int) int { return n + 16 }},
-		{"Rescale", top, func(ct *Ciphertext) { k.ev.Rescale(ct) },
-			func(n int) int { return 2 * (n - 1) }, func(int) int { return 2 }},
-		{"Rescale", 1, func(ct *Ciphertext) { k.ev.Rescale(ct) },
-			func(n int) int { return 2 * (n - 1) }, func(int) int { return 2 }},
+		{"tiny", tinyParams, []row{
+			{"Rotate", tinyTop, rotate,
+				func(n, _ int) int { return n*n + 2*n }, func(n int) int { return n + 2 }},
+			{"Rotate", tinyTop - 2, rotate,
+				func(n, _ int) int { return n*n + 2*n }, func(n int) int { return n + 2 }},
+			{"Mul", tinyTop, mul,
+				func(n, _ int) int { return n*n + 2*n }, func(n int) int { return n + 2 }},
+			{"RotateHoisted/m=1", tinyTop, hoisted(1),
+				func(n, _ int) int { return n*n + 2*n }, func(n int) int { return n + 2 }},
+			{"RotateHoisted/m=8", tinyTop, hoisted(8),
+				func(n, _ int) int { return n*n + 16*n }, func(n int) int { return n + 16 }},
+			{"Rescale", tinyTop, rescale,
+				func(n, _ int) int { return 2 * (n - 1) }, func(int) int { return 2 }},
+			{"Rescale", 1, rescale,
+				func(n, _ int) int { return 2 * (n - 1) }, func(int) int { return 2 }},
+		}},
+		// Top level: n = 13, d = 8 — 125 NTTs per rotation where one limb
+		// per digit took n²+2n = 195. Level 5 cuts the digit [5, 7) to [5, 6).
+		{"paper k=13", paperChainParams(t, 10, 13), []row{
+			{"Rotate", 12, rotate,
+				func(n, d int) int { return d*(n+1) + n }, func(n int) int { return n + 2 }},
+			{"Rotate", 6, rotate,
+				func(n, d int) int { return d*(n+1) + n }, func(n int) int { return n + 2 }},
+			{"Rotate", 5, rotate,
+				func(n, d int) int { return d*(n+1) + n }, func(n int) int { return n + 2 }},
+			{"Mul", 12, mul,
+				func(n, d int) int { return d*(n+1) + n }, func(n int) int { return n + 2 }},
+			{"RotateHoisted/m=1", 12, hoisted(1),
+				func(n, d int) int { return d*(n+1) - n + 2*n }, func(n int) int { return n + 2 }},
+			{"RotateHoisted/m=8", 12, hoisted(8),
+				func(n, d int) int { return d*(n+1) - n + 16*n }, func(n int) int { return n + 16 }},
+			{"RotateHoisted/m=8", 3, hoisted(8),
+				func(n, d int) int { return d*(n+1) - n + 16*n }, func(n int) int { return n + 16 }},
+		}},
 	} {
-		ct := k.ev.DropLevel(fresh, top-tc.level)
-		n := tc.level + 1
-		ntt.Store(0)
-		intt.Store(0)
-		tc.op(ct)
-		if got, want := int(ntt.Load()), tc.nttOf(n); got != want {
-			t.Errorf("%s at n=%d: %d limb NTTs, want %d", tc.name, n, got, want)
-		}
-		if got, want := int(intt.Load()), tc.inttOf(n); got != want {
-			t.Errorf("%s at n=%d: %d limb INTTs, want %d", tc.name, n, got, want)
-		}
+		t.Run(leg.name, func(t *testing.T) {
+			k := newTestKit(t, leg.params, hoist8, false)
+			if k.ctx.R.Special != 1 {
+				t.Fatalf("formulas assume one special prime, chain has %d", k.ctx.R.Special)
+			}
+			var ntt, intt atomic.Int64
+			for i, sr := range k.ctx.R.SubRings {
+				k.ctx.R.SubRings[i] = countingSubRing{SubRing: sr, ntt: &ntt, intt: &intt}
+			}
+			rng := rand.New(rand.NewSource(31))
+			top := k.ctx.Params.MaxLevel()
+			fresh := k.ept.Encrypt(k.enc.Encode(randVec(rng, k.ctx.Params.Slots(), 1), top, k.ctx.Params.Scale))
+			for _, tc := range leg.rows {
+				ct := k.ev.DropLevel(fresh, top-tc.level)
+				n, d := tc.level+1, len(k.ctx.Params.Digits(tc.level))
+				ntt.Store(0)
+				intt.Store(0)
+				tc.op(k, ct)
+				if got, want := int(ntt.Load()), tc.nttOf(n, d); got != want {
+					t.Errorf("%s at n=%d, d=%d: %d limb NTTs, want %d", tc.name, n, d, got, want)
+				}
+				if got, want := int(intt.Load()), tc.inttOf(n); got != want {
+					t.Errorf("%s at n=%d, d=%d: %d limb INTTs, want %d", tc.name, n, d, got, want)
+				}
+			}
+		})
 	}
 }

@@ -41,6 +41,9 @@ var (
 	// ErrChecksum: the blob parsed but its CRC-32 does not match (bit
 	// corruption in transit or at rest).
 	ErrChecksum = errors.New("ckks: checksum mismatch")
+	// ErrParamsMismatch: a key bundle carries the digest of other
+	// Parameters (Parameters.ParamsDigest) than the reading Context's.
+	ErrParamsMismatch = errors.New("ckks: parameter mismatch")
 )
 
 // badFormat wraps a low-level decode error as ErrFormat.
@@ -164,33 +167,45 @@ func writePoly(w io.Writer, rg *ring.Ring, limbs []int, p *ring.Poly) error {
 	return nil
 }
 
-// readPoly reads limbs into a polynomial allocated for maxLevel with
-// specials.
-func readPoly(r io.Reader, rg *ring.Ring, level int) (*ring.Poly, error) {
+// readPoly reads a polynomial carrying exactly the given limbs, each once
+// and in any order, and allocates only those. A missing, extra, repeated
+// or foreign limb is ErrFormat, even under a valid checksum.
+func readPoly(r io.Reader, rg *ring.Ring, limbs []int) (*ring.Poly, error) {
 	nLimbs, err := readUint64(r)
 	if err != nil {
 		return nil, err
 	}
-	p := rg.NewPoly(level)
-	for i := uint64(0); i < nLimbs; i++ {
+	if nLimbs != uint64(len(limbs)) {
+		return nil, fmt.Errorf("%w: polynomial has %d limbs, want %d", ErrFormat, nLimbs, len(limbs))
+	}
+	want := make([]bool, len(rg.SubRings))
+	for _, li := range limbs {
+		want[li] = true
+	}
+	p := &ring.Poly{Coeffs: make([][]uint64, len(rg.SubRings))}
+	for range limbs {
 		li, err := readUint64(r)
 		if err != nil {
 			return nil, err
 		}
-		if li >= uint64(len(p.Coeffs)) { // unsigned: int(li) wraps negative past 2^63
-			return nil, fmt.Errorf("%w: limb index %d out of range", ErrFormat, li)
+		if li >= uint64(len(want)) || !want[li] { // unsigned: int(li) wraps negative past 2^63
+			return nil, fmt.Errorf("%w: limb index %d not expected", ErrFormat, li)
+		}
+		if p.Coeffs[li] != nil {
+			return nil, fmt.Errorf("%w: limb %d repeated", ErrFormat, li)
 		}
 		n, err := readUint64(r)
 		if err != nil {
 			return nil, err
 		}
-		if p.Coeffs[li] == nil || uint64(len(p.Coeffs[li])) != n {
-			return nil, fmt.Errorf("%w: limb %d length mismatch (%d)", ErrFormat, li, n)
+		if size := uint64(rg.N() * rg.SubRings[li].Width()); n != size {
+			return nil, fmt.Errorf("%w: limb %d length %d, want %d", ErrFormat, li, n, size)
 		}
 		buf := make([]byte, 8*n)
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, badFormat(err)
 		}
+		p.Coeffs[li] = make([]uint64, n)
 		for j := range p.Coeffs[li] {
 			p.Coeffs[li][j] = binary.LittleEndian.Uint64(buf[8*j:])
 		}
@@ -240,11 +255,12 @@ func (ctx *Context) ReadCiphertext(r io.Reader) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	c0, err := readPoly(cr, ctx.R, level)
+	limbs := ctx.R.Limbs(level, false)
+	c0, err := readPoly(cr, ctx.R, limbs)
 	if err != nil {
 		return nil, err
 	}
-	c1, err := readPoly(cr, ctx.R, level)
+	c1, err := readPoly(cr, ctx.R, limbs)
 	if err != nil {
 		return nil, err
 	}
@@ -276,11 +292,12 @@ func (ctx *Context) ReadPublicKey(r io.Reader) (*PublicKey, error) {
 	if err := readHeader(cr, tagPublicKey, "public key"); err != nil {
 		return nil, err
 	}
-	b, err := readPoly(cr, ctx.R, ctx.Params.MaxLevel())
+	limbs := ctx.R.Limbs(ctx.Params.MaxLevel(), true)
+	b, err := readPoly(cr, ctx.R, limbs)
 	if err != nil {
 		return nil, err
 	}
-	a, err := readPoly(cr, ctx.R, ctx.Params.MaxLevel())
+	a, err := readPoly(cr, ctx.R, limbs)
 	if err != nil {
 		return nil, err
 	}
@@ -313,9 +330,10 @@ func (ctx *Context) WriteSwitchingKey(w io.Writer, swk *SwitchingKey) error {
 }
 
 // ReadSwitchingKey deserializes a switching key. A key carries exactly
-// one digit per modulus of the chain (MaxLevel+1, as key generation
-// produces): key switching slices the first level+1 digits, so a shorter
-// key would pass registration and fail only at evaluation.
+// one (b, a) pair per top-level key-switch digit (Parameters.Digits, as
+// key generation produces): key switching slices the digits live at the op's
+// level, so a shorter key would pass registration and fail only at
+// evaluation.
 func (ctx *Context) ReadSwitchingKey(r io.Reader) (*SwitchingKey, error) {
 	cr := newCRCReader(r)
 	if err := readHeader(cr, tagSwitchKey, "switching key"); err != nil {
@@ -325,16 +343,17 @@ func (ctx *Context) ReadSwitchingKey(r io.Reader) (*SwitchingKey, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n != uint64(ctx.Params.MaxLevel()+1) {
-		return nil, fmt.Errorf("%w: switching key has %d digits, want %d", ErrFormat, n, ctx.Params.MaxLevel()+1)
+	if want := len(ctx.digits[ctx.Params.MaxLevel()]); n != uint64(want) {
+		return nil, fmt.Errorf("%w: switching key has %d digits, want %d", ErrFormat, n, want)
 	}
+	limbs := ctx.R.Limbs(ctx.Params.MaxLevel(), true)
 	swk := &SwitchingKey{}
 	for i := uint64(0); i < n; i++ {
-		b, err := readPoly(cr, ctx.R, ctx.Params.MaxLevel())
+		b, err := readPoly(cr, ctx.R, limbs)
 		if err != nil {
 			return nil, err
 		}
-		a, err := readPoly(cr, ctx.R, ctx.Params.MaxLevel())
+		a, err := readPoly(cr, ctx.R, limbs)
 		if err != nil {
 			return nil, err
 		}

@@ -217,9 +217,11 @@ func (ctx *Context) WriteKeyBundle(w io.Writer, b *KeyBundle) error {
 	return cw.writeSum()
 }
 
-// ReadKeyBundle deserializes a bundle envelope. The params digest is NOT
-// checked here — the caller compares it against its own Parameters (a
-// mismatch is a compatibility error, not a format error).
+// ReadKeyBundle deserializes a bundle envelope. The params digest is
+// checked as soon as it is read: a bundle generated under other
+// Parameters is ErrParamsMismatch — a compatibility error, not a format
+// error — before any key body, whose shape those Parameters fix, is
+// parsed.
 func (ctx *Context) ReadKeyBundle(r io.Reader) (*KeyBundle, error) {
 	cr := newCRCReader(r)
 	if err := readHeader(cr, tagKeyBundle, "key bundle"); err != nil {
@@ -228,6 +230,10 @@ func (ctx *Context) ReadKeyBundle(r io.Reader) (*KeyBundle, error) {
 	b := &KeyBundle{}
 	if _, err := io.ReadFull(cr, b.ParamsDigest[:]); err != nil {
 		return nil, badFormat(err)
+	}
+	if b.ParamsDigest != ctx.Params.ParamsDigest() {
+		return nil, fmt.Errorf("%w: bundle params digest %x, context %s",
+			ErrParamsMismatch, b.ParamsDigest[:8], ctx.Params.Fingerprint()[:16])
 	}
 	var err error
 	if b.PK, err = ctx.ReadPublicKey(cr); err != nil {
@@ -248,10 +254,13 @@ func (ctx *Context) ReadKeyBundle(r io.Reader) (*KeyBundle, error) {
 // ParamsDigest returns a 32-byte digest over every field of the CKKS
 // instantiation that affects ciphertext and key compatibility: ring
 // degree, moduli chain (values and special count), scale, key/error
-// distributions and the ring seed (which fixes the NTT roots).
+// distributions, the ring seed (which fixes the NTT roots) and the
+// key-switch digit layout (which fixes the switching keys' shape). The
+// domain string changed when digits became limb groups, so bundles made
+// under one-limb-per-digit keys no longer match.
 func (p Parameters) ParamsDigest() [32]byte {
 	h := sha256.New()
-	h.Write([]byte("cnnhe-ckks-params-v1"))
+	h.Write([]byte("cnnhe-ckks-params-v2-digits"))
 	u := func(v uint64) {
 		var buf [8]byte
 		binary.LittleEndian.PutUint64(buf[:], v)
@@ -268,6 +277,11 @@ func (p Parameters) ParamsDigest() [32]byte {
 		b := q.Bytes()
 		u(uint64(len(b)))
 		h.Write(b)
+	}
+	digits := p.Digits(p.MaxLevel())
+	u(uint64(len(digits)))
+	for _, d := range digits {
+		u(uint64(d[1] - d[0]))
 	}
 	var d [32]byte
 	h.Sum(d[:0])
@@ -306,10 +320,10 @@ func (ctx *Context) CiphertextWireSize(level int) int {
 }
 
 // switchingKeyWireSize is the exact serialized size of one switching key
-// (all digits, all QP limbs).
+// (every top-level digit, all QP limbs).
 func (ctx *Context) switchingKeyWireSize() int {
-	digits := ctx.Params.MaxLevel() + 1
-	allLimbs := digits + ctx.Params.Chain.SpecialCount
+	digits := len(ctx.digits[ctx.Params.MaxLevel()])
+	allLimbs := ctx.Params.MaxLevel() + 1 + ctx.Params.Chain.SpecialCount
 	return 2 + 8 + digits*2*ctx.polyWireSize(allLimbs) + 4
 }
 

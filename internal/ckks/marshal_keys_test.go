@@ -353,10 +353,18 @@ func TestParamsFingerprint(t *testing.T) {
 	}
 }
 
-// TestWireSizes pins the exact-size helpers against real serializations;
-// the serve layer uses them to set request body limits.
+// TestWireSizes pins the exact-size helpers against real serializations,
+// on one-limb and grouped digits; the serve layer uses them to set
+// request body limits.
 func TestWireSizes(t *testing.T) {
-	k := keyedKit(t, []int{1, 2, 4})
+	for _, k := range []*testKit{keyedKit(t, []int{1, 2, 4}), groupedKit(t, []int{1, 2, 4})} {
+		checkWireSizes(t, k)
+	}
+}
+
+// checkWireSizes compares the size helpers with k's serializations.
+func checkWireSizes(t *testing.T, k *testKit) {
+	t.Helper()
 	rtk := k.kg.GenRotationKeys(k.sk, []int{1, 2, 4}, false)
 
 	var ctBuf bytes.Buffer

@@ -207,3 +207,113 @@ func TestMarshalCorruption(t *testing.T) {
 		})
 	}
 }
+
+// TestReadPolyRequiresExactLimbSet: every polynomial on the wire must
+// carry exactly the limbs its object has — limbs 0..level for a
+// ciphertext, every QP limb for a key — each once. Frames that drop,
+// repeat or add a limb are refused as ErrFormat even under a valid
+// checksum, instead of being zero-filled or overwritten.
+func TestReadPolyRequiresExactLimbSet(t *testing.T) {
+	k := tiny(t)
+	r := k.ctx.R
+	top := k.ctx.Params.MaxLevel()
+	ct := k.ept.Encrypt(k.enc.Encode([]float64{1}, top, k.ctx.Params.Scale))
+	qLimbs := r.Limbs(top, false)
+	qpLimbs := r.Limbs(top, true)
+	without := func(limbs []int, drop int) []int {
+		var out []int
+		for _, l := range limbs {
+			if l != drop {
+				out = append(out, l)
+			}
+		}
+		return out
+	}
+	// frame writes a CRC-valid object whose first polynomial carries
+	// limbs; the rest of the payload is the genuine one.
+	ctFrame := func(limbs []int) []byte {
+		var buf bytes.Buffer
+		cw := newCRCWriter(&buf)
+		cw.Write([]byte{tagCiphertext, formatVersion})
+		writeUint64(cw, uint64(ct.Level))
+		writeUint64(cw, math.Float64bits(ct.Scale))
+		writePoly(cw, r, limbs, ct.C0)
+		writePoly(cw, r, qLimbs, ct.C1)
+		cw.writeSum()
+		return buf.Bytes()
+	}
+	pkFrame := func(limbs []int) []byte {
+		var buf bytes.Buffer
+		cw := newCRCWriter(&buf)
+		cw.Write([]byte{tagPublicKey, formatVersion})
+		writePoly(cw, r, limbs, k.pk.B)
+		writePoly(cw, r, qpLimbs, k.pk.A)
+		cw.writeSum()
+		return buf.Bytes()
+	}
+	swkFrame := func(limbs []int) []byte {
+		var buf bytes.Buffer
+		cw := newCRCWriter(&buf)
+		cw.Write([]byte{tagSwitchKey, formatVersion})
+		writeUint64(cw, uint64(len(k.rlk.B)))
+		for i := range k.rlk.B {
+			b := qpLimbs
+			if i == len(k.rlk.B)-1 {
+				b = limbs
+			}
+			writePoly(cw, r, b, k.rlk.B[i])
+			writePoly(cw, r, qpLimbs, k.rlk.A[i])
+		}
+		cw.writeSum()
+		return buf.Bytes()
+	}
+	dup := append(without(qLimbs, 2), 1) // limb 1 twice, limb 2 missing
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"ciphertext dropped limb", ctFrame(without(qLimbs, 2))},
+		{"ciphertext repeated limb", ctFrame(dup)},
+		{"ciphertext special limb", ctFrame(append(without(qLimbs, 2), len(r.SubRings)-1))},
+		{"public key dropped special", pkFrame(qLimbs)},
+		{"public key repeated limb", pkFrame(append(without(qpLimbs, 0), 1))},
+		{"switching key dropped limb", swkFrame(without(qpLimbs, 3))},
+	} {
+		var err error
+		switch tc.data[0] {
+		case tagCiphertext:
+			_, err = k.ctx.ReadCiphertext(bytes.NewReader(tc.data))
+		case tagPublicKey:
+			_, err = k.ctx.ReadPublicKey(bytes.NewReader(tc.data))
+		case tagSwitchKey:
+			_, err = k.ctx.ReadSwitchingKey(bytes.NewReader(tc.data))
+		}
+		if !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: got %v, want ErrFormat", tc.name, err)
+		}
+	}
+	// The genuine frames still read.
+	if _, err := k.ctx.ReadCiphertext(bytes.NewReader(ctFrame(qLimbs))); err != nil {
+		t.Fatalf("genuine ciphertext: %v", err)
+	}
+	if _, err := k.ctx.ReadPublicKey(bytes.NewReader(pkFrame(qpLimbs))); err != nil {
+		t.Fatalf("genuine public key: %v", err)
+	}
+	if _, err := k.ctx.ReadSwitchingKey(bytes.NewReader(swkFrame(qpLimbs))); err != nil {
+		t.Fatalf("genuine switching key: %v", err)
+	}
+
+	// A public key of a shorter chain, read by a longer one.
+	short, err := NewParameters(10, []int{40, 30, 30}, 50, 1, math.Exp2(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := newTestKit(t, short, nil, false)
+	var buf bytes.Buffer
+	if err := sk.ctx.WritePublicKey(&buf, sk.pk); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.ctx.ReadPublicKey(&buf); !errors.Is(err, ErrFormat) {
+		t.Fatalf("3-limb public key on a 5-limb context: got %v, want ErrFormat", err)
+	}
+}

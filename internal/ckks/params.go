@@ -7,7 +7,9 @@
 // are pairs of RNS polynomials kept in the NTT (evaluation) domain. The
 // scheme supports addition, plaintext and ciphertext multiplication with
 // relinearization, rescaling, slot rotation and conjugation. Key switching
-// uses per-limb RNS digit decomposition with one or more special primes.
+// is hybrid: a digit is a run of consecutive ciphertext limbs whose product
+// stays keySwitchMarginBits below the special modulus P (one or more
+// special primes), raised to QP by a fast basis conversion (Parameters.Digits).
 package ckks
 
 import (
@@ -133,12 +135,65 @@ func (p Parameters) QiFloat(level int) float64 {
 	return f
 }
 
+// keySwitchMarginBits is how far a key-switch digit's modulus Q_g stays
+// below the special modulus P: bitlen(Q_g) + keySwitchMarginBits ≤
+// bitlen(P), so Q_g/P < 2^(1−keySwitchMarginBits). DESIGN.md §14 derives
+// the 8 from the key-switch term of noise.Model.KeySwitch.
+const keySwitchMarginBits = 8
+
+// Digits returns the key-switch digits live at level, as [lo, hi) ranges
+// of ciphertext limbs: from limb 0 up, each digit is the longest run of
+// consecutive limbs whose modulus product has at most bitlen(P) −
+// keySwitchMarginBits bits (at least one limb). Growing each run greedily
+// from the bottom means the digits at a lower level are the top level's
+// digits that start at or below it, the last one cut at level — so the
+// switching keys, one (b, a) per top-level digit, serve every level.
+func (p Parameters) Digits(level int) [][2]int {
+	budget := p.Chain.P().BitLen() - keySwitchMarginBits
+	var out [][2]int
+	for lo := 0; lo <= level; {
+		prod := new(big.Int).Set(p.Chain.Moduli[lo])
+		hi := lo + 1
+		for hi <= level && new(big.Int).Mul(prod, p.Chain.Moduli[hi]).BitLen() <= budget {
+			prod.Mul(prod, p.Chain.Moduli[hi])
+			hi++
+		}
+		out = append(out, [2]int{lo, hi})
+		lo = hi
+	}
+	return out
+}
+
+// KeySwitchBound returns the two layout figures noise.Model.KeySwitch
+// takes for a key switch at level: the number of live digits, and the
+// largest bound on a raised digit's coefficients, (hi−lo)·Q_g — the range
+// of the fast basis conversion, which is q_i itself for a one-limb digit.
+// The guard and Plan.EstimatePrecision both take their key-switch term
+// from here.
+func (p Parameters) KeySwitchBound(level int) (digits int, maxDigit float64) {
+	ds := p.Digits(level)
+	for _, d := range ds {
+		qg := big.NewInt(int64(d[1] - d[0]))
+		for i := d[0]; i < d[1]; i++ {
+			qg.Mul(qg, p.Chain.Moduli[i])
+		}
+		if f, _ := new(big.Float).SetInt(qg).Float64(); f > maxDigit {
+			maxDigit = f
+		}
+	}
+	return len(ds), maxDigit
+}
+
 // Context bundles Parameters with the constructed RNS ring and the
 // canonical-embedding engine. All scheme components share one Context.
 type Context struct {
 	Params Parameters
 	R      *ring.Ring
 	Emb    *embed.Embedder
+
+	// digits[level] are the key-switch digits live at level
+	// (Parameters.Digits) with their basis-conversion constants.
+	digits [][]*ring.Digit
 }
 
 // NewContext constructs the ring (deterministically, from
@@ -148,7 +203,15 @@ func NewContext(p Parameters) (*Context, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Context{Params: p, R: r, Emb: embed.New(p.N())}, nil
+	ctx := &Context{Params: p, R: r, Emb: embed.New(p.N())}
+	for level := 0; level <= p.MaxLevel(); level++ {
+		var ds []*ring.Digit
+		for _, d := range p.Digits(level) {
+			ds = append(ds, r.NewDigit(d[0], d[1]))
+		}
+		ctx.digits = append(ctx.digits, ds)
+	}
+	return ctx, nil
 }
 
 // SetParallel toggles limb-level parallelism on the underlying ring.

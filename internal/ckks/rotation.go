@@ -60,7 +60,7 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, galEl uint64) *Ciphertext {
 }
 
 // RotateHoisted returns rotations of ct by each k in ks using hoisting:
-// the RNS digit decomposition of c1 — the dominant cost of a rotation —
+// the key-switch digit raise of c1 — the dominant cost of a rotation —
 // is computed once and reused for every rotation, with the Galois
 // automorphism applied as an NTT-domain permutation of the precomputed
 // digits. All rotation keys must be available; rotations by a multiple of
@@ -100,8 +100,8 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, ks []int) map[int]*Ciphertext
 		// φ(digit_i) per digit.
 		perm := ring.AutomorphismNTTIndex(logN, galEl)
 		acc0, acc1 := r.GetPoly(), r.GetPoly()
-		r.InnerProductPermuted(limbsQP, digits, swk.B[:level+1], perm, acc0)
-		r.InnerProductPermuted(limbsQP, digits, swk.A[:level+1], perm, acc1)
+		r.InnerProductPermuted(limbsQP, digits, swk.B[:len(digits)], perm, acc0)
+		r.InnerProductPermuted(limbsQP, digits, swk.A[:len(digits)], perm, acc1)
 		p0, p1 := ev.modDown(level, acc0, acc1)
 		// φ(c0) is a direct NTT-domain permutation of c0.
 		r.PermuteNTT(limbsQ, ct.C0, perm, rc0)

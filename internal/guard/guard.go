@@ -232,18 +232,27 @@ func New(inner henn.Engine, cfg Config) *GuardedEngine {
 		g.model = noise.Model{N: 2 * inner.Slots(), Sigma: ring.DefaultSigma, H: 64}
 	}
 
-	// Key-switch noise bound: digits · maxQi / P, cf. noise.Model.KeySwitch.
-	maxQi := 0.0
-	for l := 0; l <= inner.MaxLevel(); l++ {
-		if q := inner.QiFloat(l); q > maxQi {
-			maxQi = q
+	// Key-switch noise bound: digits · maxDigit / P, cf.
+	// noise.Model.KeySwitch. On CKKS-RNS the digit layout's top level has
+	// the most digits and the largest one, so its bound holds at every
+	// level; other backends count one digit per prime.
+	var digits int
+	var maxDigit, p float64
+	if g.rnsCtx != nil {
+		params := g.rnsCtx.Params
+		digits, maxDigit = params.KeySwitchBound(params.MaxLevel())
+		p, _ = new(big.Float).SetInt(params.Chain.P()).Float64()
+	} else {
+		digits = inner.MaxLevel() + 1
+		for l := 0; l <= inner.MaxLevel(); l++ {
+			maxDigit = math.Max(maxDigit, inner.QiFloat(l))
+		}
+		p = maxDigit * math.Exp2(20) // fallback: assume a comfortably large P
+		if sm, ok := base.(specialModulus); ok {
+			p = sm.SpecialPFloat()
 		}
 	}
-	p := maxQi * math.Exp2(20) // fallback: assume a comfortably large P
-	if sm, ok := base.(specialModulus); ok {
-		p = sm.SpecialPFloat()
-	}
-	g.ks = g.model.KeySwitch(inner.MaxLevel()+1, maxQi, p)
+	g.ks = g.model.KeySwitch(digits, maxDigit, p)
 	g.telConfigured()
 	return g
 }

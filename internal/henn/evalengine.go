@@ -1,7 +1,6 @@
 package henn
 
 import (
-	"math/big"
 	"runtime"
 
 	"cnnhe/internal/ckks"
@@ -59,13 +58,6 @@ func (e *RNSEvalEngine) Scale() float64 { return e.Ctx.Params.Scale }
 
 // QiFloat implements Engine.
 func (e *RNSEvalEngine) QiFloat(level int) float64 { return e.Ctx.Params.QiFloat(level) }
-
-// SpecialPFloat returns the key-switching modulus P as a float64 (used by
-// the guard's key-switch noise bound).
-func (e *RNSEvalEngine) SpecialPFloat() float64 {
-	f, _ := new(big.Float).SetInt(e.Ctx.Params.Chain.P()).Float64()
-	return f
-}
 
 // EncryptVec implements Engine by panicking: an evaluation-only engine
 // holds no encryption key path on purpose. Inputs must arrive as

@@ -35,12 +35,6 @@ func (p *Plan) EstimatePrecision(params ckks.Parameters, valueBound float64) (*P
 	}
 	m := noise.Model{N: params.N(), Sigma: params.Sigma, H: params.H}
 	pf, _ := params.Chain.P().Float64()
-	maxQi := 0.0
-	for i := 0; i <= params.MaxLevel(); i++ {
-		if q := params.QiFloat(i); q > maxQi {
-			maxQi = q
-		}
-	}
 	b := noise.NewBudget(m, params.Scale)
 	level := params.MaxLevel()
 	out := &PrecisionEstimate{}
@@ -48,7 +42,8 @@ func (p *Plan) EstimatePrecision(params ckks.Parameters, valueBound float64) (*P
 		out.PerStage = append(out.PerStage, StagePrecision{Stage: s.Describe(), Bits: b.BitsOfPrecision()})
 	}
 	for _, s := range p.Stages {
-		ks := m.KeySwitch(level+1, maxQi, pf)
+		digits, maxDigit := params.KeySwitchBound(level)
+		ks := m.KeySwitch(digits, maxDigit, pf)
 		switch st := s.(type) {
 		case *ShardedLinear:
 			// Baby rotations add key-switch noise to the operand once

@@ -1,7 +1,9 @@
 package keys
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -245,5 +247,47 @@ func TestDurablePersistFailureRollsBack(t *testing.T) {
 	}
 	if s.Len() != 0 {
 		t.Fatalf("failed registration left %d entries", s.Len())
+	}
+}
+
+// TestDurableReloadQuarantinesOneLimbDigitSnapshot: a snapshot written
+// before key-switch digits became limb groups — N = 2^5, chain
+// [40, 26, 26] under a 60-bit special, one switching-key digit per limb
+// (three) where the chain now has two, under the old params digest — is
+// refused on reload as a parameter mismatch and quarantined, never
+// served. testdata/one-limb-digits-bundle.bin holds its exact bytes.
+func TestDurableReloadQuarantinesOneLimbDigitSnapshot(t *testing.T) {
+	p, err := ckks.NewParameters(5, []int{40, 26, 26}, 60, 1, math.Exp2(26))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := p.Digits(p.MaxLevel()); len(d) != 2 {
+		t.Fatalf("chain has digits %v, want two", d)
+	}
+	ctx, err := ckks.NewContext(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(filepath.Join("testdata", "one-limb-digits-bundle.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.ReadKeyBundle(bytes.NewReader(old)); !errors.Is(err, ErrParamsMismatch) {
+		t.Fatalf("old bundle: want ErrParamsMismatch, got %v", err)
+	}
+	dir := t.TempDir()
+	name := filepath.Join(dir, ckks.BundleFingerprint(old)+bundleSuffix)
+	if err := os.WriteFile(name, old, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s := durableStore(t, ctx, dir, nil)
+	if s.Len() != 0 {
+		t.Fatalf("reload kept %d entries from an old snapshot", s.Len())
+	}
+	if _, err := os.Stat(name + quarantineSuffix); err != nil {
+		t.Fatalf("old snapshot not quarantined: %v", err)
+	}
+	if _, err := s.Register(old); !errors.Is(err, ErrParamsMismatch) {
+		t.Fatalf("re-registering the old bundle: want ErrParamsMismatch, got %v", err)
 	}
 }

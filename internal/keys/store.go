@@ -36,8 +36,9 @@ var (
 	// evicted, or expired).
 	ErrNotFound = errors.New("keys: unknown key fingerprint")
 	// ErrParamsMismatch: the bundle was generated under a different CKKS
-	// instantiation than this server runs.
-	ErrParamsMismatch = errors.New("keys: parameter mismatch")
+	// instantiation than this server runs. It is ckks.ErrParamsMismatch,
+	// which ckks.ReadKeyBundle returns as soon as it reads the digest.
+	ErrParamsMismatch = ckks.ErrParamsMismatch
 	// ErrMissingRotations: the bundle's rotation-key set does not cover
 	// the loaded plan's required rotations.
 	ErrMissingRotations = errors.New("keys: rotation keys missing for plan")
@@ -232,20 +233,19 @@ func (s *Store) Register(data []byte) (*Entry, error) {
 }
 
 // decodeValidate runs the full acceptance check on serialized bundle
-// bytes: frame decode (version + CRC), params-digest binding, and
-// rotation coverage for the loaded plan. Shared by Register and the
-// durable reload so a restart re-verifies exactly what registration
-// verified.
+// bytes: params-digest binding (checked first, by ReadKeyBundle), frame
+// decode (version + CRC), and rotation coverage for the loaded plan.
+// Shared by Register and the durable reload so a restart re-verifies
+// exactly what registration verified.
 func (s *Store) decodeValidate(data []byte) (*ckks.KeyBundle, error) {
 	bundle, err := s.cfg.Ctx.ReadKeyBundle(bytes.NewReader(data))
+	if errors.Is(err, ErrParamsMismatch) {
+		keysTel().rejected("params")
+		return nil, err
+	}
 	if err != nil {
 		keysTel().rejected("format")
 		return nil, err
-	}
-	if bundle.ParamsDigest != s.cfg.Ctx.Params.ParamsDigest() {
-		keysTel().rejected("params")
-		return nil, fmt.Errorf("%w: bundle params digest %x, server %s",
-			ErrParamsMismatch, bundle.ParamsDigest[:8], s.cfg.Ctx.Params.Fingerprint()[:16])
 	}
 	for _, g := range s.galEls {
 		if bundle.RTK == nil || bundle.RTK.Keys[g] == nil {

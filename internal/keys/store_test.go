@@ -3,12 +3,14 @@ package keys
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"cnnhe/internal/ckks"
+	"cnnhe/internal/telemetry"
 )
 
 // bundleFixture builds a serialized bundle over TinyParameters covering
@@ -309,5 +311,58 @@ func TestRequiredGaloisElements(t *testing.T) {
 		if els[i-1] >= els[i] {
 			t.Fatal("galois elements not sorted")
 		}
+	}
+}
+
+// rejections reads the cnnhe_keys_rejected_total series by reason.
+func rejections(reason string) float64 {
+	f, ok := telemetry.Default().Snapshot().Family("cnnhe_keys_rejected_total")
+	if !ok {
+		return 0
+	}
+	for _, s := range f.Series {
+		if s.Label("reason") == reason {
+			return s.Value
+		}
+	}
+	return 0
+}
+
+// TestRegisterForeignChainIsParamsMismatch: a bundle generated under
+// another moduli chain is a parameter mismatch (reason "params"), not a
+// malformed frame — the digest is compared before the key bodies, whose
+// shape the other chain fixes, are parsed.
+func TestRegisterForeignChainIsParamsMismatch(t *testing.T) {
+	telemetry.SetEnabled(true)
+	defer telemetry.SetEnabled(false)
+	p, err := ckks.NewParameters(10, []int{40, 30, 30, 30, 30}, 60, 1, math.Exp2(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := ckks.NewContext(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := ckks.NewParameters(10, []int{40, 30, 30}, 60, 1, math.Exp2(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shortCtx, err := ckks.NewContext(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStore(Config{Ctx: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, format := rejections("params"), rejections("format")
+	if _, err := s.Register(bundleFixture(t, shortCtx, 14, []int{1})); !errors.Is(err, ErrParamsMismatch) || errors.Is(err, ckks.ErrFormat) {
+		t.Fatalf("want ErrParamsMismatch (not ErrFormat), got %v", err)
+	}
+	if got := rejections("params") - params; got != 1 {
+		t.Errorf("params rejections grew by %v, want 1", got)
+	}
+	if got := rejections("format") - format; got != 0 {
+		t.Errorf("format rejections grew by %v, want 0", got)
 	}
 }

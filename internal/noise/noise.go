@@ -29,17 +29,25 @@ func (m Model) Fresh() float64 {
 	return 8*math.Sqrt2*m.Sigma*n + 6*m.Sigma*math.Sqrt(n) + 16*m.Sigma*math.Sqrt(float64(m.H)*n)
 }
 
-// Rescale returns the bound B_scale added by one rescaling:
-// √(N/3)·(3 + 8√h).
+// Rescale returns the bound added by one rescaling (or the mod-down of a
+// key switch): B_scale = √(N/3)·(3 + 8√h) for rounding to nearest, plus
+// the bias of the ring's division, which floors: (a − [a]_q)/q with
+// [a]_q ∈ [0, q) leaves an error τ0 + τ1·s with τ ∈ [0, 1), i.e. the
+// centered part B_scale bounds plus ½·u·(1 + s), u = Σ_j X^j. Since
+// ‖u‖_can = 1/sin(π/2N) and ‖s‖_can ≤ 8√h, the bias adds
+// (1 + 8√h)/(2·sin(π/2N)) ≈ N·(1 + 8√h)/π.
 func (m Model) Rescale() float64 {
-	return math.Sqrt(float64(m.N)/3) * (3 + 8*math.Sqrt(float64(m.H)))
+	n, sh := float64(m.N), 8*math.Sqrt(float64(m.H))
+	return math.Sqrt(n/3)*(3+sh) + (1+sh)/(2*math.Sin(math.Pi/(2*n)))
 }
 
-// KeySwitch returns the bound on the noise added by an RNS-decomposition
-// key switch with `digits` digits of size ≤ maxQi, divided by the special
-// modulus P: 8·σ·N·digits·maxQi/(√3·P) plus the mod-down rounding B_scale.
-func (m Model) KeySwitch(digits int, maxQi, p float64) float64 {
-	return 8*m.Sigma*float64(m.N)*float64(digits)*maxQi/(math.Sqrt(3)*p) + m.Rescale()
+// KeySwitch returns the bound on the noise added by a key switch with
+// `digits` digits whose raised coefficients are at most maxDigit,
+// divided by the special modulus P: 8·σ·N·digits·maxDigit/(√3·P) plus
+// the mod-down rounding Rescale. ckks.Parameters.KeySwitchBound gives
+// the digit count and maxDigit of a CKKS-RNS level.
+func (m Model) KeySwitch(digits int, maxDigit, p float64) float64 {
+	return 8*m.Sigma*float64(m.N)*float64(digits)*maxDigit/(math.Sqrt(3)*p) + m.Rescale()
 }
 
 // MulPlain returns the multiplicative noise factor for a plaintext

@@ -359,8 +359,9 @@ func clonePoly(r *Ring, p *Poly) *Poly {
 // the Rescale shape (top ciphertext limb divided out) and the ModDown shape
 // (special limb), one and two polynomials per call, the coefficient-form
 // source limb held in a separate polynomial or in place — and DecomposeNTT
-// must equal ExtendLimb followed by NTT for every digit. Word, wide and
-// mixed chains, serial and pool-parallel.
+// over one-limb digits must equal ExtendLimb followed by NTT for every
+// digit. Word, wide and mixed chains, serial and pool-parallel. Grouped
+// digits are TestDecomposeNTTGroupedDigits.
 func TestDifferentialNTTDomainKeySwitchKernels(t *testing.T) {
 	for _, cfg := range diffChains() {
 		for _, parallel := range []bool{false, true} {
@@ -429,16 +430,112 @@ func TestDifferentialNTTDomainKeySwitchKernels(t *testing.T) {
 					cNTT := clonePoly(r, c)
 					r.NTT(r.Limbs(level, false), cNTT)
 					digits := make([]*Poly, level+1)
+					ones := make([]*Digit, level+1)
 					for i := range digits {
 						digits[i] = r.NewPoly(r.MaxLevel())
+						ones[i] = r.NewDigit(i, i+1)
 					}
-					r.DecomposeNTT(limbs, c, cNTT, digits)
+					r.DecomposeNTT(limbs, c, cNTT, ones, digits)
 					for i, d := range digits {
 						want := r.NewPoly(r.MaxLevel())
 						r.ExtendLimb(i, limbs, c, want)
 						r.NTT(limbs, want)
 						if !r.Equal(limbs, d, want) {
 							t.Fatalf("level %d: DecomposeNTT digit %d differs from ExtendLimb→NTT", level, i)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestDecomposeNTTGroupedDigits checks the fast basis conversion of
+// multi-limb digits against a big-integer reference: on a digit's own
+// limbs the raise is cNTT, copied; on every other limb j it is the NTT of
+// D mod q_j, where D = Σ_k y_k·(Q_g/q_k) with y_k = [c_k·(Q_g/q_k)⁻¹]_{q_k};
+// and D ≡ c (mod Q_g) with 0 ≤ D < (Hi−Lo)·Q_g. Layouts mix grouped and
+// one-limb digits and cut the top one at a lower level, on word, wide and
+// mixed chains, serial and pool-parallel.
+func TestDecomposeNTTGroupedDigits(t *testing.T) {
+	for _, cfg := range diffChains() {
+		for _, parallel := range []bool{false, true} {
+			cfg, parallel := cfg, parallel
+			t.Run(fmt.Sprintf("%s/parallel=%v", cfg.name, parallel), func(t *testing.T) {
+				chain, err := primes.BuildChain(5, cfg.bits, cfg.specialBits, cfg.special)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := NewRing(32, chain.Moduli, cfg.special, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Parallel = parallel
+				rng := rand.New(rand.NewSource(37))
+				top := r.MaxLevel()
+				var pairs [][2]int
+				for lo := 0; lo <= top; lo += 2 {
+					pairs = append(pairs, [2]int{lo, min(lo+2, top+1)})
+				}
+				type named struct {
+					name   string
+					layout [][2]int
+				}
+				layouts := []named{{"all", [][2]int{{0, top + 1}}}, {"pairs", pairs}}
+				if top >= 1 {
+					layouts = append(layouts, named{"one+rest", [][2]int{{0, 1}, {1, top + 1}}}, named{"all cut", [][2]int{{0, top}}})
+				}
+				for _, l := range layouts {
+					name, layout := l.name, l.layout
+					level := layout[len(layout)-1][1] - 1
+					limbs := r.Limbs(level, true)
+					c := randPoly(r, rng)
+					cNTT := clonePoly(r, c)
+					r.NTT(r.Limbs(level, false), cNTT)
+					digits := make([]*Digit, len(layout))
+					out := make([]*Poly, len(layout))
+					for g, span := range layout {
+						digits[g] = r.NewDigit(span[0], span[1])
+						out[g] = r.NewPoly(r.MaxLevel())
+					}
+					r.DecomposeNTT(limbs, c, cNTT, digits, out)
+					for g, d := range digits {
+						if !r.Equal(r.Limbs(d.Hi-1, false)[d.Lo:], out[g], cNTT) {
+							t.Fatalf("%s: digit %d own limbs not copied from cNTT", name, g)
+						}
+						var others []int
+						for _, j := range limbs {
+							if j < d.Lo || j >= d.Hi {
+								others = append(others, j)
+							}
+						}
+						got := clonePoly(r, out[g])
+						r.INTT(others, got)
+						qg := big.NewInt(1)
+						for k := d.Lo; k < d.Hi; k++ {
+							qg.Mul(qg, r.SubRings[k].Modulus())
+						}
+						bound := new(big.Int).Mul(qg, big.NewInt(int64(d.Hi-d.Lo)))
+						for x := 0; x < r.N(); x++ {
+							D := new(big.Int)
+							crt := new(big.Int)
+							for k := d.Lo; k < d.Hi; k++ {
+								qk := r.SubRings[k].Modulus()
+								hat := new(big.Int).Quo(qg, qk)
+								y := new(big.Int).ModInverse(hat, qk)
+								y.Mul(y, coeffBig(r, c, k, x))
+								y.Mod(y, qk)
+								D.Add(D, y.Mul(y, hat))
+								crt.Add(crt, new(big.Int).Mul(coeffBig(r, c, k, x), new(big.Int).Mul(hat, new(big.Int).ModInverse(hat, qk))))
+							}
+							if D.Sign() < 0 || D.Cmp(bound) >= 0 || refMod(D, qg).Cmp(refMod(crt, qg)) != 0 {
+								t.Fatalf("%s: digit %d coefficient %d: D = %v is not c mod Q_g in [0, %v)", name, g, x, D, bound)
+							}
+							for _, j := range others {
+								if want := refMod(D, r.SubRings[j].Modulus()); coeffBig(r, got, j, x).Cmp(want) != 0 {
+									t.Fatalf("%s: digit %d limb %d coefficient %d: got %v, want %v", name, g, j, x, coeffBig(r, got, j, x), want)
+								}
+							}
 						}
 					}
 				}

@@ -231,9 +231,11 @@ func BenchmarkKernelModDown(b *testing.B) {
 }
 
 // BenchmarkKernelDecompose is the digit raise of one key switch at every
-// ciphertext limb: per digit ExtendLimb + NTT on all QP limbs (the shape
-// it replaced) against DecomposeNTT, one job that copies each digit's own
-// limb from the NTT-domain input.
+// ciphertext limb: per one-limb digit ExtendLimb + NTT on all QP limbs
+// (the shape it replaced) against DecomposeNTT, one job that copies each
+// digit's own limb from the NTT-domain input, and DecomposeNTT over
+// two-limb digits (the grouped layout of a chain whose limb pairs fit
+// under P).
 func BenchmarkKernelDecompose(b *testing.B) {
 	for _, tc := range kernelCases() {
 		r := benchRing(b, 12, tc.limbs, tc.parallel)
@@ -241,8 +243,14 @@ func BenchmarkKernelDecompose(b *testing.B) {
 		cNTT := benchPoly(r, 2)
 		qpLimbs := r.Limbs(r.MaxLevel(), true)
 		digits := make([]*Poly, r.MaxLevel()+1)
+		ones := make([]*Digit, r.MaxLevel()+1)
+		var pairs []*Digit
 		for i := range digits {
 			digits[i] = r.NewPoly(r.MaxLevel())
+			ones[i] = r.NewDigit(i, i+1)
+			if i%2 == 0 {
+				pairs = append(pairs, r.NewDigit(i, min(i+2, r.MaxLevel()+1)))
+			}
 		}
 		name := fmt.Sprintf("limbs=%d/parallel=%v", tc.limbs, tc.parallel)
 		b.Run("extend+ntt/"+name, func(b *testing.B) {
@@ -257,7 +265,13 @@ func BenchmarkKernelDecompose(b *testing.B) {
 		b.Run("decompose/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r.DecomposeNTT(qpLimbs, c, cNTT, digits)
+				r.DecomposeNTT(qpLimbs, c, cNTT, ones, digits)
+			}
+		})
+		b.Run("decompose-pairs/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.DecomposeNTT(qpLimbs, c, cNTT, pairs, digits[:len(pairs)])
 			}
 		})
 	}

@@ -126,8 +126,9 @@ func opMix(r *Ring, seed int64, out *Poly) {
 	tmpNTT := r.NewPoly(r.MaxLevel())
 	r.Copy(limbs, tmp, tmpNTT)
 	r.NTT(limbs, tmpNTT)
+	// Two grouped digits: word limbs into the wide one and back.
 	digits := []*Poly{r.NewPoly(r.MaxLevel()), r.NewPoly(r.MaxLevel())}
-	r.DecomposeNTT(limbs, tmp, tmpNTT, digits)
+	r.DecomposeNTT(limbs, tmp, tmpNTT, []*Digit{r.NewDigit(0, 2), r.NewDigit(2, 4)}, digits)
 	top := []int{r.MaxLevel()}
 	r.INTT(top, digits[0])
 	r.INTT(top, digits[1])

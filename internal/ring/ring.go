@@ -408,27 +408,109 @@ func (r *Ring) ExtendLimb(src int, limbs []int, p, out *Poly) {
 	})
 }
 
+// Digit is one key-switch digit: the consecutive ciphertext limbs
+// Lo..Hi−1, of modulus Q_g = ∏ q_k, with the constants that raise it to
+// every other limb of the ring by the fast basis conversion
+//
+//	Σ_k y_k·(Q_g/q_k) = [c]_{Q_g} + u·Q_g,   y_k = [c_k·(Q_g/q_k)⁻¹]_{q_k},
+//
+// where 0 ≤ u < Hi−Lo. The overflow u·Q_g is zero on the digit's own limbs
+// and meets only zeros on the others, because a switching key carries the
+// digit's message on its own limbs alone, so the key switch needs no exact
+// conversion. A one-limb digit has Q_g = q_Lo and y = c_Lo: its raise is a
+// plain reduction and needs no constants. Build with NewDigit.
+type Digit struct {
+	Lo, Hi int
+	hatInv []*big.Int   // (Q_g/q_k)⁻¹ mod q_k, k = Lo..Hi−1
+	hat    [][]*big.Int // hat[k−Lo][j] = (Q_g/q_k) mod q_j for every limb j outside the digit
+}
+
+// NewDigit precomputes the digit over limbs lo..hi−1.
+func (r *Ring) NewDigit(lo, hi int) *Digit {
+	if lo < 0 || hi <= lo || hi > len(r.SubRings) {
+		panic(fmt.Sprintf("ring: digit limbs [%d, %d) out of range", lo, hi))
+	}
+	d := &Digit{Lo: lo, Hi: hi}
+	if hi-lo == 1 {
+		return d
+	}
+	qg := big.NewInt(1)
+	for k := lo; k < hi; k++ {
+		qg.Mul(qg, r.SubRings[k].Modulus())
+	}
+	for k := lo; k < hi; k++ {
+		qk := r.SubRings[k].Modulus()
+		hat := new(big.Int).Quo(qg, qk)
+		d.hatInv = append(d.hatInv, new(big.Int).ModInverse(hat, qk))
+		row := make([]*big.Int, len(r.SubRings))
+		for j, sr := range r.SubRings {
+			if j < lo || j >= hi {
+				row[j] = new(big.Int).Mod(hat, sr.Modulus())
+			}
+		}
+		d.hat = append(d.hat, row)
+	}
+	return d
+}
+
 // DecomposeNTT is the digit raise of the RNS key switch: for every digit
-// i < len(digits) and every target limb j it sets
+// g and every target limb j it sets
 //
-//	digits[i]_j = NTT_j([c_i] mod q_j)   (j ≠ i),   digits[i]_i = cNTT_i,
+//	out[g]_j = NTT_j(Σ_k y_k·[Q_g/q_k]_{q_j})   (j outside digit g),
+//	out[g]_j = cNTT_j                          (j inside digit g),
 //
-// where c and cNTT are one polynomial on limbs 0..len(digits)−1 in the
-// coefficient and the NTT domain. On digit i's own limb [c_i] mod q_i is
-// c_i itself, so its transform is copied from cNTT instead of recomputed —
-// bit-identical to ExtendLimb followed by NTT on every limb. Every
-// (digit, limb) pair is one task of a single pool job.
-func (r *Ring) DecomposeNTT(limbs []int, c, cNTT *Poly, digits []*Poly) {
+// with y_k as in Digit, where c and cNTT are one polynomial on the digits'
+// limbs in the coefficient and the NTT domain. On a digit's own limbs the
+// raised value is c itself, so its transform is copied from cNTT instead
+// of recomputed. A one-limb digit's raise is ExtendLimb followed by NTT,
+// bit for bit. The y_k of multi-limb digits are computed first, into one
+// pooled polynomial, as one pool job; then every (digit, limb) pair is one
+// task of a second.
+func (r *Ring) DecomposeNTT(limbs []int, c, cNTT *Poly, digits []*Digit, out []*Poly) {
+	var own []int         // limbs of multi-limb digits
+	var hatInv []*big.Int // hatInv[k]: (Q_g/q_k)⁻¹ of own limb k
+	for _, d := range digits {
+		for k := d.Lo; k < d.Hi && d.Hi-d.Lo > 1; k++ {
+			if hatInv == nil {
+				hatInv = make([]*big.Int, len(r.SubRings))
+			}
+			own = append(own, k)
+			hatInv[k] = d.hatInv[k-d.Lo]
+		}
+	}
+	var y *Poly
+	if len(own) > 0 {
+		y = r.GetPoly()
+		defer r.PutPoly(y)
+		r.forLimbSlabs(own, func(k, c0, c1 int) {
+			sr := r.SubRings[k]
+			w := sr.Width()
+			sr.MulScalar(c.Coeffs[k][c0*w:c1*w], hatInv[k], y.Coeffs[k][c0*w:c1*w])
+		})
+	}
 	r.forTasks(len(digits)*len(limbs), func(t int) {
-		i, j := t/len(limbs), limbs[t%len(limbs)]
-		d := digits[i].Coeffs[j]
-		if j == i {
-			copy(d, cNTT.Coeffs[i])
+		d, j := digits[t/len(limbs)], limbs[t%len(limbs)]
+		o := out[t/len(limbs)].Coeffs[j]
+		if j >= d.Lo && j < d.Hi {
+			copy(o, cNTT.Coeffs[j])
 			return
 		}
 		sr := r.SubRings[j]
-		sr.ReduceFrom(r.SubRings[i], c.Coeffs[i], d)
-		sr.NTT(d)
+		if d.Hi-d.Lo == 1 {
+			sr.ReduceFrom(r.SubRings[d.Lo], c.Coeffs[d.Lo], o)
+		} else {
+			sr.ReduceFrom(r.SubRings[d.Lo], y.Coeffs[d.Lo], o)
+			sr.MulScalar(o, d.hat[0][j], o)
+			buf := r.slab()
+			tmp := (*buf)[:len(o)]
+			for k := d.Lo + 1; k < d.Hi; k++ {
+				sr.ReduceFrom(r.SubRings[k], y.Coeffs[k], tmp)
+				sr.MulScalar(tmp, d.hat[k-d.Lo][j], tmp)
+				sr.Add(o, tmp, o)
+			}
+			r.putSlab(buf)
+		}
+		sr.NTT(o)
 	})
 }
 
