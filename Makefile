@@ -74,10 +74,11 @@ opt-parity:
 ## opt-golden: the graph gate — checked-in post-optimization Stats and
 ## structural shape digests for CNN1/CNN2/CNN3 plans, RNS, sharded and
 ## batched front-ends on both backends, the lowering's one-group-per-source
-## rotation plan, and the ≥15% engine-call reduction floor. Symbolic (no
-## keygen), seconds.
+## rotation plan, the ≥15% engine-call reduction floor, and the guard's
+## predicted per-stage noise bits for CNN1 on the paper chain. Symbolic
+## (no keygen), seconds.
 opt-golden:
-	$(GO) test -run 'TestOptimizedGraphGolden|TestOptimizeOffPreservesLowering' ./internal/henn/
+	$(GO) test -run 'TestOptimizedGraphGolden|TestOptimizeOffPreservesLowering|TestNoiseBudgetGolden' ./internal/henn/
 
 ## shard-parity: the sharding gates — the shard package's unit and
 ## property suites (manifest split/join, wire round trip), the golden

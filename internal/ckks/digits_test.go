@@ -188,8 +188,8 @@ func TestGroupedKeySwitchOpsEveryLevel(t *testing.T) {
 	}
 }
 
-// TestKeySwitchBoundCoversMeasuredError checks that the guard's and
-// Plan.EstimatePrecision's per-key-switch bound, noise.Model.KeySwitch at
+// TestKeySwitchBoundCoversMeasuredError checks that the per-key-switch
+// bound of the guard's graph noise budget, noise.Model.KeySwitch at
 // KeySwitchBound(level), is at least the error one rotation adds at every
 // level of the grouped paper chain: the decrypted rotation minus the
 // rotated decryption of its input, times Δ (the bound's units).

@@ -168,7 +168,7 @@ func (p Parameters) Digits(level int) [][2]int {
 // takes for a key switch at level: the number of live digits, and the
 // largest bound on a raised digit's coefficients, (hi−lo)·Q_g — the range
 // of the fast basis conversion, which is q_i itself for a one-limb digit.
-// The guard and Plan.EstimatePrecision both take their key-switch term
+// The guard's graph noise budget (noise.Graph) takes its key-switch term
 // from here.
 func (p Parameters) KeySwitchBound(level int) (digits int, maxDigit float64) {
 	ds := p.Digits(level)

@@ -2,7 +2,6 @@ package guard
 
 import (
 	"fmt"
-	"math"
 
 	"cnnhe/internal/henn"
 )
@@ -10,10 +9,10 @@ import (
 // Adopt validates a ciphertext that did not originate from this guarded
 // engine — typically one deserialized off the wire — and wraps it in the
 // guard's tracked handle so it can enter guarded ops. The full structural
-// and coefficient-range validation always runs (untrusted input), the
-// scale mirror is initialized from the engine-reported scale, and the
-// noise mirror from the fresh-encryption bound (the strongest assumption
-// available for a ciphertext whose history the server cannot see).
+// and coefficient-range validation runs and the scale mirror is
+// initialized from the engine-reported scale. Whether the ciphertext is
+// at the (level, scale) the graph's noise budget assumes for a fresh
+// input is the executor's check (exec.Prepared.RunEncrypted).
 //
 // Unlike in-op validation, a rejected adoption does NOT latch the guard:
 // one malformed client payload must not poison the engine for subsequent
@@ -42,25 +41,16 @@ func (g *GuardedEngine) Adopt(ct henn.Ct) (out henn.Ct, err error) {
 			out, err = nil, se
 		}
 	}()
-	g.validate(op, ct, true)
+	g.validate(op, ct)
 	scale := g.scaleOf(op, ct)
 	if lvl := g.inner.Level(ct); lvl < 0 || lvl > g.inner.MaxLevel() {
 		return nil, &StageError{Op: op, Cause: fmt.Errorf("%w: level %d outside [0, %d]",
 			ErrCorruptCiphertext, lvl, g.inner.MaxLevel())}
 	}
-	return &trackedCt{ct: ct, noise: g.model.Fresh(), scale: scale}, nil
+	return &trackedCt{ct: ct, scale: scale}, nil
 }
 
 // Underlying unwraps a guard-tracked ciphertext handle back to the
 // engine's own ciphertext (for serialization); a handle the guard does
 // not recognize is returned unchanged.
 func Underlying(ct henn.Ct) henn.Ct { return peek(ct) }
-
-// NoiseBitsOf reports the tracked precision of a guarded handle, or NaN
-// for untracked handles — a convenience for response metadata.
-func (g *GuardedEngine) NoiseBitsOf(ct henn.Ct) float64 {
-	if t, ok := ct.(*trackedCt); ok {
-		return math.Log2(t.scale / t.noise)
-	}
-	return math.NaN()
-}

@@ -12,13 +12,15 @@
 //     scale bookkeeping against an independently tracked mirror
 //     (ErrScaleDrift), level underflow (ErrLevelExhausted), and NaN/Inf
 //     or over-long plaintext operands (ErrInvalidPlaintext);
-//   - a live per-ciphertext noise budget is tracked with the
-//     internal/noise canonical-embedding bounds, so inference fails fast
-//     with ErrNoiseBudgetExhausted instead of returning drowned logits;
+//   - the noise budget is a property of the graph, not of a ciphertext:
+//     NoiseBits runs the internal/noise canonical-embedding bound over
+//     each graph the executor prepares for the guard, so a plan whose
+//     messages would drown is refused with ErrNoiseBudgetExhausted
+//     before it runs instead of returning drowned logits;
 //   - an optional context is checked on every engine op, so a stalled
 //     stage surfaces context.DeadlineExceeded at the next op boundary.
 //
-// Errors are raised by panicking with a *StageError; henn.Plan.InferCtx
+// Op errors are raised by panicking with a *StageError; henn.Plan.InferCtx
 // recovers the panic and returns it as the error, so the composition
 //
 //	g := guard.New(engine, guard.Config{Ctx: ctx})
@@ -43,21 +45,21 @@ import (
 	"cnnhe/internal/henn"
 	"cnnhe/internal/henn/ir"
 	"cnnhe/internal/noise"
-	"cnnhe/internal/ring"
 )
 
 // Typed failure classes. Every guard abort is a *StageError whose Cause
 // wraps exactly one of these sentinels; match with errors.Is.
 var (
-	// ErrNoiseBudgetExhausted: the tracked worst-case noise bound leaves
-	// fewer than Config.MinNoiseBits bits of precision — the message is
-	// (conservatively) drowned and decryption would return garbage.
+	// ErrNoiseBudgetExhausted: the graph's worst-case noise bound leaves
+	// some op fewer than DefaultMinNoiseBits bits of precision — the
+	// message is (conservatively) drowned and decryption would return
+	// garbage.
 	ErrNoiseBudgetExhausted = errors.New("guard: noise budget exhausted")
 	// ErrLevelExhausted: an op needs a level that is not there (rescaling
 	// at level 0, dropping below level 0).
 	ErrLevelExhausted = errors.New("guard: ciphertext level exhausted")
 	// ErrScaleDrift: the engine's ciphertext scale disagrees with the
-	// guard's independently tracked scale beyond Config.ScaleTol.
+	// guard's independently tracked scale beyond a relative 10⁻⁶.
 	ErrScaleDrift = errors.New("guard: ciphertext scale drift")
 	// ErrResidueMissing: an RNS limb (or multiprecision coefficient)
 	// required at the ciphertext's level is absent or mis-sized.
@@ -76,8 +78,9 @@ var (
 )
 
 // StageError locates a failure: the pipeline stage being evaluated (as
-// announced via BeginStage), the engine op that detected it, and the
-// underlying cause (wrapping one of the sentinel errors above).
+// announced via BeginStage, or the graph stage NoiseBits refused), the
+// op that detected it, and the underlying cause (wrapping one of the
+// sentinel errors above).
 type StageError struct {
 	Stage string
 	Op    string
@@ -96,58 +99,37 @@ func (e *StageError) Error() string {
 // Unwrap exposes the cause for errors.Is/errors.As.
 func (e *StageError) Unwrap() error { return e.Cause }
 
-// Config tunes the guard's invariants.
+// Config binds a guard to a request.
 type Config struct {
-	// MinNoiseBits aborts when the tracked log2(scale/noiseBound) falls
-	// below it. The bound is the conservative high-probability
-	// canonical-embedding estimate, which over-states real noise by tens
-	// of bits on deep circuits, so the enforcement threshold is negative:
-	// DefaultMinNoiseBits trips only when the message is provably drowned.
-	// Set to math.Inf(-1) to disable enforcement (tracking continues).
-	MinNoiseBits float64
-	// ScaleTol is the relative tolerance for scale-drift detection.
-	ScaleTol float64
-	// ValueBound is the assumed slot-magnitude of messages entering
-	// ciphertext-ciphertext multiplications (cf. Plan.EstimatePrecision).
-	ValueBound float64
-	// DeepChecks validates every coefficient of every operand against its
-	// modulus on each op (always done at decryption). Costs one linear
-	// scan per op — negligible next to the NTTs — and catches corrupted
-	// residues at the op that first touches them.
-	DeepChecks bool
 	// Ctx, when non-nil, is checked before every engine op so deadline
 	// and cancellation fire mid-stage instead of at stage boundaries.
 	Ctx context.Context
 }
 
-// DefaultMinNoiseBits is calibrated against the paper's CNN pipelines at
-// production parameters (Δ = 2^26, depth ≤ 12): the conservative
-// canonical-embedding bound over-states real noise by tens of bits on
-// those circuits (the shipped CNN1 bottoms out near −65 "bits" while
-// decrypting perfectly, and the sharded CIFAR-10 CNN3 — whose final
-// dense stage sums ~600 BSGS diagonal products after two degree-4
-// activations — near −131 while still decrypting to ~15 real bits), so
-// enforcement sits at −192 — comfortably below any healthy run, while a
-// genuinely exhausted budget (scale too small, runaway multiplication,
-// corrupted state) collapses by hundreds of bits and still trips
-// immediately.
+// DefaultMinNoiseBits is the noise-budget floor: NoiseBits refuses a
+// graph in which any op keeps fewer bits. It is calibrated against the
+// paper's CNN pipelines at production parameters (Δ = 2^26, depth ≤ 12):
+// the conservative canonical-embedding bound over-states real noise by
+// tens of bits on those circuits (the shipped CNN1 on the paper chain
+// bottoms out at −73.12 "bits" while decrypting perfectly, and the
+// sharded CIFAR-10 CNN3 — whose final dense stage sums ~600 BSGS
+// diagonal products after two degree-4 activations — at −121.88 while
+// still decrypting to ~15 real bits), so the floor sits at −192 —
+// comfortably below any healthy plan, while a genuinely exhausted
+// budget (scale too small, runaway multiplication) collapses by hundreds
+// of bits and still trips.
 const DefaultMinNoiseBits = -192
 
-// DefaultConfig returns the production defaults described on Config.
-func DefaultConfig() Config {
-	return Config{
-		MinNoiseBits: DefaultMinNoiseBits,
-		ScaleTol:     1e-6,
-		ValueBound:   32,
-		DeepChecks:   true,
-	}
-}
+// scaleTol is the relative tolerance of scale-drift detection.
+const scaleTol = 1e-6
+
+// DefaultConfig returns a Config bound to no request.
+func DefaultConfig() Config { return Config{} }
 
 // trackedCt is the guard's ciphertext handle: the engine's ciphertext
-// plus the independently tracked scale mirror and noise bound.
+// plus the independently tracked scale mirror.
 type trackedCt struct {
 	ct    henn.Ct
-	noise float64
 	scale float64
 }
 
@@ -157,14 +139,8 @@ type unwrapper interface {
 	Unwrap() henn.Engine
 }
 
-// specialModulus is implemented by backends that expose their
-// key-switching modulus P.
-type specialModulus interface {
-	SpecialPFloat() float64
-}
-
-// GuardedEngine wraps a henn.Engine with invariant checking, noise-budget
-// tracking, panic conversion, and cancellation. It implements henn.Engine
+// GuardedEngine wraps a henn.Engine with invariant checking, a noise
+// budget, panic conversion, and cancellation. It implements henn.Engine
 // plus the optional henn.StageAware interface and NoiseBits. Safe
 // for the same concurrency the wrapped engine supports (the guard's own
 // state is mutex-protected).
@@ -174,8 +150,8 @@ type GuardedEngine struct {
 	model noise.Model
 	ks    float64 // per-key-switch noise bound
 
-	// Base-backend contexts for structural/range validation (either may
-	// be nil when the base engine is not recognised).
+	// Base-backend contexts for structural/range validation and the
+	// noise model (both nil when the base engine is not recognised).
 	rnsCtx *ckks.Context
 	bigCtx *ckksbig.Context
 
@@ -193,19 +169,8 @@ type GuardedEngine struct {
 	curTel    atomic.Pointer[stageTel]
 }
 
-// New wraps inner. Pass DefaultConfig() (or a zero Config, which is
-// normalised to the defaults field-by-field) and set Config.Ctx to bind
-// the guard to a request context.
+// New wraps inner; cfg.Ctx, when set, binds the guard to a request.
 func New(inner henn.Engine, cfg Config) *GuardedEngine {
-	if cfg.MinNoiseBits == 0 {
-		cfg.MinNoiseBits = DefaultMinNoiseBits
-	}
-	if cfg.ScaleTol == 0 {
-		cfg.ScaleTol = 1e-6
-	}
-	if cfg.ValueBound == 0 {
-		cfg.ValueBound = 32
-	}
 	g := &GuardedEngine{inner: inner, cfg: cfg, qAt: map[int]*big.Int{}}
 
 	// Walk middleware to the base backend for noise-model parameters and
@@ -221,38 +186,33 @@ func New(inner henn.Engine, cfg Config) *GuardedEngine {
 	switch b := base.(type) {
 	case *henn.RNSEngine:
 		g.rnsCtx = b.Ctx
-		g.model = noise.Model{N: b.Ctx.Params.N(), Sigma: b.Ctx.Params.Sigma, H: b.Ctx.Params.H}
 	case *henn.RNSEvalEngine:
 		g.rnsCtx = b.Ctx
-		g.model = noise.Model{N: b.Ctx.Params.N(), Sigma: b.Ctx.Params.Sigma, H: b.Ctx.Params.H}
 	case *henn.BigEngine:
 		g.bigCtx = b.Ctx
-		g.model = noise.Model{N: b.Ctx.Params.N(), Sigma: b.Ctx.Params.Sigma, H: b.Ctx.Params.H}
-	default:
-		g.model = noise.Model{N: 2 * inner.Slots(), Sigma: ring.DefaultSigma, H: 64}
 	}
 
 	// Key-switch noise bound: digits · maxDigit / P, cf.
 	// noise.Model.KeySwitch. On CKKS-RNS the digit layout's top level has
 	// the most digits and the largest one, so its bound holds at every
-	// level; other backends count one digit per prime.
-	var digits int
-	var maxDigit, p float64
-	if g.rnsCtx != nil {
+	// level; the multiprecision backend counts one digit per prime.
+	switch {
+	case g.rnsCtx != nil:
 		params := g.rnsCtx.Params
-		digits, maxDigit = params.KeySwitchBound(params.MaxLevel())
-		p, _ = new(big.Float).SetInt(params.Chain.P()).Float64()
-	} else {
-		digits = inner.MaxLevel() + 1
+		g.model = noise.Model{N: params.N(), Sigma: params.Sigma, H: params.H}
+		digits, maxDigit := params.KeySwitchBound(params.MaxLevel())
+		p, _ := new(big.Float).SetInt(params.Chain.P()).Float64()
+		g.ks = g.model.KeySwitch(digits, maxDigit, p)
+	case g.bigCtx != nil:
+		params := g.bigCtx.Params
+		g.model = noise.Model{N: params.N(), Sigma: params.Sigma, H: params.H}
+		var maxDigit float64
 		for l := 0; l <= inner.MaxLevel(); l++ {
 			maxDigit = math.Max(maxDigit, inner.QiFloat(l))
 		}
-		p = maxDigit * math.Exp2(20) // fallback: assume a comfortably large P
-		if sm, ok := base.(specialModulus); ok {
-			p = sm.SpecialPFloat()
-		}
+		p, _ := new(big.Float).SetInt(g.bigCtx.P).Float64()
+		g.ks = g.model.KeySwitch(inner.MaxLevel()+1, maxDigit, p)
 	}
-	g.ks = g.model.KeySwitch(digits, maxDigit, p)
 	g.telConfigured()
 	return g
 }
@@ -274,7 +234,7 @@ func (g *GuardedEngine) Err() error {
 // Reset is only sound at an inference boundary: ciphertext handles from
 // the failed run carry tracked state the failure may have left
 // inconsistent and must be discarded, never fed to post-Reset ops. The
-// noise/scale mirrors live on the handles themselves, so a fresh
+// scale mirror lives on the handles themselves, so a fresh
 // encrypt-to-decrypt run observes no state from before the Reset.
 func (g *GuardedEngine) Reset() error {
 	g.mu.Lock()
@@ -306,14 +266,29 @@ func (g *GuardedEngine) BeginStage(name string) {
 	g.telBeginStage(name)
 }
 
-// NoiseBits returns log2(scale/noiseBound) of a guarded ciphertext — the
-// significant fractional bits remaining (NaN for a foreign handle). The
-// executor reads it for every stage output.
-func (g *GuardedEngine) NoiseBits(ct henn.Ct) float64 {
-	if t, ok := ct.(*trackedCt); ok {
-		return math.Log2(t.scale / t.noise)
+// NoiseBits runs the internal/noise pass over gr with the guard's noise
+// model and returns every op's predicted log2(scale/noiseBound): the
+// significant fractional bits its result keeps. The executor calls it
+// once per graph it prepares for, or rebinds to, the guard. When some op
+// keeps fewer than DefaultMinNoiseBits it returns a *StageError wrapping
+// ErrNoiseBudgetExhausted that names the first such op; no ciphertext
+// was touched, so the guard is not latched. A base engine the guard does
+// not recognise has no noise model: nil bits, no error.
+func (g *GuardedEngine) NoiseBits(gr *ir.Graph) ([]float64, error) {
+	if g.rnsCtx == nil && g.bigCtx == nil {
+		return nil, nil
 	}
-	return math.NaN()
+	bits := noise.Graph(gr, g.model, g.ks, g.inner.QiFloat)
+	for i, b := range bits {
+		if b < DefaultMinNoiseBits || math.IsNaN(b) {
+			op := &gr.Ops[i]
+			return nil, &StageError{Stage: gr.Stages[op.Stage].Name, Op: op.Kind.String(),
+				Cause: fmt.Errorf("%w: op %d keeps %.1f bits of precision (< %d)",
+					ErrNoiseBudgetExhausted, i, b, DefaultMinNoiseBits)}
+		}
+	}
+	g.telNoise(gr, bits)
+	return bits, nil
 }
 
 // fail records the first error and aborts the current stage by panicking
@@ -375,31 +350,25 @@ func (g *GuardedEngine) in(op string, ct henn.Ct) *trackedCt {
 	if !ok {
 		g.fail(op, fmt.Errorf("%w: %T", ErrForeignCiphertext, ct))
 	}
-	g.validate(op, t.ct, g.cfg.DeepChecks)
+	g.validate(op, t.ct)
 	got := g.scaleOf(op, t.ct)
-	if !scaleClose(got, t.scale, g.cfg.ScaleTol) {
+	if !scaleClose(got, t.scale) {
 		g.fail(op, fmt.Errorf("%w: engine reports scale 2^%.4f, guard tracked 2^%.4f",
 			ErrScaleDrift, math.Log2(got), math.Log2(t.scale)))
 	}
 	return t
 }
 
-// out validates an op result against the expected scale and noise budget
-// and wraps it.
-func (g *GuardedEngine) out(op string, ct henn.Ct, noiseBound, wantScale float64) henn.Ct {
-	g.validate(op, ct, g.cfg.DeepChecks)
+// out validates an op result against the expected scale and wraps it.
+func (g *GuardedEngine) out(op string, ct henn.Ct, wantScale float64) henn.Ct {
+	g.validate(op, ct)
 	got := g.scaleOf(op, ct)
-	if !scaleClose(got, wantScale, g.cfg.ScaleTol) {
+	if !scaleClose(got, wantScale) {
 		g.fail(op, fmt.Errorf("%w: op produced scale 2^%.4f, expected 2^%.4f",
 			ErrScaleDrift, math.Log2(got), math.Log2(wantScale)))
 	}
-	bits := math.Log2(got / noiseBound)
-	if bits < g.cfg.MinNoiseBits || math.IsNaN(bits) {
-		g.fail(op, fmt.Errorf("%w: %.1f bits of precision remain (< %.1f)",
-			ErrNoiseBudgetExhausted, bits, g.cfg.MinNoiseBits))
-	}
-	g.telOut(ct, bits, got)
-	return &trackedCt{ct: ct, noise: noiseBound, scale: got}
+	g.telOut(ct, got)
+	return &trackedCt{ct: ct, scale: got}
 }
 
 // scaleOf reads the engine's scale without validation (must not recurse).
@@ -412,8 +381,8 @@ func (g *GuardedEngine) scaleOf(op string, ct henn.Ct) float64 {
 	return s
 }
 
-func scaleClose(a, b, tol float64) bool {
-	return math.Abs(a-b) <= math.Max(math.Abs(a), math.Abs(b))*tol
+func scaleClose(a, b float64) bool {
+	return math.Abs(a-b) <= math.Max(math.Abs(a), math.Abs(b))*scaleTol
 }
 
 // checkVec rejects plaintext operand vectors with NaN/Inf entries or more
@@ -427,22 +396,6 @@ func (g *GuardedEngine) checkVec(op string, v []float64) {
 			g.fail(op, fmt.Errorf("%w: non-finite value %v at slot %d", ErrInvalidPlaintext, x, i))
 		}
 	}
-}
-
-// maxAbs returns the plaintext canonical-norm proxy used by the noise
-// bounds (the maximum slot magnitude, floored at 1 so a contractive
-// plaintext never shrinks the tracked bound below additive terms).
-func maxAbs(v []float64) float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	if m < 1 {
-		return 1
-	}
-	return m
 }
 
 // ----- henn.Engine implementation -----
@@ -483,12 +436,11 @@ func (g *GuardedEngine) EncryptVec(values []float64) henn.Ct {
 	g.pre(op)
 	g.checkVec(op, values)
 	ct := g.call(op, func() henn.Ct { return g.inner.EncryptVec(values) })
-	return g.out(op, ct, g.model.Fresh(), g.inner.Scale())
+	return g.out(op, ct, g.inner.Scale())
 }
 
-// DecryptVec implements henn.Engine. The full coefficient range check
-// always runs here (regardless of DeepChecks), and the decrypted slots
-// are scanned for NaN/Inf.
+// DecryptVec implements henn.Engine. The decrypted slots are also
+// scanned for NaN/Inf.
 func (g *GuardedEngine) DecryptVec(ct henn.Ct) []float64 {
 	const op = "DecryptVec"
 	g.pre(op)
@@ -496,7 +448,7 @@ func (g *GuardedEngine) DecryptVec(ct henn.Ct) []float64 {
 	if !ok {
 		g.fail(op, fmt.Errorf("%w: %T", ErrForeignCiphertext, ct))
 	}
-	g.validate(op, t.ct, true)
+	g.validate(op, t.ct)
 	var out []float64
 	g.call(op, func() henn.Ct { out = g.inner.DecryptVec(t.ct); return nil })
 	for i, x := range out {
@@ -512,12 +464,12 @@ func (g *GuardedEngine) Add(a, b henn.Ct) henn.Ct {
 	const op = "Add"
 	g.pre(op)
 	ta, tb := g.in(op, a), g.in(op, b)
-	if !scaleClose(ta.scale, tb.scale, g.cfg.ScaleTol) {
+	if !scaleClose(ta.scale, tb.scale) {
 		g.fail(op, fmt.Errorf("%w: operand scales 2^%.4f vs 2^%.4f",
 			ErrScaleDrift, math.Log2(ta.scale), math.Log2(tb.scale)))
 	}
 	ct := g.call(op, func() henn.Ct { return g.inner.Add(ta.ct, tb.ct) })
-	return g.out(op, ct, ta.noise+tb.noise, ta.scale)
+	return g.out(op, ct, ta.scale)
 }
 
 // AddPlainVec implements henn.Engine.
@@ -527,7 +479,7 @@ func (g *GuardedEngine) AddPlainVec(ct henn.Ct, v []float64) henn.Ct {
 	t := g.in(op, ct)
 	g.checkVec(op, v)
 	out := g.call(op, func() henn.Ct { return g.inner.AddPlainVec(t.ct, v) })
-	return g.out(op, out, t.noise, t.scale)
+	return g.out(op, out, t.scale)
 }
 
 // AddPlainVecCached implements henn.Engine.
@@ -537,7 +489,7 @@ func (g *GuardedEngine) AddPlainVecCached(ct henn.Ct, key string, v []float64) h
 	t := g.in(op, ct)
 	g.checkVec(op, v)
 	out := g.call(op, func() henn.Ct { return g.inner.AddPlainVecCached(t.ct, key, v) })
-	return g.out(op, out, t.noise, t.scale)
+	return g.out(op, out, t.scale)
 }
 
 // checkPtScale validates an explicit plaintext scale.
@@ -555,7 +507,7 @@ func (g *GuardedEngine) MulPlainVecAtScale(ct henn.Ct, v []float64, scale float6
 	g.checkVec(op, v)
 	g.checkPtScale(op, scale)
 	out := g.call(op, func() henn.Ct { return g.inner.MulPlainVecAtScale(t.ct, v, scale) })
-	return g.out(op, out, g.model.MulPlain(t.noise, maxAbs(v)*scale), t.scale*scale)
+	return g.out(op, out, t.scale*scale)
 }
 
 // MulPlainVecCached implements henn.Engine.
@@ -566,7 +518,7 @@ func (g *GuardedEngine) MulPlainVecCached(ct henn.Ct, key string, v []float64, s
 	g.checkVec(op, v)
 	g.checkPtScale(op, scale)
 	out := g.call(op, func() henn.Ct { return g.inner.MulPlainVecCached(t.ct, key, v, scale) })
-	return g.out(op, out, g.model.MulPlain(t.noise, maxAbs(v)*scale), t.scale*scale)
+	return g.out(op, out, t.scale*scale)
 }
 
 // MulRelin implements henn.Engine.
@@ -575,9 +527,7 @@ func (g *GuardedEngine) MulRelin(a, b henn.Ct) henn.Ct {
 	g.pre(op)
 	ta, tb := g.in(op, a), g.in(op, b)
 	ct := g.call(op, func() henn.Ct { return g.inner.MulRelin(ta.ct, tb.ct) })
-	nu := g.cfg.ValueBound
-	n := g.model.Mul(nu*ta.scale, ta.noise, nu*tb.scale, tb.noise) + g.ks
-	return g.out(op, ct, n, ta.scale*tb.scale)
+	return g.out(op, ct, ta.scale*tb.scale)
 }
 
 // MulInt implements henn.Engine.
@@ -586,16 +536,7 @@ func (g *GuardedEngine) MulInt(ct henn.Ct, n int64) henn.Ct {
 	g.pre(op)
 	t := g.in(op, ct)
 	out := g.call(op, func() henn.Ct { return g.inner.MulInt(t.ct, n) })
-	return g.out(op, out, t.noise*weightFactor(n), t.scale)
-}
-
-// weightFactor is the noise growth of multiplying by the integer n:
-// max(|n|, 1), so a zero weight never shrinks the tracked bound.
-func weightFactor(n int64) float64 {
-	if f := math.Abs(float64(n)); f > 1 {
-		return f
-	}
-	return 1
+	return g.out(op, out, t.scale)
 }
 
 // PlainRecombine implements ir.PlainRecombiner, so a guarded engine keeps
@@ -603,12 +544,9 @@ func weightFactor(n int64) float64 {
 // recombination. When the inner engine offers the call too, or there are
 // no products, the whole combination pays one preamble and one output
 // validation and runs on the inner engine through ir.Combine: every
-// operand is still validated and scale-checked, every absorbed plaintext
-// still level-checked, and the tracked noise bound is the chain's —
-// Σ model.MulPlain(noiseᵢ, maxScaledᵢ) over the products plus
-// Σ max(|wⱼ|,1)·noiseⱼ over the rest, summed in argument order so the
-// float result is the chain's to the bit. Otherwise each product is
-// first evaluated and validated by the guard's own MulPlainPt.
+// operand is still validated and scale-checked, and every absorbed
+// plaintext still level-checked. Otherwise each product is first
+// evaluated and validated by the guard's own MulPlainPt.
 func (g *GuardedEngine) PlainRecombine(args []henn.Ct, pts []henn.Pt, weights []int64) henn.Ct {
 	const op = "PlainRecombine"
 	if _, fused := g.inner.(ir.PlainRecombiner); !fused && pts != nil {
@@ -627,26 +565,25 @@ func (g *GuardedEngine) PlainRecombine(args []henn.Ct, pts []henn.Pt, weights []
 	if pts != nil {
 		innerPts = make([]henn.Pt, len(args))
 	}
-	var scale, noise float64
+	var scale float64
 	for i, a := range args {
 		t := g.in(op, a)
 		innerArgs[i] = t.ct
-		termScale, termNoise := t.scale, t.noise
+		termScale := t.scale
 		if pts != nil && pts[i] != nil {
 			tp := g.inPt(op, t, pts[i])
 			innerPts[i] = tp.pt
-			termScale, termNoise = t.scale*tp.scale, g.model.MulPlain(t.noise, tp.maxScaled)
+			termScale = t.scale * tp.scale
 		}
 		if i == 0 {
 			scale = termScale
-		} else if !scaleClose(termScale, scale, g.cfg.ScaleTol) {
+		} else if !scaleClose(termScale, scale) {
 			g.fail(op, fmt.Errorf("%w: operand %d scale 2^%.4f vs 2^%.4f",
 				ErrScaleDrift, i, math.Log2(termScale), math.Log2(scale)))
 		}
-		noise += termNoise * weightFactor(weights[i])
 	}
 	ct := g.call(op, func() henn.Ct { return ir.Combine(g.inner, innerArgs, innerPts, weights) })
-	return g.out(op, ct, noise, scale)
+	return g.out(op, ct, scale)
 }
 
 // Rescale implements henn.Engine.
@@ -660,7 +597,7 @@ func (g *GuardedEngine) Rescale(ct henn.Ct) henn.Ct {
 	}
 	q := g.inner.QiFloat(level)
 	out := g.call(op, func() henn.Ct { return g.inner.Rescale(t.ct) })
-	return g.out(op, out, t.noise/q+g.model.Rescale(), t.scale/q)
+	return g.out(op, out, t.scale/q)
 }
 
 // DropLevel implements henn.Engine.
@@ -672,7 +609,7 @@ func (g *GuardedEngine) DropLevel(ct henn.Ct, n int) henn.Ct {
 		g.fail(op, fmt.Errorf("%w: drop %d levels from level %d", ErrLevelExhausted, n, g.inner.Level(t.ct)))
 	}
 	out := g.call(op, func() henn.Ct { return g.inner.DropLevel(t.ct, n) })
-	return g.out(op, out, t.noise, t.scale)
+	return g.out(op, out, t.scale)
 }
 
 // Rotate implements henn.Engine.
@@ -684,7 +621,7 @@ func (g *GuardedEngine) Rotate(ct henn.Ct, k int) henn.Ct {
 		return t
 	}
 	out := g.call(op, func() henn.Ct { return g.inner.Rotate(t.ct, k) })
-	return g.out(op, out, t.noise+g.ks, t.scale)
+	return g.out(op, out, t.scale)
 }
 
 // RotateMany implements henn.Engine.
@@ -706,26 +643,23 @@ func (g *GuardedEngine) RotateMany(ct henn.Ct, ks []int) map[int]henn.Ct {
 			m[0] = t
 			continue
 		}
-		m[k] = g.out(op, o, t.noise+g.ks, t.scale)
+		m[k] = g.out(op, o, t.scale)
 	}
 	return m
 }
 
 // trackedPt is the guard's pre-encoded plaintext handle: the engine's
-// plaintext plus the metadata the noise and scale mirrors need (an opaque
-// Pt handle carries neither the operand magnitude nor its encode scale).
+// plaintext plus the level and scale the checks need (an opaque Pt
+// handle carries neither).
 type trackedPt struct {
 	pt    henn.Pt
 	level int
 	scale float64
-	// maxScaled is maxAbs(values)·scale: the plaintext canonical-norm
-	// proxy the noise model's MulPlain bound takes.
-	maxScaled float64
 }
 
 // EncodeVecsAt implements henn.Engine: every operand is validated like
 // the per-op plaintext paths, then wrapped so MulPlainPt/AddPlainPt can
-// track noise and scale without re-reading the values.
+// check level and scale without re-reading the values.
 func (g *GuardedEngine) EncodeVecsAt(specs []henn.PlainSpec) []henn.Pt {
 	const op = "EncodeVecsAt"
 	g.pre(op)
@@ -743,8 +677,7 @@ func (g *GuardedEngine) EncodeVecsAt(specs []henn.PlainSpec) []henn.Pt {
 	}
 	out := make([]henn.Pt, len(inner))
 	for i, pt := range inner {
-		out[i] = &trackedPt{pt: pt, level: specs[i].Level, scale: specs[i].Scale,
-			maxScaled: maxAbs(specs[i].Values) * specs[i].Scale}
+		out[i] = &trackedPt{pt: pt, level: specs[i].Level, scale: specs[i].Scale}
 	}
 	return out
 }
@@ -770,7 +703,7 @@ func (g *GuardedEngine) MulPlainPt(ct henn.Ct, pt henn.Pt) henn.Ct {
 	t := g.in(op, ct)
 	tp := g.inPt(op, t, pt)
 	out := g.call(op, func() henn.Ct { return g.inner.MulPlainPt(t.ct, tp.pt) })
-	return g.out(op, out, g.model.MulPlain(t.noise, tp.maxScaled), t.scale*tp.scale)
+	return g.out(op, out, t.scale*tp.scale)
 }
 
 // AddPlainPt implements henn.Engine.
@@ -779,12 +712,12 @@ func (g *GuardedEngine) AddPlainPt(ct henn.Ct, pt henn.Pt) henn.Ct {
 	g.pre(op)
 	t := g.in(op, ct)
 	tp := g.inPt(op, t, pt)
-	if !scaleClose(t.scale, tp.scale, g.cfg.ScaleTol) {
+	if !scaleClose(t.scale, tp.scale) {
 		g.fail(op, fmt.Errorf("%w: plaintext scale 2^%.4f vs ciphertext 2^%.4f",
 			ErrScaleDrift, math.Log2(tp.scale), math.Log2(t.scale)))
 	}
 	out := g.call(op, func() henn.Ct { return g.inner.AddPlainPt(t.ct, tp.pt) })
-	return g.out(op, out, t.noise, t.scale)
+	return g.out(op, out, t.scale)
 }
 
 var (

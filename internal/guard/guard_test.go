@@ -16,7 +16,9 @@ import (
 	"cnnhe/internal/faults"
 	"cnnhe/internal/guard"
 	"cnnhe/internal/henn"
+	"cnnhe/internal/henn/ir"
 	"cnnhe/internal/nn"
+	"cnnhe/internal/tensor"
 )
 
 // tinyModel mirrors the henn test fixture: Conv(1→2, 3×3, s2) → SLAF →
@@ -236,37 +238,85 @@ func TestCleanRunIdentityShippedModel(t *testing.T) {
 	}
 }
 
-// TestNoiseBudgetExhausted: integer multiplications grow the tracked
-// noise without touching the scale, so the budget must trip with the
-// dedicated sentinel before the message is fully drowned.
+// TestNoiseBudgetExhausted: a plan whose predicted precision falls below
+// the floor is refused before anything runs — when it is prepared for a
+// guard, and when a graph prepared on the bare engine is rebound to one —
+// with a StageError naming the first op under the floor and its stage.
+// Nothing was evaluated, so the guard is not latched.
 func TestNoiseBudgetExhausted(t *testing.T) {
-	plan := tinyPlan(t)
-	g := guard.New(rnsEngine(t, plan, 77), guard.DefaultConfig())
-	err := catchGuard(t, func() {
-		ct := g.EncryptVec([]float64{1, 2, 3})
-		for i := 0; i < 100; i++ {
-			ct = g.MulInt(ct, 1<<30)
+	m := tinyModel(15)
+	// Dense weights of 2^250 cost every product of the last stage 250
+	// bits of its budget.
+	dense := m.Layers[len(m.Layers)-1].(*nn.Dense)
+	for i := range dense.W.Data {
+		dense.W.Data[i] *= math.Exp2(250)
+	}
+	plan, err := henn.Compile(m, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := rnsEngine(t, plan, 77)
+	g := guard.New(e, guard.DefaultConfig())
+	refused := func(where string, err error) {
+		t.Helper()
+		var se *guard.StageError
+		if !errors.Is(err, guard.ErrNoiseBudgetExhausted) || !errors.As(err, &se) {
+			t.Fatalf("%s: want a StageError wrapping ErrNoiseBudgetExhausted, got %v", where, err)
 		}
-	})
-	if !errors.Is(err, guard.ErrNoiseBudgetExhausted) {
-		t.Fatalf("want ErrNoiseBudgetExhausted, got %v", err)
+		last := plan.Stages[len(plan.Stages)-1].Describe()
+		if se.Op != "MulPlain" || !strings.Contains(se.Stage, last) {
+			t.Fatalf("%s: refused at stage %q, op %q; want the first MulPlain of stage %q", where, se.Stage, se.Op, last)
+		}
+		if g.Err() != nil {
+			t.Fatalf("%s: refusing a graph latched the guard: %v", where, g.Err())
+		}
 	}
-	var se *guard.StageError
-	if !errors.As(err, &se) || se.Op != "MulInt" {
-		t.Fatalf("want StageError at MulInt, got %#v", err)
+	_, _, err = plan.Prepare(g)
+	refused("Prepare", err)
+
+	bare, _, err := plan.Prepare(e)
+	if err != nil {
+		t.Fatalf("the bare engine has no noise budget, but Prepare failed: %v", err)
 	}
-	if g.Err() == nil {
-		t.Fatal("guard did not latch the failure")
+	_, err = bare.On(g)
+	refused("On", err)
+}
+
+// TestNoiseBoundCoversLogitError: the noise pass's budget is a bound —
+// the logits of a guarded run are within 2^−bits of the output stage of
+// the plaintext model's.
+func TestNoiseBoundCoversLogitError(t *testing.T) {
+	m := tinyModel(15)
+	plan, err := henn.Compile(m, 512)
+	if err != nil {
+		t.Fatal(err)
 	}
+	img := testImage(52, plan.InputDim)
+	logits, rep, err := plan.InferCtx(context.Background(), guard.New(rnsEngine(t, plan, 901), guard.DefaultConfig()), img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(1, 8, 8)
+	for i, px := range img {
+		x.Data[i] = px / 255
+	}
+	want := m.Forward(x).Data
+	maxErr := 0.0
+	for i := range want {
+		maxErr = math.Max(maxErr, math.Abs(logits[i]-want[i]))
+	}
+	bits := rep.Stages[len(rep.Stages)-1].NoiseBits
+	if math.IsNaN(bits) || maxErr > math.Exp2(-bits) {
+		t.Fatalf("measured logit error %.3g exceeds the predicted bound 2^%.2f", maxErr, -bits)
+	}
+	t.Logf("measured logit error %.3g, predicted bound 2^%.2f", maxErr, -bits)
 }
 
 // TestLevelExhausted: rescaling past level 0 is caught by the guard
 // before the backend panics.
 func TestLevelExhausted(t *testing.T) {
 	plan := tinyPlan(t)
-	cfg := guard.DefaultConfig()
-	cfg.MinNoiseBits = math.Inf(-1) // isolate the level check from the budget
-	g := guard.New(rnsEngine(t, plan, 78), cfg)
+	g := guard.New(rnsEngine(t, plan, 78), guard.DefaultConfig())
 	err := catchGuard(t, func() {
 		ct := g.EncryptVec([]float64{1})
 		for i := 0; i < 10; i++ {
@@ -408,6 +458,26 @@ func (l fusedLeg) encrypt(t *testing.T, v []float64) henn.Ct {
 
 func (l fusedLeg) decrypt(ct henn.Ct) []float64 { return l.full.DecryptVec(guard.Underlying(ct)) }
 
+// fixtureVecs draws the fixture's input vector and its five plaintexts.
+func fixtureVecs(slots int) (in []float64, plains [5][]float64) {
+	rng := rand.New(rand.NewSource(9))
+	vec := func() []float64 {
+		v := make([]float64, slots)
+		for i := range v {
+			v[i] = rng.Float64()*2 - 1
+		}
+		return v
+	}
+	in = vec()
+	for i := range plains {
+		plains[i] = vec()
+	}
+	return in, plains
+}
+
+// fixtureWeights are the fixture combination's integer weights.
+var fixtureWeights = []int64{1, 1, 1, -3, 1}
+
 // plainRecombineFixture builds, on a guarded engine, the operands of one
 // fused linear-stage call: three products (the source and two hoisted
 // rotations, each with its own plaintext) plus two already-multiplied
@@ -416,36 +486,83 @@ func (l fusedLeg) decrypt(ct henn.Ct) []float64 { return l.full.DecryptVec(guard
 func plainRecombineFixture(t *testing.T, l fusedLeg) (args []henn.Ct, pts []henn.Pt, weights []int64) {
 	t.Helper()
 	g := l.g
-	rng := rand.New(rand.NewSource(9))
-	vec := func() []float64 {
-		v := make([]float64, g.Slots())
-		for i := range v {
-			v[i] = rng.Float64()*2 - 1
-		}
-		return v
-	}
-	ct := l.encrypt(t, vec())
-	specs := make([]henn.PlainSpec, 5)
-	for i := range specs {
-		specs[i] = henn.PlainSpec{Values: vec(), Level: g.MaxLevel(), Scale: g.Scale()}
+	in, plains := fixtureVecs(g.Slots())
+	ct := l.encrypt(t, in)
+	specs := make([]henn.PlainSpec, len(plains))
+	for i, v := range plains {
+		specs[i] = henn.PlainSpec{Values: v, Level: g.MaxLevel(), Scale: g.Scale()}
 	}
 	enc := g.EncodeVecsAt(specs)
 	rots := g.RotateMany(ct, []int{1, 3})
 	args = []henn.Ct{ct, rots[1], rots[3], g.MulPlainPt(ct, enc[3]), g.MulPlainPt(rots[1], enc[4])}
 	pts = []henn.Pt{enc[0], enc[1], enc[2], nil, nil}
-	return args, pts, []int64{1, 1, 1, -3, 1}
+	return args, pts, fixtureWeights
+}
+
+// fixtureGraph is the fixture's computation as an op graph: the three
+// products and two plain terms summed by one Recombine, or (chain) by a
+// chain of two-argument Recombines, one per term after the first.
+func fixtureGraph(g *guard.GuardedEngine, chain bool) *ir.Graph {
+	level, scale := g.MaxLevel(), g.Scale()
+	_, plains := fixtureVecs(g.Slots())
+	gr := &ir.Graph{Slots: g.Slots(), Inputs: 1, Hoists: [][]int{{1, 2}},
+		Stages: []ir.StageInfo{{Name: "fixture", Record: true}}}
+	add := func(op ir.Op) int {
+		op.ID = len(gr.Ops)
+		if op.Kind != ir.OpRotate {
+			op.Hoist = -1
+		}
+		gr.Ops = append(gr.Ops, op)
+		return op.ID
+	}
+	mulPlain := func(arg, plain int) int {
+		return add(ir.Op{Kind: ir.OpMulPlain, Args: []int{arg}, Plain: plains[plain], PtScale: scale,
+			Level: level, Scale: scale * scale})
+	}
+	ct := add(ir.Op{Kind: ir.OpEncrypt, Level: level, Scale: scale})
+	rot1 := add(ir.Op{Kind: ir.OpRotate, Args: []int{ct}, K: 1, Hoist: 0, Level: level, Scale: scale})
+	rot3 := add(ir.Op{Kind: ir.OpRotate, Args: []int{ct}, K: 3, Hoist: 0, Level: level, Scale: scale})
+	terms := []int{mulPlain(ct, 0), mulPlain(rot1, 1), mulPlain(rot3, 2), mulPlain(ct, 3), mulPlain(rot1, 4)}
+	recombine := func(args []int, weights []int64) int {
+		return add(ir.Op{Kind: ir.OpRecombine, Args: args, Weights: weights, Level: level, Scale: scale * scale})
+	}
+	out := terms[0]
+	if chain {
+		for i := 1; i < len(terms); i++ {
+			out = recombine([]int{out, terms[i]}, []int64{1, fixtureWeights[i]})
+		}
+	} else {
+		out = recombine(terms, fixtureWeights)
+	}
+	gr.Output, gr.Stages[0].Out = out, out
+	return gr
+}
+
+// fixtureBits is the noise pass's budget for the fixture's result on g.
+func fixtureBits(t *testing.T, g *guard.GuardedEngine, chain bool) float64 {
+	t.Helper()
+	gr := fixtureGraph(g, chain)
+	if err := gr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	bits, err := g.NoiseBits(gr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bits[gr.Output]
 }
 
 // assertSameResult requires two guarded results to agree in ciphertext
-// bits (through decryption), level, scale and tracked noise bound.
+// bits (through decryption), level and scale, and the noise pass to give
+// the fixture's fused and chain graphs the same budget.
 func assertSameResult(t *testing.T, what string, gl fusedLeg, got henn.Ct, wl fusedLeg, want henn.Ct) {
 	t.Helper()
 	if gl.g.Level(got) != wl.g.Level(want) || gl.g.ScaleOf(got) != wl.g.ScaleOf(want) {
 		t.Fatalf("%s (level %d, scale %g) vs chain (level %d, scale %g)",
 			what, gl.g.Level(got), gl.g.ScaleOf(got), wl.g.Level(want), wl.g.ScaleOf(want))
 	}
-	if gb, wb := gl.g.NoiseBits(got), wl.g.NoiseBits(want); gb != wb {
-		t.Fatalf("tracked noise budget: %s %v bits, chain %v bits", what, gb, wb)
+	if gb, wb := fixtureBits(t, gl.g, false), fixtureBits(t, wl.g, true); gb != wb || math.IsNaN(gb) {
+		t.Fatalf("predicted noise budget: %s %v bits, chain %v bits", what, gb, wb)
 	}
 	gv, wv := gl.decrypt(got), wl.decrypt(want)
 	for i := range gv {
@@ -456,9 +573,9 @@ func assertSameResult(t *testing.T, what string, gl fusedLeg, got henn.Ct, wl fu
 }
 
 // TestPlainRecombineMatchesChain: one guarded fused call must leave the
-// same ciphertext bits, level, scale and tracked noise bound as the
-// MulPlainPt + Recombine chain it replaces — on the full engine and on the
-// keyed route's evaluation-only engine alike.
+// same ciphertext bits, level and scale as the MulPlainPt + Recombine
+// chain it replaces — on the full engine and on the keyed route's
+// evaluation-only engine alike.
 func TestPlainRecombineMatchesChain(t *testing.T) {
 	plan := tinyPlan(t)
 	for _, leg := range fusedLegs {
@@ -510,7 +627,7 @@ func (e *plainOnly) MulInt(ct henn.Ct, n int64) henn.Ct {
 // PlainRecombine but no Recombine, the guard's pure integer recombination
 // (PlainRecombine with nil plaintexts) is that one fused call (no Add or
 // MulInt reaches the engine), and it matches the guarded MulInt/Add chain
-// in bits, level, scale and tracked noise bound.
+// in bits, level and scale, with the same predicted noise budget.
 func TestRecombineDelegatesToPlainRecombine(t *testing.T) {
 	plan := tinyPlan(t)
 	full, eval := rnsEngineAndEval(t, plan, 79)
@@ -570,8 +687,8 @@ func (e *chainCounter) MulInt(ct henn.Ct, n int64) henn.Ct {
 // fused call (a faults.Injector that never fires), the guarded call
 // evaluates each product through the guard's own MulPlainPt and sums the
 // terms with the inner MulInt/Add chain. It matches the guarded op-by-op
-// chain in bits, level, scale and tracked noise bound, and makes the same
-// inner MulInt/Add calls.
+// chain in bits, level and scale, and makes the same inner MulInt/Add
+// calls.
 func TestPlainRecombineChainBehindInjector(t *testing.T) {
 	plan := tinyPlan(t)
 	run := func(fused bool) (henn.Ct, fusedLeg, []string) {

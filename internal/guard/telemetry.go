@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"cnnhe/internal/henn"
+	"cnnhe/internal/henn/ir"
 	"cnnhe/internal/telemetry"
 )
 
@@ -26,6 +27,12 @@ func (g *GuardedEngine) telBeginStage(name string) {
 		g.curTel.Store(nil)
 		return
 	}
+	g.curTel.Store(g.stageTel(name))
+}
+
+// stageTel returns the gauges of stage name, registering them on first
+// use.
+func (g *GuardedEngine) stageTel(name string) *stageTel {
 	g.telMu.Lock()
 	defer g.telMu.Unlock()
 	if g.stageTels == nil {
@@ -37,7 +44,7 @@ func (g *GuardedEngine) telBeginStage(name string) {
 		l := telemetry.L("stage", name)
 		st = &stageTel{
 			noise: r.Gauge("cnnhe_guard_stage_noise_bits",
-				"remaining noise budget (log2 scale/noise) of the stage's last op result", l),
+				"predicted noise budget (log2 scale/noise) of the stage's last op in graph order", l),
 			level: r.Gauge("cnnhe_guard_stage_level",
 				"ciphertext level of the stage's last op result", l),
 			scale: r.Gauge("cnnhe_guard_stage_scale_log2",
@@ -45,17 +52,33 @@ func (g *GuardedEngine) telBeginStage(name string) {
 		}
 		g.stageTels[name] = st
 	}
-	g.curTel.Store(st)
+	return st
 }
 
-// telOut publishes the op result's health onto the current stage's
-// gauges. bits is the already-computed remaining noise budget.
-func (g *GuardedEngine) telOut(ct henn.Ct, bits, scale float64) {
+// telNoise publishes a graph's predicted noise budget per stage: the
+// bits of each stage's last op in graph order.
+func (g *GuardedEngine) telNoise(gr *ir.Graph, bits []float64) {
+	if !telemetry.Enabled() {
+		return
+	}
+	last := make([]int, len(gr.Stages))
+	for i := range gr.Ops {
+		last[gr.Ops[i].Stage] = i
+	}
+	for s, st := range gr.Stages {
+		if gr.Ops[last[s]].Stage == s {
+			g.stageTel(st.Name).noise.Set(bits[last[s]])
+		}
+	}
+}
+
+// telOut publishes the op result's level and scale onto the current
+// stage's gauges.
+func (g *GuardedEngine) telOut(ct henn.Ct, scale float64) {
 	st := g.curTel.Load()
 	if st == nil {
 		return
 	}
-	st.noise.Set(bits)
 	st.scale.Set(math.Log2(scale))
 	st.level.Set(float64(g.inner.Level(ct)))
 }
@@ -67,7 +90,7 @@ func (g *GuardedEngine) telConfigured() {
 		return
 	}
 	telemetry.Default().Gauge("cnnhe_guard_min_noise_bits",
-		"noise-budget enforcement threshold (Config.MinNoiseBits)").Set(g.cfg.MinNoiseBits)
+		"noise-budget floor (DefaultMinNoiseBits)").Set(DefaultMinNoiseBits)
 }
 
 // telFailure counts a guard abort by failure class and logs it with

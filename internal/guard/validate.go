@@ -9,19 +9,20 @@ import (
 	"cnnhe/internal/henn"
 )
 
-// validate runs the structural (always) and coefficient-range (deep)
-// invariants on a raw backend ciphertext. Unknown backends pass through
-// unchecked — the guard still provides panic conversion, scale tracking
-// and the noise budget for them.
-func (g *GuardedEngine) validate(op string, ct henn.Ct, deep bool) {
+// validate runs the structural and coefficient-range invariants on a
+// raw backend ciphertext. It costs one linear scan per operand —
+// negligible next to the NTTs — and catches corrupted residues at the
+// op that first touches them. Unknown backends pass through unchecked —
+// the guard still provides panic conversion and scale tracking for them.
+func (g *GuardedEngine) validate(op string, ct henn.Ct) {
 	switch c := ct.(type) {
 	case *ckks.Ciphertext:
 		if g.rnsCtx != nil {
-			g.validateRNS(op, c, deep)
+			g.validateRNS(op, c)
 		}
 	case *ckksbig.Ciphertext:
 		if g.bigCtx != nil {
-			g.validateBig(op, c, deep)
+			g.validateBig(op, c)
 		}
 	}
 }
@@ -32,12 +33,12 @@ func (g *GuardedEngine) validate(op string, ct henn.Ct, deep bool) {
 var componentNames = [2]string{"c0", "c1"}
 
 // validateRNS checks an RNS ciphertext: level in range, every limb up to
-// the level present and correctly sized (structure), and — when deep —
-// every residue word strictly below its modulus. A flipped or injected
+// the level present and correctly sized (structure), and every residue
+// word strictly below its modulus. A flipped or injected
 // word ≥ q_i can never be produced by correct modular arithmetic, so the
 // range scan catches corruption that would otherwise surface only as
 // garbage slots after decryption.
-func (g *GuardedEngine) validateRNS(op string, ct *ckks.Ciphertext, deep bool) {
+func (g *GuardedEngine) validateRNS(op string, ct *ckks.Ciphertext) {
 	r := g.rnsCtx.R
 	if ct.Level < 0 || ct.Level > r.MaxLevel() {
 		g.fail(op, fmt.Errorf("%w: level %d outside [0, %d]", ErrLevelExhausted, ct.Level, r.MaxLevel()))
@@ -52,9 +53,6 @@ func (g *GuardedEngine) validateRNS(op string, ct *ckks.Ciphertext, deep bool) {
 			}
 			if len(poly[i]) != want {
 				g.fail(op, fmt.Errorf("%w: %s limb %d has %d words, want %d", ErrResidueMissing, name, i, len(poly[i]), want))
-			}
-			if !deep {
-				continue
 			}
 			if sr.Width() == 1 {
 				q := sr.Modulus().Uint64()
@@ -78,25 +76,21 @@ func (g *GuardedEngine) validateRNS(op string, ct *ckks.Ciphertext, deep bool) {
 }
 
 // validateBig checks a multiprecision ciphertext: level in range, every
-// coefficient present (structure), and — when deep — every coefficient in
-// [0, Q_ℓ).
-func (g *GuardedEngine) validateBig(op string, ct *ckksbig.Ciphertext, deep bool) {
+// coefficient present (structure), and every coefficient in [0, Q_ℓ).
+func (g *GuardedEngine) validateBig(op string, ct *ckksbig.Ciphertext) {
 	params := g.bigCtx.Params
 	maxLevel := len(params.Factors) - 1
 	if ct.Level < 0 || ct.Level > maxLevel {
 		g.fail(op, fmt.Errorf("%w: level %d outside [0, %d]", ErrLevelExhausted, ct.Level, maxLevel))
 	}
 	n := params.N()
-	var q *big.Int
-	if deep {
-		g.mu.Lock()
-		q = g.qAt[ct.Level]
-		if q == nil {
-			q = params.QAt(ct.Level)
-			g.qAt[ct.Level] = q
-		}
-		g.mu.Unlock()
+	g.mu.Lock()
+	q := g.qAt[ct.Level]
+	if q == nil {
+		q = params.QAt(ct.Level)
+		g.qAt[ct.Level] = q
 	}
+	g.mu.Unlock()
 	for c, poly := range [2][]*big.Int{ct.C0.Coeffs, ct.C1.Coeffs} {
 		name := componentNames[c]
 		if len(poly) != n {
@@ -106,7 +100,7 @@ func (g *GuardedEngine) validateBig(op string, ct *ckksbig.Ciphertext, deep bool
 			if c == nil {
 				g.fail(op, fmt.Errorf("%w: %s coeff %d absent", ErrResidueMissing, name, j))
 			}
-			if c.Sign() < 0 || (deep && c.Cmp(q) >= 0) {
+			if c.Sign() < 0 || c.Cmp(q) >= 0 {
 				g.fail(op, fmt.Errorf("%w: %s coeff %d outside [0, Q_%d)", ErrCorruptCiphertext, name, j, ct.Level))
 			}
 		}

@@ -19,7 +19,6 @@
 package henn
 
 import (
-	"math/big"
 	"runtime"
 
 	"cnnhe/internal/ckks"
@@ -180,13 +179,6 @@ func (e *BigEngine) Scale() float64 { return e.Ctx.Params.Scale }
 
 // QiFloat implements Engine.
 func (e *BigEngine) QiFloat(level int) float64 { return e.Ctx.Params.QiFloat(level) }
-
-// SpecialPFloat returns the key-switching modulus P as a float64 (used by
-// the guard's key-switch noise bound).
-func (e *BigEngine) SpecialPFloat() float64 {
-	f, _ := new(big.Float).SetInt(e.Ctx.P).Float64()
-	return f
-}
 
 // EncryptVec implements Engine.
 func (e *BigEngine) EncryptVec(values []float64) Ct {

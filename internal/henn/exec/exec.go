@@ -2,12 +2,13 @@
 // CKKS engine.
 //
 // Prepare performs the ahead-of-time work a graph admits: structural
-// validation and batch-encoding of every plaintext operand at its
-// statically inferred (level, scale), deduplicated by cache key. The
-// resulting Prepared value is immutable and safe to share across
-// concurrent and batched inferences, and On rebinds it to another engine
-// of the same parameters (a server's per-client key sets) without
-// re-encoding.
+// validation, the engine's noise budget (a noise-aware engine — the
+// guard — predicts every op's precision and may refuse the graph), and
+// batch-encoding of every plaintext operand at its statically inferred
+// (level, scale), deduplicated by cache key. The resulting Prepared value
+// is immutable and safe to share across concurrent and batched
+// inferences, and On rebinds it to another engine of the same parameters
+// (a server's per-client key sets) without re-encoding.
 //
 // Run replays the graph. The sequential mode visits ops in graph order.
 // The parallel mode schedules ops over a bounded worker pool as their
@@ -22,6 +23,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -64,10 +66,17 @@ type Result struct {
 }
 
 // stageAware mirrors henn.StageAware (structural, so no import is
-// needed); noiseAware engines (the guard) report a noise budget per stage
-// output.
+// needed); noiseAware engines (the guard) predict every op's noise budget
+// for a graph, or refuse the graph with an error.
 type stageAware interface{ BeginStage(name string) }
-type noiseAware interface{ NoiseBits(ct ir.Ct) float64 }
+type noiseAware interface {
+	NoiseBits(g *ir.Graph) ([]float64, error)
+}
+
+// ErrInputMismatch: an encrypted input is not at the (level, scale) of
+// its encrypt op, which every static fact about the graph — the
+// plaintext encodings, the noise budget — assumes of a fresh input.
+var ErrInputMismatch = errors.New("exec: encrypted input does not match the graph")
 
 // task is one schedulable unit: a single op, a whole hoist group (which
 // must execute as one RotateMany call), or an OpRecombine with the
@@ -92,8 +101,9 @@ type Prepared struct {
 	// on their own.
 	absorbedBy []int
 
-	pts        []ir.Pt // per-op pre-encoded operand (nil where none)
-	use        []int32 // static consumer count per op (+1 for the output)
+	pts        []ir.Pt   // per-op pre-encoded operand (nil where none)
+	bits       []float64 // per-op noise budget from a noiseAware engine (nil: none)
+	use        []int32   // static consumer count per op (+1 for the output)
 	encryptOps []int
 	outStages  [][]int // op ID → stages it is the Out of (optimized graphs may point several stage rows at one op)
 	stageOps   []int   // per-stage op count
@@ -109,7 +119,8 @@ func (p *Prepared) Graph() *ir.Graph { return p.g }
 // once and rebinds per key set; e must accept the preparing engine's
 // plaintext handles (the same engine type over the same CKKS context).
 // e must also match the preparing engine's parameters — slots, top
-// level, default scale, every level's prime — or On returns an error.
+// level, default scale, every level's prime — or On returns an error,
+// as it does when e is noise-aware and refuses the graph.
 func (p *Prepared) On(e ir.Engine) (*Prepared, error) {
 	if e.Slots() != p.e.Slots() || e.MaxLevel() != p.e.MaxLevel() || e.Scale() != p.e.Scale() {
 		return nil, fmt.Errorf("exec: rebind to %s: slots/level/scale %d/%d/%g, prepared for %d/%d/%g",
@@ -121,9 +132,31 @@ func (p *Prepared) On(e ir.Engine) (*Prepared, error) {
 				e.Name(), l, e.QiFloat(l), p.e.QiFloat(l))
 		}
 	}
+	bits, err := noiseBits(e, p.g)
+	if err != nil {
+		return nil, err
+	}
 	q := *p
-	q.e = e
+	q.e, q.bits = e, bits
 	return &q, nil
+}
+
+// noiseBits returns g's per-op noise budget on a noiseAware engine (nil
+// on any other).
+func noiseBits(e ir.Engine, g *ir.Graph) ([]float64, error) {
+	if na, ok := e.(noiseAware); ok {
+		return na.NoiseBits(g)
+	}
+	return nil, nil
+}
+
+// noise returns op id's predicted noise budget (NaN when the engine
+// predicts none).
+func (p *Prepared) noise(id int) float64 {
+	if p.bits == nil {
+		return math.NaN()
+	}
+	return p.bits[id]
 }
 
 // Prepare validates g and pre-encodes every plaintext operand on e at
@@ -133,6 +166,10 @@ func (p *Prepared) On(e ir.Engine) (*Prepared, error) {
 // AddPlainVec/MulPlainVecAtScale forms) still deduplicate.
 func Prepare(e ir.Engine, g *ir.Graph) (p *Prepared, err error) {
 	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	bits, err := noiseBits(e, g)
+	if err != nil {
 		return nil, err
 	}
 	defer func() {
@@ -149,6 +186,7 @@ func Prepare(e ir.Engine, g *ir.Graph) (p *Prepared, err error) {
 		g:          g,
 		absorbedBy: g.AbsorbedBy(),
 		pts:        make([]ir.Pt, len(g.Ops)),
+		bits:       bits,
 		use:        make([]int32, len(g.Ops)),
 		outStages:  make([][]int, len(g.Ops)),
 		stageOps:   make([]int, len(g.Stages)),
@@ -311,7 +349,6 @@ func (p *Prepared) buildTasks() {
 type runState struct {
 	p     *Prepared
 	sa    stageAware
-	na    noiseAware
 	tel   *runTel // nil when telemetry is fully off for this run
 	slots []ir.Ct
 	use   []int32
@@ -339,7 +376,6 @@ func (p *Prepared) newRunState() *runState {
 	}
 	copy(rs.use, p.use)
 	rs.sa, _ = p.e.(stageAware)
-	rs.na, _ = p.e.(noiseAware)
 	for s, st := range p.g.Stages {
 		rs.stats[s] = StageStat{Name: st.Name, NoiseBits: math.NaN(), Ops: p.stageOps[s]}
 	}
@@ -384,10 +420,7 @@ func (rs *runState) opDone(id int, ct ir.Ct, now time.Time) {
 	if len(outs) > 0 {
 		level = rs.p.e.Level(ct)
 		scale = rs.p.e.ScaleOf(ct)
-		noise = math.NaN()
-		if rs.na != nil {
-			noise = rs.na.NoiseBits(ct)
-		}
+		noise = rs.p.noise(id)
 	}
 	rs.mu.Lock()
 	if now.After(rs.end[stage]) {
@@ -402,18 +435,15 @@ func (rs *runState) opDone(id int, ct ir.Ct, now time.Time) {
 	rs.mu.Unlock()
 }
 
-// observeHE reads the output ciphertext's level, scale and noise budget
-// for span attribution. Only called when tracing is on, so the
-// metrics-only and telemetry-off paths never pay the engine calls.
-func (rs *runState) observeHE(ct ir.Ct) heAttr {
+// observeHE reads op id's output ciphertext's level and scale, and its
+// predicted noise budget, for span attribution. Only called when tracing
+// is on, so the metrics-only and telemetry-off paths never pay the
+// engine calls.
+func (p *Prepared) observeHE(id int, ct ir.Ct) heAttr {
 	if ct == nil {
 		return heAttr{}
 	}
-	he := heAttr{Level: rs.p.e.Level(ct), Scale: rs.p.e.ScaleOf(ct), Noise: math.NaN()}
-	if rs.na != nil {
-		he.Noise = rs.na.NoiseBits(ct)
-	}
-	return he
+	return heAttr{Level: p.e.Level(ct), Scale: p.e.ScaleOf(ct), Noise: p.noise(id)}
 }
 
 // release decrements an argument's reference count, freeing the slot at
@@ -470,7 +500,7 @@ func (rs *runState) execOp(id, worker, taskIdx int) (err error) {
 		var he heAttr
 		if rs.tel.tracing() {
 			// All group members share (level, scale); observe the first.
-			he = rs.observeHE(outs[ks[0]])
+			he = p.observeHE(members[0], outs[ks[0]])
 		}
 		rs.tel.opExecuted(op.Kind, name, worker, rs.tel.queuedAt(taskIdx),
 			t0, now, len(members), len(members)-1, he)
@@ -518,7 +548,7 @@ func (rs *runState) execOp(id, worker, taskIdx int) (err error) {
 	now := time.Now()
 	var he heAttr
 	if rs.tel.tracing() {
-		he = rs.observeHE(ct)
+		he = p.observeHE(id, ct)
 	}
 	rs.tel.opExecuted(op.Kind, name, worker, rs.tel.queuedAt(taskIdx), t0, now, covered, 0, he)
 	rs.slots[id] = ct
@@ -561,7 +591,6 @@ func (p *Prepared) EncryptInputs(ctx context.Context, inputs [][]float64) (cts [
 		return nil, 0, "", fmt.Errorf("exec: %d inputs for a %d-input graph", len(inputs), p.g.Inputs)
 	}
 	sa, _ := p.e.(stageAware)
-	na, _ := p.e.(noiseAware)
 	tel := newRunTel(ctx, 0)
 	t0 := time.Now()
 	cts = make([]ir.Ct, len(p.encryptOps))
@@ -592,10 +621,7 @@ func (p *Prepared) EncryptInputs(ctx context.Context, inputs [][]float64) (cts [
 		}
 		var he heAttr
 		if tel.tracing() {
-			he = heAttr{Level: p.e.Level(ct), Scale: p.e.ScaleOf(ct), Noise: math.NaN()}
-			if na != nil {
-				he.Noise = na.NoiseBits(ct)
-			}
+			he = p.observeHE(id, ct)
 		}
 		tel.opExecuted(ir.OpEncrypt, name, 0, time.Time{}, opT0, time.Now(), 1, 0, he)
 		cts[i] = ct
@@ -607,10 +633,18 @@ func (p *Prepared) EncryptInputs(ctx context.Context, inputs [][]float64) (cts [
 // RunEncrypted evaluates the graph on already-encrypted inputs (in
 // encrypt-op order, as returned by EncryptInputs). It is the batched
 // hot path: many RunEncrypted calls may share one Prepared concurrently.
+// An input at another (level, scale) than its encrypt op's is rejected
+// with ErrInputMismatch before any op runs.
 func (p *Prepared) RunEncrypted(ctx context.Context, cts []ir.Ct, opts Options) (*Result, error) {
 	res := &Result{}
 	if len(cts) != len(p.encryptOps) {
 		return res, fmt.Errorf("exec: %d ciphertexts for %d encrypt ops", len(cts), len(p.encryptOps))
+	}
+	for i, ct := range cts {
+		if err := p.checkInput(i, ct); err != nil {
+			res.FailedStage = p.g.Stages[p.g.Ops[p.encryptOps[i]].Stage].Name
+			return res, err
+		}
 	}
 	rs := p.newRunState()
 	rs.tel = newRunTel(ctx, len(p.tasks)).runStarted()
@@ -632,6 +666,22 @@ func (p *Prepared) RunEncrypted(ctx context.Context, cts []ir.Ct, opts Options) 
 	}
 	res.Out = rs.slots[p.g.Output]
 	return res, nil
+}
+
+// checkInput rejects input i unless it is at its encrypt op's (level,
+// scale); a handle the engine cannot read is rejected too.
+func (p *Prepared) checkInput(i int, ct ir.Ct) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: input %d: %v", ErrInputMismatch, i, r)
+		}
+	}()
+	op := &p.g.Ops[p.encryptOps[i]]
+	if level, scale := p.e.Level(ct), p.e.ScaleOf(ct); level != op.Level || scale != op.Scale {
+		return fmt.Errorf("%w: input %d at level %d, scale 2^%.6f; the graph takes it at level %d, scale 2^%.6f",
+			ErrInputMismatch, i, level, math.Log2(scale), op.Level, math.Log2(op.Scale))
+	}
+	return nil
 }
 
 // Run encrypts inputs and evaluates the graph.

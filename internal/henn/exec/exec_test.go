@@ -428,6 +428,72 @@ func TestStatsNoise(t *testing.T) {
 	}
 }
 
+// noisyEngine is a noise-aware fakeEngine: op i keeps −i bits, or every
+// graph is refused with refuse.
+type noisyEngine struct {
+	fakeEngine
+	refuse error
+}
+
+func (e *noisyEngine) NoiseBits(g *ir.Graph) ([]float64, error) {
+	if e.refuse != nil {
+		return nil, e.refuse
+	}
+	bits := make([]float64, len(g.Ops))
+	for i := range bits {
+		bits[i] = -float64(i)
+	}
+	return bits, nil
+}
+
+// TestStatsNoiseFromEngine: a noise-aware engine's per-op bits reach the
+// stage rows, and its refusal fails Prepare and On.
+func TestStatsNoiseFromEngine(t *testing.T) {
+	g := testGraph()
+	p, err := Prepare(&noisyEngine{}, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Run(context.Background(), [][]float64{{1, 2, 3, 4}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Stages[0].NoiseBits, -float64(g.Stages[1].Out); got != want {
+		t.Fatalf("stage row noise bits %v, want op %d's %v", got, g.Stages[1].Out, want)
+	}
+	refusal := errors.New("refused")
+	if _, err := Prepare(&noisyEngine{refuse: refusal}, g); !errors.Is(err, refusal) {
+		t.Fatalf("Prepare: %v, want the engine's refusal", err)
+	}
+	if _, err := p.On(&noisyEngine{refuse: refusal}); !errors.Is(err, refusal) {
+		t.Fatalf("On: %v, want the engine's refusal", err)
+	}
+}
+
+// TestRunEncryptedRejectsMismatchedInput: an input at another scale or
+// level than its encrypt op's is refused, naming it, before any op runs.
+func TestRunEncryptedRejectsMismatchedInput(t *testing.T) {
+	e := &fakeEngine{}
+	p, err := Prepare(e, testGraph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ct := range []*fakeCt{{level: 3, scale: 2}, {level: 2, scale: 1}} {
+		ct.v = make([]float64, 4)
+		e.calls = nil
+		res, err := p.RunEncrypted(context.Background(), []ir.Ct{ct}, Options{})
+		if !errors.Is(err, ErrInputMismatch) || !strings.Contains(err.Error(), "input 0") {
+			t.Fatalf("level %d, scale %v: %v, want ErrInputMismatch naming input 0", ct.level, ct.scale, err)
+		}
+		if len(e.calls) != 0 || res.FailedStage != "encrypt" {
+			t.Fatalf("level %d, scale %v: ran %v, failed stage %q", ct.level, ct.scale, e.calls, res.FailedStage)
+		}
+	}
+	if _, err := p.RunEncrypted(context.Background(), []ir.Ct{"not a ciphertext"}, Options{}); !errors.Is(err, ErrInputMismatch) {
+		t.Fatalf("unreadable handle: %v, want ErrInputMismatch", err)
+	}
+}
+
 func TestPrepareRejectsInvalidGraph(t *testing.T) {
 	g := testGraph()
 	g.Ops[3].Args = []int{5, 1} // forward reference: not topological

@@ -1,0 +1,71 @@
+package henn_test
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"cnnhe/internal/ckks"
+	"cnnhe/internal/guard"
+	"cnnhe/internal/henn"
+	"cnnhe/internal/henn/ir/opt"
+	"cnnhe/internal/nn"
+)
+
+// TestNoiseBudgetGolden pins the noise budget the guard predicts for the
+// shipped CNN1 on the paper's chain [40, 26×11, 40] + 60 at logN 11: the
+// bits of every report stage, which a guarded run reports as
+// StageReport.NoiseBits. The budget is a property of the graph, so this
+// is symbolic: the plan is lowered against a params-only engine and the
+// guard wraps a key-less evaluation engine — no key generation. The
+// optimizer must not move the budget, so both -opt settings are pinned
+// to the same row.
+func TestNoiseBudgetGolden(t *testing.T) {
+	model, _, err := nn.LoadModel("../../models/cnn1-slaf-n6000-s1.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := []int{40}
+	for i := 0; i < 11; i++ {
+		bits = append(bits, 26)
+	}
+	params, err := ckks.NewParameters(11, append(bits, 40), 60, 1, math.Exp2(26))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := ckks.NewContext(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := guard.New(henn.NewRNSEvalEngine(ctx, nil, nil), guard.DefaultConfig())
+	e := henn.ParamsOnlyEngine("ckks-rns", params.Slots(), params.MaxLevel(), params.Scale, params.QiFloat)
+	want := []string{"-1.076095", "-12.235908", "-22.118552", "-66.355686", "-73.123870"}
+	for _, o := range []*opt.Options{nil, opt.Disabled()} {
+		plan, err := henn.Compile(model, params.Slots())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lowered, err := plan.Lower(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := opt.Optimize(e, lowered, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gr := res.Graph
+		noise, err := g.NoiseBits(gr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, st := range gr.Stages {
+			if st.Record {
+				got = append(got, fmt.Sprintf("%.6f", noise[st.Out]))
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("-opt=%s: per-stage noise bits %v, want %v", o.Setting(), got, want)
+		}
+	}
+}

@@ -1,8 +1,8 @@
 // Package noise implements the CKKS noise-growth heuristics of the
 // original paper (Cheon-Kim-Kim-Song, §"Noise estimation"), used to reason
 // about the accuracy loss the paper's Section III.C discusses: given
-// parameters and a pipeline description, it predicts error bounds and
-// checks that a scale Δ leaves enough precision headroom.
+// parameters and a lowered op graph, Graph predicts the precision every
+// op's result keeps.
 //
 // Bounds are the standard high-probability canonical-embedding estimates
 // (erfc-style tail cut at 6σ): they are deliberately conservative; the
@@ -10,8 +10,9 @@
 package noise
 
 import (
-	"fmt"
 	"math"
+
+	"cnnhe/internal/henn/ir"
 )
 
 // Model carries the distribution parameters the bounds depend on.
@@ -62,65 +63,73 @@ func (m Model) Mul(nu1, e1, nu2, e2 float64) float64 {
 	return nu1*e2 + nu2*e1 + e1*e2
 }
 
-// Budget tracks message scale versus accumulated noise through a pipeline.
-type Budget struct {
-	Model Model
-	// Scale is the current plaintext scale Δ of the tracked ciphertext.
-	Scale float64
-	// Noise is the current canonical-embedding noise bound.
-	Noise float64
-	// Steps records the pipeline for diagnostics.
-	Steps []string
-}
+// valueBound is the slot magnitude Graph assumes for both operands of a
+// ciphertext-ciphertext multiplication (the SLAF activations' inputs).
+const valueBound = 32
 
-// NewBudget starts from a fresh encryption at the given scale.
-func NewBudget(m Model, scale float64) *Budget {
-	return &Budget{Model: m, Scale: scale, Noise: m.Fresh(), Steps: []string{"fresh"}}
-}
-
-// BitsOfPrecision returns log2(scale/noise) — the significant fractional
-// bits remaining. Negative means the message is drowned.
-func (b *Budget) BitsOfPrecision() float64 {
-	return math.Log2(b.Scale / b.Noise)
-}
-
-// AfterMulPlain applies a plaintext multiplication at ptScale with
-// plaintext canonical norm ptNorm, followed by a rescale by q.
-func (b *Budget) AfterMulPlain(ptScale, ptNorm, q float64) {
-	b.Noise = b.Model.MulPlain(b.Noise, ptNorm*ptScale)
-	b.Scale *= ptScale
-	b.rescale(q)
-	b.Steps = append(b.Steps, "mulplain+rescale")
-}
-
-// AfterMul applies a ciphertext-ciphertext multiplication with a second
-// operand at the same scale carrying noise otherNoise; nu1 and nu2 are the
-// slot-domain message magnitudes of the two operands. The relinearization
-// key-switch noise ksNoise is added and the result is rescaled by q
-// (Δ → Δ²/q).
-func (b *Budget) AfterMul(otherNoise, nu1, nu2, ksNoise, q float64) {
-	b.Noise = b.Model.Mul(nu1*b.Scale, b.Noise, nu2*b.Scale, otherNoise) + ksNoise
-	b.Scale *= b.Scale
-	b.Steps = append(b.Steps, "mul")
-	b.rescale(q)
-}
-
-func (b *Budget) rescale(q float64) {
-	b.Noise = b.Noise/q + b.Model.Rescale()
-	b.Scale /= q
-}
-
-// AfterRotation adds key-switch noise for a rotation.
-func (b *Budget) AfterRotation(ksNoise float64) {
-	b.Noise += ksNoise
-	b.Steps = append(b.Steps, "rotate")
-}
-
-// Check returns an error when fewer than minBits of precision remain.
-func (b *Budget) Check(minBits float64) error {
-	if got := b.BitsOfPrecision(); got < minBits {
-		return fmt.Errorf("noise: %.1f bits of precision remain (< %.1f) after %v",
-			got, minBits, b.Steps)
+// Graph returns, for every op of g, log2(scale/bound): the fractional
+// bits of precision the op's result keeps under the worst-case bound on
+// its noise. Every input is taken to be a fresh encryption at its
+// OpEncrypt's (level, scale). ks is the bound one key switch adds (see
+// KeySwitch) and qi returns each level's prime. The bound grows per op:
+//
+//	Encrypt             Fresh
+//	Add                 e₀ + e₁
+//	AddPlain, DropLevel e₀
+//	MulPlain            MulPlain(e₀, max(1, max|Plain|)·PtScale)
+//	Recombine           Σᵢ max(|wᵢ|, 1)·eᵢ, summed in argument order
+//	MulRelin            Mul(valueBound·Δ₀, e₀, valueBound·Δ₁, e₁) + ks
+//	Rescale             e₀/q + Rescale, q the input level's prime
+//	Rotate              e₀ + ks
+//
+// where eᵢ and Δᵢ are argument i's bound and scale. The scales are the
+// graph's, which lowering computes with the engines' own float64
+// arithmetic, so the result is what tracking the same bound op by op at
+// run time would give, to the bit.
+func Graph(g *ir.Graph, m Model, ks float64, qi func(level int) float64) []float64 {
+	e := make([]float64, len(g.Ops))
+	bits := make([]float64, len(g.Ops))
+	for i := range g.Ops {
+		op := &g.Ops[i]
+		var e0 float64
+		if len(op.Args) > 0 {
+			e0 = e[op.Args[0]]
+		}
+		switch op.Kind {
+		case ir.OpEncrypt:
+			e[i] = m.Fresh()
+		case ir.OpAdd:
+			e[i] = e0 + e[op.Args[1]]
+		case ir.OpAddPlain, ir.OpDropLevel:
+			e[i] = e0
+		case ir.OpMulPlain:
+			e[i] = m.MulPlain(e0, maxAbs(op.Plain)*op.PtScale)
+		case ir.OpRecombine:
+			for j, a := range op.Args {
+				e[i] += e[a] * math.Max(math.Abs(float64(op.Weights[j])), 1)
+			}
+		case ir.OpMulRelin:
+			a, b := op.Args[0], op.Args[1]
+			e[i] = m.Mul(valueBound*g.Ops[a].Scale, e[a], valueBound*g.Ops[b].Scale, e[b]) + ks
+		case ir.OpRescale:
+			e[i] = e0/qi(g.Ops[op.Args[0]].Level) + m.Rescale()
+		case ir.OpRotate:
+			e[i] = e0 + ks
+		}
+		bits[i] = math.Log2(op.Scale / e[i])
 	}
-	return nil
+	return bits
+}
+
+// maxAbs is the plaintext canonical-norm proxy MulPlain takes: the
+// largest slot magnitude, floored at 1 so a contractive plaintext never
+// shrinks the bound below the additive terms.
+func maxAbs(v []float64) float64 {
+	m := 1.0
+	for _, x := range v {
+		if a := math.Abs(x); a > m {
+			m = a
+		}
+	}
+	return m
 }

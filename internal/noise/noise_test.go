@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cnnhe/internal/ckks"
+	"cnnhe/internal/henn/ir"
 )
 
 func model(p ckks.Parameters) Model {
@@ -76,37 +77,65 @@ func TestBoundsMonotonic(t *testing.T) {
 	}
 }
 
+// TestBudgetPipeline walks a small graph that uses every op kind through
+// Graph and checks each op's bits against its rule, that the budget only
+// shrinks along the pipeline, and that an oversized plaintext drowns the
+// message.
 func TestBudgetPipeline(t *testing.T) {
 	p, err := ckks.TinyParameters()
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := model(p)
-	q := p.QiFloat(p.MaxLevel())
-	b := NewBudget(m, p.Scale)
-	start := b.BitsOfPrecision()
-	if start < 10 {
-		t.Fatalf("fresh precision too low: %.1f bits", start)
+	L, d := p.MaxLevel(), p.Scale
+	q := p.QiFloat(L)
+	ks := m.KeySwitch(L+1, q, math.Exp2(50))
+	w := []float64{0.5, -2, 0.25}
+	g := &ir.Graph{Inputs: 1, Stages: []ir.StageInfo{{Name: "s", Out: -1}}, Ops: []ir.Op{
+		{Kind: ir.OpEncrypt, Level: L, Scale: d},
+		{Kind: ir.OpRotate, Args: []int{0}, K: 1, Hoist: -1, Level: L, Scale: d},
+		{Kind: ir.OpAdd, Args: []int{0, 1}, Level: L, Scale: d},
+		{Kind: ir.OpMulPlain, Args: []int{2}, Plain: w, PtScale: q, Level: L, Scale: d * q},
+		{Kind: ir.OpRecombine, Args: []int{3, 3}, Weights: []int64{1, -3}, Level: L, Scale: d * q},
+		{Kind: ir.OpRescale, Args: []int{4}, Level: L - 1, Scale: d * q / q},
+		{Kind: ir.OpAddPlain, Args: []int{5}, Plain: w, Level: L - 1, Scale: d},
+		{Kind: ir.OpMulRelin, Args: []int{6, 6}, Level: L - 1, Scale: d * d},
+		{Kind: ir.OpDropLevel, Args: []int{7}, Drop: 1, Level: L - 2, Scale: d * d},
+	}}
+	for i := range g.Ops {
+		g.Ops[i].ID = i
 	}
-	// One plaintext multiplication by unit-norm weights.
-	b.AfterMulPlain(q, 1.0, q)
-	if err := b.Check(5); err != nil {
-		t.Fatalf("precision after mulplain should be fine: %v", err)
+	g.Output = len(g.Ops) - 1
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	// A ciphertext multiplication with a same-noise operand.
-	ks := m.KeySwitch(p.MaxLevel()+1, q, math.Exp2(50))
-	b.AfterMul(m.Fresh(), 1, 1, ks, p.QiFloat(p.MaxLevel()-1))
-	b.AfterRotation(ks)
-	if b.BitsOfPrecision() >= start {
-		t.Fatal("precision must decrease through the pipeline")
+	e := make([]float64, len(g.Ops))
+	e[0] = m.Fresh()
+	e[1] = e[0] + ks
+	e[2] = e[0] + e[1]
+	e[3] = m.MulPlain(e[2], 2*q) // max|w| = 2
+	e[4] = e[3] + 3*e[3]
+	e[5] = e[4]/q + m.Rescale()
+	e[6] = e[5]
+	e[7] = m.Mul(valueBound*d, e[6], valueBound*d, e[6]) + ks
+	e[8] = e[7]
+	bits := Graph(g, m, ks, p.QiFloat)
+	for i, op := range g.Ops {
+		if want := math.Log2(op.Scale / e[i]); bits[i] != want {
+			t.Errorf("op %d (%s): %v bits, want %v", i, op.Kind, bits[i], want)
+		}
+		if i > 0 && bits[i] > bits[i-1] {
+			t.Errorf("op %d (%s): budget grew from %v to %v bits", i, op.Kind, bits[i-1], bits[i])
+		}
 	}
-	if len(b.Steps) != 4 {
-		t.Fatalf("steps not recorded: %v", b.Steps)
+	if bits[0] < 10 {
+		t.Fatalf("fresh precision too low: %.1f bits", bits[0])
 	}
-	// Drowning the message must be detected.
-	b.Noise = b.Scale * 2
-	if err := b.Check(1); err == nil {
-		t.Fatal("expected precision failure")
+	// A plaintext of magnitude 2^40 costs its product 40 bits more than
+	// a unit one.
+	g.Ops[3].Plain = []float64{math.Exp2(40)}
+	if drop := bits[3] - Graph(g, m, ks, p.QiFloat)[3]; math.Abs(drop-39) > 1e-9 {
+		t.Fatalf("a 2^40 plaintext cost %v bits over max|w| = 2, want 39", drop)
 	}
 }
 

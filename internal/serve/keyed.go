@@ -47,9 +47,6 @@ type KeyedConfig struct {
 	StoreDir string
 	// RequestTimeout bounds one encrypted evaluation (0 disables).
 	RequestTimeout time.Duration
-	// Guard configures the per-client guarded engine; zero value selects
-	// guard.DefaultConfig.
-	Guard guard.Config
 }
 
 // Keyed serves the encrypted wire protocol:
@@ -104,10 +101,7 @@ func NewKeyed(cfg KeyedConfig) (*Keyed, error) {
 	if cfg.Plan == nil {
 		return nil, fmt.Errorf("serve: KeyedConfig.Plan is required")
 	}
-	if cfg.Guard == (guard.Config{}) {
-		cfg.Guard = guard.DefaultConfig()
-	}
-	prep, _, err := cfg.Plan.Prepare(guard.New(henn.NewRNSEvalEngine(cfg.Ctx, nil, nil), cfg.Guard))
+	prep, _, err := cfg.Plan.Prepare(guard.New(henn.NewRNSEvalEngine(cfg.Ctx, nil, nil), guard.DefaultConfig()))
 	if err != nil {
 		return nil, fmt.Errorf("serve: compiling the plan for the encrypted route: %w", err)
 	}
@@ -335,7 +329,7 @@ func (k *Keyed) handleClassifyEncrypted(w http.ResponseWriter, r *http.Request) 
 func evalOutcome(err error) string {
 	var se *guard.StageError
 	switch {
-	case errors.As(err, &se):
+	case errors.As(err, &se), errors.Is(err, exec.ErrInputMismatch):
 		return "bad_ciphertext"
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return "timeout"
@@ -380,7 +374,7 @@ func (k *Keyed) evalFor(entry *keys.Entry) (*keyedEval, error) {
 	if ev, ok := entry.Eval.(*keyedEval); ok {
 		return ev, nil
 	}
-	g := guard.New(henn.NewRNSEvalEngine(k.cfg.Ctx, entry.Bundle.RLK, entry.Bundle.RTK), k.cfg.Guard)
+	g := guard.New(henn.NewRNSEvalEngine(k.cfg.Ctx, entry.Bundle.RLK, entry.Bundle.RTK), guard.DefaultConfig())
 	prep, err := k.prep.On(g)
 	if err != nil {
 		return nil, err
@@ -426,13 +420,14 @@ func (k *Keyed) writeKeyedError(w http.ResponseWriter, err error, doing string, 
 
 // writeEvalError maps an encrypted-evaluation failure to HTTP. Guard
 // stage errors mean the client's ciphertext drove the evaluation out of
-// its invariants — the client's fault, 400; timeouts are 504; anything
-// else is a server error.
+// its invariants, and an input mismatch that it was not a fresh
+// encryption at the graph's (level, scale) — the client's fault, 400;
+// timeouts are 504; anything else is a server error.
 func (k *Keyed) writeEvalError(w http.ResponseWriter, res *exec.Result, err error, tc telemetry.TraceContext) {
 	body := errorBody{TraceID: tc.TraceIDString(), RequestID: tc.SpanIDString()}
 	var se *guard.StageError
 	switch {
-	case errors.As(err, &se):
+	case errors.As(err, &se), errors.Is(err, exec.ErrInputMismatch):
 		keyedTel().request("bad_ciphertext")
 		body.Error = fmt.Sprintf("evaluation rejected in stage %s: %v", res.FailedStage, err)
 		writeJSON(w, http.StatusBadRequest, body)

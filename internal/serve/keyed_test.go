@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"net/http"
@@ -13,7 +14,9 @@ import (
 	"cnnhe/internal/ckks"
 	"cnnhe/internal/client"
 	"cnnhe/internal/henn"
+	"cnnhe/internal/henn/exec"
 	"cnnhe/internal/henn/ir/opt"
+	"cnnhe/internal/telemetry"
 )
 
 // keyedFixture is a running keyed server over the tiny model plus the
@@ -369,6 +372,66 @@ func TestKeyedRejectsGarbageCiphertext(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage ciphertext: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestKeyedRejectsMismatchedCiphertext: a well-formed upload that is not
+// a fresh encryption at the graph's (level, scale) — another scale, or a
+// level dropped — is refused as 400 bad_ciphertext before any
+// homomorphic op runs, naming the input.
+func TestKeyedRejectsMismatchedCiphertext(t *testing.T) {
+	f := newKeyedFixture(t)
+	ks := f.clientKeys(t, 95)
+	fp, err := ks.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := ckks.NewEvaluator(ks.Context(), nil, nil)
+	scale := ks.Params.Scale
+	for _, tc := range []struct {
+		name   string
+		mutate func(ct *ckks.Ciphertext) *ckks.Ciphertext
+	}{
+		{"double scale", func(ct *ckks.Ciphertext) *ckks.Ciphertext { ct.Scale = 2 * scale; return ct }},
+		{"scale 20 bits short", func(ct *ckks.Ciphertext) *ckks.Ciphertext { ct.Scale = scale / (1 << 20); return ct }},
+		{"scale off by 1e-3", func(ct *ckks.Ciphertext) *ckks.Ciphertext { ct.Scale = scale * (1 + 1e-3); return ct }},
+		{"one level down", func(ct *ckks.Ciphertext) *ckks.Ciphertext { return ev.DropLevel(ct, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ct, err := ks.EncryptImage(testImage(rand.New(rand.NewSource(96)), f.plan.InputDim), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var body bytes.Buffer
+			if err := ks.Context().WriteCiphertext(&body, tc.mutate(ct)); err != nil {
+				t.Fatal(err)
+			}
+			req, _ := http.NewRequest(http.MethodPost, f.srv.URL+client.PathClassifyEncrypted, &body)
+			req.Header.Set(client.HeaderKeyFingerprint, fp)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var eb errorBody
+			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, exec.ErrInputMismatch.Error()) ||
+				!strings.Contains(eb.Error, "input 0") {
+				t.Fatalf("status %d, error %q; want 400 naming input 0 as %q", resp.StatusCode, eb.Error, exec.ErrInputMismatch)
+			}
+			for _, s := range telemetry.Flight().Snapshot() {
+				if s.TraceID != eb.TraceID {
+					continue
+				}
+				if s.Outcome != "bad_ciphertext" || len(s.TopOps) != 0 {
+					t.Fatalf("flight entry: outcome %q after %d op kinds ran; want bad_ciphertext before any op", s.Outcome, len(s.TopOps))
+				}
+				return
+			}
+			t.Fatalf("no flight entry for trace %s", eb.TraceID)
+		})
 	}
 }
 
