@@ -25,9 +25,13 @@ func (progStage) Describe() string                             { return "prog" }
 
 // lowerProg lowers the stages over `inputs` input ciphertexts, checks the
 // optimizer keeps the lowering's rotations, and returns the lowered graph.
+// The engine's chain is exactly as deep as the stages (0 levels): a
+// spare level would be dropped after the first stage, and these programs
+// carry ciphertexts from one stage into the next, which no real stage
+// does.
 func lowerProg(t *testing.T, inputs int, stages ...progStage) *ir.Graph {
 	t.Helper()
-	e := henn.ParamsOnlyEngine("params", 8, 3, math.Exp2(26), func(int) float64 { return math.Exp2(26) })
+	e := henn.ParamsOnlyEngine("params", 8, 0, math.Exp2(26), func(int) float64 { return math.Exp2(26) })
 	p := &henn.Plan{Slots: 8, Input: shard.Manifest{Grid: shard.Grid{Gy: inputs, Gx: 1}}}
 	for _, s := range stages {
 		p.Stages = append(p.Stages, s)

@@ -70,7 +70,11 @@ func (t *tracer) emit(op ir.Op) *traceCt {
 }
 
 // encrypt emits the OpEncrypt for input slot inputIdx. Fresh ciphertexts
-// start at MaxLevel with the engine's default scale.
+// start at MaxLevel with the engine's default scale, spare levels
+// included: the first stage's plaintext scale is its level's prime, and
+// on a paper-shaped chain only the top prime is wide enough to keep the
+// first linear stage's precision. Lower spends the spare levels right
+// after that stage instead (dropTo).
 func (t *tracer) encrypt(inputIdx int) *traceCt {
 	return t.emit(ir.Op{
 		Kind:     ir.OpEncrypt,
@@ -79,6 +83,16 @@ func (t *tracer) encrypt(inputIdx int) *traceCt {
 		Level:    t.e.MaxLevel(),
 		Scale:    t.e.Scale(),
 	})
+}
+
+// dropTo lowers every ciphertext of cts that sits above level to it, one
+// DropLevel each, in place.
+func (t *tracer) dropTo(cts []Ct, level int) {
+	for i, ct := range cts {
+		if n := t.in("DropLevel", ct).level - level; n > 0 {
+			cts[i] = t.DropLevel(ct, n)
+		}
+	}
 }
 
 // in unwraps a symbolic ciphertext, failing the trace on foreign handles.
@@ -424,6 +438,13 @@ func (p *Plan) numInputs() int {
 // Structural problems — modulus chain too short for the plan's depth,
 // scale drift, level mismatches — surface here as errors rather than
 // mid-inference panics.
+//
+// Inputs are encrypted at MaxLevel and the first stage runs there. When
+// a later stage exists, its step opens with one DropLevel per ciphertext
+// down to the levels the remaining stages consume, Σ_{i≥1}
+// Stages[i].Depth() (summed from the stages: hand-built plans leave
+// Plan.Depth at 0), so no later op carries limbs the plan never uses.
+// A chain with no spare level lowers unchanged.
 func (p *Plan) Lower(e Engine) (g *ir.Graph, err error) {
 	defer recoverLowerErr(&err)
 	if len(p.Stages) == 0 {
@@ -437,8 +458,15 @@ func (p *Plan) Lower(e Engine) (g *ir.Graph, err error) {
 		t.setStageOut(ct.id)
 		cur[i] = ct
 	}
-	for _, s := range p.steps() {
+	rest := 0
+	for _, s := range p.Stages[1:] {
+		rest += s.Depth()
+	}
+	for i, s := range p.steps() {
 		t.beginStage(s.name, true)
+		if i == 1 && len(p.Stages) > 1 {
+			t.dropTo(cur, rest)
+		}
 		cur = s.eval(t, cur)
 		t.setStageOut(t.in("stage output", cur[0]).id)
 	}
