@@ -235,11 +235,11 @@ func TestExecutorParityGoldenCNN1(t *testing.T) {
 	legs := frontEndLegs(t, m, 1024, shard.Grid{Gy: 2, Gx: 1}, testImage(rand.New(rand.NewSource(83)), 784))
 	runGolden(t, legs, map[string]engineFor{"rns": goldenRNS(t, goldenParams(t, 11, parityChain(plan.Depth)), 814)},
 		map[string]string{
-			"rns/plan/opt=off": "5a8847fda7896230c59a039f6529034eb3506b52d2506926d72be15f3b507d4c",
-			"rns/plan/opt=on":  "5a8847fda7896230c59a039f6529034eb3506b52d2506926d72be15f3b507d4c",
-			"rns/rns3/seq":     "b3613f8a94a7fd93b95efb06b65056ed11b0e4cc9d148cc67aad7a413be784a7",
-			"rns/rns3/par":     "b3613f8a94a7fd93b95efb06b65056ed11b0e4cc9d148cc67aad7a413be784a7",
-			"rns/rns3/off":     "b3613f8a94a7fd93b95efb06b65056ed11b0e4cc9d148cc67aad7a413be784a7",
-			"rns/sharded":      "94d835508a5f9cb10910740842c1833bca9c88b477783f791ed43e6812f7403b",
+			"rns/plan/opt=off": "95bf8091e37dcd0f8da2e7a1e0bc948ed0b8d9828b4bbd0be729dce8c5a2db09",
+			"rns/plan/opt=on":  "95bf8091e37dcd0f8da2e7a1e0bc948ed0b8d9828b4bbd0be729dce8c5a2db09",
+			"rns/rns3/seq":     "41319e06f5e753547b5a56d26a15cb9f815c55497dddafe76f6f028cfb896acd",
+			"rns/rns3/par":     "41319e06f5e753547b5a56d26a15cb9f815c55497dddafe76f6f028cfb896acd",
+			"rns/rns3/off":     "41319e06f5e753547b5a56d26a15cb9f815c55497dddafe76f6f028cfb896acd",
+			"rns/sharded":      "abd42c130152d253970bc121cab5de8186bc0704d7efee09e2459e48b4c6142c",
 		})
 }

@@ -220,24 +220,24 @@ func TestOptimizedGraphGolden(t *testing.T) {
 		want   goldenSize
 		shape  string // the optimized graph's shapeDigest
 	}{
-		{"cnn1/plan", 11, compiled("cnn1", 1024), 1, goldenSize{ops: 2331, engineCalls: 164, rotateCalls: 68, hoists: 3}, "e83306a9382dae99159790e6d6ff5ee79676c94906be9664480028012d0195fb"},
-		{"cnn1/rns3", 11, rns3("cnn1", 1024), 3, goldenSize{ops: 4572, engineCalls: 297, rotateCalls: 132, hoists: 5},
-			"d0530130c4b06da22d5d8feb57b20cab8f3107ed919508b90541eeb155ab3fb4"},
-		{"cnn2/plan", 12, compiled("cnn2", 2048), 1, goldenSize{ops: 4700, engineCalls: 183, rotateCalls: 71, hoists: 4}, "6a4a22f500b881018bdf0e3c77c3465af813fea6d13026c1b2c975189397fc97"},
-		{"cnn2/rns3", 12, rns3("cnn2", 2048), 3, goldenSize{ops: 8519, engineCalls: 304, rotateCalls: 129, hoists: 6},
-			"9774f0d2632e03e0260e16e2dc3849df4a3714805fd4ad78956ecf6a81ee774b"},
+		{"cnn1/plan", 11, compiled("cnn1", 1024), 1, goldenSize{ops: 2332, engineCalls: 165, rotateCalls: 68, hoists: 3}, "b792b16b7df20280336c305459fd8d643be49fba05e0fab15bb825d43fbd762b"},
+		{"cnn1/rns3", 11, rns3("cnn1", 1024), 3, goldenSize{ops: 4575, engineCalls: 300, rotateCalls: 132, hoists: 5},
+			"ca2e0901b607f5d1b2745a2cd09a014c2eceb0b8faea5462088b601c36e5dd54"},
+		{"cnn2/plan", 12, compiled("cnn2", 2048), 1, goldenSize{ops: 4701, engineCalls: 184, rotateCalls: 71, hoists: 4}, "5ba565423c9835e9d9f20f4b6b406e5ad2de186987d3ebab519f4d78e0b5b191"},
+		{"cnn2/rns3", 12, rns3("cnn2", 2048), 3, goldenSize{ops: 8522, engineCalls: 307, rotateCalls: 129, hoists: 6},
+			"40f4db51d85621b9d1eb988de0286a62756e1f9a0d3334fc96a9a2138a9b760f"},
 		// CIFAR-10 CNN3 over a 2×1 shard grid: the 3072-pixel input splits
 		// across two 2048-slot ciphertexts, so the lowered graph carries
 		// per-shard block products plus cross-shard recombines.
-		{"cnn3/sharded2", 12, sharded("cnn3", 2048), 2, goldenSize{ops: 7022, engineCalls: 248, rotateCalls: 105, hoists: 4},
-			"9788f058b5a00d7bdc4cebc956f9b37c81a56ed9cdc5dde5fbd750abee8f9d0d"},
+		{"cnn3/sharded2", 12, sharded("cnn3", 2048), 2, goldenSize{ops: 7023, engineCalls: 249, rotateCalls: 105, hoists: 4},
+			"889797d3a09645d065d9b4e0d3f846d8ec42c7186e65b346f55433d60937b12b"},
 		// The benchmark's cnn3_sharded grid: block rows rotate the same
 		// input shard, so the same (source, k) rotation recurs across rows.
-		{"cnn3/sharded4", 11, sharded("cnn3", 1024), 4, goldenSize{ops: 8374, engineCalls: 584, rotateCalls: 264, hoists: 7},
-			"de1b1f96e7def3dd05fc28e73f2e42544c36b5afc3833633ec27e4abe73eba52"},
+		{"cnn3/sharded4", 11, sharded("cnn3", 1024), 4, goldenSize{ops: 8376, engineCalls: 586, rotateCalls: 264, hoists: 7},
+			"c7bec78d4356666a66d1eca3849cdebf4aaf2e0612d7fbffbb1d2a4b155a93b5"},
 		// serve_batched's shape: two CNN1 images per 2048-slot ciphertext.
-		{"cnn1/batch2", 12, batched("cnn1", 2048, 2), 1, goldenSize{ops: 2627, engineCalls: 108, rotateCalls: 40, hoists: 3},
-			"f624b4ccf17bbd69fd7e8b3f4a92dca3b2ac247fbb385541d29eca8bef82df29"},
+		{"cnn1/batch2", 12, batched("cnn1", 2048, 2), 1, goldenSize{ops: 2628, engineCalls: 109, rotateCalls: 40, hoists: 3},
+			"d2d002331ed17e3979bcadd9ce4b2cea119d6d6b63d8b69a918df7ec9d3b0451"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
