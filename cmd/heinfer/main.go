@@ -45,6 +45,7 @@ import (
 	"cnnhe/internal/henn"
 	"cnnhe/internal/henn/ir/opt"
 	"cnnhe/internal/nn"
+	"cnnhe/internal/primes"
 	"cnnhe/internal/ring"
 	"cnnhe/internal/telemetry"
 	"cnnhe/internal/tensor"
@@ -201,16 +202,8 @@ func main() {
 	}
 	plan.Opt = optOpts
 
-	k := plan.Depth + 1
-	if k < 13 {
-		k = 13
-	}
-	bits := []int{40}
-	for i := 0; i < k-2; i++ {
-		bits = append(bits, 26)
-	}
-	bits = append(bits, 40)
-	params, err := ckks.NewParameters(*logN, bits, 60, 1, math.Exp2(26))
+	k := max(plan.Depth+1, 13)
+	params, err := ckks.NewParameters(*logN, primes.PaperShape(k, 26), 60, 1, math.Exp2(26))
 	if err != nil {
 		fatal("building CKKS parameters failed", "logn", *logN, "err", err)
 	}

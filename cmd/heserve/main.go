@@ -64,6 +64,7 @@ import (
 	"cnnhe/internal/henn"
 	"cnnhe/internal/henn/ir/opt"
 	"cnnhe/internal/nn"
+	"cnnhe/internal/primes"
 	"cnnhe/internal/ring"
 	"cnnhe/internal/serve"
 	"cnnhe/internal/telemetry"
@@ -88,26 +89,19 @@ func parseLevel(s string) slog.Level {
 // pins the chain's usable depth (0 = automatic: max(plan depth, 12)).
 // For the rns backend the inner engine's CKKS context is also returned,
 // so the encrypted key-holder routes can share the exact instantiation.
-func buildEngine(depth int, rotations []int, backend string, logN, levels int, seed int64) (henn.Engine, *ckks.Context, error) {
-	k := depth + 1
-	if k < 13 {
-		k = 13
-	}
+func buildEngine(plan *henn.Plan, backend string, logN, levels int, seed int64) (henn.Engine, *ckks.Context, error) {
+	k := max(plan.Depth+1, 13)
 	if levels > 0 {
 		k = levels + 1
 	}
-	bits := []int{40}
-	for i := 0; i < k-2; i++ {
-		bits = append(bits, 26)
-	}
-	bits = append(bits, 40)
-	params, err := ckks.NewParameters(logN, bits, 60, 1, math.Exp2(26))
+	params, err := ckks.NewParameters(logN, primes.PaperShape(k, 26), 60, 1, math.Exp2(26))
 	if err != nil {
 		return nil, nil, fmt.Errorf("building CKKS parameters: %w", err)
 	}
-	if depth > params.MaxLevel() {
-		return nil, nil, fmt.Errorf("plan needs %d levels but the modulus chain provides %d", depth, params.MaxLevel())
+	if err := plan.CheckDepth(params.MaxLevel()); err != nil {
+		return nil, nil, err
 	}
+	rotations := plan.Rotations()
 	var inner henn.Engine
 	var rnsCtx *ckks.Context
 	switch backend {
@@ -204,7 +198,7 @@ func main() {
 		"manifest", plan.Input.String(), "batch", bp.Batch, "block", bp.BlockSize,
 		"depth", bp.Plan.Depth, "optimizer", optOpts.Setting())
 
-	engine, rnsCtx, err := buildEngine(bp.Plan.Depth, bp.Plan.Rotations(), *backend, *logN, *levels, *seed)
+	engine, rnsCtx, err := buildEngine(bp.Plan, *backend, *logN, *levels, *seed)
 	if err != nil {
 		fatal("creating engine failed", "backend", *backend, "err", err)
 	}

@@ -20,6 +20,7 @@ import (
 	"cnnhe/internal/dataset"
 	"cnnhe/internal/henn"
 	"cnnhe/internal/nn"
+	"cnnhe/internal/primes"
 	"cnnhe/internal/tensor"
 )
 
@@ -53,12 +54,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Print(plan.Describe())
-	bits := []int{40}
-	for i := 0; i < plan.Depth-1; i++ {
-		bits = append(bits, 30)
-	}
-	bits = append(bits, 40)
-	params, err := ckks.NewParameters(logN, bits, 60, 1, math.Exp2(30))
+	params, err := ckks.NewParameters(logN, primes.PaperShape(plan.Depth+1, 30), 60, 1, math.Exp2(30))
 	if err != nil {
 		log.Fatal(err)
 	}

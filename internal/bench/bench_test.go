@@ -12,6 +12,7 @@ import (
 	"cnnhe/internal/dataset"
 	"cnnhe/internal/henn"
 	"cnnhe/internal/nn"
+	"cnnhe/internal/primes"
 )
 
 func TestPaperShapeBits(t *testing.T) {
@@ -25,7 +26,7 @@ func TestPaperShapeBits(t *testing.T) {
 		{13, append(append([]int{40}, repeat26(11)...), 40)},
 	}
 	for _, c := range cases {
-		got := paperShapeBits(c.k)
+		got := primes.PaperShape(c.k, 26)
 		if len(got) != len(c.want) {
 			t.Fatalf("k=%d: %v", c.k, got)
 		}
@@ -37,7 +38,7 @@ func TestPaperShapeBits(t *testing.T) {
 	}
 	// Table II: the k=13 chain must total 366 bits.
 	sum := 0
-	for _, b := range paperShapeBits(13) {
+	for _, b := range primes.PaperShape(13, 26) {
 		sum += b
 	}
 	if sum != 366 {

@@ -11,30 +11,13 @@ import (
 	"cnnhe/internal/henn"
 	"cnnhe/internal/hestd"
 	"cnnhe/internal/nn"
+	"cnnhe/internal/primes"
 )
-
-// paperShapeBits returns the paper-shaped chain of length k:
-// [40, 26, …, 26, 40] (k ≥ 2; k = 1 yields a single 40-bit prime and is
-// only meaningful for parameter plumbing).
-func paperShapeBits(k int) []int {
-	switch {
-	case k <= 1:
-		return []int{40}
-	case k == 2:
-		return []int{40, 40}
-	default:
-		bits := []int{40}
-		for i := 0; i < k-2; i++ {
-			bits = append(bits, 26)
-		}
-		return append(bits, 40)
-	}
-}
 
 // rnsParams builds CKKS-RNS parameters with a paper-shaped chain of length
 // k at the configured ring degree.
 func rnsParams(cfg Config, k int) (ckks.Parameters, error) {
-	return ckks.NewParameters(cfg.LogN, paperShapeBits(k), 60, 1, math.Exp2(26))
+	return ckks.NewParameters(cfg.LogN, primes.PaperShape(k, 26), 60, 1, math.Exp2(26))
 }
 
 // compilePlan compiles a model for the configured ring degree and

@@ -1,9 +1,12 @@
 package ckks
 
 import (
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
+
+	"cnnhe/internal/primes"
 )
 
 type testKit struct {
@@ -446,6 +449,33 @@ func TestParallelEvaluationMatches(t *testing.T) {
 	limbs := r.Limbs(seq.Level, false)
 	if !r.Equal(limbs, seq.C0, par.C0) || !r.Equal(limbs, seq.C1, par.C1) {
 		t.Fatal("parallel evaluation differs from sequential")
+	}
+}
+
+// TestPaperShapeDigests pins the paper-shaped chains the CLIs, the
+// table runner and the benchmark build, [40, 26×(k−2), 40] + a 60-bit
+// special at Δ = 2^26, by ParamsDigest (which covers every modulus): the
+// digests are those of the loops primes.PaperShape replaced, so bundles
+// keyed on these chains keep matching.
+func TestPaperShapeDigests(t *testing.T) {
+	for _, tc := range []struct {
+		k    int
+		want string
+	}{
+		{8, "05069174c632e6903005431438fc3019efa22a8a44928d0ee1b7b891b75b4cff"},
+		{10, "36195cdd24415fce055ab0dec72904ac2956b65b600ee09486372f72a3a0f9d5"},
+		{13, "fc198f9433ebeeb354747f6419e0b61b73a2cd64cd1b734a3bcf17a1147fb5dc"},
+	} {
+		p, err := NewParameters(11, primes.PaperShape(tc.k, 26), 60, 1, math.Exp2(26))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.MaxLevel() != tc.k-1 {
+			t.Errorf("k=%d: max level %d, want %d", tc.k, p.MaxLevel(), tc.k-1)
+		}
+		if d := p.ParamsDigest(); hex.EncodeToString(d[:]) != tc.want {
+			t.Errorf("k=%d: ParamsDigest %x, want %s", tc.k, d, tc.want)
+		}
 	}
 }
 

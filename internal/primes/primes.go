@@ -178,6 +178,22 @@ func PaperBitSizes() []int {
 	return sizes
 }
 
+// PaperShape returns the paper-shaped ciphertext chain of length k,
+// [40, mid×(k−2), 40]: Table II's q = [40, 26×11, 40] is PaperShape(13,
+// 26) read with every listed prime a ciphertext prime (the special
+// primes are chosen separately). k = 2 yields [40, 40]; k ≤ 1 yields a
+// single 40-bit prime, only meaningful for parameter plumbing.
+func PaperShape(k, mid int) []int {
+	if k <= 1 {
+		return []int{40}
+	}
+	bits := []int{40}
+	for i := 0; i < k-2; i++ {
+		bits = append(bits, mid)
+	}
+	return append(bits, 40)
+}
+
 // EqualSplit splits totalBits into k parts differing by at most one bit,
 // largest parts first. It is the interpretation used for the Table IV/VI
 // moduli-chain-length sweeps: the total ciphertext modulus is fixed and the
