@@ -74,11 +74,13 @@ opt-parity:
 ## opt-golden: the graph gate — checked-in post-optimization Stats and
 ## structural shape digests for CNN1/CNN2/CNN3 plans, RNS, sharded and
 ## batched front-ends on both backends, the lowering's one-group-per-source
-## rotation plan, the ≥15% engine-call reduction floor, and the guard's
-## predicted per-stage noise bits for CNN1 on the paper chain. Symbolic
-## (no keygen), seconds.
+## rotation plan, the ≥15% engine-call reduction floor, the guard's
+## predicted per-stage noise bits for CNN1 on the paper chain, and CNN1's
+## level profile (spare levels dropped after stage 0). All symbolic
+## except TestImageTransformCountGolden, which keys CNN1 at logN 11 to
+## count one image's limb NTTs/INTTs on two paper-shaped chains (~7 s).
 opt-golden:
-	$(GO) test -run 'TestOptimizedGraphGolden|TestOptimizeOffPreservesLowering|TestNoiseBudgetGolden' ./internal/henn/
+	$(GO) test -run 'TestOptimizedGraphGolden|TestOptimizeOffPreservesLowering|TestNoiseBudgetGolden|TestLevelProfileGolden|TestImageTransformCountGolden' ./internal/henn/
 
 ## shard-parity: the sharding gates — the shard package's unit and
 ## property suites (manifest split/join, wire round trip), the golden
