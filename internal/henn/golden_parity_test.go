@@ -217,7 +217,7 @@ func TestExecutorParityGoldenTiny(t *testing.T) {
 	})
 	runGolden(t, []goldenLeg{denseLeg},
 		map[string]engineFor{"rns": goldenRNS(t, goldenParams(t, 10, []int{40, 30, 30}), 813)},
-		map[string]string{"rns/dense2": "364aab25c10df467bfe032af6900b29e7c5c3b1aad6772e27dab815d05fded11"})
+		map[string]string{"rns/dense2": "af6e7d731349f30a4e6e3590160ee8e735c40360ef5f2d9f097917d993453f12"})
 }
 
 // TestExecutorParityGoldenCNN1 pins the paper's CNN1 shape at logN 11 on
@@ -235,11 +235,11 @@ func TestExecutorParityGoldenCNN1(t *testing.T) {
 	legs := frontEndLegs(t, m, 1024, shard.Grid{Gy: 2, Gx: 1}, testImage(rand.New(rand.NewSource(83)), 784))
 	runGolden(t, legs, map[string]engineFor{"rns": goldenRNS(t, goldenParams(t, 11, parityChain(plan.Depth)), 814)},
 		map[string]string{
-			"rns/plan/opt=off": "95bf8091e37dcd0f8da2e7a1e0bc948ed0b8d9828b4bbd0be729dce8c5a2db09",
-			"rns/plan/opt=on":  "95bf8091e37dcd0f8da2e7a1e0bc948ed0b8d9828b4bbd0be729dce8c5a2db09",
-			"rns/rns3/seq":     "41319e06f5e753547b5a56d26a15cb9f815c55497dddafe76f6f028cfb896acd",
-			"rns/rns3/par":     "41319e06f5e753547b5a56d26a15cb9f815c55497dddafe76f6f028cfb896acd",
-			"rns/rns3/off":     "41319e06f5e753547b5a56d26a15cb9f815c55497dddafe76f6f028cfb896acd",
-			"rns/sharded":      "abd42c130152d253970bc121cab5de8186bc0704d7efee09e2459e48b4c6142c",
+			"rns/plan/opt=off": "0cf6264e6ae5623f2e5f961c3ac826e62cc1ab1d185e1d754b5e083669b07a6c",
+			"rns/plan/opt=on":  "0cf6264e6ae5623f2e5f961c3ac826e62cc1ab1d185e1d754b5e083669b07a6c",
+			"rns/rns3/seq":     "419b85977ffef2be594afa89e1e02b86d8c8de492e1b0278440306ec7c0c9fc8",
+			"rns/rns3/par":     "419b85977ffef2be594afa89e1e02b86d8c8de492e1b0278440306ec7c0c9fc8",
+			"rns/rns3/off":     "419b85977ffef2be594afa89e1e02b86d8c8de492e1b0278440306ec7c0c9fc8",
+			"rns/sharded":      "9fc29013f214d2d97404bdb3f3ef076ac8ba2923b9dbfb9dcece2fb8355a47c8",
 		})
 }

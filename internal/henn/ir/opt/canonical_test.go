@@ -26,7 +26,7 @@ func (progStage) Describe() string                             { return "prog" }
 // lowerProg lowers the stages over `inputs` input ciphertexts, checks the
 // optimizer keeps the lowering's rotations, and returns the lowered graph.
 // The engine's chain is exactly as deep as the stages (0 levels): a
-// spare level would be dropped after the first stage, and these programs
+// spare level would be dropped before the first stage, and these programs
 // carry ciphertexts from one stage into the next, which no real stage
 // does.
 func lowerProg(t *testing.T, inputs int, stages ...progStage) *ir.Graph {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cnnhe/internal/ckks"
+	"cnnhe/internal/dataset"
 	"cnnhe/internal/henn/ir"
 	"cnnhe/internal/henn/ir/opt"
 	"cnnhe/internal/nn"
@@ -21,15 +22,11 @@ import (
 // the 13-prime chain is Table II's and cnn1_single's, with 5 spare
 // levels; the 8-prime chain has none.
 
-// paperCNN1 compiles the shipped CNN1 and its paper-shaped chain of k
-// primes.
-func paperCNN1(t *testing.T, k int) (*Plan, ckks.Parameters) {
+// loadCNN1 loads the shipped CNN1 and compiles it for params' slot
+// count.
+func loadCNN1(t *testing.T, params ckks.Parameters) (*nn.Model, *Plan) {
 	t.Helper()
 	model, _, err := nn.LoadModel("../../models/cnn1-slaf-n6000-s1.gob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	params, err := ckks.NewParameters(11, primes.PaperShape(k, 26), 60, 1, math.Exp2(26))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,23 +34,54 @@ func paperCNN1(t *testing.T, k int) (*Plan, ckks.Parameters) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return plan, params
+	return model, plan
 }
 
-// TestLevelProfileGolden pins where the spare levels go: stage 0 runs on
-// the top level, so its plaintext scale is the 40-bit top prime, and one
-// DropLevel then leaves the remaining stages exactly the levels they
-// consume, ending at level 0. A chain without spare levels gains no
-// DropLevel. Symbolic: no keys.
+// paperParams is the paper-shaped chain of k primes at logN 11.
+func paperParams(t *testing.T, k int) ckks.Parameters {
+	t.Helper()
+	params, err := ckks.NewParameters(11, primes.PaperShape(k, 26), 60, 1, math.Exp2(26))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return params
+}
+
+// TestLevelProfileGolden pins where the spare levels go. Stage 0's step
+// opens with one DropLevel per input, down to level rest+m, where rest
+// levels feed the later stages and m is the fewest primes whose widths
+// add up to the top prime's. Every stage-0 MulPlain encodes at the
+// product of those m primes, m Rescales close the stage at level rest,
+// and no DropLevel follows it. On the 13-prime paper chain m = 2 (two
+// 26-bit primes stand in for the 40-bit top one); the 8-prime chain has
+// no spare level, so stage 0 stays on the top prime with no DropLevel;
+// Table IV's equal-width 366-bit split into 12 primes has spare levels
+// but m = 1. Symbolic: no keys.
 func TestLevelProfileGolden(t *testing.T) {
+	sweep, err := ckks.SweepParameters(11, 366, 12, math.Exp2(30))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		k, stage1Top int
-		drops        int // DropLevels of a stage-0 output
+		name   string
+		params ckks.Parameters
+		m      int // primes stage 0 spends
+		level0 int // the level stage 0 reads
 	}{
-		{13, 6, 1},
-		{8, 6, 0},
+		{"paper k=13", paperParams(t, 13), 2, 8},
+		{"paper k=8", paperParams(t, 8), 1, 7},
+		{"equal-width k=12", sweep, 1, 7},
 	} {
-		plan, params := paperCNN1(t, tc.k)
+		params := tc.params
+		_, plan := loadCNN1(t, params)
+		rest, level0 := plan.Depth-1, tc.level0
+		if rest+tc.m != level0 {
+			t.Fatalf("%s: CNN1 depth %d leaves stage 0 at level %d, want %d", tc.name, plan.Depth, rest+tc.m, level0)
+		}
+		ptScale := 1.0
+		for i := range tc.m {
+			ptScale *= params.QiFloat(level0 - i)
+		}
 		e := ParamsOnlyEngine("ckks-rns", params.Slots(), params.MaxLevel(), params.Scale, params.QiFloat)
 		lowered, err := plan.Lower(e)
 		if err != nil {
@@ -64,32 +92,57 @@ func TestLevelProfileGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, g := range []*ir.Graph{lowered, res.Graph} {
-			top := params.MaxLevel()
-			drops := 0
+			inStage0 := func(id int) bool { return strings.HasPrefix(g.Stages[g.Ops[id].Stage].Name, "stage 0 ") }
+			drops, mulPlains, rescales := 0, 0, 0
 			for _, op := range g.Ops {
 				name := g.Stages[op.Stage].Name
 				switch {
 				case strings.HasPrefix(name, "encrypt"):
-				case strings.HasPrefix(name, "stage 0 "):
+				case inStage0(op.ID):
+					switch op.Kind {
+					case ir.OpDropLevel:
+						drops++
+						if a := g.Ops[op.Args[0]]; a.Kind != ir.OpEncrypt || op.Level != level0 {
+							t.Errorf("%s: stage 0 drops %v to level %d, want the input to %d", tc.name, a.Kind, op.Level, level0)
+						}
+						continue
+					case ir.OpMulPlain:
+						mulPlains++
+						if op.PtScale != ptScale {
+							t.Errorf("%s: stage 0 MulPlain at 2^%.4f, want 2^%.4f", tc.name, math.Log2(op.PtScale), math.Log2(ptScale))
+						}
+					case ir.OpRescale:
+						rescales++
+					}
 					for _, a := range op.Args {
-						if l := g.Ops[a].Level; l != top {
-							t.Errorf("k=%d: stage 0 %v reads level %d, want %d", tc.k, op.Kind, l, top)
+						if l := g.Ops[a].Level; l > level0 {
+							t.Errorf("%s: stage 0 %v reads level %d, want ≤ %d", tc.name, op.Kind, l, level0)
 						}
 					}
 				default:
-					if op.Level > tc.stage1Top {
-						t.Errorf("k=%d: %s %v at level %d, want ≤ %d", tc.k, name, op.Kind, op.Level, tc.stage1Top)
+					if op.Level > rest {
+						t.Errorf("%s: %s %v at level %d, want ≤ %d", tc.name, name, op.Kind, op.Level, rest)
 					}
-					if op.Kind == ir.OpDropLevel && strings.HasPrefix(g.Stages[g.Ops[op.Args[0]].Stage].Name, "stage 0 ") {
-						drops++
+					if op.Kind == ir.OpDropLevel && inStage0(op.Args[0]) {
+						t.Errorf("%s: %s drops stage 0's output", tc.name, name)
 					}
 				}
 			}
-			if drops != tc.drops {
-				t.Errorf("k=%d: %d DropLevels after stage 0, want %d", tc.k, drops, tc.drops)
+			wantDrops := 0
+			if level0 < params.MaxLevel() {
+				wantDrops = g.Inputs
+			}
+			if drops != wantDrops || mulPlains == 0 || rescales != tc.m {
+				t.Errorf("%s: stage 0 has %d DropLevels, %d MulPlains, %d Rescales; want %d, > 0, %d",
+					tc.name, drops, mulPlains, rescales, wantDrops, tc.m)
+			}
+			// One encrypt stage per input, then stage 0.
+			if o := g.Ops[g.Stages[g.Inputs].Out]; o.Kind != ir.OpRescale || o.Level != rest || o.Scale != params.Scale {
+				t.Errorf("%s: stage 0 ends on %v at level %d, scale 2^%.4f; want Rescale at %d, 2^%.4f",
+					tc.name, o.Kind, o.Level, math.Log2(o.Scale), rest, math.Log2(params.Scale))
 			}
 			if l := g.Ops[g.Output].Level; l != 0 {
-				t.Errorf("k=%d: output at level %d, want 0", tc.k, l)
+				t.Errorf("%s: output at level %d, want 0", tc.name, l)
 			}
 		}
 	}
@@ -119,21 +172,30 @@ func (c countingSubRing) ReduceFrom(src ring.SubRing, a, out []uint64) {
 // image — encode, encrypt, the optimized graph and decrypt — on a serial
 // ring, counted after Warm so plaintext pre-encoding is excluded. Counts
 // repeat exactly, so they gate "fewer transforms" where wall time cannot;
-// a count may only go down. Before spare levels were dropped after stage
-// 0 the 13-prime chain cost 10,056 (8,903 NTT + 1,153 INTT); the 8-prime
-// chain, which has no spare level, stays at 4,364.
+// a count may only go down. On the 13-prime chain it was 10,056 (8,903
+// NTT + 1,153 INTT) while stage 0 ran on all 13 limbs and spare levels
+// stayed to the end, and 7,158 (6,210 + 948) with them dropped after
+// stage 0; the 8-prime chain, which has no spare level, stays at 4,364.
+//
+// The same engines then hold a precision floor, so a count cannot fall
+// by giving up bits: over 8 SyntheticMNIST(8, 3) images the RMS logit
+// error against the plaintext model must stay at or above minLogitBits.
+// A first linear stage on one 26-bit plaintext prime reads ≈8 bits.
 func TestImageTransformCountGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CNN1 key generation skipped in short mode")
 	}
+	const minLogitBits = 11.5
+	images := dataset.SyntheticMNIST(8, 3)
 	for _, tc := range []struct {
 		k         int
 		ntt, intt int
 	}{
-		{13, 6210, 948},
+		{13, 3864, 822},
 		{8, 3576, 788},
 	} {
-		plan, params := paperCNN1(t, tc.k)
+		params := paperParams(t, tc.k)
+		model, plan := loadCNN1(t, params)
 		e, err := NewRNSEngine(params, plan.Rotations(), 7)
 		if err != nil {
 			t.Fatal(err)
@@ -143,7 +205,8 @@ func TestImageTransformCountGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		var ntt, intt atomic.Int64
-		for i, sr := range e.Ctx.R.SubRings {
+		subRings := append([]ring.SubRing(nil), e.Ctx.R.SubRings...)
+		for i, sr := range subRings {
 			e.Ctx.R.SubRings[i] = countingSubRing{SubRing: sr, ntt: &ntt, intt: &intt}
 		}
 		img := make([]float64, plan.InputDim)
@@ -159,6 +222,28 @@ func TestImageTransformCountGolden(t *testing.T) {
 		if n != tc.ntt || it != tc.intt {
 			t.Errorf("k=%d: %d NTT + %d INTT = %d per image, want %d + %d = %d",
 				tc.k, n, it, n+it, tc.ntt, tc.intt, tc.ntt+tc.intt)
+		}
+
+		copy(e.Ctx.R.SubRings, subRings)
+		var sumSq float64
+		var count int
+		for i := 0; i < images.Len(); i++ {
+			img := images.Image(i)
+			got, _, err := plan.InferCtx(context.Background(), e, img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := plainForward(model, img, 1, 28, 28)
+			for j, w := range want {
+				d := got[j] - w
+				sumSq += d * d
+				count++
+			}
+		}
+		bits := -math.Log2(math.Sqrt(sumSq / float64(count)))
+		t.Logf("k=%d: RMS logit error 2^-%.2f over %d images", tc.k, bits, images.Len())
+		if bits < minLogitBits {
+			t.Errorf("k=%d: RMS logit error 2^-%.2f, want at most 2^-%.2f", tc.k, bits, minLogitBits)
 		}
 	}
 }

@@ -71,10 +71,8 @@ func (t *tracer) emit(op ir.Op) *traceCt {
 
 // encrypt emits the OpEncrypt for input slot inputIdx. Fresh ciphertexts
 // start at MaxLevel with the engine's default scale, spare levels
-// included: the first stage's plaintext scale is its level's prime, and
-// on a paper-shaped chain only the top prime is wide enough to keep the
-// first linear stage's precision. Lower spends the spare levels right
-// after that stage instead (dropTo).
+// included, so the input level is a property of the parameters alone.
+// Lower drops them at the top of the first stage (dropTo).
 func (t *tracer) encrypt(inputIdx int) *traceCt {
 	return t.emit(ir.Op{
 		Kind:     ir.OpEncrypt,
@@ -379,12 +377,13 @@ type step struct {
 	eval func(e Engine, in []Ct) []Ct
 }
 
-// steps lists the plan's recorded steps in order. With the RNS front-end
+// steps lists the plan's recorded steps in order. A linear first stage
+// spends primes levels (Lower picks the count). With the RNS front-end
 // the first linear stage runs once per digit part (bias on part 0 only,
 // by the linearity argument of §4) and the parts recombine with exact
 // integer weights before the remaining stages run on the recomposed
 // ciphertext.
-func (p *Plan) steps() []step {
+func (p *Plan) steps(primes int) []step {
 	var out []step
 	stages, first := p.Stages, 0
 	if p.Digits != nil {
@@ -397,7 +396,7 @@ func (p *Plan) steps() []step {
 			step{"rns parts", func(e Engine, in []Ct) []Ct {
 				parts := make([]Ct, len(in))
 				for i, ct := range in {
-					parts[i] = lin.eval(e, []Ct{ct}, i == 0)[0]
+					parts[i] = lin.eval(e, []Ct{ct}, i == 0, primes)[0]
 				}
 				return parts
 			}},
@@ -407,7 +406,11 @@ func (p *Plan) steps() []step {
 		stages, first = stages[1:], 1
 	}
 	for i, s := range stages {
-		out = append(out, step{fmt.Sprintf("stage %d (%s)", first+i, s.Describe()), s.Eval})
+		eval := s.Eval
+		if lin, ok := s.(*ShardedLinear); ok && first+i == 0 {
+			eval = func(e Engine, in []Ct) []Ct { return lin.eval(e, in, true, primes) }
+		}
+		out = append(out, step{fmt.Sprintf("stage %d (%s)", first+i, s.Describe()), eval})
 	}
 	return out
 }
@@ -439,12 +442,16 @@ func (p *Plan) numInputs() int {
 // scale drift, level mismatches — surface here as errors rather than
 // mid-inference panics.
 //
-// Inputs are encrypted at MaxLevel and the first stage runs there. When
-// a later stage exists, its step opens with one DropLevel per ciphertext
-// down to the levels the remaining stages consume, Σ_{i≥1}
+// Inputs are encrypted at MaxLevel, and stage 0's step opens with one
+// DropLevel per ciphertext down to level rest+m, where rest = Σ_{i≥1}
 // Stages[i].Depth() (summed from the stages: hand-built plans leave
-// Plan.Depth at 0), so no later op carries limbs the plan never uses.
-// A chain with no spare level lowers unchanged.
+// Plan.Depth at 0) is what the later stages consume, so no op carries
+// limbs the plan never uses. A linear first stage takes the m primes at
+// levels rest+1 … rest+m together as its plaintext scale (firstPrimes)
+// and rescales m times back to the default scale: it keeps the precision
+// a plaintext scale as wide as the top prime gives it without running on
+// the top level. Any other first stage takes m = its Depth. A chain with
+// no spare level lowers unchanged.
 func (p *Plan) Lower(e Engine) (g *ir.Graph, err error) {
 	defer recoverLowerErr(&err)
 	if len(p.Stages) == 0 {
@@ -462,10 +469,14 @@ func (p *Plan) Lower(e Engine) (g *ir.Graph, err error) {
 	for _, s := range p.Stages[1:] {
 		rest += s.Depth()
 	}
-	for i, s := range p.steps() {
+	m := p.Stages[0].Depth()
+	if _, ok := p.Stages[0].(*ShardedLinear); ok {
+		m = firstPrimes(e, rest)
+	}
+	for i, s := range p.steps(m) {
 		t.beginStage(s.name, true)
-		if i == 1 && len(p.Stages) > 1 {
-			t.dropTo(cur, rest)
+		if i == 0 {
+			t.dropTo(cur, rest+m)
 		}
 		cur = s.eval(t, cur)
 		t.setStageOut(t.in("stage output", cur[0]).id)
@@ -478,4 +489,29 @@ func (p *Plan) Lower(e Engine) (g *ir.Graph, err error) {
 		return nil, err
 	}
 	return t.g, nil
+}
+
+// firstPrimes is the smallest m ≥ 1 such that the primes at levels
+// rest+1 … rest+m together have at least as many bits as the top prime,
+// never reaching past MaxLevel. Bit widths are compared, not values:
+// equal-width chains hold different primes of the same size, and m = 1
+// there. A chain too short for rest keeps m = 1, and the trace reports it.
+func firstPrimes(e Engine, rest int) int {
+	top := e.MaxLevel()
+	if rest+1 > top {
+		return 1
+	}
+	want := bitLen(e.QiFloat(top))
+	m, have := 1, bitLen(e.QiFloat(rest+1))
+	for have < want && rest+m < top {
+		m++
+		have += bitLen(e.QiFloat(rest + m))
+	}
+	return m
+}
+
+// bitLen is the bit width of a prime given as a float64.
+func bitLen(q float64) int {
+	_, exp := math.Frexp(q)
+	return exp
 }

@@ -220,24 +220,24 @@ func TestOptimizedGraphGolden(t *testing.T) {
 		want   goldenSize
 		shape  string // the optimized graph's shapeDigest
 	}{
-		{"cnn1/plan", 11, compiled("cnn1", 1024), 1, goldenSize{ops: 2332, engineCalls: 165, rotateCalls: 68, hoists: 3}, "b792b16b7df20280336c305459fd8d643be49fba05e0fab15bb825d43fbd762b"},
+		{"cnn1/plan", 11, compiled("cnn1", 1024), 1, goldenSize{ops: 2332, engineCalls: 165, rotateCalls: 68, hoists: 3}, "fd1ebaa8a093b7b39d287ed92c64dfde8d94f809a597e0560179cb92ff6b21e6"},
 		{"cnn1/rns3", 11, rns3("cnn1", 1024), 3, goldenSize{ops: 4575, engineCalls: 300, rotateCalls: 132, hoists: 5},
-			"ca2e0901b607f5d1b2745a2cd09a014c2eceb0b8faea5462088b601c36e5dd54"},
-		{"cnn2/plan", 12, compiled("cnn2", 2048), 1, goldenSize{ops: 4701, engineCalls: 184, rotateCalls: 71, hoists: 4}, "5ba565423c9835e9d9f20f4b6b406e5ad2de186987d3ebab519f4d78e0b5b191"},
+			"8244b441b93c162a2adc011fc8dbcb7d739d9aaa94faf52be625d7975181ef78"},
+		{"cnn2/plan", 12, compiled("cnn2", 2048), 1, goldenSize{ops: 4701, engineCalls: 184, rotateCalls: 71, hoists: 4}, "5293e9084579cda87c0be78c100b8a880f4120d8bcd80a824b7457aa013200fc"},
 		{"cnn2/rns3", 12, rns3("cnn2", 2048), 3, goldenSize{ops: 8522, engineCalls: 307, rotateCalls: 129, hoists: 6},
-			"40f4db51d85621b9d1eb988de0286a62756e1f9a0d3334fc96a9a2138a9b760f"},
+			"3da56a6660bcd2f4add823887f332ed829b9a74fc123ce507d7cc608c51ddd7d"},
 		// CIFAR-10 CNN3 over a 2×1 shard grid: the 3072-pixel input splits
 		// across two 2048-slot ciphertexts, so the lowered graph carries
 		// per-shard block products plus cross-shard recombines.
-		{"cnn3/sharded2", 12, sharded("cnn3", 2048), 2, goldenSize{ops: 7023, engineCalls: 249, rotateCalls: 105, hoists: 4},
-			"889797d3a09645d065d9b4e0d3f846d8ec42c7186e65b346f55433d60937b12b"},
+		{"cnn3/sharded2", 12, sharded("cnn3", 2048), 2, goldenSize{ops: 7024, engineCalls: 250, rotateCalls: 105, hoists: 4},
+			"c9c9bce9546165a80f585f985e533ee360a2f888765392d218a620fb64d792ac"},
 		// The benchmark's cnn3_sharded grid: block rows rotate the same
 		// input shard, so the same (source, k) rotation recurs across rows.
-		{"cnn3/sharded4", 11, sharded("cnn3", 1024), 4, goldenSize{ops: 8376, engineCalls: 586, rotateCalls: 264, hoists: 7},
-			"c7bec78d4356666a66d1eca3849cdebf4aaf2e0612d7fbffbb1d2a4b155a93b5"},
+		{"cnn3/sharded4", 11, sharded("cnn3", 1024), 4, goldenSize{ops: 8378, engineCalls: 588, rotateCalls: 264, hoists: 7},
+			"ae3ef0fd8064c6be94a3896d2bc99e7742a2b930aed9569ed8350345eca3f1d8"},
 		// serve_batched's shape: two CNN1 images per 2048-slot ciphertext.
 		{"cnn1/batch2", 12, batched("cnn1", 2048, 2), 1, goldenSize{ops: 2628, engineCalls: 109, rotateCalls: 40, hoists: 3},
-			"d2d002331ed17e3979bcadd9ce4b2cea119d6d6b63d8b69a918df7ec9d3b0451"},
+			"d890e758aebc6ef73949b91dbe0cf2a35e2948780654cce3b0638e259813aa29"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -33,7 +33,10 @@ type Stage interface {
 	Eval(e Engine, in []Ct) []Ct
 	// Rotations lists the slot rotations the stage needs.
 	Rotations() []int
-	// Depth is the number of rescales the stage consumes.
+	// Depth is the number of rescales the stage consumes. A plan's first
+	// linear stage may consume more on a chain with spare levels: Lower
+	// gives it as many primes as its plaintext scale needs to be as wide
+	// as the top prime.
 	Depth() int
 	// Describe returns a human-readable summary.
 	Describe() string
@@ -134,27 +137,31 @@ func newShardedLinear(label string, mat *tensor.Tensor, bias []float64, in, out 
 }
 
 // Eval implements Stage.
-func (s *ShardedLinear) Eval(e Engine, in []Ct) []Ct { return s.eval(e, in, true) }
+func (s *ShardedLinear) Eval(e Engine, in []Ct) []Ct { return s.eval(e, in, true, 1) }
 
 // eval evaluates, per output shard, every non-zero block to its
 // pre-rescale accumulator (the row's first block carries the bias when
-// withBias is set), fuses several with one recombine, then rescales once.
-// The RNS front-end evaluates its digit parts with withBias set on part 0
-// only.
-func (s *ShardedLinear) eval(e Engine, in []Ct, withBias bool) []Ct {
+// withBias is set), fuses several with one recombine, then rescales
+// primes times, so the stage consumes primes levels and ends at its
+// input scale (see evalRaw). The RNS front-end evaluates its digit parts
+// with withBias set on part 0 only.
+func (s *ShardedLinear) eval(e Engine, in []Ct, withBias bool, primes int) []Ct {
 	out := make([]Ct, len(s.Blocks))
 	for j, row := range s.Blocks {
 		var parts []Ct
 		for i, blk := range row {
 			if blk != nil {
-				parts = append(parts, blk.evalRaw(e, in[i], withBias && len(parts) == 0))
+				parts = append(parts, blk.evalRaw(e, in[i], withBias && len(parts) == 0, primes))
 			}
 		}
 		acc := parts[0]
 		if len(parts) > 1 {
 			acc = recombine(e, parts, nil)
 		}
-		out[j] = e.Rescale(acc)
+		for range primes {
+			acc = e.Rescale(acc)
+		}
+		out[j] = acc
 	}
 	return out
 }
@@ -351,7 +358,7 @@ func rotateVec(v []float64, k int) []float64 {
 // Eval applies the kernel to one ciphertext. The output scale returns to
 // the input scale after the built-in rescale; one level is consumed.
 func (s *LinearStage) Eval(e Engine, x Ct) Ct {
-	return e.Rescale(s.evalRaw(e, x, true))
+	return e.Rescale(s.evalRaw(e, x, true, 1))
 }
 
 // evalRaw is Eval up to (not including) the final rescale: the BSGS
@@ -360,9 +367,17 @@ func (s *LinearStage) Eval(e Engine, x Ct) Ct {
 // paying the single rescale; with one block the sequence rescale∘evalRaw
 // is exactly Eval, which is what makes the 1×1-grid lowering bit-identical
 // to the single-ciphertext one.
-func (s *LinearStage) evalRaw(e Engine, x Ct, withBias bool) Ct {
+//
+// With primes > 1 the plaintext scale is the product q̃_ℓ·q̃_{ℓ−1}⋯ of
+// that many primes from the input level down, and the caller rescales
+// once per prime: a plan's first stage uses this to get a plaintext scale
+// as wide as the top prime from narrower primes below it (Plan.Lower).
+func (s *LinearStage) evalRaw(e Engine, x Ct, withBias bool, primes int) Ct {
 	level := e.Level(x)
-	ptScale := e.QiFloat(level)
+	ptScale := 1.0
+	for i := range primes {
+		ptScale *= e.QiFloat(level - i)
+	}
 	// Hoist all baby-step rotations: the key-switch decomposition of x is
 	// computed once for the whole stage.
 	babySteps := map[int]bool{}
