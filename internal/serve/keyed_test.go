@@ -15,7 +15,9 @@ import (
 	"cnnhe/internal/client"
 	"cnnhe/internal/henn"
 	"cnnhe/internal/henn/exec"
+	"cnnhe/internal/henn/ir"
 	"cnnhe/internal/henn/ir/opt"
+	"cnnhe/internal/primes"
 	"cnnhe/internal/telemetry"
 )
 
@@ -74,7 +76,7 @@ func newKeyedFixtureCfg(t testing.TB, mutate func(*KeyedConfig)) *keyedFixture {
 		srv:   srv,
 		cl:    client.New(srv.URL),
 		plan:  plan,
-		ctx:   ctx,
+		ctx:   cfg.Ctx,
 	}
 }
 
@@ -150,6 +152,72 @@ func TestKeyedEncryptedRoundTrip(t *testing.T) {
 	if calls["opt=on"] >= calls["opt=off"] {
 		t.Fatalf("optimized route makes %d engine calls, unoptimized %d", calls["opt=on"], calls["opt=off"])
 	}
+}
+
+// TestKeyedSpareLevels runs the keyed route on a chain with two spare
+// levels under a 40-bit top prime, [40, 30×(depth+1), 40], so lowering
+// spends two 30-bit primes on the first linear stage and drops each input
+// to them before it. The client still encrypts at MaxLevel, guard.Adopt
+// and RunEncrypted's input check accept the upload, and the logits are
+// bit-identical to plan.InferCtx on the same plan and chain.
+func TestKeyedSpareLevels(t *testing.T) {
+	f := newKeyedFixtureCfg(t, func(cfg *KeyedConfig) {
+		p, err := ckks.NewParameters(10, primes.PaperShape(cfg.Plan.Depth+3, 30), 60, 1, math.Exp2(30))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Ctx, err = ckks.NewContext(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	top := f.ctx.Params.MaxLevel()
+	level0 := top - 1 // the depth's levels plus one more prime for stage 0
+	g := f.keyed.prep.Graph()
+	drops, stage0 := 0, 0
+	for _, op := range g.Ops {
+		if !strings.HasPrefix(g.Stages[op.Stage].Name, "stage 0 ") {
+			continue
+		}
+		if op.Kind == ir.OpDropLevel && g.Ops[op.Args[0]].Kind == ir.OpEncrypt && op.Level == level0 {
+			drops++
+		}
+		if op.Kind == ir.OpMulPlain {
+			stage0++
+			if op.Level != level0 {
+				t.Fatalf("stage 0 MulPlain at level %d, want %d", op.Level, level0)
+			}
+		}
+	}
+	if drops != g.Inputs || stage0 == 0 {
+		t.Fatalf("stage 0 drops %d of %d inputs to level %d (%d MulPlains there)", drops, g.Inputs, level0, stage0)
+	}
+
+	ks := f.clientKeys(t, 93)
+	info, err := f.cl.Info(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := testImage(rand.New(rand.NewSource(8)), f.plan.InputDim)
+	const encSeed = 778
+	seed := int64(encSeed)
+	ct, err := ks.EncryptImage(img, &seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Levels != top || ct.Level != top {
+		t.Fatalf("/v1/info advertises level %d and the client encrypts at %d, want MaxLevel %d", info.Levels, ct.Level, top)
+	}
+	got, err := f.cl.ClassifyEncrypted(context.Background(), ks, img, f.plan.OutputDim,
+		client.WithEncryptionSeed(encSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := henn.NewRNSEngineFromKeys(ks.Context(), ks.SK, ks.PK, ks.RLK, ks.RTK, encSeed)
+	want, _, err := f.plan.InferCtx(context.Background(), ref, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameLogits(t, "encrypted route", got.Logits, want)
 }
 
 // assertSameLogits requires bit-identical logits.
