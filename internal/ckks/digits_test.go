@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cnnhe/internal/noise"
+	"cnnhe/internal/primes"
 )
 
 // paperChainParams is the paper-shaped chain of length k, [40, 26×(k−2),
@@ -16,11 +17,7 @@ import (
 // (k = 13, 10, 8) and the one heinfer and hebench build.
 func paperChainParams(t testing.TB, logN, k int) Parameters {
 	t.Helper()
-	bits := []int{40}
-	for i := 0; i < k-2; i++ {
-		bits = append(bits, 26)
-	}
-	p, err := NewParameters(logN, append(bits, 40), 60, 1, math.Exp2(26))
+	p, err := NewParameters(logN, primes.PaperShape(k, 26), 60, 1, math.Exp2(26))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"cnnhe/internal/henn"
 	"cnnhe/internal/henn/ir"
 	"cnnhe/internal/nn"
+	"cnnhe/internal/primes"
 	"cnnhe/internal/tensor"
 )
 
@@ -202,12 +203,7 @@ func TestCleanRunIdentityShippedModel(t *testing.T) {
 	if k < 13 {
 		k = 13
 	}
-	bits := []int{40}
-	for i := 0; i < k-2; i++ {
-		bits = append(bits, 26)
-	}
-	bits = append(bits, 40)
-	params, err := ckks.NewParameters(11, bits, 60, 1, math.Exp2(26))
+	params, err := ckks.NewParameters(11, primes.PaperShape(k, 26), 60, 1, math.Exp2(26))
 	if err != nil {
 		t.Fatal(err)
 	}

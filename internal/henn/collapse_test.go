@@ -7,6 +7,7 @@ import (
 
 	"cnnhe/internal/ckks"
 	"cnnhe/internal/nn"
+	"cnnhe/internal/primes"
 )
 
 // poolModel: Conv(1→2, 3×3, s2, 8×8) → SLAF → MeanPool(2,2) →
@@ -87,12 +88,7 @@ func TestCollapsedPlanMatchesExpanded(t *testing.T) {
 
 func rnsEngineForRotations(t testing.TB, rotations []int, depth int) *RNSEngine {
 	t.Helper()
-	bits := []int{40}
-	for i := 0; i < depth-1; i++ {
-		bits = append(bits, 30)
-	}
-	bits = append(bits, 40)
-	p, err := ckks.NewParameters(10, bits, 60, 1, math.Exp2(30))
+	p, err := ckks.NewParameters(10, primes.PaperShape(depth+1, 30), 60, 1, math.Exp2(30))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"cnnhe/internal/henn"
 	"cnnhe/internal/henn/ir/opt"
 	"cnnhe/internal/nn"
+	"cnnhe/internal/primes"
 )
 
 // TestNoiseBudgetGolden pins the noise budget the guard predicts for the
@@ -25,11 +26,7 @@ func TestNoiseBudgetGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bits := []int{40}
-	for i := 0; i < 11; i++ {
-		bits = append(bits, 26)
-	}
-	params, err := ckks.NewParameters(11, append(bits, 40), 60, 1, math.Exp2(26))
+	params, err := ckks.NewParameters(11, primes.PaperShape(13, 26), 60, 1, math.Exp2(26))
 	if err != nil {
 		t.Fatal(err)
 	}
