@@ -76,9 +76,11 @@ opt-parity:
 ## batched front-ends on both backends, the lowering's one-group-per-source
 ## rotation plan, the ≥15% engine-call reduction floor, the guard's
 ## predicted per-stage noise bits for CNN1 on the paper chain, and CNN1's
-## level profile (spare levels dropped after stage 0). All symbolic
-## except TestImageTransformCountGolden, which keys CNN1 at logN 11 to
-## count one image's limb NTTs/INTTs on two paper-shaped chains (~7 s).
+## level profile (inputs dropped to the working levels before stage 0,
+## whose plaintext scale spans as many primes as the top prime is wide).
+## All symbolic except TestImageTransformCountGolden, which keys CNN1 at
+## logN 11 to count one image's limb NTTs/INTTs on two paper-shaped
+## chains and hold 8 images' RMS logit error at ≥ 11.5 bits (~12 s).
 opt-golden:
 	$(GO) test -run 'TestOptimizedGraphGolden|TestOptimizeOffPreservesLowering|TestNoiseBudgetGolden|TestLevelProfileGolden|TestImageTransformCountGolden' ./internal/henn/
 
