@@ -74,22 +74,27 @@ opt-parity:
 ## opt-golden: the graph gate — checked-in post-optimization Stats and
 ## structural shape digests for CNN1/CNN2/CNN3 plans, RNS, sharded and
 ## batched front-ends on both backends, the lowering's one-group-per-source
-## rotation plan, the ≥15% engine-call reduction floor, the guard's
-## predicted per-stage noise bits for CNN1 on the paper chain, and CNN1's
-## level profile (inputs dropped to the working levels before stage 0,
-## whose plaintext scale spans as many primes as the top prime is wide).
-## All symbolic except TestImageTransformCountGolden, which keys CNN1 at
-## logN 11 to count one image's limb NTTs/INTTs on two paper-shaped
-## chains and hold 8 images' RMS logit error at ≥ 11.5 bits (~12 s).
+## rotation plan, the row-shared giant steps of a sharded linear stage
+## (one standalone rotation per output row and non-zero giant step,
+## counted from the plan's own blocks), the ≥15% engine-call reduction
+## floor, the guard's predicted per-stage noise bits for CNN1 and the
+## 4-shard CNN3 on paper-shaped chains, and CNN1's level profile (inputs
+## dropped to the working levels before stage 0, whose plaintext scale
+## spans as many primes as the top prime is wide). All symbolic except
+## TestImageTransformCountGolden, which keys CNN1 and the 4-shard CNN3 at
+## logN 11 to count one image's limb NTTs/INTTs (CNN3: 11,805) and hold
+## the RMS logit error at ≥ 11.5 bits (CNN1) and ≥ 16.5 bits (CNN3)
+## (~40 s).
 opt-golden:
-	$(GO) test -run 'TestOptimizedGraphGolden|TestOptimizeOffPreservesLowering|TestNoiseBudgetGolden|TestLevelProfileGolden|TestImageTransformCountGolden' ./internal/henn/
+	$(GO) test -run 'TestOptimizedGraphGolden|TestOptimizeOffPreservesLowering|TestShardedRowGiantSteps|TestNoiseBudgetGolden|TestLevelProfileGolden|TestImageTransformCountGolden' ./internal/henn/
 
 ## shard-parity: the sharding gates — the shard package's unit and
 ## property suites (manifest split/join, wire round trip), the golden
 ## digests pinning the 1×1 grid (which is the single-ciphertext plan
-## every Compile produces) and the 2-shard grids bit for bit, and the
-## cross-shard rotation/recombine round trips against the plaintext
-## model and the single-ciphertext pipeline.
+## every Compile produces) and the 2-shard grids bit for bit (each output
+## row one BSGS whose giant steps sum every block before one rotation),
+## and the cross-shard round trips against the plaintext model and the
+## single-ciphertext pipeline.
 shard-parity:
 	$(GO) test ./internal/henn/shard/
 	$(GO) test -run 'TestExecutorParityGolden|TestShardParityTiny|TestShardedCrossShardDense|TestShardInputValidation' -timeout 30m ./internal/henn/

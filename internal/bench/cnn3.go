@@ -15,7 +15,7 @@ import (
 // This file is the beyond-the-paper CNN3 benchmark: CIFAR-10 through
 // the sharded pipeline. The 3×32×32 input (3072 values) exceeds the
 // slot count at the default ring degree, so the image splits across a
-// shard grid and the measured plan exercises cross-shard recombines —
+// shard grid and the measured plan exercises cross-shard block rows —
 // the first workload in this repo the paper's single-ciphertext
 // packing cannot represent.
 

@@ -135,8 +135,8 @@ func parityChain(depth int) []int {
 }
 
 // TestExecutorParityFusedTiny runs in short mode too: the tiny model
-// unsharded, and over a 2×1 shard grid whose cross-shard block sums mix
-// absorbed and plain arguments.
+// unsharded, and over a 2×1 shard grid whose block rows sum both shards'
+// products per giant step, mixing absorbed and plain arguments.
 func TestExecutorParityFusedTiny(t *testing.T) {
 	plan, err := Compile(tinyModel(1), 512)
 	if err != nil {

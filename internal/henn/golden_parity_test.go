@@ -195,14 +195,14 @@ func TestExecutorParityGoldenTiny(t *testing.T) {
 			"rns/rns3/seq":     "33b354c860c2ee20773a315e2c851972bc60ebff7c1dc38f0b3b93151f324d35",
 			"rns/rns3/par":     "33b354c860c2ee20773a315e2c851972bc60ebff7c1dc38f0b3b93151f324d35",
 			"rns/rns3/off":     "33b354c860c2ee20773a315e2c851972bc60ebff7c1dc38f0b3b93151f324d35",
-			"rns/sharded":      "f1a428e792bfa2bcbed887262e45b5a466445033d6b4810b7830c297937a6bff",
+			"rns/sharded":      "79dc1e61b1d427ed6db258be1e560ef26528c2bd2a57318c9415ba2893c41e1a",
 			"rns/batch2":       "eee3b41f9cc0ce5a18a41e36a3eb5e797ffe3787c3d0c02710f30ec610fbdc21",
 			"big/plan/opt=off": "7be05f7a6b755b90a65f6abab2212bf382885583cbe09a38d30bc101e4636d08",
 			"big/plan/opt=on":  "7be05f7a6b755b90a65f6abab2212bf382885583cbe09a38d30bc101e4636d08",
 			"big/rns3/seq":     "5ef33a6a886f2e96818c7b97e10223bd10474c827833a59621b0a36f13e710d0",
 			"big/rns3/par":     "5ef33a6a886f2e96818c7b97e10223bd10474c827833a59621b0a36f13e710d0",
 			"big/rns3/off":     "5ef33a6a886f2e96818c7b97e10223bd10474c827833a59621b0a36f13e710d0",
-			"big/sharded":      "dc9d7cc75a5b2847252623fb578684ed6691b67f4fd36ac4befe63863275edd6",
+			"big/sharded":      "8ef32d218c5e8b2d21848df1990fd7d063cb3269ea803a9749c485982b1917fd",
 			"big/batch2":       "f7fb3ae8dd4ef14100850e0d3e5ce4682f132df1cbbfedf86d9150106ba9163c",
 		})
 
@@ -217,7 +217,7 @@ func TestExecutorParityGoldenTiny(t *testing.T) {
 	})
 	runGolden(t, []goldenLeg{denseLeg},
 		map[string]engineFor{"rns": goldenRNS(t, goldenParams(t, 10, []int{40, 30, 30}), 813)},
-		map[string]string{"rns/dense2": "af6e7d731349f30a4e6e3590160ee8e735c40360ef5f2d9f097917d993453f12"})
+		map[string]string{"rns/dense2": "0be4e739eb24c5e6a01b44d7c12019775c94a6b8094b01f17bb0c1e2792ddd59"})
 }
 
 // TestExecutorParityGoldenCNN1 pins the paper's CNN1 shape at logN 11 on
@@ -240,6 +240,6 @@ func TestExecutorParityGoldenCNN1(t *testing.T) {
 			"rns/rns3/seq":     "419b85977ffef2be594afa89e1e02b86d8c8de492e1b0278440306ec7c0c9fc8",
 			"rns/rns3/par":     "419b85977ffef2be594afa89e1e02b86d8c8de492e1b0278440306ec7c0c9fc8",
 			"rns/rns3/off":     "419b85977ffef2be594afa89e1e02b86d8c8de492e1b0278440306ec7c0c9fc8",
-			"rns/sharded":      "9fc29013f214d2d97404bdb3f3ef076ac8ba2923b9dbfb9dcece2fb8355a47c8",
+			"rns/sharded":      "49b9298ca85c3364ac2187b354f767f138e6db6b1f1b6fa26c2ec62c2047c966",
 		})
 }

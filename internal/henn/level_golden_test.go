@@ -20,7 +20,8 @@ import (
 // The level and transform goldens for the shipped CNN1 (depth 7) on
 // paper-shaped chains [40, 26×(k−2), 40] + a 60-bit special at logN 11:
 // the 13-prime chain is Table II's and cnn1_single's, with 5 spare
-// levels; the 8-prime chain has none.
+// levels; the 8-prime chain has none. The transform golden also counts
+// the benchmark's CNN3 on the 10-prime chain, which cnn3_sharded runs.
 
 // loadCNN1 loads the shipped CNN1 and compiles it for params' slot
 // count.
@@ -168,34 +169,56 @@ func (c countingSubRing) ReduceFrom(src ring.SubRing, a, out []uint64) {
 	c.SubRing.ReduceFrom(src, a, out)
 }
 
-// TestImageTransformCountGolden pins the limb NTTs and INTTs of one CNN1
+// loadCNN3 loads the benchmark's CIFAR-10 CNN3 and compiles it over the
+// smallest shard grid that fits params' slots: 4 shards at logN 11, as
+// in cnn3_sharded.
+func loadCNN3(t *testing.T, params ckks.Parameters) (*nn.Model, *Plan) {
+	t.Helper()
+	model, _, err := nn.LoadModel("../../benchmark/testdata/cnn3-slaf-n1024-s1.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := CompileShardedAuto(model, params.Slots())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return model, plan
+}
+
+// TestImageTransformCountGolden pins the limb NTTs and INTTs of one
 // image — encode, encrypt, the optimized graph and decrypt — on a serial
 // ring, counted after Warm so plaintext pre-encoding is excluded. Counts
 // repeat exactly, so they gate "fewer transforms" where wall time cannot;
-// a count may only go down. On the 13-prime chain it was 10,056 (8,903
+// a count may only go down. CNN1 on the 13-prime chain was 10,056 (8,903
 // NTT + 1,153 INTT) while stage 0 ran on all 13 limbs and spare levels
 // stayed to the end, and 7,158 (6,210 + 948) with them dropped after
 // stage 0; the 8-prime chain, which has no spare level, stays at 4,364.
+// CNN3 over 4 shards on the 10-prime chain (the cnn3_sharded plan) was
+// 23,139 (19,876 + 3,263) while every block of a row rotated its own
+// giant steps.
 //
 // The same engines then hold a precision floor, so a count cannot fall
-// by giving up bits: over 8 SyntheticMNIST(8, 3) images the RMS logit
-// error against the plaintext model must stay at or above minLogitBits.
-// A first linear stage on one 26-bit plaintext prime reads ≈8 bits.
+// by giving up bits: the RMS logit error against the plaintext model must
+// stay at or above minBits. A CNN1 first linear stage on one 26-bit
+// plaintext prime reads ≈8 bits.
 func TestImageTransformCountGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("CNN1 key generation skipped in short mode")
+		t.Skip("CNN key generation skipped in short mode")
 	}
-	const minLogitBits = 11.5
-	images := dataset.SyntheticMNIST(8, 3)
 	for _, tc := range []struct {
+		name      string
 		k         int
+		load      func(*testing.T, ckks.Parameters) (*nn.Model, *Plan)
+		images    dataset.Dataset
 		ntt, intt int
+		minBits   float64
 	}{
-		{13, 3864, 822},
-		{8, 3576, 788},
+		{"cnn1 k=13", 13, loadCNN1, dataset.SyntheticMNIST(8, 3), 3864, 822, 11.5},
+		{"cnn1 k=8", 8, loadCNN1, dataset.SyntheticMNIST(8, 3), 3576, 788, 11.5},
+		{"cnn3 4 shards k=10", 10, loadCNN3, dataset.SyntheticCIFAR10(4, 3), 10158, 1647, 16.5},
 	} {
 		params := paperParams(t, tc.k)
-		model, plan := loadCNN1(t, params)
+		model, plan := tc.load(t, params)
 		e, err := NewRNSEngine(params, plan.Rotations(), 7)
 		if err != nil {
 			t.Fatal(err)
@@ -218,22 +241,22 @@ func TestImageTransformCountGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		n, it := int(ntt.Load()), int(intt.Load())
-		t.Logf("k=%d: %d limb transforms (%d NTT, %d INTT)", tc.k, n+it, n, it)
+		t.Logf("%s: %d limb transforms (%d NTT, %d INTT)", tc.name, n+it, n, it)
 		if n != tc.ntt || it != tc.intt {
-			t.Errorf("k=%d: %d NTT + %d INTT = %d per image, want %d + %d = %d",
-				tc.k, n, it, n+it, tc.ntt, tc.intt, tc.ntt+tc.intt)
+			t.Errorf("%s: %d NTT + %d INTT = %d per image, want %d + %d = %d",
+				tc.name, n, it, n+it, tc.ntt, tc.intt, tc.ntt+tc.intt)
 		}
 
 		copy(e.Ctx.R.SubRings, subRings)
 		var sumSq float64
 		var count int
-		for i := 0; i < images.Len(); i++ {
-			img := images.Image(i)
+		for i := 0; i < tc.images.Len(); i++ {
+			img := tc.images.Image(i)
 			got, _, err := plan.InferCtx(context.Background(), e, img)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := plainForward(model, img, 1, 28, 28)
+			want := plainForward(model, img, tc.images.C, tc.images.H, tc.images.W)
 			for j, w := range want {
 				d := got[j] - w
 				sumSq += d * d
@@ -241,9 +264,9 @@ func TestImageTransformCountGolden(t *testing.T) {
 			}
 		}
 		bits := -math.Log2(math.Sqrt(sumSq / float64(count)))
-		t.Logf("k=%d: RMS logit error 2^-%.2f over %d images", tc.k, bits, images.Len())
-		if bits < minLogitBits {
-			t.Errorf("k=%d: RMS logit error 2^-%.2f, want at most 2^-%.2f", tc.k, bits, minLogitBits)
+		t.Logf("%s: RMS logit error 2^-%.2f over %d images", tc.name, bits, tc.images.Len())
+		if bits < tc.minBits {
+			t.Errorf("%s: RMS logit error 2^-%.2f, want at most 2^-%.2f", tc.name, bits, tc.minBits)
 		}
 	}
 }

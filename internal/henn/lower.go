@@ -223,9 +223,9 @@ func (t *tracer) MulInt(ct Ct, n int64) Ct {
 	panic(fmt.Errorf("henn: lower: MulInt called inside a stage (recombination lowers to OpRecombine)"))
 }
 
-// Recombine implements ir.Recombiner symbolically, so cross-shard block
-// sums and the RNS recomposition lower to one OpRecombine (the executor
-// evaluates the op through ir.Combine).
+// Recombine implements ir.Recombiner symbolically, so the RNS
+// recomposition lowers to one OpRecombine (the executor evaluates the op
+// through ir.Combine).
 func (t *tracer) Recombine(args []Ct, weights []int64) Ct {
 	if len(args) == 0 || len(weights) != len(args) {
 		panic(fmt.Errorf("henn: lower: Recombine with %d args, %d weights", len(args), len(weights)))
@@ -401,7 +401,7 @@ func (p *Plan) steps(primes int) []step {
 				return parts
 			}},
 			step{"rns recompose", func(e Engine, in []Ct) []Ct {
-				return []Ct{recombine(e, in, weights)}
+				return []Ct{ir.Combine(e, in, nil, weights)}
 			}})
 		stages, first = stages[1:], 1
 	}

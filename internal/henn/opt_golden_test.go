@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -14,6 +15,8 @@ import (
 	"cnnhe/internal/ckksbig"
 	"cnnhe/internal/henn/ir"
 	"cnnhe/internal/henn/ir/opt"
+	"cnnhe/internal/henn/shard"
+	"cnnhe/internal/nn"
 )
 
 // The golden graph-size gate. Lowering and optimization are symbolic:
@@ -181,6 +184,18 @@ func checkCanonicalRotations(g *ir.Graph) error {
 	return nil
 }
 
+// shardedAuto compiles a paper architecture over the smallest shard grid
+// that fits slots.
+func shardedAuto(arch string, slots int) func(t *testing.T) *Plan {
+	return func(t *testing.T) *Plan {
+		sp, err := CompileShardedAuto(paperShardModel(arch), slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
+	}
+}
+
 func TestOptimizedGraphGolden(t *testing.T) {
 	compiled := func(arch string, slots int) func(t *testing.T) *Plan {
 		return func(t *testing.T) *Plan { return paperModel(t, arch, slots) }
@@ -192,15 +207,6 @@ func TestOptimizedGraphGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			return rp
-		}
-	}
-	sharded := func(arch string, slots int) func(t *testing.T) *Plan {
-		return func(t *testing.T) *Plan {
-			sp, err := CompileShardedAuto(paperShardModel(arch), slots)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sp
 		}
 	}
 	batched := func(arch string, slots, batch int) func(t *testing.T) *Plan {
@@ -227,14 +233,15 @@ func TestOptimizedGraphGolden(t *testing.T) {
 		{"cnn2/rns3", 12, rns3("cnn2", 2048), 3, goldenSize{ops: 8522, engineCalls: 307, rotateCalls: 129, hoists: 6},
 			"3da56a6660bcd2f4add823887f332ed829b9a74fc123ce507d7cc608c51ddd7d"},
 		// CIFAR-10 CNN3 over a 2×1 shard grid: the 3072-pixel input splits
-		// across two 2048-slot ciphertexts, so the lowered graph carries
-		// per-shard block products plus cross-shard recombines.
-		{"cnn3/sharded2", 12, sharded("cnn3", 2048), 2, goldenSize{ops: 7024, engineCalls: 250, rotateCalls: 105, hoists: 4},
-			"c9c9bce9546165a80f585f985e533ee360a2f888765392d218a620fb64d792ac"},
-		// The benchmark's cnn3_sharded grid: block rows rotate the same
-		// input shard, so the same (source, k) rotation recurs across rows.
-		{"cnn3/sharded4", 11, sharded("cnn3", 1024), 4, goldenSize{ops: 8378, engineCalls: 588, rotateCalls: 264, hoists: 7},
-			"ae3ef0fd8064c6be94a3896d2bc99e7742a2b930aed9569ed8350345eca3f1d8"},
+		// across two 2048-slot ciphertexts, so a block row sums every
+		// block's products per giant step before its one rotation.
+		{"cnn3/sharded2", 12, shardedAuto("cnn3", 2048), 2, goldenSize{ops: 6962, engineCalls: 188, rotateCalls: 74, hoists: 4},
+			"5e5ed0e2c8d549d86cae694df7e226cf8470731f75532e675a0174f73f5ba299"},
+		// The benchmark's cnn3_sharded grid: block rows hoist the same
+		// input shard's baby steps, and each (row, giant step) pair is one
+		// standalone rotation (TestShardedRowGiantSteps).
+		{"cnn3/sharded4", 11, shardedAuto("cnn3", 1024), 4, goldenSize{ops: 8091, engineCalls: 298, rotateCalls: 119, hoists: 7},
+			"58ad1ca948a6630356fcb30827a3d55cda1d7bd5a402992bffe48a115ad06424"},
 		// serve_batched's shape: two CNN1 images per 2048-slot ciphertext.
 		{"cnn1/batch2", 12, batched("cnn1", 2048, 2), 1, goldenSize{ops: 2628, engineCalls: 109, rotateCalls: 40, hoists: 3},
 			"d890e758aebc6ef73949b91dbe0cf2a35e2948780654cce3b0638e259813aa29"},
@@ -310,5 +317,94 @@ func TestOptimizeOffPreservesLowering(t *testing.T) {
 	}
 	if res.Graph != g {
 		t.Fatal("opt=off rebuilt the graph instead of passing it through")
+	}
+}
+
+// TestShardedRowGiantSteps checks the row rule stage by stage: a
+// ShardedLinear output row is one BSGS, so each of its distinct non-zero
+// giant steps is rotated once, however many of the row's blocks have a
+// diagonal there. A stage's standalone (non-hoisted) rotations must
+// number Σ_rows |∪_blocks {k / Baby : k ∈ Diags} ∖ {0}|, computed from the
+// plan's own blocks, in the lowering and after fuse; no other stage
+// rotates outside a hoist group. Symbolic: no keys.
+func TestShardedRowGiantSteps(t *testing.T) {
+	// TestExecutorParityGoldenTiny's dense2 fixture: one row over 2 shards.
+	dense2 := func(t *testing.T) *Plan {
+		dense := &nn.Model{Layers: []nn.Layer{nn.NewDense(rand.New(rand.NewSource(32)), 1001, 10)}}
+		sp, err := CompileSharded(dense, 512, shard.Grid{Gy: 1, Gx: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
+	}
+	for _, tc := range []struct {
+		name string
+		logN int
+		plan func(t *testing.T) *Plan
+	}{
+		{"cnn3/sharded4", 11, shardedAuto("cnn3", 1024)},
+		{"cnn3/sharded2", 12, shardedAuto("cnn3", 2048)},
+		{"dense2", 10, dense2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := tc.plan(t)
+			if plan.NumShards() < 2 {
+				t.Fatalf("%d shards, want a sharded plan", plan.NumShards())
+			}
+			want := map[string]int{}
+			var perStage []int
+			for i, s := range plan.Stages {
+				lin, ok := s.(*ShardedLinear)
+				if !ok {
+					continue
+				}
+				n := 0
+				for _, row := range lin.Blocks {
+					giants := map[int]bool{}
+					for _, blk := range row {
+						if blk == nil {
+							continue
+						}
+						for k := range blk.Diags {
+							if g := k / blk.Baby; g != 0 {
+								giants[g] = true
+							}
+						}
+					}
+					n += len(giants)
+				}
+				want[fmt.Sprintf("stage %d (%s)", i, s.Describe())] = n
+				perStage = append(perStage, n)
+			}
+			t.Logf("%s: standalone rotations per linear stage %v", tc.name, perStage)
+			e := goldenEngines(t, tc.logN, plan.Depth)[0]
+			lowered, err := plan.Lower(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := opt.Optimize(e, lowered, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for gi, g := range []*ir.Graph{lowered, res.Graph} {
+				which := [...]string{"lowered", "optimized"}[gi]
+				got := map[string]int{}
+				for _, op := range g.Ops {
+					if op.Kind == ir.OpRotate && op.Hoist < 0 {
+						got[g.Stages[op.Stage].Name]++
+					}
+				}
+				for name, n := range got {
+					if _, ok := want[name]; !ok {
+						t.Errorf("%s %s: %d standalone rotations outside a linear stage", which, name, n)
+					}
+				}
+				for name, n := range want {
+					if got[name] != n {
+						t.Errorf("%s %s: %d standalone rotations, want %d (one per row and non-zero giant step)", which, name, got[name], n)
+					}
+				}
+			}
+		})
 	}
 }

@@ -15,8 +15,8 @@ import (
 
 // The shard parity suite: a genuinely cross-shard grid must agree with
 // the plaintext model and with the single-ciphertext encrypted pipeline
-// within the noise tolerance, because block sums at the shared
-// pre-rescale scale are exact ring additions. (A 1×1 grid IS the
+// within the noise tolerance, because a row's sums over its blocks at the
+// shared pre-rescale scale are exact ring additions. (A 1×1 grid IS the
 // single-ciphertext plan — Compile lowers through it — so its bits are
 // pinned by the golden digests of TestExecutorParityGolden*.)
 
@@ -161,8 +161,8 @@ func TestShardInputValidation(t *testing.T) {
 	}
 }
 
-// TestShardedCrossShardDense is the cross-shard rotation/recombine
-// round-trip property test: random dense maps whose flat inputs are
+// TestShardedCrossShardDense is the cross-shard block-row round-trip
+// property test: random dense maps whose flat inputs are
 // forced across 2–4 shards (every output row draws from every input
 // shard) evaluated encrypted and compared to the plaintext product.
 func TestShardedCrossShardDense(t *testing.T) {

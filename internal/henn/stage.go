@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"cnnhe/internal/henn/ir"
 	"cnnhe/internal/henn/shard"
 	"cnnhe/internal/nn"
 	"cnnhe/internal/tensor"
@@ -17,17 +16,16 @@ import (
 //
 // Linear stages are carved into inter-shard blocks: for output shard j
 // and input shard i, block (j, i) is the sub-matrix connecting shard i's
-// slots to shard j's slots, evaluated by the LinearStage BSGS kernel. The
-// halo exchange of a convolution — output pixels near a band boundary
-// reading input pixels from the neighbouring shard — appears as those
-// off-diagonal blocks being non-zero; all-zero blocks are skipped
-// outright. Each output shard sums its block accumulators at the shared
-// pre-rescale scale with one fused ir.OpRecombine (all weights 1,
-// bit-identical to an Add chain, see ir.Combine) and then pays
-// a single rescale, so a one-block row lowers to exactly the
-// single-ciphertext op sequence. Activations apply per shard with
-// coefficient vectors sliced through the manifest's slot→global
-// bijection.
+// slots to shard j's slots, held as a LinearStage. The halo exchange of a
+// convolution — output pixels near a band boundary reading input pixels
+// from the neighbouring shard — appears as those off-diagonal blocks
+// being non-zero; all-zero blocks are skipped outright. Each output row
+// of blocks is one BSGS (evalRaw): every block hoists its input shard's
+// baby steps, each giant-step sum spans all the row's blocks and is
+// rotated once, and the row pays its rescales once, so a one-block row
+// lowers to exactly the single-ciphertext op sequence. Activations apply
+// per shard with coefficient vectors sliced through the manifest's
+// slot→global bijection.
 type Stage interface {
 	// Eval applies the stage to one ciphertext per input shard.
 	Eval(e Engine, in []Ct) []Ct
@@ -56,19 +54,6 @@ func union(ks []int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// recombine returns Σ weights[i]·cts[i] (weights[0] = 1; nil weights are
-// all 1) through ir.Combine, the dispatch the executor makes for an
-// OpRecombine.
-func recombine(e Engine, cts []Ct, weights []int64) Ct {
-	if weights == nil {
-		weights = make([]int64, len(cts))
-		for i := range weights {
-			weights[i] = 1
-		}
-	}
-	return ir.Combine(e, cts, nil, weights)
 }
 
 // ShardedLinear evaluates y = M·x + b as a grid of inter-shard block
@@ -139,25 +124,15 @@ func newShardedLinear(label string, mat *tensor.Tensor, bias []float64, in, out 
 // Eval implements Stage.
 func (s *ShardedLinear) Eval(e Engine, in []Ct) []Ct { return s.eval(e, in, true, 1) }
 
-// eval evaluates, per output shard, every non-zero block to its
-// pre-rescale accumulator (the row's first block carries the bias when
-// withBias is set), fuses several with one recombine, then rescales
+// eval evaluates each output row as one BSGS over its non-zero blocks
+// (evalRaw; the bias joins once when withBias is set), then rescales
 // primes times, so the stage consumes primes levels and ends at its
-// input scale (see evalRaw). The RNS front-end evaluates its digit parts
-// with withBias set on part 0 only.
+// input scale. The RNS front-end evaluates its digit parts with withBias
+// set on part 0 only.
 func (s *ShardedLinear) eval(e Engine, in []Ct, withBias bool, primes int) []Ct {
 	out := make([]Ct, len(s.Blocks))
 	for j, row := range s.Blocks {
-		var parts []Ct
-		for i, blk := range row {
-			if blk != nil {
-				parts = append(parts, blk.evalRaw(e, in[i], withBias && len(parts) == 0, primes))
-			}
-		}
-		acc := parts[0]
-		if len(parts) > 1 {
-			acc = recombine(e, parts, nil)
-		}
+		acc := evalRaw(e, row, in, withBias, primes)
 		for range primes {
 			acc = e.Rescale(acc)
 		}
@@ -358,60 +333,78 @@ func rotateVec(v []float64, k int) []float64 {
 // Eval applies the kernel to one ciphertext. The output scale returns to
 // the input scale after the built-in rescale; one level is consumed.
 func (s *LinearStage) Eval(e Engine, x Ct) Ct {
-	return e.Rescale(s.evalRaw(e, x, true, 1))
+	return e.Rescale(evalRaw(e, []*LinearStage{s}, []Ct{x}, true, 1))
 }
 
-// evalRaw is Eval up to (not including) the final rescale: the BSGS
-// accumulator at the pre-rescale scale S·q̃_ℓ. A sharded stage sums
-// several block accumulators (one per input shard) at this scale before
-// paying the single rescale; with one block the sequence rescale∘evalRaw
-// is exactly Eval, which is what makes the 1×1-grid lowering bit-identical
-// to the single-ciphertext one.
+// evalRaw evaluates one output row of blocks — row[i] reads in[i], nil
+// where the block is all-zero — up to (not including) the final rescale:
+// the BSGS accumulator at the pre-rescale scale S·q̃_ℓ. Every block of a
+// row shares the slot count and so the split, and the row is one BSGS:
+// giant step g's inner sum covers every block's products diag ⊙
+// baby_{block,j}, is rotated once by g·Baby, and the giant sums add up.
+// The bias of the row's first block (the carrier) joins once. With one
+// block the sequence rescale∘evalRaw is exactly Eval, which is what makes
+// the 1×1-grid lowering bit-identical to the single-ciphertext one.
 //
 // With primes > 1 the plaintext scale is the product q̃_ℓ·q̃_{ℓ−1}⋯ of
 // that many primes from the input level down, and the caller rescales
 // once per prime: a plan's first stage uses this to get a plaintext scale
 // as wide as the top prime from narrower primes below it (Plan.Lower).
-func (s *LinearStage) evalRaw(e Engine, x Ct, withBias bool, primes int) Ct {
-	level := e.Level(x)
+func evalRaw(e Engine, row []*LinearStage, in []Ct, withBias bool, primes int) Ct {
+	var carrier *LinearStage
 	ptScale := 1.0
-	for i := range primes {
-		ptScale *= e.QiFloat(level - i)
+	babies := make([]map[int]Ct, len(row))
+	for i, blk := range row {
+		if blk == nil {
+			continue
+		}
+		if carrier == nil {
+			carrier = blk
+			level := e.Level(in[i])
+			for p := range primes {
+				ptScale *= e.QiFloat(level - p)
+			}
+		}
+		// Hoist the block's baby-step rotations: the key-switch
+		// decomposition of its input shard is computed once.
+		babySteps := map[int]bool{}
+		for k := range blk.Diags {
+			babySteps[k%blk.Baby] = true
+		}
+		var babyList []int
+		for j := range babySteps {
+			babyList = append(babyList, j)
+		}
+		babies[i] = e.RotateMany(in[i], babyList)
 	}
-	// Hoist all baby-step rotations: the key-switch decomposition of x is
-	// computed once for the whole stage.
-	babySteps := map[int]bool{}
-	for k := range s.Diags {
-		babySteps[k%s.Baby] = true
-	}
-	var babyList []int
-	for j := range babySteps {
-		babyList = append(babyList, j)
-	}
-	babies := e.RotateMany(x, babyList)
+	baby := carrier.Baby
 	var acc Ct
-	for i := 0; i < s.Giant; i++ {
+	for g := 0; g < carrier.Giant; g++ {
 		var inner Ct
-		for j := 0; j < s.Baby; j++ {
-			k := i*s.Baby + j
-			diag, ok := s.Diags[k]
-			if !ok {
+		for i, blk := range row {
+			if blk == nil {
 				continue
 			}
-			baby := babies[j]
-			term := e.MulPlainVecCached(baby, fmt.Sprintf("%s/d%d", s.Label, k),
-				rotateVec(diag, -i*s.Baby), ptScale)
-			if inner == nil {
-				inner = term
-			} else {
-				inner = e.Add(inner, term)
+			for j := 0; j < baby; j++ {
+				k := g*baby + j
+				diag, ok := blk.Diags[k]
+				if !ok {
+					continue
+				}
+				term := e.MulPlainVecCached(babies[i][j], fmt.Sprintf("%s/d%d", blk.Label, k),
+					rotateVec(diag, -g*baby), ptScale)
+				if inner == nil {
+					inner = term
+				} else {
+					inner = e.Add(inner, term)
+				}
 			}
 		}
 		if inner == nil {
 			continue
 		}
-		if i != 0 {
-			inner = e.Rotate(inner, i*s.Baby)
+		if g != 0 {
+			inner = e.Rotate(inner, g*baby)
 		}
 		if acc == nil {
 			acc = inner
@@ -421,7 +414,7 @@ func (s *LinearStage) evalRaw(e Engine, x Ct, withBias bool, primes int) Ct {
 	}
 	if withBias {
 		// Bias joins at the pre-rescale scale S·q̃_ℓ.
-		acc = e.AddPlainVecCached(acc, s.Label+"/bias", s.Bias)
+		acc = e.AddPlainVecCached(acc, carrier.Label+"/bias", carrier.Bias)
 	}
 	return acc
 }
