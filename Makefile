@@ -75,18 +75,22 @@ opt-parity:
 ## structural shape digests for CNN1/CNN2/CNN3 plans, RNS, sharded and
 ## batched front-ends on both backends, the lowering's one-group-per-source
 ## rotation plan, the row-shared giant steps of a sharded linear stage
-## (one standalone rotation per output row and non-zero giant step,
-## counted from the plan's own blocks), the ≥15% engine-call reduction
-## floor, the guard's predicted per-stage noise bits for CNN1 and the
-## 4-shard CNN3 on paper-shaped chains, and CNN1's level profile (inputs
-## dropped to the working levels before stage 0, whose plaintext scale
-## spans as many primes as the top prime is wide). All symbolic except
+## (one standalone rotation per output row and non-zero giant step, plus
+## log2(slots/p) folds per row, counted from the plan's own blocks), the
+## period rule (wrapped diagonals reconstruct M and are reachable from the
+## declared rotations, every fold declared, baby·giant = p; every slot s
+## of a folded stage ≈ (Mx+b)[s mod p] on random one- and two-block rows),
+## the ≥15% engine-call reduction floor, the guard's predicted per-stage
+## noise bits for CNN1 and the 4-shard CNN3 on paper-shaped chains, and
+## CNN1's level profile (inputs dropped to the working levels before
+## stage 0, whose plaintext scale spans as many primes as the top prime
+## is wide). All symbolic except the contract tests (tiny keys) and
 ## TestImageTransformCountGolden, which keys CNN1 and the 4-shard CNN3 at
-## logN 11 to count one image's limb NTTs/INTTs (CNN3: 11,805) and hold
-## the RMS logit error at ≥ 11.5 bits (CNN1) and ≥ 16.5 bits (CNN3)
-## (~40 s).
+## logN 11 to count one image's limb NTTs/INTTs (CNN1: 3,786; CNN3:
+## 11,517) and hold the RMS logit error at ≥ 11.5 bits (CNN1) and
+## ≥ 16.5 bits (CNN3) (~35 s on 2 vCPUs).
 opt-golden:
-	$(GO) test -run 'TestOptimizedGraphGolden|TestOptimizeOffPreservesLowering|TestShardedRowGiantSteps|TestNoiseBudgetGolden|TestLevelProfileGolden|TestImageTransformCountGolden' ./internal/henn/
+	$(GO) test -run 'TestOptimizedGraphGolden|TestOptimizeOffPreservesLowering|TestShardedRowGiantSteps|TestDiagonalsReconstructMatrix|TestRotationsAreCoveredByBSGS|TestLinearStageMatchesMatVec|TestFoldedLinearContract|TestNoiseBudgetGolden|TestLevelProfileGolden|TestImageTransformCountGolden' ./internal/henn/
 
 ## shard-parity: the sharding gates — the shard package's unit and
 ## property suites (manifest split/join, wire round trip), the golden

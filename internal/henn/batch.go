@@ -75,15 +75,14 @@ func (p *Plan) Batched(batch int) (*BatchPlan, error) {
 
 // tileLinear rebuilds a linear stage as blockdiag(M, …, M). The original
 // stage was lowered at full slot width, so its diagonals describe M
-// embedded at block 0; entries must fit within one block.
+// embedded at block 0; entries must fit within one block. The tiled rows
+// span every block, so the tiled stage's period is the slot count.
 func tileLinear(s *LinearStage, block, batch, slots int) (*LinearStage, error) {
 	t := &LinearStage{
 		Label: s.Label + fmt.Sprintf("×%d", batch),
 		Diags: map[int][]float64{},
 		Bias:  make([]float64, slots),
 		Slots: slots,
-		Baby:  s.Baby,
-		Giant: s.Giant,
 	}
 	for k, diag := range s.Diags {
 		for i, v := range diag {
@@ -120,7 +119,7 @@ func tileLinear(s *LinearStage, block, batch, slots int) (*LinearStage, error) {
 		}
 	}
 	for b := 0; b < batch; b++ {
-		copy(t.Bias[b*block:(b+1)*block], s.Bias[:block])
+		copy(t.Bias[b*block:(b+1)*block], s.Bias)
 	}
 	return t, nil
 }

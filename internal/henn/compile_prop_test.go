@@ -1,6 +1,7 @@
 package henn
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,7 +10,9 @@ import (
 )
 
 // TestDiagonalsReconstructMatrix: the generalized diagonals stored by
-// NewLinearStage must reconstruct the (padded) matrix exactly.
+// NewLinearStage must reconstruct the (padded) matrix exactly, and so
+// must the wrapped diagonals evalRaw reads at the stage's period p:
+// wrapped diagonal k < p at slot s holds M[s mod p][(s+k) mod slots].
 func TestDiagonalsReconstructMatrix(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -21,6 +24,12 @@ func TestDiagonalsReconstructMatrix(t *testing.T) {
 			if rng.Float64() < 0.3 {
 				m.Data[i] = rng.NormFloat64()
 			}
+		}
+		at := func(i, j int) float64 {
+			if i >= rows || j >= cols {
+				return 0
+			}
+			return m.Data[i*cols+j]
 		}
 		st, err := NewLinearStage("p", m, make([]float64, rows), slots)
 		if err != nil {
@@ -52,6 +61,27 @@ func TestDiagonalsReconstructMatrix(t *testing.T) {
 				}
 			}
 		}
+		// The (slot, wrapped diagonal) pairs are in bijection with the
+		// p×slots entries M[i][j], i < p, so matching every pair
+		// reconstructs M and leaves no spurious entry.
+		p := shapeOf([]*LinearStage{st}).p
+		w := st.wrapped(p)
+		for k, d := range w {
+			if k < 0 || k >= p || len(d) != slots {
+				return false
+			}
+		}
+		for k := 0; k < p; k++ {
+			for s := 0; s < slots; s++ {
+				var v float64
+				if d, ok := w[k]; ok {
+					v = d[s]
+				}
+				if v != at(s%p, (s+k)%slots) {
+					return false
+				}
+			}
+		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
@@ -68,33 +98,52 @@ func isZero(v []float64) bool {
 	return true
 }
 
-// TestRotationsAreCoveredByBSGS: every stored diagonal must be reachable
-// from the declared baby and giant rotations.
+// TestRotationsAreCoveredByBSGS: at every period, each wrapped diagonal
+// must be reachable from the declared baby and giant rotations, every
+// fold p, 2p, …, slots/2 must be declared, and the split must cover the
+// period: baby · giant = p.
 func TestRotationsAreCoveredByBSGS(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	m := tensor.New(50, 60)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
-	}
-	st, err := NewLinearStage("r", m, make([]float64, 50), 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rot := map[int]bool{0: true}
-	for _, r := range st.Rotations() {
-		rot[r] = true
-	}
-	for k := range st.Diags {
-		i, j := k/st.Baby, k%st.Baby
-		if !rot[j] && j != 0 {
-			t.Fatalf("baby step %d not declared", j)
+	const slots = 128
+	for _, tc := range []struct{ rows, cols, p int }{
+		{1, 60, 1}, {2, 128, 2}, {10, 60, 16}, {50, 60, 64}, {64, 128, 64}, {65, 3, 128}, {128, 128, 128},
+	} {
+		m := tensor.New(tc.rows, tc.cols)
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64()
 		}
-		if i != 0 && !rot[i*st.Baby] {
-			t.Fatalf("giant step %d not declared", i*st.Baby)
+		st, err := NewLinearStage("r", m, make([]float64, tc.rows), slots)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if st.Baby*st.Giant != st.Slots {
-		t.Fatalf("BSGS split %d×%d != %d", st.Baby, st.Giant, st.Slots)
+		b := shapeOf([]*LinearStage{st})
+		p, baby := b.p, b.baby
+		if p != tc.p {
+			t.Fatalf("%d rows: period %d, want %d", tc.rows, p, tc.p)
+		}
+		if baby*b.giant != p {
+			t.Fatalf("period %d: BSGS split %d×%d", p, baby, b.giant)
+		}
+		rot := map[int]bool{0: true}
+		for _, r := range st.Rotations() {
+			rot[r] = true
+		}
+		for k := range st.wrapped(p) {
+			if !rot[k%baby] {
+				t.Fatalf("period %d: baby step %d not declared", p, k%baby)
+			}
+			if !rot[k/baby*baby] {
+				t.Fatalf("period %d: giant step %d not declared", p, k/baby*baby)
+			}
+		}
+		for f := p; f < slots; f *= 2 {
+			if !rot[f] {
+				t.Fatalf("period %d: fold %d not declared", p, f)
+			}
+		}
+		if len(b.folds) != bits.Len(uint(slots/p))-1 {
+			t.Fatalf("period %d: %d folds, want log2(%d/%d)", p, len(b.folds), slots, p)
+		}
 	}
 }
 

@@ -190,19 +190,19 @@ func TestExecutorParityGoldenTiny(t *testing.T) {
 	p := goldenParams(t, 10, []int{40, 30, 30, 30, 30})
 	runGolden(t, legs, map[string]engineFor{"rns": goldenRNS(t, p, 811), "big": goldenBig(t, p, 812)},
 		map[string]string{
-			"rns/plan/opt=off": "8d16347b81310f1d01f2886f3f5b84d24744345fdfb4a30de10c7789da25e561",
-			"rns/plan/opt=on":  "8d16347b81310f1d01f2886f3f5b84d24744345fdfb4a30de10c7789da25e561",
-			"rns/rns3/seq":     "33b354c860c2ee20773a315e2c851972bc60ebff7c1dc38f0b3b93151f324d35",
-			"rns/rns3/par":     "33b354c860c2ee20773a315e2c851972bc60ebff7c1dc38f0b3b93151f324d35",
-			"rns/rns3/off":     "33b354c860c2ee20773a315e2c851972bc60ebff7c1dc38f0b3b93151f324d35",
-			"rns/sharded":      "79dc1e61b1d427ed6db258be1e560ef26528c2bd2a57318c9415ba2893c41e1a",
+			"rns/plan/opt=off": "492fd3cde5f5b7566120ab974b7c9a6de396447cc9c54d056848eec5df2401db",
+			"rns/plan/opt=on":  "492fd3cde5f5b7566120ab974b7c9a6de396447cc9c54d056848eec5df2401db",
+			"rns/rns3/seq":     "76bf42d45fdb82c35d258025662dcc1c78e1e305583c2039581f39ec82f649e1",
+			"rns/rns3/par":     "76bf42d45fdb82c35d258025662dcc1c78e1e305583c2039581f39ec82f649e1",
+			"rns/rns3/off":     "76bf42d45fdb82c35d258025662dcc1c78e1e305583c2039581f39ec82f649e1",
+			"rns/sharded":      "50ab95d30d4b48441f9290bdb4f7b40fb6cab9b762183393f5630d5797addaf4",
 			"rns/batch2":       "eee3b41f9cc0ce5a18a41e36a3eb5e797ffe3787c3d0c02710f30ec610fbdc21",
-			"big/plan/opt=off": "7be05f7a6b755b90a65f6abab2212bf382885583cbe09a38d30bc101e4636d08",
-			"big/plan/opt=on":  "7be05f7a6b755b90a65f6abab2212bf382885583cbe09a38d30bc101e4636d08",
-			"big/rns3/seq":     "5ef33a6a886f2e96818c7b97e10223bd10474c827833a59621b0a36f13e710d0",
-			"big/rns3/par":     "5ef33a6a886f2e96818c7b97e10223bd10474c827833a59621b0a36f13e710d0",
-			"big/rns3/off":     "5ef33a6a886f2e96818c7b97e10223bd10474c827833a59621b0a36f13e710d0",
-			"big/sharded":      "8ef32d218c5e8b2d21848df1990fd7d063cb3269ea803a9749c485982b1917fd",
+			"big/plan/opt=off": "263fdcf1a8b4e21663400754548236a5972ce330d4d5ea76929d17b6e6dfaca1",
+			"big/plan/opt=on":  "263fdcf1a8b4e21663400754548236a5972ce330d4d5ea76929d17b6e6dfaca1",
+			"big/rns3/seq":     "3bdcd9ba4977d4b731b085177017441cf370a7fe9ad68126b28d553355cc133e",
+			"big/rns3/par":     "3bdcd9ba4977d4b731b085177017441cf370a7fe9ad68126b28d553355cc133e",
+			"big/rns3/off":     "3bdcd9ba4977d4b731b085177017441cf370a7fe9ad68126b28d553355cc133e",
+			"big/sharded":      "e1ed361b87af81d0fc743b04e17815f30427a50f618012416bf25cce7b5b4bbd",
 			"big/batch2":       "f7fb3ae8dd4ef14100850e0d3e5ce4682f132df1cbbfedf86d9150106ba9163c",
 		})
 
@@ -217,7 +217,7 @@ func TestExecutorParityGoldenTiny(t *testing.T) {
 	})
 	runGolden(t, []goldenLeg{denseLeg},
 		map[string]engineFor{"rns": goldenRNS(t, goldenParams(t, 10, []int{40, 30, 30}), 813)},
-		map[string]string{"rns/dense2": "0be4e739eb24c5e6a01b44d7c12019775c94a6b8094b01f17bb0c1e2792ddd59"})
+		map[string]string{"rns/dense2": "6ead9aef32236e870cef37faf94fc800d4c0a60078d7a2e9aaa0e63f094fb3e1"})
 }
 
 // TestExecutorParityGoldenCNN1 pins the paper's CNN1 shape at logN 11 on
@@ -235,11 +235,11 @@ func TestExecutorParityGoldenCNN1(t *testing.T) {
 	legs := frontEndLegs(t, m, 1024, shard.Grid{Gy: 2, Gx: 1}, testImage(rand.New(rand.NewSource(83)), 784))
 	runGolden(t, legs, map[string]engineFor{"rns": goldenRNS(t, goldenParams(t, 11, parityChain(plan.Depth)), 814)},
 		map[string]string{
-			"rns/plan/opt=off": "0cf6264e6ae5623f2e5f961c3ac826e62cc1ab1d185e1d754b5e083669b07a6c",
-			"rns/plan/opt=on":  "0cf6264e6ae5623f2e5f961c3ac826e62cc1ab1d185e1d754b5e083669b07a6c",
-			"rns/rns3/seq":     "419b85977ffef2be594afa89e1e02b86d8c8de492e1b0278440306ec7c0c9fc8",
-			"rns/rns3/par":     "419b85977ffef2be594afa89e1e02b86d8c8de492e1b0278440306ec7c0c9fc8",
-			"rns/rns3/off":     "419b85977ffef2be594afa89e1e02b86d8c8de492e1b0278440306ec7c0c9fc8",
-			"rns/sharded":      "49b9298ca85c3364ac2187b354f767f138e6db6b1f1b6fa26c2ec62c2047c966",
+			"rns/plan/opt=off": "6d51db2217489c4e9fc2f6a6e3858010d8939944686e09866737ca701e2f24f1",
+			"rns/plan/opt=on":  "6d51db2217489c4e9fc2f6a6e3858010d8939944686e09866737ca701e2f24f1",
+			"rns/rns3/seq":     "d06aa094462e0249529b2ea9e0f87c76ced54582e35648ba3d5d0b272459f789",
+			"rns/rns3/par":     "d06aa094462e0249529b2ea9e0f87c76ced54582e35648ba3d5d0b272459f789",
+			"rns/rns3/off":     "d06aa094462e0249529b2ea9e0f87c76ced54582e35648ba3d5d0b272459f789",
+			"rns/sharded":      "97f2b031b531af78532712a2223b781464322a51b4aa9f4189dd43b0076f7c3f",
 		})
 }

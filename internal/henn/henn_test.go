@@ -3,9 +3,11 @@ package henn
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"cnnhe/internal/ckks"
@@ -130,8 +132,26 @@ func TestCompileRejectsReLU(t *testing.T) {
 	}
 }
 
+// checkFolded asserts the folded linear contract over every slot of got:
+// slot s holds y[s mod p] (y = M·x + b, rows long) and 0 where s mod p ≥
+// rows.
+func checkFolded(got, y []float64, p int, tol float64) error {
+	for s, v := range got {
+		var want float64
+		if i := s % p; i < len(y) {
+			want = y[i]
+		}
+		if math.Abs(v-want) > tol {
+			return fmt.Errorf("slot %d (period %d, %d rows): got %g want %g", s, p, len(y), v, want)
+		}
+	}
+	return nil
+}
+
 func TestLinearStageMatchesMatVec(t *testing.T) {
-	// A single linear stage must reproduce M·x + b on the packed vector.
+	// A single linear stage must reproduce M·x + b on the packed vector:
+	// 10 rows fold to period 16, so every slot s holds (M·x+b)[s mod 16]
+	// and the slots of rows 10…15 of each period hold 0.
 	rng := rand.New(rand.NewSource(3))
 	rows, cols, slots := 10, 20, 512
 	mat := tensor.New(rows, cols)
@@ -146,6 +166,9 @@ func TestLinearStageMatchesMatVec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if p := shapeOf([]*LinearStage{st}).p; p != 16 {
+		t.Fatalf("period %d, want 16", p)
+	}
 	plan := &Plan{Slots: slots, InputDim: cols, OutputDim: rows, Depth: 1,
 		Stages: []Stage{&ShardedLinear{Label: st.Label, Blocks: [][]*LinearStage{{st}}}}}
 
@@ -157,17 +180,91 @@ func TestLinearStageMatchesMatVec(t *testing.T) {
 	ct := e.EncryptVec(x)
 	out := st.Eval(e, ct)
 	got := e.DecryptVec(out)
-	want := tensor.MatVec(mat, x)
-	for i := 0; i < rows; i++ {
-		if math.Abs(got[i]-(want[i]+bias[i])) > 1e-2 {
-			t.Fatalf("slot %d: got %g want %g", i, got[i], want[i]+bias[i])
-		}
+	y := tensor.MatVec(mat, x)
+	for i := range y {
+		y[i] += bias[i]
 	}
-	// Slots beyond the output must be ~zero (diagonals masked to rows).
-	for i := rows; i < rows+16; i++ {
-		if math.Abs(got[i]) > 1e-2 {
-			t.Fatalf("slot %d should be zero, got %g", i, got[i])
+	if err := checkFolded(got, y, 16, 1e-2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFoldedLinearContract checks the folded contract on random stages at
+// 64 slots: rows in [1, 64] (period 1 … 64, the last the unfolded case),
+// random column counts and densities, and output rows of one or two
+// blocks, each block reading its own ciphertext.
+func TestFoldedLinearContract(t *testing.T) {
+	const slots = 64
+	params, err := ckks.NewParameters(7, []int{40, 30}, 60, 1, math.Exp2(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		rows := 1 + rng.Intn(slots)
+		if seed%4 == 0 {
+			rows = slots/2 + 1 + rng.Intn(slots/2) // period = slots
 		}
+		density := 0.05 + 0.95*rng.Float64()
+		bias := make([]float64, rows)
+		for i := range bias {
+			bias[i] = rng.NormFloat64()
+		}
+		y := append([]float64(nil), bias...)
+		var row []*LinearStage
+		var xs [][]float64
+		for range 1 + rng.Intn(2) {
+			cols := 1 + rng.Intn(slots)
+			m := tensor.New(rows, cols)
+			m.Data[rng.Intn(len(m.Data))] = 1 // never all-zero
+			for i := range m.Data {
+				if rng.Float64() < density {
+					m.Data[i] = rng.NormFloat64()
+				}
+			}
+			blk, err := NewLinearStage("q", m, bias, slots)
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			x := make([]float64, cols)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			for i, v := range tensor.MatVec(m, x) {
+				y[i] += v
+			}
+			row = append(row, blk)
+			xs = append(xs, x)
+		}
+		p := shapeOf(row).p
+		if p < rows || p >= 2*rows || p&(p-1) != 0 {
+			t.Errorf("rows %d: period %d is not the smallest power of two ≥ rows", rows, p)
+			return false
+		}
+		seen[p] = true
+		st := &ShardedLinear{Label: "q", Blocks: [][]*LinearStage{row}}
+		e, err := NewRNSEngine(params, st.Rotations(), seed)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		in := make([]Ct, len(xs))
+		for i, x := range xs {
+			in[i] = e.EncryptVec(x)
+		}
+		if err := checkFolded(e.DecryptVec(st.Eval(e, in)[0]), y, p, 1e-3); err != nil {
+			t.Errorf("seed %d, %d blocks: %v", seed, len(row), err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 24, Rand: rand.New(rand.NewSource(36))}); err != nil {
+		t.Fatal(err)
+	}
+	if !seen[slots] || len(seen) < 3 {
+		t.Fatalf("periods covered %v, want the unfolded %d and at least two folded", seen, slots)
 	}
 }
 

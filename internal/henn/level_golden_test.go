@@ -191,11 +191,13 @@ func loadCNN3(t *testing.T, params ckks.Parameters) (*nn.Model, *Plan) {
 // repeat exactly, so they gate "fewer transforms" where wall time cannot;
 // a count may only go down. CNN1 on the 13-prime chain was 10,056 (8,903
 // NTT + 1,153 INTT) while stage 0 ran on all 13 limbs and spare levels
-// stayed to the end, and 7,158 (6,210 + 948) with them dropped after
-// stage 0; the 8-prime chain, which has no spare level, stays at 4,364.
-// CNN3 over 4 shards on the 10-prime chain (the cnn3_sharded plan) was
-// 23,139 (19,876 + 3,263) while every block of a row rotated its own
-// giant steps.
+// stayed to the end, 7,158 (6,210 + 948) with them dropped after stage
+// 0, and 4,686 (3,864 + 822) while its dense stages ran the slot-wide
+// BSGS instead of folding at their 128- and 16-slot periods; the 8-prime
+// chain, which has no spare level, was 4,364 (3,576 + 788) then. CNN3
+// over 4 shards on the 10-prime chain (the cnn3_sharded plan) was 23,139
+// (19,876 + 3,263) while every block of a row rotated its own giant
+// steps, and 11,805 (10,158 + 1,647) before its last stage folded.
 //
 // The same engines then hold a precision floor, so a count cannot fall
 // by giving up bits: the RMS logit error against the plaintext model must
@@ -213,9 +215,9 @@ func TestImageTransformCountGolden(t *testing.T) {
 		ntt, intt int
 		minBits   float64
 	}{
-		{"cnn1 k=13", 13, loadCNN1, dataset.SyntheticMNIST(8, 3), 3864, 822, 11.5},
-		{"cnn1 k=8", 8, loadCNN1, dataset.SyntheticMNIST(8, 3), 3576, 788, 11.5},
-		{"cnn3 4 shards k=10", 10, loadCNN3, dataset.SyntheticCIFAR10(4, 3), 10158, 1647, 16.5},
+		{"cnn1 k=13", 13, loadCNN1, dataset.SyntheticMNIST(8, 3), 3172, 614, 11.5},
+		{"cnn1 k=8", 8, loadCNN1, dataset.SyntheticMNIST(8, 3), 2884, 580, 11.5},
+		{"cnn3 4 shards k=10", 10, loadCNN3, dataset.SyntheticCIFAR10(4, 3), 9966, 1551, 16.5},
 	} {
 		params := paperParams(t, tc.k)
 		model, plan := tc.load(t, params)

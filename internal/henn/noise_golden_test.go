@@ -21,7 +21,10 @@ import (
 // graph, so this is symbolic: the plan is lowered against a params-only
 // engine and the guard wraps a key-less evaluation engine — no key
 // generation. The optimizer must not move the budget, so both -opt
-// settings are pinned to the same row.
+// settings are pinned to the same row. A folded linear stage's
+// rotate-and-add folds each double the bound it sums (CNN1's dense
+// stages fold 3 and 6 times, CNN3's last stage 6 times), so the budget
+// after them is a few bits below the slot-wide BSGS's.
 func TestNoiseBudgetGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name, model string
@@ -30,9 +33,9 @@ func TestNoiseBudgetGolden(t *testing.T) {
 		want        []string
 	}{
 		{"cnn1", "../../models/cnn1-slaf-n6000-s1.gob", 13, henn.Compile,
-			[]string{"-1.076095", "-12.235908", "-22.118552", "-66.355686", "-73.123870"}},
+			[]string{"-1.076095", "-12.235908", "-22.235909", "-66.707754", "-76.707754"}},
 		{"cnn3 4 shards", "../../benchmark/testdata/cnn3-slaf-n1024-s1.gob", 10, henn.CompileShardedAuto,
-			[]string{"-2.405638", "-17.291786", "-28.169825", "-112.679300", "-121.881424"}},
+			[]string{"-2.405638", "-17.291786", "-28.169825", "-112.679300", "-122.679300"}},
 	} {
 		model, _, err := nn.LoadModel(tc.model)
 		if err != nil {

@@ -226,22 +226,22 @@ func TestOptimizedGraphGolden(t *testing.T) {
 		want   goldenSize
 		shape  string // the optimized graph's shapeDigest
 	}{
-		{"cnn1/plan", 11, compiled("cnn1", 1024), 1, goldenSize{ops: 2332, engineCalls: 165, rotateCalls: 68, hoists: 3}, "fd1ebaa8a093b7b39d287ed92c64dfde8d94f809a597e0560179cb92ff6b21e6"},
-		{"cnn1/rns3", 11, rns3("cnn1", 1024), 3, goldenSize{ops: 4575, engineCalls: 300, rotateCalls: 132, hoists: 5},
-			"8244b441b93c162a2adc011fc8dbcb7d739d9aaa94faf52be625d7975181ef78"},
-		{"cnn2/plan", 12, compiled("cnn2", 2048), 1, goldenSize{ops: 4701, engineCalls: 184, rotateCalls: 71, hoists: 4}, "5293e9084579cda87c0be78c100b8a880f4120d8bcd80a824b7457aa013200fc"},
-		{"cnn2/rns3", 12, rns3("cnn2", 2048), 3, goldenSize{ops: 8522, engineCalls: 307, rotateCalls: 129, hoists: 6},
-			"3da56a6660bcd2f4add823887f332ed829b9a74fc123ce507d7cc608c51ddd7d"},
+		{"cnn1/plan", 11, compiled("cnn1", 1024), 1, goldenSize{ops: 1349, engineCalls: 135, rotateCalls: 53, hoists: 3}, "d995adfd20f65b28ff195039170f8c7c31d8b6b6d44a992e4baaf640cd80b1c9"},
+		{"cnn1/rns3", 11, rns3("cnn1", 1024), 3, goldenSize{ops: 3592, engineCalls: 270, rotateCalls: 117, hoists: 5},
+			"719f6edb39e2b2e206d6c2ff67d0337e06a658833f264801bac1b321013e59c6"},
+		{"cnn2/plan", 12, compiled("cnn2", 2048), 1, goldenSize{ops: 3167, engineCalls: 208, rotateCalls: 83, hoists: 4}, "4a41c02ef3acc8c99b84a9a62bf08a1471b98368cf4d6cb8af7316cf46dc74bf"},
+		{"cnn2/rns3", 12, rns3("cnn2", 2048), 3, goldenSize{ops: 6988, engineCalls: 331, rotateCalls: 141, hoists: 6},
+			"69906b503960cc2dd9a619de1fa4a30cc59bc6f0ec702393de6f83fccea07876"},
 		// CIFAR-10 CNN3 over a 2×1 shard grid: the 3072-pixel input splits
 		// across two 2048-slot ciphertexts, so a block row sums every
 		// block's products per giant step before its one rotation.
-		{"cnn3/sharded2", 12, shardedAuto("cnn3", 2048), 2, goldenSize{ops: 6962, engineCalls: 188, rotateCalls: 74, hoists: 4},
-			"5e5ed0e2c8d549d86cae694df7e226cf8470731f75532e675a0174f73f5ba299"},
+		{"cnn3/sharded2", 12, shardedAuto("cnn3", 2048), 2, goldenSize{ops: 5486, engineCalls: 194, rotateCalls: 77, hoists: 4},
+			"e69ae59dc205d4cff5eebef421d5b55c71521cb32636bfa0ea3fd68bbb4da6b5"},
 		// The benchmark's cnn3_sharded grid: block rows hoist the same
 		// input shard's baby steps, and each (row, giant step) pair is one
 		// standalone rotation (TestShardedRowGiantSteps).
-		{"cnn3/sharded4", 11, shardedAuto("cnn3", 1024), 4, goldenSize{ops: 8091, engineCalls: 298, rotateCalls: 119, hoists: 7},
-			"58ad1ca948a6630356fcb30827a3d55cda1d7bd5a402992bffe48a115ad06424"},
+		{"cnn3/sharded4", 11, shardedAuto("cnn3", 1024), 4, goldenSize{ops: 7470, engineCalls: 278, rotateCalls: 109, hoists: 7},
+			"69786330ea9bbb544feb8bdac217ef135a32f38d9400b4f83ad845b0dc0e3c35"},
 		// serve_batched's shape: two CNN1 images per 2048-slot ciphertext.
 		{"cnn1/batch2", 12, batched("cnn1", 2048, 2), 1, goldenSize{ops: 2628, engineCalls: 109, rotateCalls: 40, hoists: 3},
 			"d890e758aebc6ef73949b91dbe0cf2a35e2948780654cce3b0638e259813aa29"},
@@ -321,12 +321,14 @@ func TestOptimizeOffPreservesLowering(t *testing.T) {
 }
 
 // TestShardedRowGiantSteps checks the row rule stage by stage: a
-// ShardedLinear output row is one BSGS, so each of its distinct non-zero
-// giant steps is rotated once, however many of the row's blocks have a
-// diagonal there. A stage's standalone (non-hoisted) rotations must
-// number Σ_rows |∪_blocks {k / Baby : k ∈ Diags} ∖ {0}|, computed from the
-// plan's own blocks, in the lowering and after fuse; no other stage
-// rotates outside a hoist group. Symbolic: no keys.
+// ShardedLinear output row is one BSGS over its period p, so each of its
+// distinct non-zero giant steps is rotated once, however many of the
+// row's blocks have a diagonal there, and the row then folds
+// log2(slots/p) times. A stage's standalone (non-hoisted) rotations must
+// number Σ_rows |∪_blocks {(k mod p) / baby : k ∈ Diags} ∖ {0}| +
+// log2(slots/p), with baby from split(p), computed from the plan's own
+// blocks, in the lowering and after fuse; no other stage rotates outside
+// a hoist group. Symbolic: no keys.
 func TestShardedRowGiantSteps(t *testing.T) {
 	// TestExecutorParityGoldenTiny's dense2 fixture: one row over 2 shards.
 	dense2 := func(t *testing.T) *Plan {
@@ -360,16 +362,20 @@ func TestShardedRowGiantSteps(t *testing.T) {
 				}
 				n := 0
 				for _, row := range lin.Blocks {
+					b := shapeOf(row)
 					giants := map[int]bool{}
 					for _, blk := range row {
 						if blk == nil {
 							continue
 						}
 						for k := range blk.Diags {
-							if g := k / blk.Baby; g != 0 {
+							if g := k % b.p / b.baby; g != 0 {
 								giants[g] = true
 							}
 						}
+					}
+					for f := b.p; f < plan.Slots; f *= 2 {
+						n++ // one rotation per fold
 					}
 					n += len(giants)
 				}

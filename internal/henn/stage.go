@@ -2,6 +2,7 @@ package henn
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"cnnhe/internal/henn/shard"
@@ -157,15 +158,11 @@ func (s *ShardedLinear) fanIn() int {
 	return n
 }
 
-// Rotations implements Stage: the union over all blocks.
+// Rotations implements Stage: the union over all output rows.
 func (s *ShardedLinear) Rotations() []int {
 	var all []int
 	for _, row := range s.Blocks {
-		for _, blk := range row {
-			if blk != nil {
-				all = append(all, blk.Rotations()...)
-			}
-		}
+		all = append(all, rowRotations(row)...)
 	}
 	return union(all)
 }
@@ -187,7 +184,16 @@ func (s *ShardedLinear) Describe() string {
 			}
 		}
 	}
-	return fmt.Sprintf("linear %s: %d->%d shards, %d/%d blocks", s.Label, in, out, nz, in*out)
+	desc := fmt.Sprintf("linear %s: %d->%d shards, %d/%d blocks", s.Label, in, out, nz, in*out)
+	// Name each distinct folded row BSGS; slot-wide rows add nothing.
+	seen := map[string]bool{}
+	for _, row := range s.Blocks {
+		if b := shapeOf(row); len(b.folds) > 0 && !seen[b.String()] {
+			seen[b.String()] = true
+			desc += ", " + b.String()
+		}
+	}
+	return desc
 }
 
 // ShardedAct applies a polynomial activation shard-wise, with the
@@ -244,29 +250,32 @@ func (s *ShardedAct) Describe() string {
 // LinearStage is the single-ciphertext linear kernel — one block of a
 // ShardedLinear stage: y = M·x + b by the Halevi–Shoup diagonal method
 // with baby-step/giant-step rotations. M is held as its nonzero
-// generalized diagonals over the full slot dimension.
+// generalized diagonals over the full slot dimension; evalRaw folds them
+// to the row's diagonal period.
 type LinearStage struct {
 	Label string
 	// Diags maps diagonal index k to the vector diag_k[i] = M[i][(i+k) mod slots].
 	Diags map[int][]float64
-	// Bias is the slot-aligned bias vector.
+	// Bias holds one entry per output row, so its length is the block's
+	// row count.
 	Bias  []float64
 	Slots int
-	// BSGS split: Baby · Giant = Slots.
-	Baby, Giant int
 }
 
 // NewLinearStage lowers an explicit rows×cols matrix (rows, cols ≤ slots)
-// with bias to a kernel.
+// with a bias of at most rows entries (missing ones are zero) to a kernel.
 func NewLinearStage(label string, m *tensor.Tensor, bias []float64, slots int) (*LinearStage, error) {
 	rows, cols := m.Shape[0], m.Shape[1]
 	if rows > slots || cols > slots {
 		return nil, fmt.Errorf("henn: matrix %dx%d exceeds %d slots", rows, cols, slots)
 	}
+	if len(bias) > rows {
+		return nil, fmt.Errorf("henn: stage %s has %d bias entries for %d rows", label, len(bias), rows)
+	}
 	st := &LinearStage{
 		Label: label,
 		Diags: map[int][]float64{},
-		Bias:  make([]float64, slots),
+		Bias:  make([]float64, rows),
 		Slots: slots,
 	}
 	copy(st.Bias, bias)
@@ -293,28 +302,113 @@ func NewLinearStage(label string, m *tensor.Tensor, bias []float64, slots int) (
 	if len(st.Diags) == 0 {
 		return nil, fmt.Errorf("henn: zero matrix for stage %s", label)
 	}
-	// Balanced power-of-two BSGS split.
-	logS := 0
-	for 1<<logS < slots {
-		logS++
-	}
-	st.Baby = 1 << ((logS + 1) / 2)
-	st.Giant = slots / st.Baby
 	return st, nil
 }
 
-// Rotations lists the used baby steps and giant steps.
-func (s *LinearStage) Rotations() []int {
-	var ks []int
-	for k := range s.Diags {
-		ks = append(ks, k%s.Baby, k/s.Baby*s.Baby)
+// bsgs is the BSGS shape of one output row of blocks, derived from the
+// row's matrices where it is used rather than stored: the diagonal period
+// p, the smallest power of two that holds every output row of the row's
+// blocks; the balanced power-of-two split baby · giant = p; and the
+// rotate-and-add folds p, 2p, …, slots/2 that sum a row's slot windows
+// when p < slots. At p = slots there is no fold: the plain diagonal
+// method.
+type bsgs struct {
+	p, baby, giant int
+	folds          []int
+}
+
+// shapeOf derives the BSGS shape of one output row of blocks.
+func shapeOf(row []*LinearStage) bsgs {
+	rows, slots := 0, 0
+	for _, blk := range row {
+		if blk != nil {
+			rows, slots = max(rows, len(blk.Bias)), blk.Slots
+		}
+	}
+	b := bsgs{p: 1}
+	for b.p < rows {
+		b.p <<= 1
+	}
+	b.baby = 1 << (bits.Len(uint(b.p)) / 2)
+	b.giant = b.p / b.baby
+	for f := b.p; f < slots; f *= 2 {
+		b.folds = append(b.folds, f)
+	}
+	return b
+}
+
+// String names the split and any folds, e.g. "bsgs 16x8, 3 folds".
+func (b bsgs) String() string {
+	out := fmt.Sprintf("bsgs %dx%d", b.baby, b.giant)
+	switch len(b.folds) {
+	case 0:
+	case 1:
+		out += ", 1 fold"
+	default:
+		out += fmt.Sprintf(", %d folds", len(b.folds))
+	}
+	return out
+}
+
+// wrapped returns the block's diagonals at period p, diag_k[s] =
+// M[s mod p][(s+k) mod slots] for k < p. Every row is below p, so full
+// diagonal k lands whole in wrapped diagonal k mod p at slots
+// p·⌊k/p⌋ … p·⌊k/p⌋+p−1; at p = slots the wrapped diagonals are Diags.
+func (s *LinearStage) wrapped(p int) map[int][]float64 {
+	if p == s.Slots {
+		return s.Diags
+	}
+	out := map[int][]float64{}
+	for k, diag := range s.Diags {
+		w := out[k%p]
+		if w == nil {
+			w = make([]float64, s.Slots)
+			out[k%p] = w
+		}
+		copy(w[k/p*p:], diag[:p])
+	}
+	return out
+}
+
+// periodicBias is the bias replicated with period p: slot s holds
+// Bias[s mod p], or 0 where s mod p is past the last row.
+func (s *LinearStage) periodicBias(p int) []float64 {
+	out := make([]float64, s.Slots)
+	for off := 0; off < s.Slots; off += p {
+		copy(out[off:], s.Bias)
+	}
+	return out
+}
+
+// rowRotations lists the rotations one output row of blocks needs: the
+// baby and giant steps of its wrapped diagonals and its folds.
+func rowRotations(row []*LinearStage) []int {
+	b := shapeOf(row)
+	ks := append([]int(nil), b.folds...)
+	for _, blk := range row {
+		if blk == nil {
+			continue
+		}
+		for k := range blk.Diags {
+			k %= b.p
+			ks = append(ks, k%b.baby, k/b.baby*b.baby)
+		}
 	}
 	return union(ks)
 }
 
-// Describe returns a human-readable summary.
+// Rotations lists the used baby steps, giant steps and folds.
+func (s *LinearStage) Rotations() []int { return rowRotations([]*LinearStage{s}) }
+
+// Describe returns a human-readable summary: the number of (wrapped)
+// diagonals, which is the number of plaintext products, and the BSGS.
 func (s *LinearStage) Describe() string {
-	return fmt.Sprintf("linear %s: %d diagonals, bsgs %dx%d", s.Label, len(s.Diags), s.Baby, s.Giant)
+	b := shapeOf([]*LinearStage{s})
+	diags := map[int]bool{}
+	for k := range s.Diags {
+		diags[k%b.p] = true
+	}
+	return fmt.Sprintf("linear %s: %d diagonals, %v", s.Label, len(diags), b)
 }
 
 // rotateVec cyclically rotates v left by k (k may be negative).
@@ -338,21 +432,29 @@ func (s *LinearStage) Eval(e Engine, x Ct) Ct {
 
 // evalRaw evaluates one output row of blocks — row[i] reads in[i], nil
 // where the block is all-zero — up to (not including) the final rescale:
-// the BSGS accumulator at the pre-rescale scale S·q̃_ℓ. Every block of a
-// row shares the slot count and so the split, and the row is one BSGS:
+// the BSGS accumulator at the pre-rescale scale S·q̃_ℓ. The row is one
+// BSGS over the p wrapped diagonals of its shape (shapeOf):
 // giant step g's inner sum covers every block's products diag ⊙
-// baby_{block,j}, is rotated once by g·Baby, and the giant sums add up.
-// The bias of the row's first block (the carrier) joins once. With one
-// block the sequence rescale∘evalRaw is exactly Eval, which is what makes
-// the 1×1-grid lowering bit-identical to the single-ciphertext one.
+// baby_{block,j}, is rotated once by g·baby, and the giant sums add up.
+// Slot s then holds the products of output row s mod p with the p input
+// slots from s on, and log2(slots/p) rotate-and-add folds by p, 2p, …,
+// slots/2 sum those windows, so every slot s holds (M·x)[s mod p] (the
+// Halevi–Shoup/GAZELLE hybrid). The bias of the row's first block (the
+// carrier), replicated with period p, joins once. At p = slots there is
+// no fold and the sequence is the plain diagonal method. With one block
+// rescale∘evalRaw is exactly Eval, which is what makes the 1×1-grid
+// lowering bit-identical to the single-ciphertext one.
 //
 // With primes > 1 the plaintext scale is the product q̃_ℓ·q̃_{ℓ−1}⋯ of
 // that many primes from the input level down, and the caller rescales
 // once per prime: a plan's first stage uses this to get a plaintext scale
 // as wide as the top prime from narrower primes below it (Plan.Lower).
 func evalRaw(e Engine, row []*LinearStage, in []Ct, withBias bool, primes int) Ct {
+	b := shapeOf(row)
+	baby := b.baby
 	var carrier *LinearStage
 	ptScale := 1.0
+	diags := make([]map[int][]float64, len(row))
 	babies := make([]map[int]Ct, len(row))
 	for i, blk := range row {
 		if blk == nil {
@@ -361,15 +463,16 @@ func evalRaw(e Engine, row []*LinearStage, in []Ct, withBias bool, primes int) C
 		if carrier == nil {
 			carrier = blk
 			level := e.Level(in[i])
-			for p := range primes {
-				ptScale *= e.QiFloat(level - p)
+			for n := range primes {
+				ptScale *= e.QiFloat(level - n)
 			}
 		}
+		diags[i] = blk.wrapped(b.p)
 		// Hoist the block's baby-step rotations: the key-switch
 		// decomposition of its input shard is computed once.
 		babySteps := map[int]bool{}
-		for k := range blk.Diags {
-			babySteps[k%blk.Baby] = true
+		for k := range diags[i] {
+			babySteps[k%baby] = true
 		}
 		var babyList []int
 		for j := range babySteps {
@@ -377,9 +480,8 @@ func evalRaw(e Engine, row []*LinearStage, in []Ct, withBias bool, primes int) C
 		}
 		babies[i] = e.RotateMany(in[i], babyList)
 	}
-	baby := carrier.Baby
 	var acc Ct
-	for g := 0; g < carrier.Giant; g++ {
+	for g := 0; g < b.giant; g++ {
 		var inner Ct
 		for i, blk := range row {
 			if blk == nil {
@@ -387,7 +489,7 @@ func evalRaw(e Engine, row []*LinearStage, in []Ct, withBias bool, primes int) C
 			}
 			for j := 0; j < baby; j++ {
 				k := g*baby + j
-				diag, ok := blk.Diags[k]
+				diag, ok := diags[i][k]
 				if !ok {
 					continue
 				}
@@ -412,9 +514,12 @@ func evalRaw(e Engine, row []*LinearStage, in []Ct, withBias bool, primes int) C
 			acc = e.Add(acc, inner)
 		}
 	}
+	for _, f := range b.folds {
+		acc = e.Add(acc, e.Rotate(acc, f))
+	}
 	if withBias {
 		// Bias joins at the pre-rescale scale S·q̃_ℓ.
-		acc = e.AddPlainVecCached(acc, carrier.Label+"/bias", carrier.Bias)
+		acc = e.AddPlainVecCached(acc, carrier.Label+"/bias", carrier.periodicBias(b.p))
 	}
 	return acc
 }
