@@ -81,16 +81,21 @@ opt-parity:
 ## declared rotations, every fold declared, baby·giant = p; every slot s
 ## of a folded stage ≈ (Mx+b)[s mod p] on random one- and two-block rows),
 ## the ≥15% engine-call reduction floor, the guard's predicted per-stage
-## noise bits for CNN1 and the 4-shard CNN3 on paper-shaped chains, and
+## noise bits for CNN1 and the 4-shard CNN3 on paper-shaped chains,
 ## CNN1's level profile (inputs dropped to the working levels before
 ## stage 0, whose plaintext scale spans as many primes as the top prime
-## is wide). All symbolic except the contract tests (tiny keys) and
-## TestImageTransformCountGolden, which keys CNN1 and the 4-shard CNN3 at
-## logN 11 to count one image's limb NTTs/INTTs (CNN1: 3,786; CNN3:
-## 11,517) and hold the RMS logit error at ≥ 11.5 bits (CNN1) and
-## ≥ 16.5 bits (CNN3) (~35 s on 2 vCPUs).
+## is wide; the same profile behind the 3-part RNS front-end), and the
+## RNS front-end's shape (stage 0 one block row over the digit parts,
+## block i = Bⁱ × the base block, one hoist group per part, no
+## OpRecombine, no rotation key beyond the base plan's). All symbolic
+## except the contract tests and TestLowerRNSPlan (tiny keys) and
+## TestImageTransformCountGolden, which keys CNN1, CNN1 behind 3 digit
+## parts and the 4-shard CNN3 at logN 11 to count one image's limb
+## NTTs/INTTs (CNN1: 3,786; CNN1 rns3: 5,230, 9,638 while each part ran
+## stage 0 on its own; CNN3: 11,517) and hold the RMS logit error at
+## ≥ 11.5 bits (CNN1, both) and ≥ 16.5 bits (CNN3) (~35 s on 2 vCPUs).
 opt-golden:
-	$(GO) test -run 'TestOptimizedGraphGolden|TestOptimizeOffPreservesLowering|TestShardedRowGiantSteps|TestDiagonalsReconstructMatrix|TestRotationsAreCoveredByBSGS|TestLinearStageMatchesMatVec|TestFoldedLinearContract|TestNoiseBudgetGolden|TestLevelProfileGolden|TestImageTransformCountGolden' ./internal/henn/
+	$(GO) test -run 'TestOptimizedGraphGolden|TestOptimizeOffPreservesLowering|TestShardedRowGiantSteps|TestDiagonalsReconstructMatrix|TestRotationsAreCoveredByBSGS|TestLinearStageMatchesMatVec|TestFoldedLinearContract|TestNoiseBudgetGolden|TestLevelProfileGolden|TestImageTransformCountGolden|TestLowerRNSPlan' ./internal/henn/
 
 ## shard-parity: the sharding gates — the shard package's unit and
 ## property suites (manifest split/join, wire round trip), the golden

@@ -2,7 +2,6 @@ package henn
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"cnnhe/internal/henn/exec"
@@ -18,8 +17,8 @@ import (
 // splits across Input.NumShards() ciphertexts (one for Compile's 1×1
 // grid), every stage maps a shard set to a shard set, and the pipeline
 // converges to a single ciphertext holding the logits. An optional RNS
-// digit front-end (NewRNSPlan) decomposes the image into digit parts
-// before the first stage.
+// digit front-end (NewRNSPlan) decomposes the image into digit parts,
+// which stage 0 reads as the blocks of one row.
 type Plan struct {
 	// Slots is the SIMD width the plan was compiled for.
 	Slots int
@@ -37,13 +36,14 @@ type Plan struct {
 	// Digits, when set, is the Fig. 5 CNN-RNS front-end: the image is
 	// decomposed into Digits.Digits digit tensors (rnsdec digit mode —
 	// the exact, fully homomorphic variant of the paper's residue
-	// decomposition, see DESIGN.md S4), the first linear stage runs on
-	// every part, and the parts recombine linearly inside the ciphertext
-	// before the remaining stages run once.
+	// decomposition, see DESIGN.md S4), one input ciphertext each, and
+	// stage 0 is one block row over the parts that recomposes them
+	// (NewRNSPlan).
 	Digits *rnsdec.DigitBasis
-	// Parallel schedules independent ops — notably per-shard block
-	// products and per-part convolutions — on the executor's bounded
-	// worker pool, one worker per input ciphertext.
+	// Parallel schedules independent ops — notably the block products
+	// of a row over several input ciphertexts (shards or digit parts) —
+	// on the executor's bounded worker pool, one worker per input
+	// ciphertext.
 	Parallel bool
 	// Opt configures the graph optimizer run between lowering and
 	// preparation; nil fuses reduction trees, and opt.Disabled()
@@ -228,9 +228,13 @@ func compile(m *nn.Model, slots int, opts Options, grid *shard.Grid) (*Plan, err
 	return plan, nil
 }
 
-// NewRNSPlan returns the Fig. 5 CNN-RNS pipeline over base: a plan
-// sharing base's stages whose front-end decomposes the image into k digit
-// parts covering 8-bit pixels. It needs a single-ciphertext input and a
+// NewRNSPlan returns the Fig. 5 CNN-RNS pipeline over base: the image
+// decomposes into k digit parts covering 8-bit pixels, in the smallest
+// base B with Bᵏ ≥ 256, and stage 0 is base's first linear stage as one
+// output row of k blocks, block i being the base block with its
+// diagonals times Bⁱ. By linearity Σᵢ Bⁱ·M·dᵢ = M·x, so the parts
+// recompose inside stage 0's giant-step sums, before any activation.
+// The later stages are base's. It needs a single-ciphertext input and a
 // linear first stage.
 func NewRNSPlan(base *Plan, k int, parallel bool) (*Plan, error) {
 	if len(base.Stages) == 0 {
@@ -239,45 +243,36 @@ func NewRNSPlan(base *Plan, k int, parallel bool) (*Plan, error) {
 	if base.NumShards() != 1 {
 		return nil, fmt.Errorf("henn: RNS pipeline needs a single-ciphertext input, plan has %d shards", base.NumShards())
 	}
-	if first, ok := base.Stages[0].(*ShardedLinear); !ok || len(first.Blocks) != 1 {
+	first, ok := base.Stages[0].(*ShardedLinear)
+	if !ok || len(first.Blocks) != 1 {
 		return nil, fmt.Errorf("henn: RNS pipeline requires a single-ciphertext linear first stage")
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("henn: need at least one part")
+	var db rnsdec.DigitBasis
+	for b := int64(2); db.Range() < 256; b++ {
+		var err error
+		if db, err = rnsdec.NewDigitBasis(b, k); err != nil {
+			return nil, err
+		}
 	}
-	// Smallest base with base^k ≥ 256.
-	base256 := int64(2)
-	for pow(base256, k) < 256 {
-		base256++
+	blk := first.Blocks[0][0]
+	row := make([]*LinearStage, k)
+	for i, w := range db.Weights() {
+		// Every block carries the row's bias (its length is the row
+		// count); only the carrier, part 0, adds it.
+		part := &LinearStage{Label: fmt.Sprintf("%s/p%d", blk.Label, i), Diags: map[int][]float64{}, Bias: blk.Bias, Slots: blk.Slots}
+		for d, diag := range blk.Diags {
+			part.Diags[d] = make([]float64, len(diag))
+			for s, v := range diag {
+				part.Diags[d][s] = w * v
+			}
+		}
+		row[i] = part
 	}
-	db, err := rnsdec.NewDigitBasis(base256, k)
-	if err != nil {
-		return nil, err
-	}
+	stages := append([]Stage{&ShardedLinear{Label: first.Label, Blocks: [][]*LinearStage{row}}}, base.Stages[1:]...)
 	return &Plan{
 		Slots: base.Slots, InputDim: base.InputDim, OutputDim: base.OutputDim, Input: base.Input,
-		Stages: base.Stages, Depth: base.Depth, Digits: &db, Parallel: parallel, Opt: base.Opt,
+		Stages: stages, Depth: base.Depth, Digits: &db, Parallel: parallel, Opt: base.Opt,
 	}, nil
-}
-
-// pow computes bᵏ, saturating at MaxInt64. The overflow guard runs
-// before every multiply: the earlier version returned mid-computation
-// once the product crossed 2³², silently capping bᵏ at whatever partial
-// power it had reached — harmless for the base-search caller (any value
-// ≥ 256 behaves the same) but wrong as soon as any caller needs the
-// true power.
-func pow(b int64, k int) int64 {
-	if b <= 0 {
-		return 0
-	}
-	r := int64(1)
-	for i := 0; i < k; i++ {
-		if r > math.MaxInt64/b {
-			return math.MaxInt64
-		}
-		r *= b
-	}
-	return r
 }
 
 // optimizeLowered runs the graph optimizer and records its pass metrics.

@@ -192,16 +192,16 @@ func TestExecutorParityGoldenTiny(t *testing.T) {
 		map[string]string{
 			"rns/plan/opt=off": "492fd3cde5f5b7566120ab974b7c9a6de396447cc9c54d056848eec5df2401db",
 			"rns/plan/opt=on":  "492fd3cde5f5b7566120ab974b7c9a6de396447cc9c54d056848eec5df2401db",
-			"rns/rns3/seq":     "76bf42d45fdb82c35d258025662dcc1c78e1e305583c2039581f39ec82f649e1",
-			"rns/rns3/par":     "76bf42d45fdb82c35d258025662dcc1c78e1e305583c2039581f39ec82f649e1",
-			"rns/rns3/off":     "76bf42d45fdb82c35d258025662dcc1c78e1e305583c2039581f39ec82f649e1",
+			"rns/rns3/seq":     "7cf97d50aec18c02a6f4999f9f7e9bf28ba90f4d78da42ad78c72ef5c5ef7f9d",
+			"rns/rns3/par":     "7cf97d50aec18c02a6f4999f9f7e9bf28ba90f4d78da42ad78c72ef5c5ef7f9d",
+			"rns/rns3/off":     "7cf97d50aec18c02a6f4999f9f7e9bf28ba90f4d78da42ad78c72ef5c5ef7f9d",
 			"rns/sharded":      "50ab95d30d4b48441f9290bdb4f7b40fb6cab9b762183393f5630d5797addaf4",
 			"rns/batch2":       "eee3b41f9cc0ce5a18a41e36a3eb5e797ffe3787c3d0c02710f30ec610fbdc21",
 			"big/plan/opt=off": "263fdcf1a8b4e21663400754548236a5972ce330d4d5ea76929d17b6e6dfaca1",
 			"big/plan/opt=on":  "263fdcf1a8b4e21663400754548236a5972ce330d4d5ea76929d17b6e6dfaca1",
-			"big/rns3/seq":     "3bdcd9ba4977d4b731b085177017441cf370a7fe9ad68126b28d553355cc133e",
-			"big/rns3/par":     "3bdcd9ba4977d4b731b085177017441cf370a7fe9ad68126b28d553355cc133e",
-			"big/rns3/off":     "3bdcd9ba4977d4b731b085177017441cf370a7fe9ad68126b28d553355cc133e",
+			"big/rns3/seq":     "05e2cc5274982f7eb91bd728ab4661e64617271b9aa55f92873427e534f7e2f0",
+			"big/rns3/par":     "05e2cc5274982f7eb91bd728ab4661e64617271b9aa55f92873427e534f7e2f0",
+			"big/rns3/off":     "05e2cc5274982f7eb91bd728ab4661e64617271b9aa55f92873427e534f7e2f0",
 			"big/sharded":      "e1ed361b87af81d0fc743b04e17815f30427a50f618012416bf25cce7b5b4bbd",
 			"big/batch2":       "f7fb3ae8dd4ef14100850e0d3e5ce4682f132df1cbbfedf86d9150106ba9163c",
 		})
@@ -237,9 +237,9 @@ func TestExecutorParityGoldenCNN1(t *testing.T) {
 		map[string]string{
 			"rns/plan/opt=off": "6d51db2217489c4e9fc2f6a6e3858010d8939944686e09866737ca701e2f24f1",
 			"rns/plan/opt=on":  "6d51db2217489c4e9fc2f6a6e3858010d8939944686e09866737ca701e2f24f1",
-			"rns/rns3/seq":     "d06aa094462e0249529b2ea9e0f87c76ced54582e35648ba3d5d0b272459f789",
-			"rns/rns3/par":     "d06aa094462e0249529b2ea9e0f87c76ced54582e35648ba3d5d0b272459f789",
-			"rns/rns3/off":     "d06aa094462e0249529b2ea9e0f87c76ced54582e35648ba3d5d0b272459f789",
+			"rns/rns3/seq":     "324930af185ab79732813a9700069467e3ae09f80f3fedbd6b9209634c7948d2",
+			"rns/rns3/par":     "324930af185ab79732813a9700069467e3ae09f80f3fedbd6b9209634c7948d2",
+			"rns/rns3/off":     "324930af185ab79732813a9700069467e3ae09f80f3fedbd6b9209634c7948d2",
 			"rns/sharded":      "97f2b031b531af78532712a2223b781464322a51b4aa9f4189dd43b0076f7c3f",
 		})
 }

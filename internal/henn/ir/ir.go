@@ -184,8 +184,8 @@ const (
 	// OpDropLevel discards Drop levels of Args[0].
 	OpDropLevel
 	// OpRecombine computes Σᵢ Weights[i]·Args[i] left-to-right with exact
-	// integer weights (Weights[0] must be 1): the Fig. 5 residue/digit
-	// recomposition.
+	// integer weights (Weights[0] must be 1): an Add tree the optimizer's
+	// fuse pass collapsed, each weight a leaf's multiplicity.
 	OpRecombine
 )
 
@@ -252,7 +252,7 @@ type Op struct {
 // StageInfo names one pipeline stage of the graph and its report row.
 type StageInfo struct {
 	// Name is the stage label announced to StageAware engines and used in
-	// Report rows ("encrypt", "stage 0 (…)", "rns parts", …).
+	// Report rows ("encrypt", "encrypt part 0", "stage 0 (…)", …).
 	Name string
 	// Out is the op whose result is the stage's reported ciphertext
 	// (-1 when the stage has no reportable output).

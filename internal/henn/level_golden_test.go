@@ -57,7 +57,10 @@ func paperParams(t *testing.T, k int) ckks.Parameters {
 // 26-bit primes stand in for the 40-bit top one); the 8-prime chain has
 // no spare level, so stage 0 stays on the top prime with no DropLevel;
 // Table IV's equal-width 366-bit split into 12 primes has spare levels
-// but m = 1. Symbolic: no keys.
+// but m = 1. The Fig. 5 front-end with 3 digit parts profiles like the
+// plain plan on the 13-prime chain: one DropLevel per part, and its
+// recomposition, inside stage 0's giant-step sums, adds no Rescale.
+// Symbolic: no keys.
 func TestLevelProfileGolden(t *testing.T) {
 	sweep, err := ckks.SweepParameters(11, 366, 12, math.Exp2(30))
 	if err != nil {
@@ -66,15 +69,22 @@ func TestLevelProfileGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		params ckks.Parameters
+		parts  int // digit parts of the RNS front-end; 0 is the plain plan
 		m      int // primes stage 0 spends
 		level0 int // the level stage 0 reads
 	}{
-		{"paper k=13", paperParams(t, 13), 2, 8},
-		{"paper k=8", paperParams(t, 8), 1, 7},
-		{"equal-width k=12", sweep, 1, 7},
+		{"paper k=13", paperParams(t, 13), 0, 2, 8},
+		{"paper k=8", paperParams(t, 8), 0, 1, 7},
+		{"equal-width k=12", sweep, 0, 1, 7},
+		{"rns3 paper k=13", paperParams(t, 13), 3, 2, 8},
 	} {
 		params := tc.params
 		_, plan := loadCNN1(t, params)
+		if tc.parts > 0 {
+			if plan, err = NewRNSPlan(plan, tc.parts, false); err != nil {
+				t.Fatal(err)
+			}
+		}
 		rest, level0 := plan.Depth-1, tc.level0
 		if rest+tc.m != level0 {
 			t.Fatalf("%s: CNN1 depth %d leaves stage 0 at level %d, want %d", tc.name, plan.Depth, rest+tc.m, level0)
@@ -198,6 +208,11 @@ func loadCNN3(t *testing.T, params ckks.Parameters) (*nn.Model, *Plan) {
 // over 4 shards on the 10-prime chain (the cnn3_sharded plan) was 23,139
 // (19,876 + 3,263) while every block of a row rotated its own giant
 // steps, and 11,805 (10,158 + 1,647) before its last stage folded.
+// CNN1 behind the Fig. 5 front-end with 3 digit parts on the 13-prime
+// chain was 9,638 while each part ran stage 0 on its own, rotating and
+// rescaling before a separate weighted recomposition; as one block row
+// over the parts it pays one rotation per giant step and one set of
+// rescales.
 //
 // The same engines then hold a precision floor, so a count cannot fall
 // by giving up bits: the RMS logit error against the plaintext model must
@@ -206,6 +221,14 @@ func loadCNN3(t *testing.T, params ckks.Parameters) (*nn.Model, *Plan) {
 func TestImageTransformCountGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CNN key generation skipped in short mode")
+	}
+	loadCNN1RNS3 := func(t *testing.T, params ckks.Parameters) (*nn.Model, *Plan) {
+		model, plan := loadCNN1(t, params)
+		rp, err := NewRNSPlan(plan, 3, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return model, rp
 	}
 	for _, tc := range []struct {
 		name      string
@@ -217,6 +240,7 @@ func TestImageTransformCountGolden(t *testing.T) {
 	}{
 		{"cnn1 k=13", 13, loadCNN1, dataset.SyntheticMNIST(8, 3), 3172, 614, 11.5},
 		{"cnn1 k=8", 8, loadCNN1, dataset.SyntheticMNIST(8, 3), 2884, 580, 11.5},
+		{"cnn1 rns3 k=13", 13, loadCNN1RNS3, dataset.SyntheticMNIST(8, 3), 4474, 756, 11.5},
 		{"cnn3 4 shards k=10", 10, loadCNN3, dataset.SyntheticCIFAR10(4, 3), 9966, 1551, 16.5},
 	} {
 		params := paperParams(t, tc.k)

@@ -8,14 +8,14 @@ import (
 )
 
 // This file lowers a compiled Plan to the explicit op graph of
-// internal/henn/ir. Lowering runs the plan's steps (Stage.Eval and the
-// RNS front-end) against a symbolic tracing engine whose ciphertexts
-// carry only an op ID and the statically inferred (level, scale).
+// internal/henn/ir. Lowering runs the plan's stages (Stage.Eval) against
+// a symbolic tracing engine whose ciphertexts carry only an op ID and the
+// statically inferred (level, scale).
 // Because every engine primitive transforms level and scale by a fixed
 // arithmetic rule (see the ir package doc), the trace is exact: the
 // levels and scales recorded here are precisely those a real backend
 // with the same parameters produces when the executor replays the graph.
-// Inference never runs the steps on a real engine; it runs the graph.
+// Inference never runs the stages on a real engine; it runs the graph.
 
 // traceCt is the tracer's symbolic ciphertext: the ID of the producing
 // op plus the statically inferred level and scale of its output.
@@ -217,39 +217,9 @@ func (t *tracer) MulRelin(a, b Ct) Ct {
 	})
 }
 
-// MulInt implements Engine. Integer recombination lowers to OpRecombine
-// through Recombine; no stage multiplies by a bare integer.
+// MulInt implements Engine. No stage multiplies by a bare integer.
 func (t *tracer) MulInt(ct Ct, n int64) Ct {
-	panic(fmt.Errorf("henn: lower: MulInt called inside a stage (recombination lowers to OpRecombine)"))
-}
-
-// Recombine implements ir.Recombiner symbolically, so the RNS
-// recomposition lowers to one OpRecombine (the executor evaluates the op
-// through ir.Combine).
-func (t *tracer) Recombine(args []Ct, weights []int64) Ct {
-	if len(args) == 0 || len(weights) != len(args) {
-		panic(fmt.Errorf("henn: lower: Recombine with %d args, %d weights", len(args), len(weights)))
-	}
-	if weights[0] != 1 {
-		panic(fmt.Errorf("henn: lower: Recombine weight[0] = %d, want 1", weights[0]))
-	}
-	first := t.in("Recombine", args[0])
-	ids := make([]int, len(args))
-	for i, a := range args {
-		x := t.in("Recombine", a)
-		if x.level != first.level {
-			panic(fmt.Errorf("henn: lower: Recombine level mismatch %d vs %d", x.level, first.level))
-		}
-		if !traceScaleClose(x.scale, first.scale) {
-			panic(fmt.Errorf("henn: lower: Recombine scale mismatch 2^%.2f vs 2^%.2f",
-				math.Log2(x.scale), math.Log2(first.scale)))
-		}
-		ids[i] = x.id
-	}
-	return t.emit(ir.Op{
-		Kind: ir.OpRecombine, Args: ids, Weights: append([]int64(nil), weights...), Hoist: -1,
-		Level: first.level, Scale: first.scale,
-	})
+	panic(fmt.Errorf("henn: lower: MulInt called inside a stage"))
 }
 
 // Rescale implements Engine.
@@ -344,10 +314,7 @@ func (t *tracer) AddPlainPt(ct Ct, pt Pt) Ct {
 	panic(fmt.Errorf("henn: lower: AddPlainPt called inside a stage (stages use the vector forms)"))
 }
 
-var (
-	_ Engine        = (*tracer)(nil)
-	_ ir.Recombiner = (*tracer)(nil)
-)
+var _ Engine = (*tracer)(nil)
 
 func allZero(v []float64) bool {
 	for _, x := range v {
@@ -368,51 +335,6 @@ func recoverLowerErr(err *error) {
 		}
 		*err = fmt.Errorf("henn: lower: %v", r)
 	}
-}
-
-// step is one recorded pipeline step over the current shard set, which
-// Lower runs against the symbolic tracer.
-type step struct {
-	name string
-	eval func(e Engine, in []Ct) []Ct
-}
-
-// steps lists the plan's recorded steps in order. A linear first stage
-// spends primes levels (Lower picks the count). With the RNS front-end
-// the first linear stage runs once per digit part (bias on part 0 only,
-// by the linearity argument of §4) and the parts recombine with exact
-// integer weights before the remaining stages run on the recomposed
-// ciphertext.
-func (p *Plan) steps(primes int) []step {
-	var out []step
-	stages, first := p.Stages, 0
-	if p.Digits != nil {
-		lin := p.Stages[0].(*ShardedLinear)
-		weights := make([]int64, p.Digits.Digits)
-		for i, w := range p.Digits.Weights() {
-			weights[i] = int64(w)
-		}
-		out = append(out,
-			step{"rns parts", func(e Engine, in []Ct) []Ct {
-				parts := make([]Ct, len(in))
-				for i, ct := range in {
-					parts[i] = lin.eval(e, []Ct{ct}, i == 0, primes)[0]
-				}
-				return parts
-			}},
-			step{"rns recompose", func(e Engine, in []Ct) []Ct {
-				return []Ct{ir.Combine(e, in, nil, weights)}
-			}})
-		stages, first = stages[1:], 1
-	}
-	for i, s := range stages {
-		eval := s.Eval
-		if lin, ok := s.(*ShardedLinear); ok && first+i == 0 {
-			eval = func(e Engine, in []Ct) []Ct { return lin.eval(e, in, true, primes) }
-		}
-		out = append(out, step{fmt.Sprintf("stage %d (%s)", first+i, s.Describe()), eval})
-	}
-	return out
 }
 
 // encryptName names the encrypt step of input ciphertext i.
@@ -442,7 +364,7 @@ func (p *Plan) numInputs() int {
 // scale drift, level mismatches — surface here as errors rather than
 // mid-inference panics.
 //
-// Inputs are encrypted at MaxLevel, and stage 0's step opens with one
+// Inputs are encrypted at MaxLevel, and stage 0 opens with one
 // DropLevel per ciphertext down to level rest+m, where rest = Σ_{i≥1}
 // Stages[i].Depth() (summed from the stages: hand-built plans leave
 // Plan.Depth at 0) is what the later stages consume, so no op carries
@@ -470,15 +392,20 @@ func (p *Plan) Lower(e Engine) (g *ir.Graph, err error) {
 		rest += s.Depth()
 	}
 	m := p.Stages[0].Depth()
-	if _, ok := p.Stages[0].(*ShardedLinear); ok {
+	first, linear := p.Stages[0].(*ShardedLinear)
+	if linear {
 		m = firstPrimes(e, rest)
 	}
-	for i, s := range p.steps(m) {
-		t.beginStage(s.name, true)
+	for i, s := range p.Stages {
+		t.beginStage(fmt.Sprintf("stage %d (%s)", i, s.Describe()), true)
 		if i == 0 {
 			t.dropTo(cur, rest+m)
 		}
-		cur = s.eval(t, cur)
+		if i == 0 && linear {
+			cur = first.eval(t, cur, m)
+		} else {
+			cur = s.Eval(t, cur)
+		}
 		t.setStageOut(t.in("stage output", cur[0]).id)
 	}
 	if len(cur) != 1 {

@@ -1,7 +1,9 @@
 package henn
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -58,15 +60,50 @@ func TestLowerTinyModel(t *testing.T) {
 	}
 }
 
+// TestLowerRNSPlan pins the Fig. 5 front-end's shape: stage 0 is one
+// block row over the digit parts, block i the base block's diagonals
+// times Bⁱ, so the parts recompose in stage 0's giant-step sums with one
+// hoist group per part, no OpRecombine and no rotation key beyond the
+// base plan's. It also pins the digit base, the smallest B with Bᵏ ≥ 256.
 func TestLowerRNSPlan(t *testing.T) {
 	m := tinyModel(1)
 	plan, err := Compile(m, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for k, base := range map[int]int64{1: 256, 2: 16, 3: 7, 8: 2, 13: 2} {
+		rp, err := NewRNSPlan(plan, k, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rp.Digits.Base != base || rp.Digits.Digits != k {
+			t.Errorf("k=%d: digit basis %+v, want base %d", k, *rp.Digits, base)
+		}
+	}
 	rp, err := NewRNSPlan(plan, 3, false)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rp.Rotations(), plan.Rotations()) {
+		t.Fatalf("RNS rotations %v, want the base plan's %v", rp.Rotations(), plan.Rotations())
+	}
+	blk := plan.Stages[0].(*ShardedLinear).Blocks[0][0]
+	row := rp.Stages[0].(*ShardedLinear).Blocks
+	if len(row) != 1 || len(row[0]) != 3 {
+		t.Fatalf("stage 0 has %d rows, want one row of 3 blocks", len(row))
+	}
+	for i, w := range rp.Digits.Weights() {
+		part := row[0][i]
+		if len(part.Diags) != len(blk.Diags) || !reflect.DeepEqual(part.Bias, blk.Bias) {
+			t.Fatalf("block %d: %d diagonals, bias %v; want %d, %v", i, len(part.Diags), part.Bias, len(blk.Diags), blk.Bias)
+		}
+		for d, diag := range blk.Diags {
+			for s, v := range diag {
+				if part.Diags[d][s] != w*v {
+					t.Fatalf("block %d diagonal %d slot %d = %g, want %g·%g", i, d, s, part.Diags[d][s], w, v)
+				}
+			}
+		}
 	}
 	e := rnsEngineFor(t, plan, 10, []int{40, 30, 30, 30, 30})
 	g, err := rp.Lower(e)
@@ -76,36 +113,32 @@ func TestLowerRNSPlan(t *testing.T) {
 	if g.Inputs != 3 {
 		t.Fatalf("inputs %d, want 3", g.Inputs)
 	}
-	wantNames := []string{"encrypt part 0", "encrypt part 1", "encrypt part 2", "rns parts", "rns recompose"}
-	for i, want := range wantNames {
-		if g.Stages[i].Name != want {
-			t.Fatalf("stage %d = %q, want %q", i, g.Stages[i].Name, want)
-		}
-	}
-	if got, want := len(g.Stages), len(wantNames)+len(plan.Stages)-1; got != want {
+	if got, want := len(g.Stages), 3+len(rp.Stages); got != want {
 		t.Fatalf("%d stages, want %d", got, want)
 	}
+	for i, st := range g.Stages {
+		want := fmt.Sprintf("encrypt part %d", i)
+		if i >= 3 {
+			want = fmt.Sprintf("stage %d (%s)", i-3, rp.Stages[i-3].Describe())
+		}
+		if st.Name != want || st.Record != (i >= 3) {
+			t.Fatalf("stage %d = %q (record %v), want %q", i, st.Name, st.Record, want)
+		}
+	}
 	st := g.Stats()
-	if st.ByKind[ir.OpEncrypt] != 3 {
-		t.Fatalf("%d encrypts, want 3", st.ByKind[ir.OpEncrypt])
+	if st.ByKind[ir.OpEncrypt] != 3 || st.ByKind[ir.OpRecombine] != 0 {
+		t.Fatalf("%d encrypts, %d recombines; want 3, 0", st.ByKind[ir.OpEncrypt], st.ByKind[ir.OpRecombine])
 	}
-	if st.ByKind[ir.OpRecombine] != 1 {
-		t.Fatalf("%d recombines, want 1", st.ByKind[ir.OpRecombine])
-	}
-	var rec ir.Op
-	for _, op := range g.Ops {
-		if op.Kind == ir.OpRecombine {
-			rec = op
+	// One hoist group per part in stage 0, each rotating that part's
+	// (dropped) input.
+	sources := map[int]bool{}
+	for _, members := range g.Hoists {
+		if op := g.Ops[members[0]]; op.Stage == 3 {
+			sources[op.Args[0]] = true
 		}
 	}
-	if len(rec.Args) != 3 || rec.Weights[0] != 1 {
-		t.Fatalf("recombine op %+v", rec)
-	}
-	w := rp.Digits.Weights()
-	for i, wi := range rec.Weights {
-		if wi != int64(w[i]) {
-			t.Fatalf("weight %d = %d, want %d", i, wi, int64(w[i]))
-		}
+	if len(sources) != 3 {
+		t.Fatalf("stage 0 hoists %d sources, want one per part", len(sources))
 	}
 }
 

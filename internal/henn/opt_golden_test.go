@@ -227,11 +227,14 @@ func TestOptimizedGraphGolden(t *testing.T) {
 		shape  string // the optimized graph's shapeDigest
 	}{
 		{"cnn1/plan", 11, compiled("cnn1", 1024), 1, goldenSize{ops: 1349, engineCalls: 135, rotateCalls: 53, hoists: 3}, "d995adfd20f65b28ff195039170f8c7c31d8b6b6d44a992e4baaf640cd80b1c9"},
-		{"cnn1/rns3", 11, rns3("cnn1", 1024), 3, goldenSize{ops: 3592, engineCalls: 270, rotateCalls: 117, hoists: 5},
-			"719f6edb39e2b2e206d6c2ff67d0337e06a658833f264801bac1b321013e59c6"},
+		// The Fig. 5 front-end: stage 0 is one row over the 3 digit
+		// parts, so each giant-step sum spans all parts before one
+		// rotation, and the parts recompose there.
+		{"cnn1/rns3", 11, rns3("cnn1", 1024), 3, goldenSize{ops: 3463, engineCalls: 141, rotateCalls: 55, hoists: 5},
+			"dd46a6e6d39f60cbc8dcbd0791cdeae43be95229dd3f80ed60929fb1f4ca1dc4"},
 		{"cnn2/plan", 12, compiled("cnn2", 2048), 1, goldenSize{ops: 3167, engineCalls: 208, rotateCalls: 83, hoists: 4}, "4a41c02ef3acc8c99b84a9a62bf08a1471b98368cf4d6cb8af7316cf46dc74bf"},
-		{"cnn2/rns3", 12, rns3("cnn2", 2048), 3, goldenSize{ops: 6988, engineCalls: 331, rotateCalls: 141, hoists: 6},
-			"69906b503960cc2dd9a619de1fa4a30cc59bc6f0ec702393de6f83fccea07876"},
+		{"cnn2/rns3", 12, rns3("cnn2", 2048), 3, goldenSize{ops: 6871, engineCalls: 214, rotateCalls: 85, hoists: 6},
+			"c796689ab45bbd15f4c3613086aea8ae5ebffb70868ce1c6d11aaaac57807751"},
 		// CIFAR-10 CNN3 over a 2×1 shard grid: the 3072-pixel input splits
 		// across two 2048-slot ciphertexts, so a block row sums every
 		// block's products per giant step before its one rotation.

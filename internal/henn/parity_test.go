@@ -250,28 +250,3 @@ func TestExecutorParityCNN2(t *testing.T) {
 	mk := rnsMaker(t, plan, 12, bits, 605)
 	checkPlanParity(t, plan, mk, img)
 }
-
-func TestPowOverflowGuard(t *testing.T) {
-	cases := []struct {
-		b    int64
-		k    int
-		want int64
-	}{
-		{2, 0, 1},
-		{2, 8, 256},
-		{3, 5, 243},
-		{2, 62, 1 << 62},
-		{2, 63, math.MaxInt64},  // would overflow: saturates
-		{3, 40, math.MaxInt64},  // 3^40 > 2^63
-		{10, 19, math.MaxInt64}, // 10^19 > 2^63
-		{256, 4, 1 << 32},       // the old early return capped here
-		{256, 5, 1 << 40},       // …and returned 2^32 instead of this
-		{1, 100, 1},
-		{0, 3, 0},
-	}
-	for _, tc := range cases {
-		if got := pow(tc.b, tc.k); got != tc.want {
-			t.Errorf("pow(%d, %d) = %d, want %d", tc.b, tc.k, got, tc.want)
-		}
-	}
-}

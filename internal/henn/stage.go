@@ -62,9 +62,10 @@ func union(ks []int) []int {
 type ShardedLinear struct {
 	Label string
 	// Blocks[j][i] is the (output shard j, input shard i) sub-matrix
-	// kernel; nil where the block is all-zero. Each block's Bias holds
-	// output shard j's bias slice, added only by the row's first non-nil
-	// block (the carrier).
+	// kernel; nil where the block is all-zero. On the RNS front-end's
+	// stage 0 the inputs are digit parts (NewRNSPlan). Each block's Bias
+	// holds output shard j's bias slice, added only by the row's first
+	// non-nil block (the carrier).
 	Blocks [][]*LinearStage
 }
 
@@ -123,17 +124,15 @@ func newShardedLinear(label string, mat *tensor.Tensor, bias []float64, in, out 
 }
 
 // Eval implements Stage.
-func (s *ShardedLinear) Eval(e Engine, in []Ct) []Ct { return s.eval(e, in, true, 1) }
+func (s *ShardedLinear) Eval(e Engine, in []Ct) []Ct { return s.eval(e, in, 1) }
 
 // eval evaluates each output row as one BSGS over its non-zero blocks
-// (evalRaw; the bias joins once when withBias is set), then rescales
-// primes times, so the stage consumes primes levels and ends at its
-// input scale. The RNS front-end evaluates its digit parts with withBias
-// set on part 0 only.
-func (s *ShardedLinear) eval(e Engine, in []Ct, withBias bool, primes int) []Ct {
+// (evalRaw), then rescales primes times, so the stage consumes primes
+// levels and ends at its input scale.
+func (s *ShardedLinear) eval(e Engine, in []Ct, primes int) []Ct {
 	out := make([]Ct, len(s.Blocks))
 	for j, row := range s.Blocks {
-		acc := evalRaw(e, row, in, withBias, primes)
+		acc := evalRaw(e, row, in, primes)
 		for range primes {
 			acc = e.Rescale(acc)
 		}
@@ -427,7 +426,7 @@ func rotateVec(v []float64, k int) []float64 {
 // Eval applies the kernel to one ciphertext. The output scale returns to
 // the input scale after the built-in rescale; one level is consumed.
 func (s *LinearStage) Eval(e Engine, x Ct) Ct {
-	return e.Rescale(evalRaw(e, []*LinearStage{s}, []Ct{x}, true, 1))
+	return e.Rescale(evalRaw(e, []*LinearStage{s}, []Ct{x}, 1))
 }
 
 // evalRaw evaluates one output row of blocks — row[i] reads in[i], nil
@@ -449,7 +448,7 @@ func (s *LinearStage) Eval(e Engine, x Ct) Ct {
 // that many primes from the input level down, and the caller rescales
 // once per prime: a plan's first stage uses this to get a plaintext scale
 // as wide as the top prime from narrower primes below it (Plan.Lower).
-func evalRaw(e Engine, row []*LinearStage, in []Ct, withBias bool, primes int) Ct {
+func evalRaw(e Engine, row []*LinearStage, in []Ct, primes int) Ct {
 	b := shapeOf(row)
 	baby := b.baby
 	var carrier *LinearStage
@@ -517,11 +516,8 @@ func evalRaw(e Engine, row []*LinearStage, in []Ct, withBias bool, primes int) C
 	for _, f := range b.folds {
 		acc = e.Add(acc, e.Rotate(acc, f))
 	}
-	if withBias {
-		// Bias joins at the pre-rescale scale S·q̃_ℓ.
-		acc = e.AddPlainVecCached(acc, carrier.Label+"/bias", carrier.periodicBias(b.p))
-	}
-	return acc
+	// Bias joins at the pre-rescale scale S·q̃_ℓ.
+	return e.AddPlainVecCached(acc, carrier.Label+"/bias", carrier.periodicBias(b.p))
 }
 
 // ActStage is the single-ciphertext activation kernel — one shard of a
