@@ -236,7 +236,7 @@ func main() {
 		engine.Name(), *logN, k, params.Chain.LogQ())
 
 	if *rnsParts > 0 {
-		plan, err = henn.NewRNSPlan(plan, *rnsParts, true)
+		plan, err = henn.NewRNSPlan(plan, *rnsParts)
 		if err != nil {
 			fatal("building RNS decomposition plan failed", "parts", *rnsParts, "err", err)
 		}

@@ -272,7 +272,7 @@ func Fig5(cfg Config, models *Models, w io.Writer) error {
 	fmt.Fprintf(w, "\n## Figure 5: CNN1-RNS input-decomposition pipeline (digit mode, logN=%d)\n\n", cfg.LogN)
 	fmt.Fprintf(w, "| parts k | Lat avg (s) | Acc over %d (%%) |\n|---|---|---|\n", cfg.Runs)
 	for _, parts := range []int{1, 2, 3, 4} {
-		rp, err := henn.NewRNSPlan(plan, parts, true)
+		rp, err := henn.NewRNSPlan(plan, parts)
 		if err != nil {
 			return err
 		}

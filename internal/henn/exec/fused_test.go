@@ -109,7 +109,7 @@ func TestFusedRecombineExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resRef, err := pRef.Run(ctx, in, Options{})
+	resRef, err := pRef.Run(ctx, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestFusedRecombineExecution(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := telemetry.NewRunRecorder()
-		res, err := p.Run(telemetry.WithRecorder(ctx, rec), in, Options{Workers: workers})
+		res, err := p.runWorkers(telemetry.WithRecorder(ctx, rec), in, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestFusedRecombineFreesInputs(t *testing.T) {
 	for i, id := range p.encryptOps {
 		rs.slots[id] = cts[i]
 	}
-	if err := rs.runSequential(context.Background(), &Result{}); err != nil {
+	if err := rs.run(context.Background(), 1, &Result{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range rs.slots {
@@ -191,7 +191,7 @@ func TestFusedMetricsStayLogical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Run(context.Background(), [][]float64{{1, 2, 3, 4}}, Options{}); err != nil {
+	if _, err := p.Run(context.Background(), [][]float64{{1, 2, 3, 4}}); err != nil {
 		t.Fatal(err)
 	}
 	diff := telemetry.Default().Snapshot().Sub(before)

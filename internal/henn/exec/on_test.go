@@ -83,11 +83,11 @@ func TestOnSharesPreparation(t *testing.T) {
 				t.Fatalf("%s: rebound copy does not share the preparation", tc.name)
 			}
 			in := [][]float64{{1, 2, 3, 4}}
-			want, err := p.Run(context.Background(), in, Options{})
+			want, err := p.Run(context.Background(), in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := q.Run(context.Background(), in, Options{Workers: workers})
+			got, err := q.runWorkers(context.Background(), in, workers)
 			if err != nil {
 				t.Fatalf("%s, workers=%d: %v", tc.name, workers, err)
 			}

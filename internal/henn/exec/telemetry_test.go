@@ -19,7 +19,7 @@ var testGraphKinds = map[string]int64{
 	"Rescale":  1,
 }
 
-func runTraced(t *testing.T, opts Options) *telemetry.RunRecorder {
+func runTraced(t *testing.T, workers int) *telemetry.RunRecorder {
 	t.Helper()
 	p, err := Prepare(&fakeEngine{}, testGraph())
 	if err != nil {
@@ -27,25 +27,26 @@ func runTraced(t *testing.T, opts Options) *telemetry.RunRecorder {
 	}
 	rec := telemetry.NewRunRecorder()
 	ctx := telemetry.WithRecorder(context.Background(), rec)
-	if _, err := p.Run(ctx, [][]float64{{1, 2, 3, 4}}, opts); err != nil {
+	if _, err := p.runWorkers(ctx, [][]float64{{1, 2, 3, 4}}, workers); err != nil {
 		t.Fatal(err)
 	}
 	return rec
 }
 
 // TestTraceCoversEveryOp asserts the recorder sees one logical op per
-// graph op, on both executor paths, with the hoist group collapsed into
-// a single RotateMany span.
+// graph op, on one worker and on four, with the hoist group collapsed
+// into a single RotateMany span, and every eval span stamped with the
+// instant its task became ready.
 func TestTraceCoversEveryOp(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts Options
+		name    string
+		workers int
 	}{
-		{"sequential", Options{}},
-		{"parallel", Options{Workers: 4}},
+		{"sequential", 1},
+		{"parallel", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := runTraced(t, tc.opts)
+			rec := runTraced(t, tc.workers)
 			g := testGraph()
 			if got := rec.OpCount(); got != len(g.Ops) {
 				t.Fatalf("recorded %d logical ops, graph has %d", got, len(g.Ops))
@@ -82,12 +83,9 @@ func TestTraceCoversEveryOp(t *testing.T) {
 			if len(phases) != 2 || phases[0].Name != "encrypt" || phases[1].Name != "eval" {
 				t.Fatalf("phases %+v, want encrypt + eval", phases)
 			}
-			if tc.opts.Workers > 1 {
-				// Parallel runs must stamp queue instants on eval spans.
-				for _, sp := range rec.Spans() {
-					if sp.Kind != "Encrypt" && sp.Queued.IsZero() {
-						t.Errorf("parallel %s span has no queued instant", sp.Kind)
-					}
+			for _, sp := range rec.Spans() {
+				if sp.Kind != "Encrypt" && sp.Queued.IsZero() {
+					t.Errorf("%s span has no queued instant", sp.Kind)
 				}
 			}
 		})
@@ -105,7 +103,7 @@ func TestGlobalMetricsWhenEnabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Run(context.Background(), [][]float64{{1, 2, 3, 4}}, Options{}); err != nil {
+	if _, err := p.Run(context.Background(), [][]float64{{1, 2, 3, 4}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -163,7 +161,7 @@ func TestDisabledRunRecordsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Run(context.Background(), [][]float64{{1, 2, 3, 4}}, Options{}); err != nil {
+	if _, err := p.Run(context.Background(), [][]float64{{1, 2, 3, 4}}); err != nil {
 		t.Fatal(err)
 	}
 	diff := telemetry.Default().Snapshot().Sub(before)

@@ -20,8 +20,7 @@ import (
 // product and Recombine on one offering only ir.Recombiner. Both must leave the same bits: the
 // same optimized graph is prepared twice over ONE backend — once as is,
 // once behind a wrapper that hides PlainRecombine — fed the same encrypted
-// inputs, and the serialized output ciphertexts compared, sequentially and
-// on the parallel scheduler.
+// inputs, and the serialized output ciphertexts compared.
 
 // chainOnly hides everything but ir.Engine and ir.Recombiner, forcing the
 // executor's unfused path on the wrapped backend.
@@ -78,7 +77,7 @@ func checkFusedParity(t *testing.T, e *RNSEngine, lowered *ir.Graph, inputs [][]
 		out    []byte
 		stages []exec.StageStat
 	}
-	leg := func(eng Engine) (outs []outcome) {
+	leg := func(eng Engine) outcome {
 		pr, err := exec.Prepare(eng, g)
 		if err != nil {
 			t.Fatal(err)
@@ -88,40 +87,31 @@ func checkFusedParity(t *testing.T, e *RNSEngine, lowered *ir.Graph, inputs [][]
 				t.Fatal(err)
 			}
 		}
-		for _, workers := range []int{1, 4} {
-			res, err := pr.RunEncrypted(ctx, cts, exec.Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("%T, %d workers: %v", eng, workers, err)
-			}
-			var b bytes.Buffer
-			if err := e.Ctx.WriteCiphertext(&b, res.Out.(*ckks.Ciphertext)); err != nil {
-				t.Fatal(err)
-			}
-			outs = append(outs, outcome{b.Bytes(), res.Stages})
+		res, err := pr.RunEncrypted(ctx, cts, exec.Options{})
+		if err != nil {
+			t.Fatalf("%T: %v", eng, err)
 		}
-		return outs
+		var b bytes.Buffer
+		if err := e.Ctx.WriteCiphertext(&b, res.Out.(*ckks.Ciphertext)); err != nil {
+			t.Fatal(err)
+		}
+		return outcome{b.Bytes(), res.Stages}
 	}
 	fused := leg(e)
 	debug.FreeOSMemory()
 	chain := leg(chainOnly{e})
 	debug.FreeOSMemory()
-	for i := range fused {
-		if !bytes.Equal(fused[i].out, chain[i].out) {
-			t.Fatalf("run %d: fused output ciphertext differs from the MulPlainPt+Recombine chain's", i)
-		}
-		if len(fused[i].stages) != len(chain[i].stages) {
-			t.Fatalf("run %d: %d vs %d stage rows", i, len(fused[i].stages), len(chain[i].stages))
-		}
-		for j := range fused[i].stages {
-			f, c := fused[i].stages[j], chain[i].stages[j]
-			if f.Name != c.Name || f.Level != c.Level || f.Scale != c.Scale || f.Ops != c.Ops {
-				t.Fatalf("run %d: stage row %d: fused %+v, chain %+v", i, j, f, c)
-			}
-		}
+	if !bytes.Equal(fused.out, chain.out) {
+		t.Fatal("fused output ciphertext differs from the MulPlainPt+Recombine chain's")
 	}
-	// Sequential and parallel schedules agree too.
-	if !bytes.Equal(fused[0].out, fused[1].out) {
-		t.Fatal("fused output depends on the worker count")
+	if len(fused.stages) != len(chain.stages) {
+		t.Fatalf("%d vs %d stage rows", len(fused.stages), len(chain.stages))
+	}
+	for j := range fused.stages {
+		f, c := fused.stages[j], chain.stages[j]
+		if f.Name != c.Name || f.Level != c.Level || f.Scale != c.Scale || f.Ops != c.Ops {
+			t.Fatalf("stage row %d: fused %+v, chain %+v", j, f, c)
+		}
 	}
 }
 

@@ -379,7 +379,7 @@ func TestRNSPlanMatchesBasePlan(t *testing.T) {
 	base, _ := plan.Infer(e, img)
 
 	for _, k := range []int{1, 2, 3} {
-		rp, err := NewRNSPlan(plan, k, false)
+		rp, err := NewRNSPlan(plan, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,34 +391,6 @@ func TestRNSPlanMatchesBasePlan(t *testing.T) {
 			if math.Abs(got[i]-base[i]) > 0.05 {
 				t.Fatalf("k=%d logit %d: %g vs base %g", k, i, got[i], base[i])
 			}
-		}
-	}
-}
-
-func TestRNSPlanParallelMatchesSequential(t *testing.T) {
-	m := tinyModel(13)
-	plan, err := Compile(m, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := rnsEngineFor(t, plan, 10, []int{40, 30, 30, 30, 30})
-	rng := rand.New(rand.NewSource(14))
-	img := testImage(rng, 64)
-
-	mk := func(parallel bool) *Plan {
-		rp, err := NewRNSPlan(plan, 2, parallel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rp
-	}
-	seq, _ := mk(false).Infer(e, img)
-	par, _ := mk(true).Infer(e, img)
-	// The two runs encrypt with fresh randomness, so results agree only up
-	// to encryption noise.
-	for i := range seq {
-		if math.Abs(seq[i]-par[i]) > 0.02 {
-			t.Fatalf("parallel RNS inference differs at logit %d: %g vs %g", i, seq[i], par[i])
 		}
 	}
 }
@@ -480,7 +452,7 @@ func TestInferCtxRejectsBadInput(t *testing.T) {
 	// Pixel values: non-finite ones on every plan, and values the digit
 	// front-end cannot decompose, are typed errors — never a panic, never
 	// garbage logits.
-	rp, err := NewRNSPlan(plan, 2, false)
+	rp, err := NewRNSPlan(plan, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,22 +179,17 @@ func (p *Plan) inputs(image []float64) ([][]float64, error) {
 	return parts, nil
 }
 
-// run evaluates one set of input vectors on the prepared graph and
-// decrypts at least need output slots. In Parallel mode independent ops
-// are scheduled over one worker per input ciphertext; every op's operands
-// are fixed by the graph, so the result does not depend on the schedule.
+// run evaluates one set of input vectors on the prepared graph (one
+// executor worker per input ciphertext) and decrypts at least need output
+// slots.
 func (p *Plan) run(ctx context.Context, e Engine, inputs [][]float64, need int, rep *Report) ([]float64, error) {
 	pr, _, err := p.prepare(e)
 	if err != nil {
 		rep.FailedStage = "prepare"
 		return nil, err
 	}
-	workers := 1
-	if p.Parallel {
-		workers = len(inputs)
-	}
 	defer telInferStart()()
-	res, err := pr.Run(ctx, inputs, exec.Options{Workers: workers})
+	res, err := pr.Run(ctx, inputs)
 	fillReport(rep, res)
 	if err != nil {
 		return nil, err

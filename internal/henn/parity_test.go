@@ -2,7 +2,6 @@ package henn
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime/debug"
@@ -20,8 +19,8 @@ import (
 // identically-seeded engine: key generation and the encrypt prologue then
 // draw the same PRNG sequence, and every evaluation op downstream is
 // deterministic. The optimizer's one pass (fuse) is bit-exact, so against
-// that reference -opt=on and the parallel executor, in both modes, must
-// produce bit-identical logits and report rows.
+// that reference -opt=on must produce bit-identical logits and report
+// rows, on every executor schedule.
 //
 // The reference itself is pinned by TestExecutorParityGolden*, whose
 // digests a change shared by every leg here cannot pass.
@@ -138,31 +137,29 @@ func checkPlanParity(t *testing.T, plan *Plan, mk engineMaker, image []float64) 
 	}
 }
 
-// checkRNSParity runs the decomposed pipeline sequentially and in
-// parallel in every optimizer mode against its sequential -opt=off run.
+// checkRNSParity runs the decomposed pipeline, one executor worker per
+// digit part, in every optimizer mode against its -opt=off run.
 func checkRNSParity(t *testing.T, base *Plan, k int, mk engineMaker, image []float64) {
 	ctx := context.Background()
 	var lgR Logits
 	var repR *Report
 	for _, mode := range parityModes() {
-		for _, parallel := range []bool{false, true} {
-			label := fmt.Sprintf("rns parallel=%v/%s", parallel, mode.name)
-			rp, err := NewRNSPlan(base, k, parallel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rp.Opt = mode.opts
-			debug.FreeOSMemory()
-			lg, rep, err := rp.InferCtx(ctx, mk(t), image)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if lgR == nil {
-				lgR, repR = lg, rep // sequential opt=off: the reference
-				continue
-			}
-			assertSameRun(t, label, lgR, lg, repR, rep)
+		label := "rns/" + mode.name
+		rp, err := NewRNSPlan(base, k)
+		if err != nil {
+			t.Fatal(err)
 		}
+		rp.Opt = mode.opts
+		debug.FreeOSMemory()
+		lg, rep, err := rp.InferCtx(ctx, mk(t), image)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if lgR == nil {
+			lgR, repR = lg, rep // opt=off: the reference
+			continue
+		}
+		assertSameRun(t, label, lgR, lg, repR, rep)
 	}
 }
 

@@ -127,17 +127,14 @@ func TestShardParityTiny(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, parallel := range []bool{false, true} {
-				sp2.Parallel = parallel
-				lgS, rep, err := sp2.InferCtx(ctx, tc.mk(t), img)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertLogitsClose(t, "cross-shard vs plan", lgP, lgS, 1e-3)
-				assertLogitsClose(t, "cross-shard vs plain", plain, lgS, 0.05)
-				if len(rep.Stages) == 0 {
-					t.Fatal("cross-shard run produced no stage report")
-				}
+			lgS, rep, err := sp2.InferCtx(ctx, tc.mk(t), img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertLogitsClose(t, "cross-shard vs plan", lgP, lgS, 1e-3)
+			assertLogitsClose(t, "cross-shard vs plain", plain, lgS, 0.05)
+			if len(rep.Stages) == 0 {
+				t.Fatal("cross-shard run produced no stage report")
 			}
 		})
 	}
@@ -197,18 +194,15 @@ func TestShardedCrossShardDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, parallel := range []bool{false, true} {
-			sp.Parallel = parallel
-			e, err := NewRNSEngine(params, sp.Rotations(), tc.seed+100)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lg, _, err := sp.InferCtx(ctx, e, img)
-			if err != nil {
-				t.Fatalf("seed %d parallel=%v: %v", tc.seed, parallel, err)
-			}
-			assertLogitsClose(t, "cross-shard dense", want, lg, 0.02)
+		e, err := NewRNSEngine(params, sp.Rotations(), tc.seed+100)
+		if err != nil {
+			t.Fatal(err)
 		}
+		lg, _, err := sp.InferCtx(ctx, e, img)
+		if err != nil {
+			t.Fatalf("seed %d: %v", tc.seed, err)
+		}
+		assertLogitsClose(t, "cross-shard dense", want, lg, 0.02)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestInferCountsEveryFrontEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rns, err := NewRNSPlan(plan, 3, false)
+	rns, err := NewRNSPlan(plan, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

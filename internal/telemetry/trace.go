@@ -22,11 +22,11 @@ type OpSpan struct {
 	Kind string
 	// Stage is the pipeline stage the op belongs to.
 	Stage string
-	// Worker identifies the executing worker (0 for sequential runs and
-	// the encrypt prologue).
+	// Worker identifies the executing worker (0 for the calling
+	// goroutine and the encrypt prologue).
 	Worker int
-	// Queued is when the op's task became runnable (zero when the run was
-	// sequential: there is no queue).
+	// Queued is when the op's task became runnable (zero for the
+	// encrypt prologue, which is not scheduled).
 	Queued time.Time
 	// Start and End bound the engine call.
 	Start time.Time
