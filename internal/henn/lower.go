@@ -397,7 +397,7 @@ func (p *Plan) Lower(e Engine) (g *ir.Graph, err error) {
 		m = firstPrimes(e, rest)
 	}
 	for i, s := range p.Stages {
-		t.beginStage(fmt.Sprintf("stage %d (%s)", i, s.Describe()), true)
+		t.beginStage(fmt.Sprintf("stage %d (%s)", i, p.describeStage(i)), true)
 		if i == 0 {
 			t.dropTo(cur, rest+m)
 		}

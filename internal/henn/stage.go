@@ -183,8 +183,13 @@ func (s *ShardedLinear) Describe() string {
 			}
 		}
 	}
-	desc := fmt.Sprintf("linear %s: %d->%d shards, %d/%d blocks", s.Label, in, out, nz, in*out)
-	// Name each distinct folded row BSGS; slot-wide rows add nothing.
+	return s.describe(fmt.Sprintf("%d->%d shards, %d/%d blocks", in, out, nz, in*out))
+}
+
+// describe names the stage by its label, io (what it maps to what) and
+// each distinct folded row BSGS; slot-wide rows add nothing.
+func (s *ShardedLinear) describe(io string) string {
+	desc := fmt.Sprintf("linear %s: %s", s.Label, io)
 	seen := map[string]bool{}
 	for _, row := range s.Blocks {
 		if b := shapeOf(row); len(b.folds) > 0 && !seen[b.String()] {
