@@ -3,7 +3,6 @@ package henn
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"cnnhe/internal/nn"
 )
@@ -192,15 +191,4 @@ func (bp *BatchPlan) InferBatchCtx(ctx context.Context, e Engine, images [][]flo
 		out[b] = Logits(append([]float64(nil), slots[off:off+bp.Plan.OutputDim]...))
 	}
 	return out, rep, nil
-}
-
-// InferBatch classifies up to Batch images in one encrypted evaluation.
-// It is a thin wrapper over InferBatchCtx with a background context,
-// kept for callers that only need logits and the evaluation latency.
-func (bp *BatchPlan) InferBatch(e Engine, images [][]float64) ([]Logits, time.Duration, error) {
-	logits, rep, err := bp.InferBatchCtx(context.Background(), e, images)
-	if err != nil {
-		return nil, 0, err
-	}
-	return logits, rep.Eval, nil
 }

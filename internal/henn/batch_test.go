@@ -156,11 +156,11 @@ func TestBatchedInferenceMatchesPlaintext(t *testing.T) {
 	images := [][]float64{
 		testImage(rng, 64), testImage(rng, 64), testImage(rng, 64), testImage(rng, 64),
 	}
-	logits, lat, err := bp.InferBatch(e, images)
+	logits, rep, err := bp.InferBatchCtx(context.Background(), e, images)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lat <= 0 {
+	if rep.Eval <= 0 {
 		t.Fatal("latency not measured")
 	}
 	for b, img := range images {
@@ -182,7 +182,7 @@ func TestBatchedPartialBatch(t *testing.T) {
 	e := rnsEngineFor(t, bp.Plan, 10, []int{40, 30, 30, 30, 30})
 	rng := rand.New(rand.NewSource(36))
 	images := [][]float64{testImage(rng, 64), testImage(rng, 64)}
-	logits, _, err := bp.InferBatch(e, images)
+	logits, _, err := bp.InferBatchCtx(context.Background(), e, images)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestBatchedPartialBatch(t *testing.T) {
 	// Overfull batch rejected.
 	six := append(images, images...)
 	six = append(six, images...)
-	if _, _, err := bp.InferBatch(e, six); err == nil {
+	if _, _, err := bp.InferBatchCtx(context.Background(), e, six); err == nil {
 		t.Fatal("expected error for overfull batch")
 	}
 }
@@ -217,7 +217,7 @@ func TestBatchOfOneMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	img := testImage(rng, 64)
 	a, _ := plan.Infer(e, img)
-	bs, _, err := bp.InferBatch(e, [][]float64{img})
+	bs, _, err := bp.InferBatchCtx(context.Background(), e, [][]float64{img})
 	if err != nil {
 		t.Fatal(err)
 	}
