@@ -8,8 +8,13 @@ GO ?= go
 ## tests.
 check: vet staticcheck build test race race-ring parity bench-selftest
 
+## vet: go vet, then gofmt -l over the root module and the nested
+## benchmark/ one; gofmt -l only reads, and any file it lists fails the
+## target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 ## staticcheck: honnef.co/go/tools; skipped with a notice when the
 ## binary is not on PATH (CI installs it, local toolchains may not).

@@ -258,12 +258,12 @@ func main() {
 		fmt.Printf("optimized graph (-opt=%s): %s\n", optOpts.Setting(), res.After)
 	}
 
-	// Each attempt gets a fresh guard and a fresh deadline: a tripped
-	// guard latches its first error and must not be reused. Lowering and
-	// ahead-of-time plaintext encoding are paid via Warm before the
-	// deadline clock starts — the timeout budgets ciphertext work only.
+	// Every attempt runs on one guard with a fresh deadline. Lowering and
+	// ahead-of-time plaintext encoding are paid via Warm (once: the plan
+	// keeps the graph prepared for g) before the deadline clock starts —
+	// the timeout budgets ciphertext work only.
+	g := guard.New(engine, guard.DefaultConfig())
 	attempt := func() (henn.Logits, *henn.Report, *telemetry.RunRecorder, error) {
-		g := guard.New(engine, guard.DefaultConfig())
 		if err := plan.Warm(g); err != nil {
 			return nil, &henn.Report{FailedStage: "prepare"}, nil, err
 		}

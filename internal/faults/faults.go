@@ -18,7 +18,7 @@
 // Injection is deterministic: the corrupted position is derived from
 // Seed, and the fault fires on the Nth call matching Op. Compose as
 //
-//	g := guard.New(faults.Wrap(engine, inj), cfg)
+//	g := guard.New(faults.Wrap(engine, inj), guard.DefaultConfig())
 //
 // so the guard observes the faulty backend exactly as it would a
 // hardware error, serialization bug, or scheduling stall.

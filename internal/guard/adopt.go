@@ -14,16 +14,13 @@ import (
 // at the (level, scale) the graph's noise budget assumes for a fresh
 // input is the executor's check (exec.Prepared.RunEncrypted).
 //
-// Unlike in-op validation, a rejected adoption does NOT latch the guard:
-// one malformed client payload must not poison the engine for subsequent
-// requests. The error is returned instead of panicking.
+// A rejected adoption returns its *StageError instead of panicking, and
+// the guard is as it was: one malformed client payload cannot affect the
+// requests that follow.
 func (g *GuardedEngine) Adopt(ct henn.Ct) (out henn.Ct, err error) {
 	const op = "Adopt"
 	if _, ok := ct.(*trackedCt); ok {
 		return ct, nil
-	}
-	if prior := g.Err(); prior != nil {
-		return nil, prior
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -31,13 +28,6 @@ func (g *GuardedEngine) Adopt(ct henn.Ct) (out henn.Ct, err error) {
 			if !ok {
 				panic(r)
 			}
-			// The failure was raised by this adoption (the guard was
-			// healthy on entry); clear the latch it set.
-			g.mu.Lock()
-			if g.err == error(se) {
-				g.err = nil
-			}
-			g.mu.Unlock()
 			out, err = nil, se
 		}
 	}()

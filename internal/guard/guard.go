@@ -16,29 +16,30 @@
 //     NoiseBits runs the internal/noise canonical-embedding bound over
 //     each graph the executor prepares for the guard, so a plan whose
 //     messages would drown is refused with ErrNoiseBudgetExhausted
-//     before it runs instead of returning drowned logits;
-//   - an optional context is checked on every engine op, so a stalled
-//     stage surfaces context.DeadlineExceeded at the next op boundary.
+//     before it runs instead of returning drowned logits.
 //
-// Op errors are raised by panicking with a *StageError; henn.Plan.InferCtx
-// recovers the panic and returns it as the error, so the composition
+// Op errors are raised by panicking with a *StageError; the executor
+// recovers the panic, names the failing op's stage around it and returns
+// it as the error, so the composition
 //
-//	g := guard.New(engine, guard.Config{Ctx: ctx})
+//	g := guard.New(engine, guard.DefaultConfig())
 //	logits, report, err := plan.InferCtx(ctx, g, image)
 //
-// yields typed errors end to end. A clean run through the guard computes
-// bit-identical logits to the unguarded engine: the guard never alters
-// ciphertexts, only observes them.
+// yields typed errors end to end. The guard keeps no per-run state: the
+// executor owns the current stage, the request context, cancellation and
+// the first failure of each run, so one guard serves any number of runs,
+// concurrent or not, and a failed run leaves nothing behind for the next.
+// A clean run through the guard computes bit-identical logits to the
+// unguarded engine: the guard never alters ciphertexts, only observes
+// them.
 package guard
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/big"
 	"sync"
-	"sync/atomic"
 
 	"cnnhe/internal/ckks"
 	"cnnhe/internal/ckksbig"
@@ -77,10 +78,11 @@ var (
 	ErrForeignCiphertext = errors.New("guard: foreign ciphertext")
 )
 
-// StageError locates a failure: the pipeline stage being evaluated (as
-// announced via BeginStage, or the graph stage NoiseBits refused), the
-// op that detected it, and the underlying cause (wrapping one of the
-// sentinel errors above).
+// StageError locates a failure: the op that detected it and the
+// underlying cause (wrapping one of the sentinel errors above). Stage is
+// set only where the guard knows it from the graph — the stage whose op
+// NoiseBits refused; an op abort leaves it empty, and the executor names
+// the failing op's stage around the error.
 type StageError struct {
 	Stage string
 	Op    string
@@ -89,22 +91,22 @@ type StageError struct {
 
 // Error implements error.
 func (e *StageError) Error() string {
-	stage := e.Stage
-	if stage == "" {
-		stage = "?"
+	if e.Stage == "" {
+		return fmt.Sprintf("guard: op %s: %v", e.Op, e.Cause)
 	}
-	return fmt.Sprintf("guard: stage %s, op %s: %v", stage, e.Op, e.Cause)
+	return fmt.Sprintf("guard: stage %s, op %s: %v", e.Stage, e.Op, e.Cause)
 }
 
 // Unwrap exposes the cause for errors.Is/errors.As.
 func (e *StageError) Unwrap() error { return e.Cause }
 
-// Config binds a guard to a request.
-type Config struct {
-	// Ctx, when non-nil, is checked before every engine op so deadline
-	// and cancellation fire mid-stage instead of at stage boundaries.
-	Ctx context.Context
-}
+// Config is empty: the guard has nothing to configure. It stays only
+// because benchmark/workloads.go calls DefaultConfig.
+type Config struct{}
+
+// DefaultConfig returns the empty Config. It stays only because
+// benchmark/workloads.go calls it.
+func DefaultConfig() Config { return Config{} }
 
 // DefaultMinNoiseBits is the noise-budget floor: NoiseBits refuses a
 // graph in which any op keeps fewer bits. It is calibrated against the
@@ -123,9 +125,6 @@ const DefaultMinNoiseBits = -192
 // scaleTol is the relative tolerance of scale-drift detection.
 const scaleTol = 1e-6
 
-// DefaultConfig returns a Config bound to no request.
-func DefaultConfig() Config { return Config{} }
-
 // trackedCt is the guard's ciphertext handle: the engine's ciphertext
 // plus the independently tracked scale mirror.
 type trackedCt struct {
@@ -140,13 +139,11 @@ type unwrapper interface {
 }
 
 // GuardedEngine wraps a henn.Engine with invariant checking, a noise
-// budget, panic conversion, and cancellation. It implements henn.Engine
-// plus the optional henn.StageAware interface and NoiseBits. Safe
-// for the same concurrency the wrapped engine supports (the guard's own
-// state is mutex-protected).
+// budget and panic conversion. It implements henn.Engine plus
+// ir.PlainRecombiner and NoiseBits. Safe for the same concurrency the
+// wrapped engine supports: its only mutable state is a cache.
 type GuardedEngine struct {
 	inner henn.Engine
-	cfg   Config
 	model noise.Model
 	ks    float64 // per-key-switch noise bound
 
@@ -155,23 +152,13 @@ type GuardedEngine struct {
 	rnsCtx *ckks.Context
 	bigCtx *ckksbig.Context
 
-	mu     sync.Mutex
-	stage  string
-	err    error
-	runCtx context.Context  // per-run request context (SetRunContext)
-	qAt    map[int]*big.Int // ckksbig: level → Q_ℓ cache
-
-	// Telemetry: per-stage gauges resolved at stage transitions
-	// (telemetry.go). curTel is nil whenever telemetry is disabled, so
-	// the per-op publish is one atomic load.
-	telMu     sync.Mutex
-	stageTels map[string]*stageTel
-	curTel    atomic.Pointer[stageTel]
+	mu  sync.Mutex
+	qAt map[int]*big.Int // ckksbig: level → Q_ℓ cache
 }
 
-// New wraps inner; cfg.Ctx, when set, binds the guard to a request.
-func New(inner henn.Engine, cfg Config) *GuardedEngine {
-	g := &GuardedEngine{inner: inner, cfg: cfg, qAt: map[int]*big.Int{}}
+// New wraps inner. Its Config argument is empty (see Config).
+func New(inner henn.Engine, _ Config) *GuardedEngine {
+	g := &GuardedEngine{inner: inner, qAt: map[int]*big.Int{}}
 
 	// Walk middleware to the base backend for noise-model parameters and
 	// structural validation handles.
@@ -217,63 +204,19 @@ func New(inner henn.Engine, cfg Config) *GuardedEngine {
 	return g
 }
 
-// Err returns the first failure the guard detected (nil while healthy).
-// Once set, every subsequent op aborts with the same error.
-func (g *GuardedEngine) Err() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.err
-}
-
-// Reset clears a latched failure and returns it (nil when the guard was
-// healthy), so a long-lived guard can be reused for the next independent
-// inference — a serving loop keeps one guard per engine because the
-// prepared-graph cache is keyed by engine identity, and re-wrapping
-// would re-lower and re-encode the whole graph on every failed batch.
-//
-// Reset is only sound at an inference boundary: ciphertext handles from
-// the failed run carry tracked state the failure may have left
-// inconsistent and must be discarded, never fed to post-Reset ops. The
-// scale mirror lives on the handles themselves, so a fresh
-// encrypt-to-decrypt run observes no state from before the Reset.
-func (g *GuardedEngine) Reset() error {
-	g.mu.Lock()
-	err := g.err
-	g.err = nil
-	g.stage = ""
-	g.mu.Unlock()
-	return err
-}
-
-// SetRunContext binds the guard to the current request's context for
-// failure attribution: a trace context attached to it (via
-// telemetry.WithTraceContext) is echoed on the guard's failure log
-// line, joining a guard abort to the request that caused it. Callers
-// that serialize runs (the keyed route evaluates under the client
-// entry lock) set it per request and clear it with nil afterwards.
-func (g *GuardedEngine) SetRunContext(ctx context.Context) {
-	g.mu.Lock()
-	g.runCtx = ctx
-	g.mu.Unlock()
-}
-
-// BeginStage implements henn.StageAware: subsequent failures are labelled
-// with name.
-func (g *GuardedEngine) BeginStage(name string) {
-	g.mu.Lock()
-	g.stage = name
-	g.mu.Unlock()
-	g.telBeginStage(name)
-}
+// Reset does nothing and returns nil: the guard keeps no per-run state
+// to clear. It stays only because benchmark/workloads.go calls it.
+func (g *GuardedEngine) Reset() error { return nil }
 
 // NoiseBits runs the internal/noise pass over gr with the guard's noise
 // model and returns every op's predicted log2(scale/noiseBound): the
 // significant fractional bits its result keeps. The executor calls it
 // once per graph it prepares for, or rebinds to, the guard. When some op
 // keeps fewer than DefaultMinNoiseBits it returns a *StageError wrapping
-// ErrNoiseBudgetExhausted that names the first such op; no ciphertext
-// was touched, so the guard is not latched. A base engine the guard does
-// not recognise has no noise model: nil bits, no error.
+// ErrNoiseBudgetExhausted that names the first such op and its stage.
+// With telemetry on it publishes the per-stage gauges (telStages). A
+// base engine the guard does not recognise has no noise model: nil bits,
+// no error.
 func (g *GuardedEngine) NoiseBits(gr *ir.Graph) ([]float64, error) {
 	if g.rnsCtx == nil && g.bigCtx == nil {
 		return nil, nil
@@ -287,41 +230,15 @@ func (g *GuardedEngine) NoiseBits(gr *ir.Graph) ([]float64, error) {
 					ErrNoiseBudgetExhausted, i, b, DefaultMinNoiseBits)}
 		}
 	}
-	g.telNoise(gr, bits)
+	telStages(gr, bits)
 	return bits, nil
 }
 
-// fail records the first error and aborts the current stage by panicking
-// with a *StageError; henn's InferCtx recovers it into a returned error.
+// fail aborts the current op by panicking with a *StageError; the
+// executor recovers it into the run's returned error.
 func (g *GuardedEngine) fail(op string, cause error) {
-	g.mu.Lock()
-	se := &StageError{Stage: g.stage, Op: op, Cause: cause}
-	first := g.err == nil
-	if first {
-		g.err = se
-	}
-	g.mu.Unlock()
-	if first {
-		g.telFailure(cause)
-	}
-	panic(se)
-}
-
-// pre runs the shared op preamble: context and sticky-error checks.
-func (g *GuardedEngine) pre(op string) {
-	if g.cfg.Ctx != nil {
-		if err := g.cfg.Ctx.Err(); err != nil {
-			g.fail(op, err)
-		}
-	}
-	g.mu.Lock()
-	err := g.err
-	g.mu.Unlock()
-	if err != nil {
-		// Already poisoned: abort immediately rather than computing on
-		// state that a previous failure may have left inconsistent.
-		panic(err)
-	}
+	telFailure(op, cause)
+	panic(&StageError{Op: op, Cause: cause})
 }
 
 // call invokes f, converting panics from the wrapped engine into
@@ -367,7 +284,6 @@ func (g *GuardedEngine) out(op string, ct henn.Ct, wantScale float64) henn.Ct {
 		g.fail(op, fmt.Errorf("%w: op produced scale 2^%.4f, expected 2^%.4f",
 			ErrScaleDrift, math.Log2(got), math.Log2(wantScale)))
 	}
-	g.telOut(ct, got)
 	return &trackedCt{ct: ct, scale: got}
 }
 
@@ -433,7 +349,6 @@ func (g *GuardedEngine) ScaleOf(ct henn.Ct) float64 { return g.inner.ScaleOf(pee
 // EncryptVec implements henn.Engine.
 func (g *GuardedEngine) EncryptVec(values []float64) henn.Ct {
 	const op = "EncryptVec"
-	g.pre(op)
 	g.checkVec(op, values)
 	ct := g.call(op, func() henn.Ct { return g.inner.EncryptVec(values) })
 	return g.out(op, ct, g.inner.Scale())
@@ -443,7 +358,6 @@ func (g *GuardedEngine) EncryptVec(values []float64) henn.Ct {
 // scanned for NaN/Inf.
 func (g *GuardedEngine) DecryptVec(ct henn.Ct) []float64 {
 	const op = "DecryptVec"
-	g.pre(op)
 	t, ok := ct.(*trackedCt)
 	if !ok {
 		g.fail(op, fmt.Errorf("%w: %T", ErrForeignCiphertext, ct))
@@ -462,7 +376,6 @@ func (g *GuardedEngine) DecryptVec(ct henn.Ct) []float64 {
 // Add implements henn.Engine.
 func (g *GuardedEngine) Add(a, b henn.Ct) henn.Ct {
 	const op = "Add"
-	g.pre(op)
 	ta, tb := g.in(op, a), g.in(op, b)
 	if !scaleClose(ta.scale, tb.scale) {
 		g.fail(op, fmt.Errorf("%w: operand scales 2^%.4f vs 2^%.4f",
@@ -475,7 +388,6 @@ func (g *GuardedEngine) Add(a, b henn.Ct) henn.Ct {
 // AddPlainVec implements henn.Engine.
 func (g *GuardedEngine) AddPlainVec(ct henn.Ct, v []float64) henn.Ct {
 	const op = "AddPlainVec"
-	g.pre(op)
 	t := g.in(op, ct)
 	g.checkVec(op, v)
 	out := g.call(op, func() henn.Ct { return g.inner.AddPlainVec(t.ct, v) })
@@ -485,7 +397,6 @@ func (g *GuardedEngine) AddPlainVec(ct henn.Ct, v []float64) henn.Ct {
 // AddPlainVecCached implements henn.Engine.
 func (g *GuardedEngine) AddPlainVecCached(ct henn.Ct, key string, v []float64) henn.Ct {
 	const op = "AddPlainVecCached"
-	g.pre(op)
 	t := g.in(op, ct)
 	g.checkVec(op, v)
 	out := g.call(op, func() henn.Ct { return g.inner.AddPlainVecCached(t.ct, key, v) })
@@ -502,7 +413,6 @@ func (g *GuardedEngine) checkPtScale(op string, scale float64) {
 // MulPlainVecAtScale implements henn.Engine.
 func (g *GuardedEngine) MulPlainVecAtScale(ct henn.Ct, v []float64, scale float64) henn.Ct {
 	const op = "MulPlainVecAtScale"
-	g.pre(op)
 	t := g.in(op, ct)
 	g.checkVec(op, v)
 	g.checkPtScale(op, scale)
@@ -513,7 +423,6 @@ func (g *GuardedEngine) MulPlainVecAtScale(ct henn.Ct, v []float64, scale float6
 // MulPlainVecCached implements henn.Engine.
 func (g *GuardedEngine) MulPlainVecCached(ct henn.Ct, key string, v []float64, scale float64) henn.Ct {
 	const op = "MulPlainVecCached"
-	g.pre(op)
 	t := g.in(op, ct)
 	g.checkVec(op, v)
 	g.checkPtScale(op, scale)
@@ -524,7 +433,6 @@ func (g *GuardedEngine) MulPlainVecCached(ct henn.Ct, key string, v []float64, s
 // MulRelin implements henn.Engine.
 func (g *GuardedEngine) MulRelin(a, b henn.Ct) henn.Ct {
 	const op = "MulRelin"
-	g.pre(op)
 	ta, tb := g.in(op, a), g.in(op, b)
 	ct := g.call(op, func() henn.Ct { return g.inner.MulRelin(ta.ct, tb.ct) })
 	return g.out(op, ct, ta.scale*tb.scale)
@@ -533,7 +441,6 @@ func (g *GuardedEngine) MulRelin(a, b henn.Ct) henn.Ct {
 // MulInt implements henn.Engine.
 func (g *GuardedEngine) MulInt(ct henn.Ct, n int64) henn.Ct {
 	const op = "MulInt"
-	g.pre(op)
 	t := g.in(op, ct)
 	out := g.call(op, func() henn.Ct { return g.inner.MulInt(t.ct, n) })
 	return g.out(op, out, t.scale)
@@ -542,10 +449,10 @@ func (g *GuardedEngine) MulInt(ct henn.Ct, n int64) henn.Ct {
 // PlainRecombine implements ir.PlainRecombiner, so a guarded engine keeps
 // the executor's fused linear-stage call; nil pts is a pure integer
 // recombination. When the inner engine offers the call too, or there are
-// no products, the whole combination pays one preamble and one output
-// validation and runs on the inner engine through ir.Combine: every
-// operand is still validated and scale-checked, and every absorbed
-// plaintext still level-checked. Otherwise each product is first
+// no products, the whole combination pays one output validation and
+// runs on the inner engine through ir.Combine: every operand is still
+// validated and scale-checked, and every absorbed plaintext still
+// level-checked. Otherwise each product is first
 // evaluated and validated by the guard's own MulPlainPt.
 func (g *GuardedEngine) PlainRecombine(args []henn.Ct, pts []henn.Pt, weights []int64) henn.Ct {
 	const op = "PlainRecombine"
@@ -559,7 +466,6 @@ func (g *GuardedEngine) PlainRecombine(args []henn.Ct, pts []henn.Pt, weights []
 		}
 		return g.PlainRecombine(terms, nil, weights)
 	}
-	g.pre(op)
 	innerArgs := make([]henn.Ct, len(args))
 	var innerPts []henn.Pt
 	if pts != nil {
@@ -589,7 +495,6 @@ func (g *GuardedEngine) PlainRecombine(args []henn.Ct, pts []henn.Pt, weights []
 // Rescale implements henn.Engine.
 func (g *GuardedEngine) Rescale(ct henn.Ct) henn.Ct {
 	const op = "Rescale"
-	g.pre(op)
 	t := g.in(op, ct)
 	level := g.inner.Level(t.ct)
 	if level <= 0 {
@@ -603,7 +508,6 @@ func (g *GuardedEngine) Rescale(ct henn.Ct) henn.Ct {
 // DropLevel implements henn.Engine.
 func (g *GuardedEngine) DropLevel(ct henn.Ct, n int) henn.Ct {
 	const op = "DropLevel"
-	g.pre(op)
 	t := g.in(op, ct)
 	if n < 0 || g.inner.Level(t.ct)-n < 0 {
 		g.fail(op, fmt.Errorf("%w: drop %d levels from level %d", ErrLevelExhausted, n, g.inner.Level(t.ct)))
@@ -615,7 +519,6 @@ func (g *GuardedEngine) DropLevel(ct henn.Ct, n int) henn.Ct {
 // Rotate implements henn.Engine.
 func (g *GuardedEngine) Rotate(ct henn.Ct, k int) henn.Ct {
 	const op = "Rotate"
-	g.pre(op)
 	t := g.in(op, ct)
 	if k == 0 {
 		return t
@@ -627,12 +530,11 @@ func (g *GuardedEngine) Rotate(ct henn.Ct, k int) henn.Ct {
 // RotateMany implements henn.Engine.
 func (g *GuardedEngine) RotateMany(ct henn.Ct, ks []int) map[int]henn.Ct {
 	const op = "RotateMany"
-	g.pre(op)
 	t := g.in(op, ct)
 	var outs map[int]henn.Ct
 	g.call(op, func() henn.Ct { outs = g.inner.RotateMany(t.ct, ks); return nil })
 	// Validate in the caller's order, so the first bad output named is
-	// the same on every call (and so are the stage gauges it publishes).
+	// the same on every call.
 	m := make(map[int]henn.Ct, len(outs))
 	for _, k := range ks {
 		o, ok := outs[k]
@@ -662,7 +564,6 @@ type trackedPt struct {
 // check level and scale without re-reading the values.
 func (g *GuardedEngine) EncodeVecsAt(specs []henn.PlainSpec) []henn.Pt {
 	const op = "EncodeVecsAt"
-	g.pre(op)
 	for _, s := range specs {
 		g.checkVec(op, s.Values)
 		g.checkPtScale(op, s.Scale)
@@ -699,7 +600,6 @@ func (g *GuardedEngine) inPt(op string, t *trackedCt, pt henn.Pt) *trackedPt {
 // MulPlainPt implements henn.Engine.
 func (g *GuardedEngine) MulPlainPt(ct henn.Ct, pt henn.Pt) henn.Ct {
 	const op = "MulPlainPt"
-	g.pre(op)
 	t := g.in(op, ct)
 	tp := g.inPt(op, t, pt)
 	out := g.call(op, func() henn.Ct { return g.inner.MulPlainPt(t.ct, tp.pt) })
@@ -709,7 +609,6 @@ func (g *GuardedEngine) MulPlainPt(ct henn.Ct, pt henn.Pt) henn.Ct {
 // AddPlainPt implements henn.Engine.
 func (g *GuardedEngine) AddPlainPt(ct henn.Ct, pt henn.Pt) henn.Ct {
 	const op = "AddPlainPt"
-	g.pre(op)
 	t := g.in(op, ct)
 	tp := g.inPt(op, t, pt)
 	if !scaleClose(t.scale, tp.scale) {
@@ -722,6 +621,5 @@ func (g *GuardedEngine) AddPlainPt(ct henn.Ct, pt henn.Pt) henn.Ct {
 
 var (
 	_ henn.Engine        = (*GuardedEngine)(nil)
-	_ henn.StageAware    = (*GuardedEngine)(nil)
 	_ ir.PlainRecombiner = (*GuardedEngine)(nil)
 )

@@ -1,63 +1,20 @@
 package guard
 
 import (
-	"context"
 	"errors"
 	"log/slog"
 	"math"
 
-	"cnnhe/internal/henn"
 	"cnnhe/internal/henn/ir"
 	"cnnhe/internal/telemetry"
 )
 
-// stageTel caches the per-stage gauges so the per-op hot path never
-// takes the registry lock: gauges are resolved once per stage
-// transition (BeginStage) and updated with plain atomic stores.
-type stageTel struct {
-	noise *telemetry.Gauge
-	level *telemetry.Gauge
-	scale *telemetry.Gauge
-}
-
-// telBeginStage resolves the per-stage gauges for name, or clears the
-// current set when telemetry is disabled.
-func (g *GuardedEngine) telBeginStage(name string) {
-	if !telemetry.Enabled() {
-		g.curTel.Store(nil)
-		return
-	}
-	g.curTel.Store(g.stageTel(name))
-}
-
-// stageTel returns the gauges of stage name, registering them on first
-// use.
-func (g *GuardedEngine) stageTel(name string) *stageTel {
-	g.telMu.Lock()
-	defer g.telMu.Unlock()
-	if g.stageTels == nil {
-		g.stageTels = map[string]*stageTel{}
-	}
-	st, ok := g.stageTels[name]
-	if !ok {
-		r := telemetry.Default()
-		l := telemetry.L("stage", name)
-		st = &stageTel{
-			noise: r.Gauge("cnnhe_guard_stage_noise_bits",
-				"predicted noise budget (log2 scale/noise) of the stage's last op in graph order", l),
-			level: r.Gauge("cnnhe_guard_stage_level",
-				"ciphertext level of the stage's last op result", l),
-			scale: r.Gauge("cnnhe_guard_stage_scale_log2",
-				"log2 ciphertext scale of the stage's last op result", l),
-		}
-		g.stageTels[name] = st
-	}
-	return st
-}
-
-// telNoise publishes a graph's predicted noise budget per stage: the
-// bits of each stage's last op in graph order.
-func (g *GuardedEngine) telNoise(gr *ir.Graph, bits []float64) {
+// telStages publishes a graph's per-stage gauges, each read off the
+// stage's last op in graph order: the predicted noise budget, and the
+// level and log2 scale the graph assigns that op, which are exact by
+// construction. It runs once per graph the guard's NoiseBits passes, so
+// no engine op publishes anything.
+func telStages(gr *ir.Graph, bits []float64) {
 	if !telemetry.Enabled() {
 		return
 	}
@@ -65,22 +22,20 @@ func (g *GuardedEngine) telNoise(gr *ir.Graph, bits []float64) {
 	for i := range gr.Ops {
 		last[gr.Ops[i].Stage] = i
 	}
+	r := telemetry.Default()
 	for s, st := range gr.Stages {
-		if gr.Ops[last[s]].Stage == s {
-			g.stageTel(st.Name).noise.Set(bits[last[s]])
+		op := &gr.Ops[last[s]]
+		if op.Stage != s {
+			continue // a stage without ops
 		}
+		l := telemetry.L("stage", st.Name)
+		r.Gauge("cnnhe_guard_stage_noise_bits",
+			"predicted noise budget (log2 scale/noise) of the stage's last op in graph order", l).Set(bits[last[s]])
+		r.Gauge("cnnhe_guard_stage_level",
+			"ciphertext level of the stage's last op in graph order", l).Set(float64(op.Level))
+		r.Gauge("cnnhe_guard_stage_scale_log2",
+			"log2 ciphertext scale of the stage's last op in graph order", l).Set(math.Log2(op.Scale))
 	}
-}
-
-// telOut publishes the op result's level and scale onto the current
-// stage's gauges.
-func (g *GuardedEngine) telOut(ct henn.Ct, scale float64) {
-	st := g.curTel.Load()
-	if st == nil {
-		return
-	}
-	st.scale.Set(math.Log2(scale))
-	st.level.Set(float64(g.inner.Level(ct)))
 }
 
 // telConfigured publishes the guard's enforcement threshold (once per
@@ -93,23 +48,12 @@ func (g *GuardedEngine) telConfigured() {
 		"noise-budget floor (DefaultMinNoiseBits)").Set(DefaultMinNoiseBits)
 }
 
-// telFailure counts a guard abort by failure class and logs it with
-// the run's trace identity so the abort can be joined to the request
-// that caused it. Failures are rare, so the registry lookup and the
-// log line both happen inline.
-func (g *GuardedEngine) telFailure(cause error) {
-	g.mu.Lock()
-	stage := g.stage
-	rctx := g.runCtx
-	g.mu.Unlock()
-	if rctx == nil {
-		rctx = g.cfg.Ctx
-	}
-	args := []any{"class", failureClass(cause), "stage", stage, "err", cause.Error()}
-	if tc, ok := telemetry.TraceContextFrom(rctx); ok {
-		args = append(args, "trace_id", tc.TraceIDString(), "request_id", tc.SpanIDString())
-	}
-	slog.Warn("guard abort", args...)
+// telFailure logs a guard abort and counts it by failure class. The
+// request that caused it is named by the caller's own log line (trace
+// and request IDs, failed stage). Failures are rare, so the registry
+// lookup and the log line both happen inline.
+func telFailure(op string, cause error) {
+	slog.Warn("guard abort", "class", failureClass(cause), "op", op, "err", cause.Error())
 	if !telemetry.Enabled() {
 		return
 	}
@@ -137,8 +81,6 @@ func failureClass(cause error) string {
 		return "engine_panic"
 	case errors.Is(cause, ErrForeignCiphertext):
 		return "foreign_ciphertext"
-	case errors.Is(cause, context.Canceled), errors.Is(cause, context.DeadlineExceeded):
-		return "context"
 	}
 	return "other"
 }

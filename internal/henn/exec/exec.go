@@ -19,6 +19,10 @@
 // executes together with the plaintext products it absorbs as one
 // ir.Combine call (one engine call on an ir.PlainRecombiner engine).
 // Intermediate ciphertexts are reference-counted and released at last use.
+// The run owns its per-run state: the context is checked before every
+// task, and the first failure stops every worker and is returned as
+// "henn: <stage>: …" with the failing op's stage, which the Result's
+// FailedStage names too.
 package exec
 
 import (
@@ -64,10 +68,8 @@ type Result struct {
 	FailedStage string
 }
 
-// stageAware mirrors henn.StageAware (structural, so no import is
-// needed); noiseAware engines (the guard) predict every op's noise budget
-// for a graph, or refuse the graph with an error.
-type stageAware interface{ BeginStage(name string) }
+// noiseAware engines (the guard) predict every op's noise budget for a
+// graph, or refuse the graph with an error.
 type noiseAware interface {
 	NoiseBits(g *ir.Graph) ([]float64, error)
 }
@@ -354,66 +356,43 @@ func (p *Prepared) buildTasks() {
 // runState is the per-Run mutable state.
 type runState struct {
 	p     *Prepared
-	sa    stageAware
 	tel   *runTel // nil when telemetry is fully off for this run
 	slots []ir.Ct
 	use   []int32
 
-	mu       sync.Mutex
-	wake     sync.Cond // signalled when a task becomes ready or the run ends
-	ready    []int     // entry ops of the runnable tasks, ascending
-	indeg    []int     // unfinished dependencies per task
-	pending  int       // tasks not yet finished
-	err      error     // the first failure; stops every worker
-	curStage int
-	started  []bool
-	start    []time.Time
-	end      []time.Time
-	stats    []StageStat
-	done     []bool // stage Out op completed
+	mu      sync.Mutex
+	wake    sync.Cond // signalled when a task becomes ready or the run ends
+	ready   []int     // entry ops of the runnable tasks, ascending
+	indeg   []int     // unfinished dependencies per task
+	pending int       // tasks not yet finished
+	err     error     // the first failure; stops every worker
+	started []bool
+	start   []time.Time
+	end     []time.Time
+	stats   []StageStat
+	done    []bool // stage Out op completed
 }
 
 func (p *Prepared) newRunState() *runState {
 	rs := &runState{
-		p:        p,
-		slots:    make([]ir.Ct, len(p.g.Ops)),
-		use:      make([]int32, len(p.g.Ops)),
-		ready:    make([]int, 0, len(p.tasks)), // each task is pushed once: never regrows
-		indeg:    make([]int, len(p.tasks)),
-		pending:  len(p.tasks),
-		curStage: -1,
-		started:  make([]bool, len(p.g.Stages)),
-		start:    make([]time.Time, len(p.g.Stages)),
-		end:      make([]time.Time, len(p.g.Stages)),
-		stats:    make([]StageStat, len(p.g.Stages)),
-		done:     make([]bool, len(p.g.Stages)),
+		p:       p,
+		slots:   make([]ir.Ct, len(p.g.Ops)),
+		use:     make([]int32, len(p.g.Ops)),
+		ready:   make([]int, 0, len(p.tasks)), // each task is pushed once: never regrows
+		indeg:   make([]int, len(p.tasks)),
+		pending: len(p.tasks),
+		started: make([]bool, len(p.g.Stages)),
+		start:   make([]time.Time, len(p.g.Stages)),
+		end:     make([]time.Time, len(p.g.Stages)),
+		stats:   make([]StageStat, len(p.g.Stages)),
+		done:    make([]bool, len(p.g.Stages)),
 	}
 	copy(rs.use, p.use)
 	rs.wake.L = &rs.mu
-	rs.sa, _ = p.e.(stageAware)
 	for s, st := range p.g.Stages {
 		rs.stats[s] = StageStat{Name: st.Name, NoiseBits: math.NaN(), Ops: p.stageOps[s]}
 	}
 	return rs
-}
-
-// announce tells a StageAware engine the current stage, once per
-// transition. With several workers, ops of different stages interleave,
-// so the engine's notion of the current stage is best-effort; the
-// Result's FailedStage is not, it names the failing op's stage.
-func (rs *runState) announce(stage int) {
-	if rs.sa == nil {
-		return
-	}
-	rs.mu.Lock()
-	changed := stage != rs.curStage
-	if changed {
-		rs.curStage = stage
-	}
-	rs.mu.Unlock()
-	if changed {
-		rs.sa.BeginStage(rs.p.g.Stages[stage].Name)
-	}
 }
 
 // opStarted/opDone maintain per-stage wall-clock spans and capture the
@@ -486,7 +465,7 @@ func (rs *runState) finish(res *Result) {
 
 // execOp runs one non-encrypt op (or, for the first member of a hoist
 // group, the whole group via a single RotateMany). Panics are converted
-// to errors; error values (e.g. guard stage errors) pass through intact.
+// to errors (panicErr); the caller names the op's stage around them.
 // worker and taskIdx attribute the work for telemetry.
 func (rs *runState) execOp(id, worker, taskIdx int) (err error) {
 	p := rs.p
@@ -494,11 +473,7 @@ func (rs *runState) execOp(id, worker, taskIdx int) (err error) {
 	name := p.g.Stages[op.Stage].Name
 	defer func() {
 		if r := recover(); r != nil {
-			if e, ok := r.(error); ok {
-				err = e
-				return
-			}
-			err = fmt.Errorf("henn: panic in %s: %v", name, r)
+			err = panicErr(r)
 		}
 	}()
 	t0 := time.Now()
@@ -522,7 +497,7 @@ func (rs *runState) execOp(id, worker, taskIdx int) (err error) {
 		for _, m := range members {
 			ct, ok := outs[p.g.Ops[m].K]
 			if !ok {
-				return fmt.Errorf("henn: %s: RotateMany dropped rotation %d", name, p.g.Ops[m].K)
+				return fmt.Errorf("RotateMany dropped rotation %d", p.g.Ops[m].K)
 			}
 			rs.slots[m] = ct
 			rs.opDone(m, ct, now)
@@ -558,7 +533,7 @@ func (rs *runState) execOp(id, worker, taskIdx int) (err error) {
 		ct = ir.Combine(p.e, args, pts, op.Weights)
 		covered += n
 	default:
-		return fmt.Errorf("henn: %s: cannot execute %s op", name, op.Kind)
+		return fmt.Errorf("cannot execute %s op", op.Kind)
 	}
 	now := time.Now()
 	var he heAttr
@@ -597,42 +572,44 @@ func (rs *runState) absorbedOperands(id int, args []ir.Ct) (pts []ir.Pt, n int) 
 	return pts, n
 }
 
+// panicErr turns a recovered panic into an error: an error value (e.g. a
+// guard's *StageError) as it is, anything else formatted.
+func panicErr(r any) error {
+	if e, ok := r.(error); ok {
+		return e
+	}
+	return fmt.Errorf("panic: %v", r)
+}
+
 // EncryptInputs runs the graph's encrypt prologue serially in op order
 // (encryption draws from the engine's PRNG, so a fixed call order keeps
 // identically seeded runs bit-identical). The returned slice is indexed
-// like the graph's encrypt ops.
+// like the graph's encrypt ops. An error names the failing op's stage
+// ("henn: <stage>: …") and is returned with that stage.
 func (p *Prepared) EncryptInputs(ctx context.Context, inputs [][]float64) (cts []ir.Ct, d time.Duration, failedStage string, err error) {
 	if len(inputs) != p.g.Inputs {
 		return nil, 0, "", fmt.Errorf("exec: %d inputs for a %d-input graph", len(inputs), p.g.Inputs)
 	}
-	sa, _ := p.e.(stageAware)
 	tel := newRunTel(ctx, 0)
 	t0 := time.Now()
 	cts = make([]ir.Ct, len(p.encryptOps))
 	for i, id := range p.encryptOps {
 		op := &p.g.Ops[id]
 		name := p.g.Stages[op.Stage].Name
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, time.Since(t0), name, fmt.Errorf("henn: %s: %w", name, cerr)
-		}
-		if sa != nil {
-			sa.BeginStage(name)
-		}
 		opT0 := time.Now()
 		ct, eerr := func() (ct ir.Ct, err error) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			defer func() {
 				if r := recover(); r != nil {
-					if e, ok := r.(error); ok {
-						err = e
-						return
-					}
-					err = fmt.Errorf("henn: panic in %s: %v", name, r)
+					err = panicErr(r)
 				}
 			}()
 			return p.e.EncryptVec(inputs[op.InputIdx]), nil
 		}()
 		if eerr != nil {
-			return nil, time.Since(t0), name, eerr
+			return nil, time.Since(t0), name, fmt.Errorf("henn: %s: %w", name, eerr)
 		}
 		var he heAttr
 		if tel.tracing() {
@@ -649,7 +626,8 @@ func (p *Prepared) EncryptInputs(ctx context.Context, inputs [][]float64) (cts [
 // encrypt-op order, as returned by EncryptInputs). It is the batched
 // hot path: many RunEncrypted calls may share one Prepared concurrently.
 // An input at another (level, scale) than its encrypt op's is rejected
-// with ErrInputMismatch before any op runs. Options is empty.
+// with ErrInputMismatch, named after that op's stage, before any op
+// runs. Options is empty.
 func (p *Prepared) RunEncrypted(ctx context.Context, cts []ir.Ct, _ Options) (*Result, error) {
 	return p.runEncrypted(ctx, cts, len(p.encryptOps))
 }
@@ -663,7 +641,7 @@ func (p *Prepared) runEncrypted(ctx context.Context, cts []ir.Ct, workers int) (
 	for i, ct := range cts {
 		if err := p.checkInput(i, ct); err != nil {
 			res.FailedStage = p.g.Stages[p.g.Ops[p.encryptOps[i]].Stage].Name
-			return res, err
+			return res, fmt.Errorf("henn: %s: %w", res.FailedStage, err)
 		}
 	}
 	rs := p.newRunState()
@@ -723,8 +701,9 @@ func (rs *runState) push(t int) {
 }
 
 // run executes the tasks as their dependencies resolve on workers
-// workers, the calling goroutine being worker 0. The first error wins
-// and stops the run; run returns once every worker has.
+// workers, the calling goroutine being worker 0. The first error wins,
+// named "henn: <stage>: …" after its op's stage, and stops the run; run
+// returns once every worker has.
 func (rs *runState) run(ctx context.Context, workers int, res *Result) error {
 	p := rs.p
 	rs.mu.Lock()
@@ -764,19 +743,15 @@ func (rs *runState) work(ctx context.Context, worker int, res *Result) {
 		rs.ready = rs.ready[1:]
 		t := p.opTask[id]
 		rs.mu.Unlock()
-		stage := p.g.Ops[id].Stage
-		name := p.g.Stages[stage].Name
 		err := ctx.Err()
-		if err != nil {
-			err = fmt.Errorf("henn: %s: %w", name, err)
-		} else {
-			rs.announce(stage)
+		if err == nil {
 			err = rs.execOp(id, worker, t)
 		}
 		rs.mu.Lock()
 		if err != nil {
 			if rs.err == nil {
-				rs.err = err
+				name := p.g.Stages[p.g.Ops[id].Stage].Name
+				rs.err = fmt.Errorf("henn: %s: %w", name, err)
 				res.FailedStage = name
 			}
 			rs.wake.Broadcast()

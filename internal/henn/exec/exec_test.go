@@ -34,7 +34,6 @@ type fakeEngine struct {
 	mu      sync.Mutex
 	quiet   bool // skip call logging (keeps benchmark memory flat)
 	calls   []string
-	stages  []string
 	panicOn string
 }
 
@@ -49,12 +48,6 @@ func (f *fakeEngine) log(op string) {
 	if panicOn == op {
 		panic(errors.New("fake: induced failure in " + op))
 	}
-}
-
-func (f *fakeEngine) BeginStage(name string) {
-	f.mu.Lock()
-	f.stages = append(f.stages, name)
-	f.mu.Unlock()
 }
 
 func (f *fakeEngine) Name() string              { return "fake" }
@@ -300,9 +293,6 @@ func TestSequentialRun(t *testing.T) {
 	wantCalls := []string{"EncodeVecsAt", "EncryptVec", "RotateMany", "Add", "MulPlainPt", "AddPlainPt", "MulRelin", "Rescale"}
 	if !reflect.DeepEqual(e.calls, wantCalls) {
 		t.Fatalf("calls %v, want %v", e.calls, wantCalls)
-	}
-	if !reflect.DeepEqual(e.stages, []string{"encrypt", "stage 0 (mix)"}) {
-		t.Fatalf("stage announcements %v", e.stages)
 	}
 }
 
@@ -555,8 +545,8 @@ func TestMultiInputRunStops(t *testing.T) {
 	t.Run("failure", func(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			res, err := run(t, context.Background(), &fakeEngine{panicOn: "MulRelin"})
-			if err == nil || !strings.Contains(err.Error(), "induced failure") {
-				t.Fatalf("error %v, want the induced failure", err)
+			if err == nil || !strings.Contains(err.Error(), "henn: shard 2: fake: induced failure") {
+				t.Fatalf("error %v, want the induced failure named after shard 2", err)
 			}
 			if res.FailedStage != "shard 2" {
 				t.Fatalf("failed stage %q, want shard 2", res.FailedStage)

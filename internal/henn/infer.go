@@ -45,14 +45,6 @@ func (l Logits) Argmax() int {
 	return best
 }
 
-// StageAware is optionally implemented by engines (notably
-// guard.GuardedEngine) that label their errors with the pipeline stage
-// currently being evaluated. InferCtx announces each stage before
-// evaluating it.
-type StageAware interface {
-	BeginStage(name string)
-}
-
 // StageReport records one pipeline step of an InferCtx run.
 type StageReport struct {
 	Stage    string
@@ -111,9 +103,10 @@ func fillReport(rep *Report, res *exec.Result) {
 
 // decrypt is the shared decrypt epilogue: one DecryptVec of the output
 // ciphertext, which must yield at least need slots. The context is
-// checked first, a StageAware engine is told the "decrypt" stage, and an
-// engine panic becomes the returned error — as-is when it already is one
-// (e.g. *guard.StageError), so callers classify it with errors.Is/As.
+// checked first, and an engine panic becomes the returned error, wrapped
+// as "henn: decrypt: …" like the executor's op errors, so a panic value
+// that is an error (e.g. *guard.StageError) still classifies with
+// errors.Is/As.
 func decrypt(ctx context.Context, e Engine, ct Ct, need int, rep *Report) (out []float64, err error) {
 	const stage = "decrypt"
 	t := time.Now()
@@ -122,18 +115,16 @@ func decrypt(ctx context.Context, e Engine, ct Ct, need int, rep *Report) (out [
 		telemetry.RecorderFrom(ctx).RecordPhase(stage, t, time.Now())
 		if r := recover(); r != nil {
 			rep.FailedStage = stage
-			out = nil
-			if err, _ = r.(error); err == nil {
-				err = fmt.Errorf("henn: panic in %s: %v", stage, r)
+			perr, ok := r.(error)
+			if !ok {
+				perr = fmt.Errorf("panic: %v", r)
 			}
+			out, err = nil, fmt.Errorf("henn: %s: %w", stage, perr)
 		}
 	}()
 	if err := ctx.Err(); err != nil {
 		rep.FailedStage = stage
 		return nil, fmt.Errorf("henn: %s: %w", stage, err)
-	}
-	if sa, ok := e.(StageAware); ok {
-		sa.BeginStage(stage)
 	}
 	out = e.DecryptVec(ct)
 	if len(out) < need {

@@ -251,7 +251,7 @@ type Op struct {
 
 // StageInfo names one pipeline stage of the graph and its report row.
 type StageInfo struct {
-	// Name is the stage label announced to StageAware engines and used in
+	// Name is the stage label that names a failing op's errors and the
 	// Report rows ("encrypt", "encrypt part 0", "stage 0 (…)", …).
 	Name string
 	// Out is the op whose result is the stage's reported ciphertext

@@ -257,9 +257,10 @@ func (k *Keyed) handleClassifyEncrypted(w http.ResponseWriter, r *http.Request) 
 		defer tcancel()
 	}
 
-	// One evaluation at a time per client: the evaluator and guard state
-	// cached on the entry are not safe for concurrent runs. The wait for
-	// the per-client lock is this route's queue time.
+	// One evaluation at a time per client: entry.Mu guards the
+	// evaluation state cached on the entry (built on first use) and
+	// serializes the client's runs. The wait for the per-client lock is
+	// this route's queue time.
 	lockStart := time.Now()
 	entry.Mu.Lock()
 	lockWait := time.Since(lockStart)
@@ -272,11 +273,6 @@ func (k *Keyed) handleClassifyEncrypted(w http.ResponseWriter, r *http.Request) 
 			Error:   fmt.Sprintf("preparing evaluation under client keys: %v", err),
 			TraceID: tc.TraceIDString(), RequestID: tc.SpanIDString()})
 		return
-	}
-	if ev.g.Err() != nil {
-		// A previous request under these keys latched the guard; start
-		// this one clean.
-		_ = ev.g.Reset()
 	}
 	adopted := make([]ir.Ct, len(cts))
 	for i, ct := range cts {
@@ -292,15 +288,10 @@ func (k *Keyed) handleClassifyEncrypted(w http.ResponseWriter, r *http.Request) 
 	rec := telemetry.NewRunRecorder()
 	rec.SetTrace(tc.TraceIDString(), tc.SpanIDString())
 	rctx := telemetry.WithRecorder(telemetry.WithTraceContext(ctx, tc), rec)
-	// Bind the guard to this request for the duration of the run (sound:
-	// entry.Mu serializes runs), so a guard abort logs the trace ID.
-	ev.g.SetRunContext(rctx)
-	defer ev.g.SetRunContext(nil)
 	res, err := ev.prep.RunEncrypted(rctx, adopted, exec.Options{})
 	if err != nil {
-		_ = ev.g.Reset()
 		k.finishEncrypted(tc, evalOutcome(err), t0, lockWait, res.Eval, rec, err)
-		k.writeEvalError(w, res, err, tc)
+		k.writeEvalError(w, err, tc)
 		return
 	}
 	out, ok := guard.Underlying(res.Out).(*ckks.Ciphertext)
@@ -423,13 +414,13 @@ func (k *Keyed) writeKeyedError(w http.ResponseWriter, err error, doing string, 
 // its invariants, and an input mismatch that it was not a fresh
 // encryption at the graph's (level, scale) — the client's fault, 400;
 // timeouts are 504; anything else is a server error.
-func (k *Keyed) writeEvalError(w http.ResponseWriter, res *exec.Result, err error, tc telemetry.TraceContext) {
+func (k *Keyed) writeEvalError(w http.ResponseWriter, err error, tc telemetry.TraceContext) {
 	body := errorBody{TraceID: tc.TraceIDString(), RequestID: tc.SpanIDString()}
 	var se *guard.StageError
 	switch {
 	case errors.As(err, &se), errors.Is(err, exec.ErrInputMismatch):
 		keyedTel().request("bad_ciphertext")
-		body.Error = fmt.Sprintf("evaluation rejected in stage %s: %v", res.FailedStage, err)
+		body.Error = fmt.Sprintf("evaluation rejected: %v", err)
 		writeJSON(w, http.StatusBadRequest, body)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		keyedTel().request("timeout")
@@ -437,7 +428,7 @@ func (k *Keyed) writeEvalError(w http.ResponseWriter, res *exec.Result, err erro
 		writeJSON(w, http.StatusGatewayTimeout, body)
 	default:
 		keyedTel().request("error")
-		body.Error = fmt.Sprintf("evaluating in stage %s: %v", res.FailedStage, err)
+		body.Error = fmt.Sprintf("evaluating: %v", err)
 		writeJSON(w, http.StatusInternalServerError, body)
 	}
 }

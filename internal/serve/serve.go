@@ -50,8 +50,8 @@ type Config struct {
 	// micro-batch capacity.
 	Batch *henn.BatchPlan
 	// Engine evaluates batches. Wrap it with guard.New for classified
-	// failures; a guard's latched error is cleared between batches via
-	// its Reset method, so one failed batch does not poison the next.
+	// failures; a guard keeps no per-run state, so one failed batch
+	// leaves nothing behind for the next.
 	Engine henn.Engine
 	// MaxWait bounds how long the oldest queued request waits for the
 	// batch to fill before a partial batch is flushed. Default 10ms.
@@ -96,16 +96,6 @@ type request struct {
 	tc    telemetry.TraceContext
 	qwait time.Duration
 }
-
-// resetter is implemented by guard.GuardedEngine: a tripped guard
-// latches its first error, and the latch must be cleared at the batch
-// boundary before the engine is reused.
-type resetter interface{ Reset() error }
-
-// runContextSetter is implemented by guard.GuardedEngine: binding the
-// batch context lets a guard abort log the trace ID of the batch that
-// tripped it.
-type runContextSetter interface{ SetRunContext(context.Context) }
 
 // Server is the micro-batching inference engine front end. Create with
 // New, submit via Submit (or the HTTP Handler), stop with Shutdown.
@@ -347,12 +337,6 @@ func (s *Server) evalBatch(batch []*request) {
 			}
 		}
 		bctx = telemetry.WithRecorder(bctx, rec)
-		// The batcher is a single goroutine, so binding the shared guard
-		// to the batch context for the duration of the run is sound.
-		if g, ok := s.cfg.Engine.(runContextSetter); ok {
-			g.SetRunContext(bctx)
-			defer g.SetRunContext(nil)
-		}
 	}
 
 	t0 := time.Now()
@@ -371,12 +355,6 @@ func (s *Server) evalBatch(batch []*request) {
 	s.tel.batchDone(len(live), s.cfg.Batch.Batch, elapsed, err == nil)
 	s.tel.admission(s.adm)
 	if err != nil {
-		// A guarded engine latches its first failure; clear it so the
-		// next batch starts clean (no ciphertexts cross the boundary —
-		// every batch re-encrypts from raw pixels).
-		if g, ok := s.cfg.Engine.(resetter); ok {
-			_ = g.Reset()
-		}
 		for _, r := range live {
 			// Members whose own deadline passed report their context
 			// error; the rest carry the batch failure.

@@ -30,11 +30,11 @@ func TestParseTraceparentRejects(t *testing.T) {
 	bad := []string{
 		"",
 		"00-abc-def-01",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7", // missing flags
-		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", // uppercase
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // forbidden version
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01", // zero trace ID
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", // zero span ID
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",          // missing flags
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",       // uppercase
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",       // forbidden version
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",       // zero trace ID
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",       // zero span ID
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra", // v00 has 4 fields
 		"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
 	}
