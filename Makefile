@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet staticcheck build test race race-ring race-serve race-chaos parity opt-parity opt-golden shard-parity bench-kernels bench-selftest telemetry-overhead fuzz-smoke e2e-encrypted soak-chaos trend
+.PHONY: check vet staticcheck build test race race-ring race-serve race-chaos parity opt-parity opt-golden shard-parity bench-kernels bench-selftest telemetry-overhead guard-overhead fuzz-smoke e2e-encrypted soak-chaos trend
 
 ## check: the full CI gate — vet, staticcheck, build, tests, the race
 ## detector (including the ring worker-pool hammer), the optimizer
@@ -152,6 +152,12 @@ bench-selftest:
 ## the pre-telemetry executor (one nil check per op).
 telemetry-overhead:
 	$(GO) test -run xxx -bench BenchmarkRunEncrypted -benchtime 2s ./internal/henn/exec/
+
+## guard-overhead: one shipped-CNN1 image at logN 11 on [40,26×6,40],
+## raw and behind guard.New, with allocations. It prints the guard's
+## cost; it is not a gate.
+guard-overhead:
+	$(GO) test -run xxx -bench BenchmarkGuardOverhead -benchmem -benchtime 10x ./internal/guard/
 
 ## fuzz-smoke: short native-fuzzing passes over the wire-format readers
 ## (ciphertext, key-bundle, each key type and shard-manifest frames); they

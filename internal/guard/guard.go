@@ -7,11 +7,11 @@
 //
 //   - engine panics (level/scale assertion failures, injected bugs)
 //     become StageError values wrapping ErrEnginePanic;
-//   - per-op invariants are validated: residue/limb structure
-//     (ErrResidueMissing), coefficient ranges (ErrCorruptCiphertext),
-//     scale bookkeeping against an independently tracked mirror
-//     (ErrScaleDrift), level underflow (ErrLevelExhausted), and NaN/Inf
-//     or over-long plaintext operands (ErrInvalidPlaintext);
+//   - every ciphertext an op makes, or Adopt takes in, is checked once:
+//     residue/limb structure (ErrResidueMissing), coefficient ranges
+//     (ErrCorruptCiphertext), scale against an independent mirror
+//     (ErrScaleDrift); each op checks level underflow (ErrLevelExhausted)
+//     and NaN/Inf or over-long plaintext operands (ErrInvalidPlaintext);
 //   - the noise budget is a property of the graph, not of a ciphertext:
 //     NoiseBits runs the internal/noise canonical-embedding bound over
 //     each graph the executor prepares for the guard, so a plan whose
@@ -213,10 +213,10 @@ func (g *GuardedEngine) Reset() error { return nil }
 // significant fractional bits its result keeps. The executor calls it
 // once per graph it prepares for, or rebinds to, the guard. When some op
 // keeps fewer than DefaultMinNoiseBits it returns a *StageError wrapping
-// ErrNoiseBudgetExhausted that names the first such op and its stage.
-// With telemetry on it publishes the per-stage gauges (telStages). A
-// base engine the guard does not recognise has no noise model: nil bits,
-// no error.
+// ErrNoiseBudgetExhausted that names the first such op and its stage,
+// and counts it like an op abort (telFailure). With telemetry on it
+// publishes the per-stage gauges (telStages). A base engine the guard
+// does not recognise has no noise model: nil bits, no error.
 func (g *GuardedEngine) NoiseBits(gr *ir.Graph) ([]float64, error) {
 	if g.rnsCtx == nil && g.bigCtx == nil {
 		return nil, nil
@@ -225,9 +225,11 @@ func (g *GuardedEngine) NoiseBits(gr *ir.Graph) ([]float64, error) {
 	for i, b := range bits {
 		if b < DefaultMinNoiseBits || math.IsNaN(b) {
 			op := &gr.Ops[i]
-			return nil, &StageError{Stage: gr.Stages[op.Stage].Name, Op: op.Kind.String(),
+			se := &StageError{Stage: gr.Stages[op.Stage].Name, Op: op.Kind.String(),
 				Cause: fmt.Errorf("%w: op %d keeps %.1f bits of precision (< %d)",
 					ErrNoiseBudgetExhausted, i, b, DefaultMinNoiseBits)}
+			telFailure(se.Op, se.Cause)
+			return nil, se
 		}
 	}
 	telStages(gr, bits)
@@ -261,17 +263,12 @@ func (g *GuardedEngine) call(op string, f func() henn.Ct) henn.Ct {
 	return ct
 }
 
-// in validates an operand ciphertext and unwraps it.
+// in unwraps an operand ciphertext, checking only its provenance: out or
+// Adopt checked the rest when the handle was made (see ir.Engine).
 func (g *GuardedEngine) in(op string, ct henn.Ct) *trackedCt {
 	t, ok := ct.(*trackedCt)
 	if !ok {
 		g.fail(op, fmt.Errorf("%w: %T", ErrForeignCiphertext, ct))
-	}
-	g.validate(op, t.ct)
-	got := g.scaleOf(op, t.ct)
-	if !scaleClose(got, t.scale) {
-		g.fail(op, fmt.Errorf("%w: engine reports scale 2^%.4f, guard tracked 2^%.4f",
-			ErrScaleDrift, math.Log2(got), math.Log2(t.scale)))
 	}
 	return t
 }
@@ -343,8 +340,13 @@ func peek(ct henn.Ct) henn.Ct {
 // Level implements henn.Engine.
 func (g *GuardedEngine) Level(ct henn.Ct) int { return g.inner.Level(peek(ct)) }
 
-// ScaleOf implements henn.Engine.
-func (g *GuardedEngine) ScaleOf(ct henn.Ct) float64 { return g.inner.ScaleOf(peek(ct)) }
+// ScaleOf implements henn.Engine; a guard handle answers from its mirror.
+func (g *GuardedEngine) ScaleOf(ct henn.Ct) float64 {
+	if t, ok := ct.(*trackedCt); ok {
+		return t.scale
+	}
+	return g.inner.ScaleOf(ct)
+}
 
 // EncryptVec implements henn.Engine.
 func (g *GuardedEngine) EncryptVec(values []float64) henn.Ct {
@@ -358,10 +360,7 @@ func (g *GuardedEngine) EncryptVec(values []float64) henn.Ct {
 // scanned for NaN/Inf.
 func (g *GuardedEngine) DecryptVec(ct henn.Ct) []float64 {
 	const op = "DecryptVec"
-	t, ok := ct.(*trackedCt)
-	if !ok {
-		g.fail(op, fmt.Errorf("%w: %T", ErrForeignCiphertext, ct))
-	}
+	t := g.in(op, ct)
 	g.validate(op, t.ct)
 	var out []float64
 	g.call(op, func() henn.Ct { out = g.inner.DecryptVec(t.ct); return nil })
@@ -450,10 +449,9 @@ func (g *GuardedEngine) MulInt(ct henn.Ct, n int64) henn.Ct {
 // the executor's fused linear-stage call; nil pts is a pure integer
 // recombination. When the inner engine offers the call too, or there are
 // no products, the whole combination pays one output validation and
-// runs on the inner engine through ir.Combine: every operand is still
-// validated and scale-checked, and every absorbed plaintext still
-// level-checked. Otherwise each product is first
-// evaluated and validated by the guard's own MulPlainPt.
+// runs on the inner engine through ir.Combine: the terms' scales must
+// agree, and every absorbed plaintext is level-checked. Otherwise each
+// product is first evaluated and validated by the guard's own MulPlainPt.
 func (g *GuardedEngine) PlainRecombine(args []henn.Ct, pts []henn.Pt, weights []int64) henn.Ct {
 	const op = "PlainRecombine"
 	if _, fused := g.inner.(ir.PlainRecombiner); !fused && pts != nil {

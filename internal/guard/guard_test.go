@@ -234,14 +234,11 @@ func TestCleanRunIdentityShippedModel(t *testing.T) {
 	}
 }
 
-// TestNoiseBudgetExhausted: a plan whose predicted precision falls below
-// the floor is refused before anything runs — when it is prepared for a
-// guard, and when a graph prepared on the bare engine is rebound to one —
-// with a StageError naming the first op under the floor and its stage.
-func TestNoiseBudgetExhausted(t *testing.T) {
+// drownedPlan is the tiny plan with dense weights of 2^250, which cost
+// every product of the last stage 250 bits of its budget.
+func drownedPlan(t *testing.T) *henn.Plan {
+	t.Helper()
 	m := tinyModel(15)
-	// Dense weights of 2^250 cost every product of the last stage 250
-	// bits of its budget.
 	dense := m.Layers[len(m.Layers)-1].(*nn.Dense)
 	for i := range dense.W.Data {
 		dense.W.Data[i] *= math.Exp2(250)
@@ -250,6 +247,15 @@ func TestNoiseBudgetExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return plan
+}
+
+// TestNoiseBudgetExhausted: a plan whose predicted precision falls below
+// the floor is refused before anything runs — when it is prepared for a
+// guard, and when a graph prepared on the bare engine is rebound to one —
+// with a StageError naming the first op under the floor and its stage.
+func TestNoiseBudgetExhausted(t *testing.T) {
+	plan := drownedPlan(t)
 	e := rnsEngine(t, plan, 77)
 	g := guard.New(e, guard.DefaultConfig())
 	refused := func(where string, err error) {
@@ -263,7 +269,7 @@ func TestNoiseBudgetExhausted(t *testing.T) {
 			t.Fatalf("%s: refused at stage %q, op %q; want the first MulPlain of stage %q", where, se.Stage, se.Op, last)
 		}
 	}
-	_, _, err = plan.Prepare(g)
+	_, _, err := plan.Prepare(g)
 	refused("Prepare", err)
 
 	bare, _, err := plan.Prepare(e)
@@ -698,21 +704,43 @@ func TestPlainRecombineChainBehindInjector(t *testing.T) {
 	}
 }
 
-// TestPlainRecombineCatchesCorruptTerm: a corrupt limb in one term of a
-// fused call is caught at that call, whether the guard delegates to the
-// backend's fused implementation (full or evaluation-only engine) or
-// (behind middleware that hides it) evaluates the chain.
+// corruptRotation puts a coefficient ≥ q into rotation 3 of every
+// RotateMany on the engine it wraps, and keeps that engine's fused call.
+type corruptRotation struct{ henn.Engine }
+
+func (e corruptRotation) Unwrap() henn.Engine { return e.Engine }
+
+func (e corruptRotation) PlainRecombine(args []henn.Ct, pts []henn.Pt, weights []int64) henn.Ct {
+	return e.Engine.(ir.PlainRecombiner).PlainRecombine(args, pts, weights)
+}
+
+func (e corruptRotation) RotateMany(ct henn.Ct, ks []int) map[int]henn.Ct {
+	outs := e.Engine.RotateMany(ct, ks)
+	outs[3].(*ckks.Ciphertext).C0.Coeffs[1][5] = ^uint64(0)
+	return outs
+}
+
+// TestPlainRecombineCatchesCorruptTerm: a corrupt term of a fused call is
+// caught at the op that makes it. When the guard delegates to the
+// backend's fused implementation (full or evaluation-only engine), the
+// engine's RotateMany returns the fixture's third term corrupt and the
+// guard refuses it there, before any fused call. Behind middleware that
+// hides the fused call, a product the chain evaluates comes out corrupt
+// and is caught inside the guarded call.
 func TestPlainRecombineCatchesCorruptTerm(t *testing.T) {
 	plan := tinyPlan(t)
 
 	for _, leg := range fusedLegs {
-		l := newFusedLeg(t, plan, 78, leg)
-		args, pts, weights := plainRecombineFixture(t, l)
-		guard.Underlying(args[2]).(*ckks.Ciphertext).C0.Coeffs[1][5] = ^uint64(0)
-		err := catchGuard(t, func() { l.g.PlainRecombine(args, pts, weights) })
+		full, eval := rnsEngineAndEval(t, plan, 78)
+		var e henn.Engine = full
+		if leg == "rns-eval" {
+			e = eval
+		}
+		l := fusedLeg{g: guard.New(corruptRotation{e}, guard.DefaultConfig()), full: full}
+		err := catchGuard(t, func() { plainRecombineFixture(t, l) })
 		var se *guard.StageError
-		if !errors.Is(err, guard.ErrCorruptCiphertext) || !errors.As(err, &se) || se.Op != "PlainRecombine" {
-			t.Fatalf("%s delegated call: got %v, want ErrCorruptCiphertext at op PlainRecombine", leg, err)
+		if !errors.Is(err, guard.ErrCorruptCiphertext) || !errors.As(err, &se) || se.Op != "RotateMany" {
+			t.Fatalf("%s delegated call: got %v, want ErrCorruptCiphertext at op RotateMany", leg, err)
 		}
 	}
 

@@ -2,6 +2,7 @@ package guard_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -77,32 +78,46 @@ func TestGuardGauges(t *testing.T) {
 	}
 }
 
-// TestGuardFailureCounter checks aborts are counted by class.
+// failuresSince returns how many guard aborts of class were counted
+// since before.
+func failuresSince(t *testing.T, before telemetry.Snapshot, class string) float64 {
+	t.Helper()
+	f, ok := telemetry.Default().Snapshot().Sub(before).Family("cnnhe_guard_failures_total")
+	if !ok {
+		t.Fatal("cnnhe_guard_failures_total not registered")
+	}
+	for _, s := range f.Series {
+		if s.Label("class") == class {
+			return s.Value
+		}
+	}
+	return 0
+}
+
+// TestGuardFailureCounter checks aborts are counted by class: an op
+// abort, and a graph the noise budget refuses.
 func TestGuardFailureCounter(t *testing.T) {
 	telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(false)
-	before := telemetry.Default().Snapshot()
 
+	before := telemetry.Default().Snapshot()
 	plan := tinyPlan(t)
-	e := rnsEngine(t, plan, 15)
-	g := guard.New(e, guard.DefaultConfig())
+	g := guard.New(rnsEngine(t, plan, 15), guard.DefaultConfig())
 	err := catchGuard(t, func() { g.DecryptVec("not a ciphertext") })
 	if err == nil {
 		t.Fatal("foreign ciphertext not rejected")
 	}
-
-	diff := telemetry.Default().Snapshot().Sub(before)
-	f, ok := diff.Family("cnnhe_guard_failures_total")
-	if !ok {
-		t.Fatal("cnnhe_guard_failures_total not registered")
-	}
-	var n float64
-	for _, s := range f.Series {
-		if s.Label("class") == "foreign_ciphertext" {
-			n = s.Value
-		}
-	}
-	if n != 1 {
+	if n := failuresSince(t, before, "foreign_ciphertext"); n != 1 {
 		t.Errorf("failures_total{class=foreign_ciphertext} = %v, want 1", n)
+	}
+
+	before = telemetry.Default().Snapshot()
+	drowned := drownedPlan(t)
+	_, _, err = drowned.Prepare(guard.New(rnsEngine(t, drowned, 77), guard.DefaultConfig()))
+	if !errors.Is(err, guard.ErrNoiseBudgetExhausted) {
+		t.Fatalf("want ErrNoiseBudgetExhausted, got %v", err)
+	}
+	if n := failuresSince(t, before, "noise_exhausted"); n != 1 {
+		t.Errorf("failures_total{class=noise_exhausted} = %v, want 1", n)
 	}
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // validate runs the structural and coefficient-range invariants on a
-// raw backend ciphertext. It costs one linear scan per operand —
-// negligible next to the NTTs — and catches corrupted residues at the
-// op that first touches them. Unknown backends pass through unchecked —
-// the guard still provides panic conversion and scale tracking for them.
+// raw backend ciphertext, once per ciphertext an op makes or Adopt takes
+// in, and in DecryptVec: 184 serial scans, ≈4–5 ms of a ≈200 ms CNN1
+// image at logN 11 on [40,26×6,40] (2 vCPUs). An unknown backend passes
+// unchecked; the guard still converts its panics and tracks its scales.
 func (g *GuardedEngine) validate(op string, ct henn.Ct) {
 	switch c := ct.(type) {
 	case *ckks.Ciphertext:

@@ -43,7 +43,10 @@ type PlainSpec struct {
 // and lowered graphs need. The first block is what Stage.Eval calls when
 // lowering traces a plan (and what the stage-kernel tests call
 // directly); the final three methods are the ahead-of-time encoding
-// contract the executor uses for every plaintext operand.
+// contract the executor uses for every plaintext operand. No method
+// writes its operands: the executor shares a ciphertext among the tasks
+// that read it, and the guard scans each ciphertext once, when it is
+// made.
 type Engine interface {
 	// Name identifies the backend ("ckks-rns" or "ckks-big").
 	Name() string
