@@ -154,8 +154,9 @@ telemetry-overhead:
 	$(GO) test -run xxx -bench BenchmarkRunEncrypted -benchtime 2s ./internal/henn/exec/
 
 ## guard-overhead: one shipped-CNN1 image at logN 11 on [40,26×6,40],
-## raw and behind guard.New, with allocations. It prints the guard's
-## cost; it is not a gate.
+## raw and behind guard.New. It prints the guard's cost per image —
+## ns/op, B/op and allocs/op (-benchmem); it is not a gate (the guard
+## package's TestImageAllocBudget holds B/op under 8 MB).
 guard-overhead:
 	$(GO) test -run xxx -bench BenchmarkGuardOverhead -benchmem -benchtime 10x ./internal/guard/
 

@@ -27,13 +27,14 @@ type Ciphertext struct {
 	Scale  float64
 }
 
-// CopyNew returns a deep copy of ct.
+// CopyNew returns a deep copy of ct, built from the ring's recycled
+// limbs.
 func (ct *Ciphertext) CopyNew(ctx *Context) *Ciphertext {
 	r := ctx.R
 	limbs := r.Limbs(ct.Level, false)
 	out := &Ciphertext{
-		C0:    r.NewPolyQ(ct.Level),
-		C1:    r.NewPolyQ(ct.Level),
+		C0:    r.GetPolyQ(ct.Level),
+		C1:    r.GetPolyQ(ct.Level),
 		Level: ct.Level,
 		Scale: ct.Scale,
 	}

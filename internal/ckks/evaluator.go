@@ -8,9 +8,11 @@ import (
 	"cnnhe/internal/ring"
 )
 
-// Evaluator performs homomorphic operations. It holds the evaluation keys
-// and scratch buffers; it is not safe for concurrent use (clone one
-// evaluator per goroutine via ShallowCopy).
+// Evaluator performs homomorphic operations. It holds only the context
+// and the evaluation keys, all read-only, and draws its scratch and its
+// results from the ring's recycled limbs (ring.GetPoly), so one evaluator
+// serves any number of goroutines at once. Every result overwrites all of
+// its limbs; hand a dead result back with Recycle.
 type Evaluator struct {
 	ctx *Context
 	rlk *RelinearizationKey
@@ -23,10 +25,13 @@ func NewEvaluator(ctx *Context, rlk *RelinearizationKey, rtk *RotationKeySet) *E
 	return &Evaluator{ctx: ctx, rlk: rlk, rtk: rtk}
 }
 
-// ShallowCopy returns an evaluator sharing keys but no scratch state, safe
-// to use from another goroutine.
-func (ev *Evaluator) ShallowCopy() *Evaluator {
-	return &Evaluator{ctx: ev.ctx, rlk: ev.rlk, rtk: ev.rtk}
+// Recycle hands ct's limbs back to the ring for later results to reuse.
+// ct must be dead: no later op may read it, and no live ciphertext may
+// share its polynomials. No Evaluator result shares an operand's, except
+// DropLevel by 0 and RescaleTo ct's own level, which return ct itself.
+func (ev *Evaluator) Recycle(ct *Ciphertext) {
+	ev.ctx.R.PutPoly(ct.C0)
+	ev.ctx.R.PutPoly(ct.C1)
 }
 
 // scaleClose reports whether two scales agree to within 1 part in 2^40.
@@ -49,7 +54,7 @@ func (ev *Evaluator) Add(a, b *Ciphertext) *Ciphertext {
 	level := ev.checkPair(a, b)
 	r := ev.ctx.R
 	limbs := r.Limbs(level, false)
-	out := &Ciphertext{C0: r.NewPolyQ(level), C1: r.NewPolyQ(level), Level: level, Scale: a.Scale}
+	out := &Ciphertext{C0: r.GetPolyQ(level), C1: r.GetPolyQ(level), Level: level, Scale: a.Scale}
 	r.Add(limbs, a.C0, b.C0, out.C0)
 	r.Add(limbs, a.C1, b.C1, out.C1)
 	return out
@@ -69,7 +74,7 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) *Ciphertext {
 	level := ev.checkPair(a, b)
 	r := ev.ctx.R
 	limbs := r.Limbs(level, false)
-	out := &Ciphertext{C0: r.NewPolyQ(level), C1: r.NewPolyQ(level), Level: level, Scale: a.Scale}
+	out := &Ciphertext{C0: r.GetPolyQ(level), C1: r.GetPolyQ(level), Level: level, Scale: a.Scale}
 	r.Sub(limbs, a.C0, b.C0, out.C0)
 	r.Sub(limbs, a.C1, b.C1, out.C1)
 	return out
@@ -79,7 +84,7 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) *Ciphertext {
 func (ev *Evaluator) Neg(a *Ciphertext) *Ciphertext {
 	r := ev.ctx.R
 	limbs := r.Limbs(a.Level, false)
-	out := &Ciphertext{C0: r.NewPolyQ(a.Level), C1: r.NewPolyQ(a.Level), Level: a.Level, Scale: a.Scale}
+	out := &Ciphertext{C0: r.GetPolyQ(a.Level), C1: r.GetPolyQ(a.Level), Level: a.Level, Scale: a.Scale}
 	r.Neg(limbs, a.C0, out.C0)
 	r.Neg(limbs, a.C1, out.C1)
 	return out
@@ -115,7 +120,7 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	}
 	r := ev.ctx.R
 	limbs := r.Limbs(ct.Level, false)
-	out := &Ciphertext{C0: r.NewPolyQ(ct.Level), C1: r.NewPolyQ(ct.Level), Level: ct.Level, Scale: ct.Scale * pt.Scale}
+	out := &Ciphertext{C0: r.GetPolyQ(ct.Level), C1: r.GetPolyQ(ct.Level), Level: ct.Level, Scale: ct.Scale * pt.Scale}
 	r.MulCoeffs(limbs, ct.C0, pt.Value, out.C0)
 	r.MulCoeffs(limbs, ct.C1, pt.Value, out.C1)
 	return out
@@ -131,7 +136,7 @@ func (ev *Evaluator) MulConst(ct *Ciphertext, c float64, constScale float64) *Ci
 	s := EncodeConstant(c, constScale)
 	r := ev.ctx.R
 	limbs := r.Limbs(ct.Level, false)
-	out := &Ciphertext{C0: r.NewPolyQ(ct.Level), C1: r.NewPolyQ(ct.Level), Level: ct.Level, Scale: ct.Scale * constScale}
+	out := &Ciphertext{C0: r.GetPolyQ(ct.Level), C1: r.GetPolyQ(ct.Level), Level: ct.Level, Scale: ct.Scale * constScale}
 	neg := s.Sign() < 0
 	abs := new(big.Int).Abs(s)
 	r.MulScalar(limbs, ct.C0, abs, out.C0)
@@ -147,7 +152,7 @@ func (ev *Evaluator) MulConst(ct *Ciphertext, c float64, constScale float64) *Ci
 func (ev *Evaluator) MulInt(ct *Ciphertext, n int64) *Ciphertext {
 	r := ev.ctx.R
 	limbs := r.Limbs(ct.Level, false)
-	out := &Ciphertext{C0: r.NewPolyQ(ct.Level), C1: r.NewPolyQ(ct.Level), Level: ct.Level, Scale: ct.Scale}
+	out := &Ciphertext{C0: r.GetPolyQ(ct.Level), C1: r.GetPolyQ(ct.Level), Level: ct.Level, Scale: ct.Scale}
 	neg := n < 0
 	if neg {
 		n = -n
@@ -229,7 +234,7 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 	r := ev.ctx.R
 	level := ct.Level
 	out := &Ciphertext{
-		C0: r.NewPolyQ(level - 1), C1: r.NewPolyQ(level - 1),
+		C0: r.GetPolyQ(level - 1), C1: r.GetPolyQ(level - 1),
 		Level: level - 1,
 		Scale: ct.Scale / ev.ctx.Params.QiFloat(level),
 	}
@@ -267,7 +272,7 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, n int) *Ciphertext {
 	r := ev.ctx.R
 	level := ct.Level - n
 	limbs := r.Limbs(level, false)
-	out := &Ciphertext{C0: r.NewPolyQ(level), C1: r.NewPolyQ(level), Level: level, Scale: ct.Scale}
+	out := &Ciphertext{C0: r.GetPolyQ(level), C1: r.GetPolyQ(level), Level: level, Scale: ct.Scale}
 	r.Copy(limbs, ct.C0, out.C0)
 	r.Copy(limbs, ct.C1, out.C1)
 	return out

@@ -6,8 +6,8 @@ import (
 
 // keySwitchCoeff applies the hybrid key switch to a polynomial given in
 // both domains on limbs 0..level — c in coefficient form, cNTT in NTT
-// form — and returns fresh NTT-domain polynomials (p0, p1) on limbs
-// 0..level only, such that
+// form — and returns NTT-domain polynomials (p0, p1) on limbs 0..level
+// only, built from recycled limbs (see modDown), such that
 //
 //	p0 + p1·s ≈ c·s'
 //
@@ -61,7 +61,8 @@ func (ev *Evaluator) releaseDigits(digits []*ring.Poly) {
 
 // modDown divides the NTT-domain key-switch accumulators acc0 and acc1 (on
 // limbs 0..level + specials) by the special modulus P, flooring, and
-// returns the quotients as fresh NTT-domain polynomials on limbs 0..level.
+// returns the quotients as NTT-domain polynomials on limbs 0..level, built
+// from recycled limbs and fully overwritten.
 // It divides by one special prime at a time, the last first, and the
 // remaining specials stay targets until their own turn; only the prime
 // being divided out leaves the NTT domain. The accumulators are pooled
@@ -70,7 +71,7 @@ func (ev *Evaluator) modDown(level int, acc0, acc1 *ring.Poly) (*ring.Poly, *rin
 	r := ev.ctx.R
 	limbsQ := r.Limbs(level, false)
 	accs := []*ring.Poly{acc0, acc1}
-	outs := []*ring.Poly{r.NewPolyQ(level), r.NewPolyQ(level)}
+	outs := []*ring.Poly{r.GetPolyQ(level), r.GetPolyQ(level)}
 	first := len(r.SubRings) - r.Special
 	if r.Special == 0 { // nothing to divide out
 		r.Copy(limbsQ, acc0, outs[0])

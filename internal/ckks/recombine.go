@@ -58,10 +58,15 @@ func (ev *Evaluator) PlainRecombine(cts []*Ciphertext, pts []*Plaintext, weights
 			panic(fmt.Sprintf("ckks: scale mismatch 2^%.4f vs 2^%.4f", math.Log2(scale), math.Log2(s)))
 		}
 	}
-	out := &Ciphertext{C0: r.NewPolyQ(level), C1: r.NewPolyQ(level), Level: level, Scale: scale}
+	// The output's recycled limbs hold stale data: the inner products
+	// overwrite them, and a sum without products starts from zero.
+	out := &Ciphertext{C0: r.GetPolyQ(level), C1: r.GetPolyQ(level), Level: level, Scale: scale}
 	if len(vals) > 0 {
 		r.InnerProduct(limbs, c0s, vals, out.C0)
 		r.InnerProduct(limbs, c1s, vals, out.C1)
+	} else {
+		r.Zero(limbs, out.C0)
+		r.Zero(limbs, out.C1)
 	}
 	var tmp *ring.Poly
 	for i, ct := range cts {

@@ -140,8 +140,9 @@ type unwrapper interface {
 
 // GuardedEngine wraps a henn.Engine with invariant checking, a noise
 // budget and panic conversion. It implements henn.Engine plus
-// ir.PlainRecombiner and NoiseBits. Safe for the same concurrency the
-// wrapped engine supports: its only mutable state is a cache.
+// ir.PlainRecombiner, ir.Releaser and NoiseBits. Safe for the same
+// concurrency the wrapped engine supports: its only mutable state is a
+// cache.
 type GuardedEngine struct {
 	inner henn.Engine
 	model noise.Model
@@ -264,13 +265,33 @@ func (g *GuardedEngine) call(op string, f func() henn.Ct) henn.Ct {
 }
 
 // in unwraps an operand ciphertext, checking only its provenance: out or
-// Adopt checked the rest when the handle was made (see ir.Engine).
+// Adopt checked the rest when the handle was made (see ir.Engine). A
+// released handle is no longer this guard's.
 func (g *GuardedEngine) in(op string, ct henn.Ct) *trackedCt {
 	t, ok := ct.(*trackedCt)
 	if !ok {
 		g.fail(op, fmt.Errorf("%w: %T", ErrForeignCiphertext, ct))
 	}
+	if t.ct == nil {
+		g.fail(op, fmt.Errorf("%w: released ciphertext", ErrForeignCiphertext))
+	}
 	return t
+}
+
+// Release implements ir.Releaser: the handle is emptied, so a later use
+// fails in as ErrForeignCiphertext instead of reading recycled memory,
+// and the engine's ciphertext goes back to the inner engine when that
+// recycles too. A foreign or already released handle is ignored.
+func (g *GuardedEngine) Release(ct henn.Ct) {
+	t, ok := ct.(*trackedCt)
+	if !ok || t.ct == nil {
+		return
+	}
+	inner := t.ct
+	t.ct = nil
+	if r, ok := g.inner.(ir.Releaser); ok {
+		r.Release(inner)
+	}
 }
 
 // out validates an op result against the expected scale and wraps it.
@@ -620,4 +641,5 @@ func (g *GuardedEngine) AddPlainPt(ct henn.Ct, pt henn.Pt) henn.Ct {
 var (
 	_ henn.Engine        = (*GuardedEngine)(nil)
 	_ ir.PlainRecombiner = (*GuardedEngine)(nil)
+	_ ir.Releaser        = (*GuardedEngine)(nil)
 )

@@ -285,4 +285,5 @@ var (
 	_ Engine             = (*RNSEngine)(nil)
 	_ Engine             = (*BigEngine)(nil)
 	_ ir.PlainRecombiner = (*RNSEngine)(nil)
+	_ ir.Releaser        = (*RNSEngine)(nil)
 )

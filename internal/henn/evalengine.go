@@ -15,7 +15,8 @@ import (
 // discipline. EncryptVec and DecryptVec exist only to satisfy the Engine
 // interface and panic if reached; the executor's RunEncrypted path never
 // calls them. It offers the fused linear-stage call (ir.PlainRecombiner)
-// but not ir.Recombiner; see RNSEngine for why.
+// and recycles dead results (ir.Releaser), but not ir.Recombiner; see
+// RNSEngine for why.
 type RNSEvalEngine struct {
 	Ctx *ckks.Context
 	Enc *ckks.Encoder
@@ -163,6 +164,10 @@ func (e *RNSEvalEngine) AddPlainPt(ct Ct, pt Pt) Ct {
 	return e.Ev.AddPlain(ct.(*ckks.Ciphertext), pt.(*ckks.Plaintext))
 }
 
+// Release implements ir.Releaser: ct's limbs go back to the ring, and
+// later results are built from them.
+func (e *RNSEvalEngine) Release(ct Ct) { e.Ev.Recycle(ct.(*ckks.Ciphertext)) }
+
 // PlainRecombine implements ir.PlainRecombiner: the recombination and the
 // plaintext products it absorbs as one evaluator call (see
 // ckks.Evaluator.PlainRecombine for the bit-identity argument).
@@ -186,4 +191,5 @@ func (e *RNSEvalEngine) PlainRecombine(args []Ct, pts []Pt, weights []int64) Ct 
 var (
 	_ Engine             = (*RNSEvalEngine)(nil)
 	_ ir.PlainRecombiner = (*RNSEvalEngine)(nil)
+	_ ir.Releaser        = (*RNSEvalEngine)(nil)
 )

@@ -18,7 +18,10 @@
 // shared key-switch decomposition is preserved, and an OpRecombine
 // executes together with the plaintext products it absorbs as one
 // ir.Combine call (one engine call on an ir.PlainRecombiner engine).
-// Intermediate ciphertexts are reference-counted and released at last use.
+// Intermediate ciphertexts are reference-counted; at its last use each is
+// dropped, and handed back to the engine when it is an ir.Releaser (the
+// RNS engines build later results from its limbs). The encrypted inputs
+// and the output are never handed back.
 // The run owns its per-run state: the context is checked before every
 // task, and the first failure stops every worker and is returned as
 // "henn: <stage>: …" with the failing op's stage, which the Result's
@@ -356,7 +359,8 @@ func (p *Prepared) buildTasks() {
 // runState is the per-Run mutable state.
 type runState struct {
 	p     *Prepared
-	tel   *runTel // nil when telemetry is fully off for this run
+	tel   *runTel     // nil when telemetry is fully off for this run
+	rel   ir.Releaser // p.e when it recycles dead results, else nil
 	slots []ir.Ct
 	use   []int32
 
@@ -388,6 +392,7 @@ func (p *Prepared) newRunState() *runState {
 		done:    make([]bool, len(p.g.Stages)),
 	}
 	copy(rs.use, p.use)
+	rs.rel, _ = p.e.(ir.Releaser)
 	rs.wake.L = &rs.mu
 	for s, st := range p.g.Stages {
 		rs.stats[s] = StageStat{Name: st.Name, NoiseBits: math.NaN(), Ops: p.stageOps[s]}
@@ -441,11 +446,19 @@ func (p *Prepared) observeHE(id int, ct ir.Ct) heAttr {
 	return heAttr{Level: p.e.Level(ct), Scale: p.e.ScaleOf(ct), Noise: p.noise(id)}
 }
 
-// release decrements an argument's reference count, freeing the slot at
-// zero so only ciphertexts with pending consumers stay live.
+// release decrements an argument's reference count. At zero its last
+// consumer has run: the slot is cleared, so only ciphertexts with pending
+// consumers stay live, and the ciphertext goes back to a Releaser engine
+// unless an encrypt op holds it (the caller's input). The output never
+// reaches zero: Prepare counts the caller as one more consumer.
 func (rs *runState) release(id int) {
-	if atomic.AddInt32(&rs.use[id], -1) == 0 {
-		rs.slots[id] = nil
+	if atomic.AddInt32(&rs.use[id], -1) != 0 {
+		return
+	}
+	ct := rs.slots[id]
+	rs.slots[id] = nil
+	if rs.rel != nil && rs.p.g.Ops[id].Kind != ir.OpEncrypt {
+		rs.rel.Release(ct)
 	}
 }
 

@@ -2,7 +2,9 @@ package exec
 
 import (
 	"context"
+	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"cnnhe/internal/henn/ir"
@@ -207,5 +209,81 @@ func TestFusedMetricsStayLogical(t *testing.T) {
 	}
 	if f, ok := diff.Family("cnnhe_exec_hoist_groups_total"); !ok || f.Series[0].Value != 1 {
 		t.Fatalf("hoist groups counter moved by the fused recombine: %+v", f)
+	}
+}
+
+// releasingFake is the fused fake engine plus ir.Releaser: it counts the
+// releases of each handle and overwrites a released ciphertext with NaN,
+// so a read after its release shows in the output.
+type releasingFake struct {
+	fusedFake
+	mu       sync.Mutex
+	released map[*fakeCt]int
+}
+
+func (f *releasingFake) Release(ct ir.Ct) {
+	c := ct.(*fakeCt)
+	f.mu.Lock()
+	f.released[c]++
+	f.mu.Unlock()
+	for i := range c.v {
+		c.v[i] = math.NaN()
+	}
+}
+
+// TestReleaseHandsBackEachIntermediateOnce: on an ir.Releaser engine every
+// intermediate result goes back to the engine exactly once, after its
+// last consumer has run (the output matches a run without releases);
+// the encrypted input and the output are never released, nor are the
+// products a recombine absorbs, which never exist. One and four workers.
+func TestReleaseHandsBackEachIntermediateOnce(t *testing.T) {
+	in := [][]float64{{1, 2, 3, 4}}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name     string
+		graph    func() *ir.Graph
+		releases int // ops that are neither encrypts, the output nor absorbed
+	}{
+		{"plain", testGraph, 6},
+		{"fused", fusedGraph, 4},
+	} {
+		ref, err := Prepare(fusedFake{&fakeEngine{}}, tc.graph())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resRef, err := ref.Run(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := resRef.Out.(*fakeCt).v
+		for _, workers := range []int{1, 4} {
+			e := &releasingFake{fusedFake: fusedFake{&fakeEngine{}}, released: map[*fakeCt]int{}}
+			p, err := Prepare(e, tc.graph())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cts, _, _, err := p.EncryptInputs(ctx, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.runEncrypted(ctx, cts, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Out.(*fakeCt).v; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, %d workers: output %v, want %v", tc.name, workers, got, want)
+			}
+			if len(e.released) != tc.releases {
+				t.Fatalf("%s, %d workers: %d ciphertexts released, want %d", tc.name, workers, len(e.released), tc.releases)
+			}
+			for _, n := range e.released {
+				if n != 1 {
+					t.Fatalf("%s, %d workers: a ciphertext was released %d times", tc.name, workers, n)
+				}
+			}
+			if e.released[cts[0].(*fakeCt)] != 0 || e.released[res.Out.(*fakeCt)] != 0 {
+				t.Fatalf("%s, %d workers: the input or the output was released", tc.name, workers)
+			}
+		}
 	}
 }

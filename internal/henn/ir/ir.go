@@ -46,7 +46,11 @@ type PlainSpec struct {
 // contract the executor uses for every plaintext operand. No method
 // writes its operands: the executor shares a ciphertext among the tasks
 // that read it, and the guard scans each ciphertext once, when it is
-// made.
+// made. No method returns one of its operands, or a ciphertext sharing
+// memory with one, for any argument a valid Graph holds (Validate
+// rejects a rotation by 0 and a drop of 0 levels, the two identities):
+// on a Releaser engine the executor recycles each operand at its last
+// use while the result lives on.
 type Engine interface {
 	// Name identifies the backend ("ckks-rns" or "ckks-big").
 	Name() string
@@ -91,7 +95,7 @@ type Engine interface {
 	MulInt(ct Ct, n int64) Ct
 	// Rescale divides by the current level's prime.
 	Rescale(ct Ct) Ct
-	// DropLevel discards n levels.
+	// DropLevel discards n levels (n = 0 may return the input unchanged).
 	DropLevel(ct Ct, n int) Ct
 	// Rotate rotates slots left by k (k = 0 returns the input unchanged).
 	Rotate(ct Ct, k int) Ct
@@ -130,6 +134,15 @@ type Recombiner interface {
 // exact, so any implementation that ends fully reduced qualifies.
 type PlainRecombiner interface {
 	PlainRecombine(args []Ct, pts []Pt, weights []int64) Ct
+}
+
+// Releaser is an optional Engine extension: Release hands a dead
+// ciphertext's memory back to the engine, which builds later results
+// from it. The executor calls it once per intermediate result, when its
+// last consumer has run; it never releases an encrypt op's input (the
+// caller's) or the graph output. ct must not be used afterwards.
+type Releaser interface {
+	Release(ct Ct)
 }
 
 // Combine returns Σᵢ weights[i]·termᵢ on e (weights[0] = 1), with termᵢ
@@ -283,7 +296,11 @@ type Graph struct {
 }
 
 // Validate checks structural invariants: topological order, argument
-// arity, stage/hoist/input index ranges, and sane inferred metadata.
+// arity, stage/hoist/input index ranges, sane inferred metadata, no
+// identity op (a rotation by 0, a drop of 0 levels) and no hoist group
+// rotating by one amount twice — the shapes on which an engine could
+// hand back one ciphertext as two results, or as an operand and a
+// result (see Engine).
 func (g *Graph) Validate() error {
 	if g.Inputs <= 0 {
 		return fmt.Errorf("ir: graph has %d inputs", g.Inputs)
@@ -337,6 +354,10 @@ func (g *Graph) Validate() error {
 			if op.Hoist != -1 && (op.Hoist < 0 || op.Hoist >= len(g.Hoists)) {
 				return fmt.Errorf("ir: op %d hoist group %d out of range", i, op.Hoist)
 			}
+		case OpDropLevel:
+			if op.Drop < 1 {
+				return fmt.Errorf("ir: op %d drops %d levels (should be elided)", i, op.Drop)
+			}
 		case OpMulPlain:
 			if op.PtScale <= 0 {
 				return fmt.Errorf("ir: op %d MulPlain with scale %v", i, op.PtScale)
@@ -362,6 +383,7 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("ir: empty hoist group %d", h)
 		}
 		arg := -1
+		ks := make(map[int]bool, len(members))
 		for _, m := range members {
 			if m < 0 || m >= len(g.Ops) {
 				return fmt.Errorf("ir: hoist group %d member %d out of range", h, m)
@@ -370,6 +392,12 @@ func (g *Graph) Validate() error {
 			if op.Kind != OpRotate || op.Hoist != h {
 				return fmt.Errorf("ir: hoist group %d member %d is not its rotation", h, m)
 			}
+			// RotateMany returns one ciphertext per amount: two members
+			// rotating by one k would share it.
+			if ks[op.K] {
+				return fmt.Errorf("ir: hoist group %d rotates by %d twice", h, op.K)
+			}
+			ks[op.K] = true
 			if arg == -1 {
 				arg = op.Args[0]
 			} else if op.Args[0] != arg {

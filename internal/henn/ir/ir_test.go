@@ -35,6 +35,17 @@ func TestValidateAccepts(t *testing.T) {
 	}
 }
 
+// TestValidateDropLevel: a drop of one level or more is valid; a drop of
+// 0 is the identity, which an engine may answer with its operand, so a
+// graph holding one is rejected (see TestValidateRejects).
+func TestValidateDropLevel(t *testing.T) {
+	g := smallGraph()
+	g.Ops[5] = Op{ID: 5, Kind: OpDropLevel, Args: []int{3}, Drop: 1, Stage: 1, Level: 2, Scale: 1 << 40}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("drop of one level rejected: %v", err)
+	}
+}
+
 func TestValidateRejects(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -44,6 +55,13 @@ func TestValidateRejects(t *testing.T) {
 		{"forward-arg", func(g *Graph) { g.Ops[3].Args = []int{5} }, "topological"},
 		{"bad-output", func(g *Graph) { g.Output = 99 }, "output"},
 		{"zero-rotation", func(g *Graph) { g.Ops[1].K = 0 }, "rotates by 0"},
+		{"zero-drop", func(g *Graph) {
+			g.Ops[5] = Op{ID: 5, Kind: OpDropLevel, Args: []int{3}, Stage: 1, Level: 3, Scale: 1 << 40}
+		}, "drops 0 levels"},
+		{"negative-drop", func(g *Graph) {
+			g.Ops[5] = Op{ID: 5, Kind: OpDropLevel, Args: []int{3}, Drop: -1, Stage: 1, Level: 4, Scale: 1 << 40}
+		}, "drops -1 levels"},
+		{"repeated-hoisted-k", func(g *Graph) { g.Ops[2].K = 1 }, "rotates by 1 twice"},
 		{"bad-scale", func(g *Graph) { g.Ops[5].Scale = 0 }, "scale"},
 		{"negative-level", func(g *Graph) { g.Ops[5].Level = -1 }, "level"},
 		{"bad-stage", func(g *Graph) { g.Ops[5].Stage = 7 }, "stage"},

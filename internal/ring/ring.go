@@ -32,9 +32,10 @@ type Ring struct {
 	// N·maxWidth words) for DivideExactByLimb and friends.
 	scratch sync.Pool
 
-	// polyPool recycles max-shape polynomials (every limb allocated) for
-	// hot-path scratch in the evaluator and key-switch.
-	polyPool sync.Pool
+	// free recycles limb coefficient vectors, one list per limb index
+	// (limb i's vectors hold N·Width(i) words). Scratch polynomials and
+	// ciphertext results are both built from it; see GetPoly.
+	free []sync.Pool
 }
 
 // NewRing builds an RNS ring of degree n over the given prime moduli
@@ -61,6 +62,7 @@ func NewRing(n int, moduli []*big.Int, special int, seed int64) (*Ring, error) {
 		s := make([]uint64, n*r.maxWidth)
 		return &s
 	}
+	r.free = make([]sync.Pool, len(moduli))
 	k := len(moduli)
 	r.invQ = make([][]*big.Int, k)
 	for s := 0; s < k; s++ {
@@ -215,30 +217,55 @@ func (r *Ring) slab() *[]uint64 { return r.scratch.Get().(*[]uint64) }
 
 func (r *Ring) putSlab(s *[]uint64) { r.scratch.Put(s) }
 
-// GetPoly checks out a pooled polynomial with every limb allocated
-// (ciphertext and special). Contents are UNSPECIFIED — callers that
-// accumulate into it must Zero the limbs they use first. Return it with
-// PutPoly when provably dead; never pool a poly that escaped as a result.
+// GetPoly checks out a polynomial with every limb (ciphertext and
+// special) drawn from the ring's recycled limbs. Contents are
+// UNSPECIFIED: callers that accumulate into it must Zero the limbs they
+// use first. Hand it back with PutPoly once it is dead.
 func (r *Ring) GetPoly() *Poly {
-	if p, ok := r.polyPool.Get().(*Poly); ok {
-		return p
+	p := &Poly{Coeffs: make([][]uint64, len(r.SubRings))}
+	for i := range p.Coeffs {
+		p.Coeffs[i] = r.getLimb(i)
 	}
-	return r.NewPoly(r.MaxLevel())
+	return p
 }
 
-// PutPoly returns a GetPoly-shaped polynomial to the pool. Polys with
-// missing limbs (NewPolyQ or lower-level NewPoly shapes) are dropped rather
-// than poisoning the pool.
+// GetPolyQ is GetPoly for a ciphertext component: limbs 0..level only,
+// the shape NewPolyQ allocates (the limbs above level and the special
+// limbs are nil). Contents are unspecified, so every result built on it
+// must overwrite all of its limbs.
+func (r *Ring) GetPolyQ(level int) *Poly {
+	p := &Poly{Coeffs: make([][]uint64, len(r.SubRings))}
+	for i := 0; i <= level; i++ {
+		p.Coeffs[i] = r.getLimb(i)
+	}
+	return p
+}
+
+// PutPoly hands every limb p holds back to the ring's free lists, whatever
+// p's shape (GetPoly, GetPolyQ, NewPolyQ or NewPoly), and clears them
+// from p, so a stray later use of p fails instead of reading limbs that
+// now belong to another polynomial. p must be dead: nothing may read or
+// write it, or share its limbs, afterwards. A limb of the wrong length
+// (another ring's) is dropped.
 func (r *Ring) PutPoly(p *Poly) {
 	if p == nil {
 		return
 	}
-	for i := range p.Coeffs {
-		if p.Coeffs[i] == nil {
-			return
+	for i, c := range p.Coeffs {
+		if c != nil && len(c) == r.NVal*r.SubRings[i].Width() {
+			r.free[i].Put(&c)
 		}
+		p.Coeffs[i] = nil
 	}
-	r.polyPool.Put(p)
+}
+
+// getLimb checks out a vector for limb i from its free list, allocating
+// when the list is empty.
+func (r *Ring) getLimb(i int) []uint64 {
+	if c, ok := r.free[i].Get().(*[]uint64); ok {
+		return *c
+	}
+	return make([]uint64, r.NVal*r.SubRings[i].Width())
 }
 
 // NTT transforms the given limbs of p in place.
