@@ -43,6 +43,7 @@ import (
 	"cnnhe/internal/dataset"
 	"cnnhe/internal/guard"
 	"cnnhe/internal/henn"
+	"cnnhe/internal/henn/ir"
 	"cnnhe/internal/henn/ir/opt"
 	"cnnhe/internal/nn"
 	"cnnhe/internal/primes"
@@ -132,10 +133,10 @@ func classifyExit(err error) int {
 		return exitOK
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return exitDeadline
-	case errors.Is(err, guard.ErrNoiseBudgetExhausted), errors.Is(err, guard.ErrLevelExhausted):
+	case errors.Is(err, guard.ErrNoiseBudgetExhausted), errors.Is(err, ir.ErrLevelExhausted):
 		return exitExhausted
 	case errors.Is(err, guard.ErrCorruptCiphertext), errors.Is(err, guard.ErrResidueMissing),
-		errors.Is(err, guard.ErrScaleDrift), errors.Is(err, guard.ErrInvalidPlaintext),
+		errors.Is(err, ir.ErrScaleDrift), errors.Is(err, guard.ErrInvalidPlaintext),
 		errors.Is(err, ckks.ErrFormat), errors.Is(err, ckks.ErrChecksum),
 		errors.Is(err, henn.ErrBadInput):
 		return exitCorrupt

@@ -9,6 +9,7 @@ import (
 
 	"cnnhe/internal/guard"
 	"cnnhe/internal/henn"
+	"cnnhe/internal/henn/ir"
 )
 
 func TestClassifyExit(t *testing.T) {
@@ -21,9 +22,9 @@ func TestClassifyExit(t *testing.T) {
 		{"deadline", context.DeadlineExceeded, exitDeadline},
 		{"cancelled", fmt.Errorf("stage: %w", context.Canceled), exitDeadline},
 		{"noise", guard.ErrNoiseBudgetExhausted, exitExhausted},
-		{"level", fmt.Errorf("op: %w", guard.ErrLevelExhausted), exitExhausted},
+		{"level", fmt.Errorf("op: %w", ir.ErrLevelExhausted), exitExhausted},
 		{"corrupt ct", guard.ErrCorruptCiphertext, exitCorrupt},
-		{"scale drift", guard.ErrScaleDrift, exitCorrupt},
+		{"scale drift", ir.ErrScaleDrift, exitCorrupt},
 		{"bad input", henn.ErrBadInput, exitCorrupt},
 		{"unclassified", errors.New("boom"), exitSetup},
 	}

@@ -25,7 +25,9 @@ func NewSecretKeyEncryptor(ctx *Context, sk *SecretKey, seed int64) *Encryptor {
 	return &Encryptor{ctx: ctx, sk: sk, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Encrypt encrypts pt (which must be in NTT form).
+// Encrypt encrypts pt (which must be in NTT form). Its temporaries — the
+// ephemeral key and the error polynomials — come from the ring's free
+// lists and go back to them; each is overwritten whole before it is read.
 func (en *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	if !pt.IsNTT {
 		panic("ckks: plaintext must be in NTT form for encryption")
@@ -41,15 +43,15 @@ func (en *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	}
 	if en.pk != nil {
 		// (c0, c1) = v·(pk.B, pk.A) + (m + e0, e1)
-		v := r.NewPolyQ(level)
+		v := r.GetPolyQ(level)
 		vec := ring.SampleTernarySparse(en.rng, r.N(), 0.5)
 		r.SetCoeffsInt64(limbs, vec, v)
 		r.NTT(limbs, v)
 
-		e0 := r.NewPolyQ(level)
+		e0 := r.GetPolyQ(level)
 		r.SamplePolyGaussian(en.rng, limbs, en.ctx.Params.Sigma, e0)
 		r.NTT(limbs, e0)
-		e1 := r.NewPolyQ(level)
+		e1 := r.GetPolyQ(level)
 		r.SamplePolyGaussian(en.rng, limbs, en.ctx.Params.Sigma, e1)
 		r.NTT(limbs, e1)
 
@@ -58,17 +60,21 @@ func (en *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 		r.Add(limbs, ct.C0, pt.Value, ct.C0)
 		r.MulCoeffs(limbs, v, en.pk.A, ct.C1)
 		r.Add(limbs, ct.C1, e1, ct.C1)
+		r.PutPoly(v)
+		r.PutPoly(e0)
+		r.PutPoly(e1)
 		return ct
 	}
 	// Secret-key encryption: c1 uniform, c0 = −c1·s + m + e.
 	r.SampleUniform(en.rng, limbs, ct.C1)
-	e := r.NewPolyQ(level)
+	e := r.GetPolyQ(level)
 	r.SamplePolyGaussian(en.rng, limbs, en.ctx.Params.Sigma, e)
 	r.NTT(limbs, e)
 	r.MulCoeffs(limbs, ct.C1, en.sk.S, ct.C0)
 	r.Neg(limbs, ct.C0, ct.C0)
 	r.Add(limbs, ct.C0, e, ct.C0)
 	r.Add(limbs, ct.C0, pt.Value, ct.C0)
+	r.PutPoly(e)
 	return ct
 }
 

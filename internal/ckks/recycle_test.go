@@ -128,3 +128,48 @@ func testResultsFromRecycledLimbs(t *testing.T, p Parameters) {
 		})
 	}
 }
+
+// TestEncryptFromRecycledLimbs: Encrypt draws its temporaries from the
+// free lists, so it must overwrite each whole. A public-key and a
+// secret-key encryption on a context whose free lists hold q_i−1 in
+// every word marshal to the same bytes as one on a fresh context, from
+// the same keys and seed, on both chains.
+func TestEncryptFromRecycledLimbs(t *testing.T) {
+	tinyParams, err := TinyParameters()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grouped, err := NewParameters(10, []int{40, 26, 26, 26, 26}, 60, 1, math.Exp2(26))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chain := range []struct {
+		name   string
+		params Parameters
+	}{{"tiny", tinyParams}, {"grouped-digits", grouped}} {
+		p := chain.params
+		k := newTestKit(t, p, nil, false)
+		pt := k.enc.Encode(randVec(rand.New(rand.NewSource(5)), p.Slots(), 1), p.MaxLevel(), p.Scale)
+		for _, mode := range []string{"public-key", "secret-key"} {
+			t.Run(chain.name+"/"+mode, func(t *testing.T) {
+				encrypt := func(dirty bool) string {
+					ctx, err := NewContext(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if dirty {
+						poisonFreeLists(t, ctx.R, 8)
+					}
+					en := NewEncryptor(ctx, k.pk, 31)
+					if mode == "secret-key" {
+						en = NewSecretKeyEncryptor(ctx, k.sk, 31)
+					}
+					return ctDigest(t, k.ctx, en.Encrypt(pt))
+				}
+				if fresh, dirty := encrypt(false), encrypt(true); dirty != fresh {
+					t.Fatalf("encryption on recycled limbs differs from a fresh ring's: %s vs %s", dirty, fresh)
+				}
+			})
+		}
+	}
+}

@@ -1,8 +1,9 @@
 // Package faults provides seeded, deterministic fault injection for the
 // homomorphic inference engines. An Injector wraps a henn.Engine and
 // fires exactly one configured fault at a chosen engine op, simulating
-// the corruption classes the guarded runtime (internal/guard) must
-// detect and classify:
+// the corruption classes the guarded runtime must detect and classify —
+// the guard (internal/guard) by scanning each result, the executor
+// (internal/henn/exec) by checking each result against the op graph:
 //
 //	CorruptLimb — overwrite one coefficient of the op's output with an
 //	              out-of-range value (a flipped word ≥ q_i on the RNS
@@ -10,7 +11,8 @@
 //	DropResidue — remove a residue the ciphertext's level requires (nil
 //	              an RNS limb, nil a multiprecision coefficient);
 //	SkewScale   — multiply the output's scale metadata by SkewFactor,
-//	              desynchronising it from the actual encoding;
+//	              desynchronising it from the actual encoding and from
+//	              the scale the graph derives for the op;
 //	PanicOp     — panic inside the op, as a buggy backend would;
 //	DelayOp     — sleep Delay inside the op, stalling the stage past a
 //	              caller's deadline.

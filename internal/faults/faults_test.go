@@ -14,6 +14,7 @@ import (
 	"cnnhe/internal/faults"
 	"cnnhe/internal/guard"
 	"cnnhe/internal/henn"
+	"cnnhe/internal/henn/ir"
 	"cnnhe/internal/nn"
 )
 
@@ -51,7 +52,8 @@ func testImage(seed int64, n int) []float64 {
 // guarded inference on both backends and asserts the fault is (a)
 // detected — inference errors instead of returning logits — and (b)
 // classified — the error wraps the kind's dedicated sentinel and carries
-// stage/op attribution.
+// stage/op attribution: a guard StageError's op, or, for a skewed scale
+// the executor finds against the graph, the graph op's kind.
 func TestFaultsDetectedAndClassified(t *testing.T) {
 	plan, err := henn.Compile(tinyModel(15), 512)
 	if err != nil {
@@ -95,6 +97,9 @@ func TestFaultsDetectedAndClassified(t *testing.T) {
 		// ("" to skip the check, e.g. for deadline faults that surface at
 		// whichever op follows the stall).
 		wantOp string
+		// graphOp is the kind of the graph op the executor names when it
+		// raises the failure itself (no StageError).
+		graphOp string
 	}{
 		{
 			name:   "corrupt-limb",
@@ -109,10 +114,10 @@ func TestFaultsDetectedAndClassified(t *testing.T) {
 			wantOp: "Rescale",
 		},
 		{
-			name:   "skew-scale",
-			inj:    faults.Injection{Kind: faults.SkewScale, Op: "MulPlainPt", SkewFactor: 1.01},
-			target: guard.ErrScaleDrift,
-			wantOp: "MulPlainPt",
+			name:    "skew-scale",
+			inj:     faults.Injection{Kind: faults.SkewScale, Op: "MulPlainPt", SkewFactor: 1.01},
+			target:  ir.ErrScaleDrift,
+			graphOp: "MulPlain",
 		},
 		{
 			name:   "panic-op",
@@ -174,13 +179,21 @@ func TestFaultsDetectedAndClassified(t *testing.T) {
 					if !strings.Contains(err.Error(), rep.FailedStage) {
 						t.Fatalf("error %q does not name the failed stage %q", err, rep.FailedStage)
 					}
+					var se *guard.StageError
 					if tc.wantOp != "" {
-						var se *guard.StageError
 						if !errors.As(err, &se) {
 							t.Fatalf("error %v does not carry a StageError", err)
 						}
 						if se.Op != tc.wantOp {
 							t.Fatalf("fault attributed to op %q, want %q", se.Op, tc.wantOp)
+						}
+					}
+					if tc.graphOp != "" {
+						if errors.As(err, &se) {
+							t.Fatalf("error %v carries a guard StageError; the executor raises this class", err)
+						}
+						if !strings.Contains(err.Error(), "("+tc.graphOp+")") {
+							t.Fatalf("error %q does not name graph op %s", err, tc.graphOp)
 						}
 					}
 				})

@@ -7,11 +7,12 @@ import (
 
 	"cnnhe/internal/ckks"
 	"cnnhe/internal/guard"
+	"cnnhe/internal/henn"
 )
 
-// TestAdoptWireCiphertext: a ciphertext that crossed the wire can be
-// adopted into a guarded engine, evaluated, and the result unwrapped for
-// serialization — the serve-side lifecycle of an encrypted request.
+// TestAdoptWireCiphertext: a ciphertext that crossed the wire is scanned
+// by Adopt and handed back as it is, evaluated, and the result
+// serialized — the serve-side lifecycle of an encrypted request.
 func TestAdoptWireCiphertext(t *testing.T) {
 	plan := tinyPlan(t)
 	e := rnsEngine(t, plan, 21)
@@ -28,34 +29,22 @@ func TestAdoptWireCiphertext(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Without adoption the guard rejects the foreign handle.
-	err = catchGuard(t, func() { g.Rotate(wire, 1) })
-	if !errors.Is(err, guard.ErrForeignCiphertext) {
-		t.Fatalf("want ErrForeignCiphertext, got %v", err)
-	}
-
 	adopted, err := g.Adopt(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := g.Add(adopted, adopted)
-	under := guard.Underlying(out)
-	if _, ok := under.(*ckks.Ciphertext); !ok {
-		t.Fatalf("Underlying returned %T, want *ckks.Ciphertext", under)
+	if adopted != henn.Ct(wire) {
+		t.Fatal("Adopt must return the ciphertext it scanned")
 	}
-	got := e.Enc.Decode(e.Dec.DecryptNew(under.(*ckks.Ciphertext)))
+	out := g.Add(adopted, adopted)
+	if guard.Underlying(out) != out {
+		t.Fatal("Underlying must return its argument")
+	}
+	got := e.Enc.Decode(e.Dec.DecryptNew(out.(*ckks.Ciphertext)))
 	for i, want := range []float64{2, 4, 6} {
 		if d := got[i] - want; d > 1e-3 || d < -1e-3 {
 			t.Fatalf("slot %d: got %v want %v", i, got[i], want)
 		}
-	}
-	// Adopting an already-tracked handle is a no-op.
-	again, err := g.Adopt(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != out {
-		t.Fatal("re-adoption should return the same handle")
 	}
 }
 
@@ -70,8 +59,9 @@ func TestAdoptRejectsCorruptWithoutLatching(t *testing.T) {
 	ct := e.EncryptVec([]float64{1}).(*ckks.Ciphertext)
 	// Corrupt a coefficient out of [0, q).
 	ct.C0.Coeffs[0][0] = ^uint64(0)
-	if _, err := g.Adopt(ct); err == nil {
-		t.Fatal("corrupt ciphertext adopted")
+	var se *guard.StageError
+	if _, err := g.Adopt(ct); !errors.Is(err, guard.ErrCorruptCiphertext) || !errors.As(err, &se) {
+		t.Fatalf("corrupt ciphertext: %v, want a StageError wrapping ErrCorruptCiphertext", err)
 	}
 
 	// The engine still works.

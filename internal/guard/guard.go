@@ -1,22 +1,27 @@
 // Package guard hardens homomorphic inference against silent corruption.
 //
-// Approximate HE fails quietly: a level-exhausted, scale-skewed, or
-// bit-flipped ciphertext decrypts to plausible-looking garbage logits
-// rather than an error. GuardedEngine wraps any henn.Engine and turns
-// those silent failures into typed, classified errors:
+// Approximate HE fails quietly: a bit-flipped or truncated ciphertext
+// decrypts to plausible-looking garbage logits rather than an error.
+// GuardedEngine wraps any henn.Engine and turns the failures the op
+// graph cannot see into typed, classified errors:
 //
-//   - engine panics (level/scale assertion failures, injected bugs)
-//     become StageError values wrapping ErrEnginePanic;
-//   - every ciphertext an op makes, or Adopt takes in, is checked once:
-//     residue/limb structure (ErrResidueMissing), coefficient ranges
-//     (ErrCorruptCiphertext), scale against an independent mirror
-//     (ErrScaleDrift); each op checks level underflow (ErrLevelExhausted)
-//     and NaN/Inf or over-long plaintext operands (ErrInvalidPlaintext);
+//   - engine panics (backend assertion failures, injected bugs) become
+//     StageError values wrapping ErrEnginePanic;
+//   - every ciphertext an op makes, or Adopt takes in, is scanned once:
+//     residue/limb structure (ErrResidueMissing) and coefficient ranges
+//     (ErrCorruptCiphertext); NaN/Inf, over-long or badly scaled
+//     plaintext operands are refused (ErrInvalidPlaintext);
 //   - the noise budget is a property of the graph, not of a ciphertext:
 //     NoiseBits runs the internal/noise canonical-embedding bound over
 //     each graph the executor prepares for the guard, so a plan whose
 //     messages would drown is refused with ErrNoiseBudgetExhausted
 //     before it runs instead of returning drowned logits.
+//
+// Level and scale are the graph's: the executor checks every result
+// against the (level, scale) ir.Graph.Derive gave its op, failing the
+// run with ir.ErrLevelExhausted or ir.ErrScaleDrift, and RunEncrypted
+// passes every input through Adopt. The guard hands the engine's own
+// ciphertexts through unwrapped.
 //
 // Op errors are raised by panicking with a *StageError; the executor
 // recovers the panic, names the failing op's stage around it and returns
@@ -49,19 +54,14 @@ import (
 )
 
 // Typed failure classes. Every guard abort is a *StageError whose Cause
-// wraps exactly one of these sentinels; match with errors.Is.
+// wraps exactly one of these sentinels (a ciphertext at a level outside
+// the chain wraps ir.ErrLevelExhausted); match with errors.Is.
 var (
 	// ErrNoiseBudgetExhausted: the graph's worst-case noise bound leaves
 	// some op fewer than DefaultMinNoiseBits bits of precision — the
 	// message is (conservatively) drowned and decryption would return
 	// garbage.
 	ErrNoiseBudgetExhausted = errors.New("guard: noise budget exhausted")
-	// ErrLevelExhausted: an op needs a level that is not there (rescaling
-	// at level 0, dropping below level 0).
-	ErrLevelExhausted = errors.New("guard: ciphertext level exhausted")
-	// ErrScaleDrift: the engine's ciphertext scale disagrees with the
-	// guard's independently tracked scale beyond a relative 10⁻⁶.
-	ErrScaleDrift = errors.New("guard: ciphertext scale drift")
 	// ErrResidueMissing: an RNS limb (or multiprecision coefficient)
 	// required at the ciphertext's level is absent or mis-sized.
 	ErrResidueMissing = errors.New("guard: ciphertext residue missing")
@@ -69,13 +69,11 @@ var (
 	// produced NaN/Inf slots.
 	ErrCorruptCiphertext = errors.New("guard: corrupt ciphertext")
 	// ErrInvalidPlaintext: a plaintext operand contains NaN/Inf, exceeds
-	// the slot count, or carries a non-positive scale.
+	// the slot count, carries a non-positive scale, or is to be encoded
+	// at a level off the chain.
 	ErrInvalidPlaintext = errors.New("guard: invalid plaintext operand")
 	// ErrEnginePanic: the wrapped engine panicked inside an op.
 	ErrEnginePanic = errors.New("guard: engine panic")
-	// ErrForeignCiphertext: a ciphertext handle that was not produced by
-	// this guarded engine was passed to one of its ops.
-	ErrForeignCiphertext = errors.New("guard: foreign ciphertext")
 )
 
 // StageError locates a failure: the op that detected it and the
@@ -122,27 +120,17 @@ func DefaultConfig() Config { return Config{} }
 // of bits and still trips.
 const DefaultMinNoiseBits = -192
 
-// scaleTol is the relative tolerance of scale-drift detection.
-const scaleTol = 1e-6
-
-// trackedCt is the guard's ciphertext handle: the engine's ciphertext
-// plus the independently tracked scale mirror.
-type trackedCt struct {
-	ct    henn.Ct
-	scale float64
-}
-
 // unwrapper is implemented by engine middleware (e.g. faults.Injector)
 // so the guard can find the base backend for parameter discovery.
 type unwrapper interface {
 	Unwrap() henn.Engine
 }
 
-// GuardedEngine wraps a henn.Engine with invariant checking, a noise
-// budget and panic conversion. It implements henn.Engine plus
-// ir.PlainRecombiner, ir.Releaser and NoiseBits. Safe for the same
-// concurrency the wrapped engine supports: its only mutable state is a
-// cache.
+// GuardedEngine wraps a henn.Engine with ciphertext scans, plaintext
+// checks, a noise budget and panic conversion. It implements henn.Engine
+// plus ir.PlainRecombiner, ir.Releaser, and the executor's NoiseBits,
+// Adopt and Fuses. Safe for the same concurrency the wrapped engine
+// supports: its only mutable state is a cache.
 type GuardedEngine struct {
 	inner henn.Engine
 	model noise.Model
@@ -264,59 +252,19 @@ func (g *GuardedEngine) call(op string, f func() henn.Ct) henn.Ct {
 	return ct
 }
 
-// in unwraps an operand ciphertext, checking only its provenance: out or
-// Adopt checked the rest when the handle was made (see ir.Engine). A
-// released handle is no longer this guard's.
-func (g *GuardedEngine) in(op string, ct henn.Ct) *trackedCt {
-	t, ok := ct.(*trackedCt)
-	if !ok {
-		g.fail(op, fmt.Errorf("%w: %T", ErrForeignCiphertext, ct))
-	}
-	if t.ct == nil {
-		g.fail(op, fmt.Errorf("%w: released ciphertext", ErrForeignCiphertext))
-	}
-	return t
-}
-
-// Release implements ir.Releaser: the handle is emptied, so a later use
-// fails in as ErrForeignCiphertext instead of reading recycled memory,
-// and the engine's ciphertext goes back to the inner engine when that
-// recycles too. A foreign or already released handle is ignored.
-func (g *GuardedEngine) Release(ct henn.Ct) {
-	t, ok := ct.(*trackedCt)
-	if !ok || t.ct == nil {
-		return
-	}
-	inner := t.ct
-	t.ct = nil
-	if r, ok := g.inner.(ir.Releaser); ok {
-		r.Release(inner)
-	}
-}
-
-// out validates an op result against the expected scale and wraps it.
-func (g *GuardedEngine) out(op string, ct henn.Ct, wantScale float64) henn.Ct {
+// made runs f through call and scans the ciphertext it makes.
+func (g *GuardedEngine) made(op string, f func() henn.Ct) henn.Ct {
+	ct := g.call(op, f)
 	g.validate(op, ct)
-	got := g.scaleOf(op, ct)
-	if !scaleClose(got, wantScale) {
-		g.fail(op, fmt.Errorf("%w: op produced scale 2^%.4f, expected 2^%.4f",
-			ErrScaleDrift, math.Log2(got), math.Log2(wantScale)))
-	}
-	return &trackedCt{ct: ct, scale: got}
+	return ct
 }
 
-// scaleOf reads the engine's scale without validation (must not recurse).
-func (g *GuardedEngine) scaleOf(op string, ct henn.Ct) float64 {
-	var s float64
-	g.call(op, func() henn.Ct { s = g.inner.ScaleOf(ct); return nil })
-	if s <= 0 || math.IsNaN(s) || math.IsInf(s, 0) {
-		g.fail(op, fmt.Errorf("%w: non-finite ciphertext scale %v", ErrScaleDrift, s))
+// Release implements ir.Releaser: a dead ciphertext goes back to the
+// inner engine when that recycles too.
+func (g *GuardedEngine) Release(ct henn.Ct) {
+	if r, ok := g.inner.(ir.Releaser); ok {
+		r.Release(ct)
 	}
-	return s
-}
-
-func scaleClose(a, b float64) bool {
-	return math.Abs(a-b) <= math.Max(math.Abs(a), math.Abs(b))*scaleTol
 }
 
 // checkVec rejects plaintext operand vectors with NaN/Inf entries or more
@@ -329,6 +277,13 @@ func (g *GuardedEngine) checkVec(op string, v []float64) {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			g.fail(op, fmt.Errorf("%w: non-finite value %v at slot %d", ErrInvalidPlaintext, x, i))
 		}
+	}
+}
+
+// checkPtScale validates an explicit plaintext scale.
+func (g *GuardedEngine) checkPtScale(op string, scale float64) {
+	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
+		g.fail(op, fmt.Errorf("%w: plaintext scale %v", ErrInvalidPlaintext, scale))
 	}
 }
 
@@ -350,41 +305,26 @@ func (g *GuardedEngine) Scale() float64 { return g.inner.Scale() }
 // QiFloat implements henn.Engine.
 func (g *GuardedEngine) QiFloat(level int) float64 { return g.inner.QiFloat(level) }
 
-// peek unwraps without validation (metadata accessors).
-func peek(ct henn.Ct) henn.Ct {
-	if t, ok := ct.(*trackedCt); ok {
-		return t.ct
-	}
-	return ct
-}
-
 // Level implements henn.Engine.
-func (g *GuardedEngine) Level(ct henn.Ct) int { return g.inner.Level(peek(ct)) }
+func (g *GuardedEngine) Level(ct henn.Ct) int { return g.inner.Level(ct) }
 
-// ScaleOf implements henn.Engine; a guard handle answers from its mirror.
-func (g *GuardedEngine) ScaleOf(ct henn.Ct) float64 {
-	if t, ok := ct.(*trackedCt); ok {
-		return t.scale
-	}
-	return g.inner.ScaleOf(ct)
-}
+// ScaleOf implements henn.Engine.
+func (g *GuardedEngine) ScaleOf(ct henn.Ct) float64 { return g.inner.ScaleOf(ct) }
 
 // EncryptVec implements henn.Engine.
 func (g *GuardedEngine) EncryptVec(values []float64) henn.Ct {
 	const op = "EncryptVec"
 	g.checkVec(op, values)
-	ct := g.call(op, func() henn.Ct { return g.inner.EncryptVec(values) })
-	return g.out(op, ct, g.inner.Scale())
+	return g.made(op, func() henn.Ct { return g.inner.EncryptVec(values) })
 }
 
-// DecryptVec implements henn.Engine. The decrypted slots are also
-// scanned for NaN/Inf.
+// DecryptVec implements henn.Engine. The ciphertext is scanned first and
+// the decrypted slots for NaN/Inf.
 func (g *GuardedEngine) DecryptVec(ct henn.Ct) []float64 {
 	const op = "DecryptVec"
-	t := g.in(op, ct)
-	g.validate(op, t.ct)
+	g.validate(op, ct)
 	var out []float64
-	g.call(op, func() henn.Ct { out = g.inner.DecryptVec(t.ct); return nil })
+	g.call(op, func() henn.Ct { out = g.inner.DecryptVec(ct); return nil })
 	for i, x := range out {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			g.fail(op, fmt.Errorf("%w: decryption produced %v at slot %d", ErrCorruptCiphertext, x, i))
@@ -395,192 +335,99 @@ func (g *GuardedEngine) DecryptVec(ct henn.Ct) []float64 {
 
 // Add implements henn.Engine.
 func (g *GuardedEngine) Add(a, b henn.Ct) henn.Ct {
-	const op = "Add"
-	ta, tb := g.in(op, a), g.in(op, b)
-	if !scaleClose(ta.scale, tb.scale) {
-		g.fail(op, fmt.Errorf("%w: operand scales 2^%.4f vs 2^%.4f",
-			ErrScaleDrift, math.Log2(ta.scale), math.Log2(tb.scale)))
-	}
-	ct := g.call(op, func() henn.Ct { return g.inner.Add(ta.ct, tb.ct) })
-	return g.out(op, ct, ta.scale)
+	return g.made("Add", func() henn.Ct { return g.inner.Add(a, b) })
 }
 
 // AddPlainVec implements henn.Engine.
 func (g *GuardedEngine) AddPlainVec(ct henn.Ct, v []float64) henn.Ct {
 	const op = "AddPlainVec"
-	t := g.in(op, ct)
 	g.checkVec(op, v)
-	out := g.call(op, func() henn.Ct { return g.inner.AddPlainVec(t.ct, v) })
-	return g.out(op, out, t.scale)
+	return g.made(op, func() henn.Ct { return g.inner.AddPlainVec(ct, v) })
 }
 
 // AddPlainVecCached implements henn.Engine.
 func (g *GuardedEngine) AddPlainVecCached(ct henn.Ct, key string, v []float64) henn.Ct {
 	const op = "AddPlainVecCached"
-	t := g.in(op, ct)
 	g.checkVec(op, v)
-	out := g.call(op, func() henn.Ct { return g.inner.AddPlainVecCached(t.ct, key, v) })
-	return g.out(op, out, t.scale)
-}
-
-// checkPtScale validates an explicit plaintext scale.
-func (g *GuardedEngine) checkPtScale(op string, scale float64) {
-	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
-		g.fail(op, fmt.Errorf("%w: plaintext scale %v", ErrInvalidPlaintext, scale))
-	}
+	return g.made(op, func() henn.Ct { return g.inner.AddPlainVecCached(ct, key, v) })
 }
 
 // MulPlainVecAtScale implements henn.Engine.
 func (g *GuardedEngine) MulPlainVecAtScale(ct henn.Ct, v []float64, scale float64) henn.Ct {
 	const op = "MulPlainVecAtScale"
-	t := g.in(op, ct)
 	g.checkVec(op, v)
 	g.checkPtScale(op, scale)
-	out := g.call(op, func() henn.Ct { return g.inner.MulPlainVecAtScale(t.ct, v, scale) })
-	return g.out(op, out, t.scale*scale)
+	return g.made(op, func() henn.Ct { return g.inner.MulPlainVecAtScale(ct, v, scale) })
 }
 
 // MulPlainVecCached implements henn.Engine.
 func (g *GuardedEngine) MulPlainVecCached(ct henn.Ct, key string, v []float64, scale float64) henn.Ct {
 	const op = "MulPlainVecCached"
-	t := g.in(op, ct)
 	g.checkVec(op, v)
 	g.checkPtScale(op, scale)
-	out := g.call(op, func() henn.Ct { return g.inner.MulPlainVecCached(t.ct, key, v, scale) })
-	return g.out(op, out, t.scale*scale)
+	return g.made(op, func() henn.Ct { return g.inner.MulPlainVecCached(ct, key, v, scale) })
 }
 
 // MulRelin implements henn.Engine.
 func (g *GuardedEngine) MulRelin(a, b henn.Ct) henn.Ct {
-	const op = "MulRelin"
-	ta, tb := g.in(op, a), g.in(op, b)
-	ct := g.call(op, func() henn.Ct { return g.inner.MulRelin(ta.ct, tb.ct) })
-	return g.out(op, ct, ta.scale*tb.scale)
+	return g.made("MulRelin", func() henn.Ct { return g.inner.MulRelin(a, b) })
 }
 
 // MulInt implements henn.Engine.
 func (g *GuardedEngine) MulInt(ct henn.Ct, n int64) henn.Ct {
-	const op = "MulInt"
-	t := g.in(op, ct)
-	out := g.call(op, func() henn.Ct { return g.inner.MulInt(t.ct, n) })
-	return g.out(op, out, t.scale)
+	return g.made("MulInt", func() henn.Ct { return g.inner.MulInt(ct, n) })
 }
 
 // PlainRecombine implements ir.PlainRecombiner, so a guarded engine keeps
 // the executor's fused linear-stage call; nil pts is a pure integer
-// recombination. When the inner engine offers the call too, or there are
-// no products, the whole combination pays one output validation and
-// runs on the inner engine through ir.Combine: the terms' scales must
-// agree, and every absorbed plaintext is level-checked. Otherwise each
-// product is first evaluated and validated by the guard's own MulPlainPt.
+// recombination. The whole combination runs on the inner engine through
+// ir.Combine and pays one scan of its result.
 func (g *GuardedEngine) PlainRecombine(args []henn.Ct, pts []henn.Pt, weights []int64) henn.Ct {
-	const op = "PlainRecombine"
-	if _, fused := g.inner.(ir.PlainRecombiner); !fused && pts != nil {
-		terms := make([]henn.Ct, len(args))
-		for i, a := range args {
-			terms[i] = a
-			if pts[i] != nil {
-				terms[i] = g.MulPlainPt(a, pts[i])
-			}
-		}
-		return g.PlainRecombine(terms, nil, weights)
-	}
-	innerArgs := make([]henn.Ct, len(args))
-	var innerPts []henn.Pt
-	if pts != nil {
-		innerPts = make([]henn.Pt, len(args))
-	}
-	var scale float64
-	for i, a := range args {
-		t := g.in(op, a)
-		innerArgs[i] = t.ct
-		termScale := t.scale
-		if pts != nil && pts[i] != nil {
-			tp := g.inPt(op, t, pts[i])
-			innerPts[i] = tp.pt
-			termScale = t.scale * tp.scale
-		}
-		if i == 0 {
-			scale = termScale
-		} else if !scaleClose(termScale, scale) {
-			g.fail(op, fmt.Errorf("%w: operand %d scale 2^%.4f vs 2^%.4f",
-				ErrScaleDrift, i, math.Log2(termScale), math.Log2(scale)))
-		}
-	}
-	ct := g.call(op, func() henn.Ct { return ir.Combine(g.inner, innerArgs, innerPts, weights) })
-	return g.out(op, ct, scale)
+	return g.made("PlainRecombine", func() henn.Ct { return ir.Combine(g.inner, args, pts, weights) })
+}
+
+// Fuses reports whether PlainRecombine is one call on the inner engine.
+// When it is not, the executor evaluates a recombine's products itself,
+// through MulPlainPt, so each is scanned and checked on its own.
+func (g *GuardedEngine) Fuses() bool {
+	_, ok := g.inner.(ir.PlainRecombiner)
+	return ok
 }
 
 // Rescale implements henn.Engine.
 func (g *GuardedEngine) Rescale(ct henn.Ct) henn.Ct {
-	const op = "Rescale"
-	t := g.in(op, ct)
-	level := g.inner.Level(t.ct)
-	if level <= 0 {
-		g.fail(op, fmt.Errorf("%w: rescale at level %d", ErrLevelExhausted, level))
-	}
-	q := g.inner.QiFloat(level)
-	out := g.call(op, func() henn.Ct { return g.inner.Rescale(t.ct) })
-	return g.out(op, out, t.scale/q)
+	return g.made("Rescale", func() henn.Ct { return g.inner.Rescale(ct) })
 }
 
 // DropLevel implements henn.Engine.
 func (g *GuardedEngine) DropLevel(ct henn.Ct, n int) henn.Ct {
-	const op = "DropLevel"
-	t := g.in(op, ct)
-	if n < 0 || g.inner.Level(t.ct)-n < 0 {
-		g.fail(op, fmt.Errorf("%w: drop %d levels from level %d", ErrLevelExhausted, n, g.inner.Level(t.ct)))
-	}
-	out := g.call(op, func() henn.Ct { return g.inner.DropLevel(t.ct, n) })
-	return g.out(op, out, t.scale)
+	return g.made("DropLevel", func() henn.Ct { return g.inner.DropLevel(ct, n) })
 }
 
 // Rotate implements henn.Engine.
 func (g *GuardedEngine) Rotate(ct henn.Ct, k int) henn.Ct {
-	const op = "Rotate"
-	t := g.in(op, ct)
 	if k == 0 {
-		return t
+		return ct
 	}
-	out := g.call(op, func() henn.Ct { return g.inner.Rotate(t.ct, k) })
-	return g.out(op, out, t.scale)
+	return g.made("Rotate", func() henn.Ct { return g.inner.Rotate(ct, k) })
 }
 
-// RotateMany implements henn.Engine.
+// RotateMany implements henn.Engine. The outputs are scanned in the
+// caller's order, so the first bad one named is the same on every call.
 func (g *GuardedEngine) RotateMany(ct henn.Ct, ks []int) map[int]henn.Ct {
 	const op = "RotateMany"
-	t := g.in(op, ct)
 	var outs map[int]henn.Ct
-	g.call(op, func() henn.Ct { outs = g.inner.RotateMany(t.ct, ks); return nil })
-	// Validate in the caller's order, so the first bad output named is
-	// the same on every call.
-	m := make(map[int]henn.Ct, len(outs))
+	g.call(op, func() henn.Ct { outs = g.inner.RotateMany(ct, ks); return nil })
 	for _, k := range ks {
-		o, ok := outs[k]
-		if !ok {
-			continue // dropped by the backend; the executor reports it
+		if o, ok := outs[k]; ok && k != 0 { // a dropped k is the executor's to report
+			g.validate(op, o)
 		}
-		if k == 0 {
-			m[0] = t
-			continue
-		}
-		m[k] = g.out(op, o, t.scale)
 	}
-	return m
+	return outs
 }
 
-// trackedPt is the guard's pre-encoded plaintext handle: the engine's
-// plaintext plus the level and scale the checks need (an opaque Pt
-// handle carries neither).
-type trackedPt struct {
-	pt    henn.Pt
-	level int
-	scale float64
-}
-
-// EncodeVecsAt implements henn.Engine: every operand is validated like
-// the per-op plaintext paths, then wrapped so MulPlainPt/AddPlainPt can
-// check level and scale without re-reading the values.
+// EncodeVecsAt implements henn.Engine: every operand is checked like the
+// per-op plaintext paths, and its level must be on the chain.
 func (g *GuardedEngine) EncodeVecsAt(specs []henn.PlainSpec) []henn.Pt {
 	const op = "EncodeVecsAt"
 	for _, s := range specs {
@@ -590,52 +437,19 @@ func (g *GuardedEngine) EncodeVecsAt(specs []henn.PlainSpec) []henn.Pt {
 			g.fail(op, fmt.Errorf("%w: encode level %d outside [0, %d]", ErrInvalidPlaintext, s.Level, g.inner.MaxLevel()))
 		}
 	}
-	var inner []henn.Pt
-	g.call(op, func() henn.Ct { inner = g.inner.EncodeVecsAt(specs); return nil })
-	if len(inner) != len(specs) {
-		g.fail(op, fmt.Errorf("%w: engine encoded %d of %d specs", ErrInvalidPlaintext, len(inner), len(specs)))
-	}
-	out := make([]henn.Pt, len(inner))
-	for i, pt := range inner {
-		out[i] = &trackedPt{pt: pt, level: specs[i].Level, scale: specs[i].Scale}
-	}
-	return out
-}
-
-// inPt validates a pre-encoded plaintext operand against the ciphertext
-// it is applied to and unwraps it.
-func (g *GuardedEngine) inPt(op string, t *trackedCt, pt henn.Pt) *trackedPt {
-	tp, ok := pt.(*trackedPt)
-	if !ok {
-		g.fail(op, fmt.Errorf("%w: foreign plaintext handle %T", ErrInvalidPlaintext, pt))
-	}
-	if lvl := g.inner.Level(t.ct); lvl != tp.level {
-		g.fail(op, fmt.Errorf("%w: plaintext encoded at level %d applied at level %d",
-			ErrInvalidPlaintext, tp.level, lvl))
-	}
-	return tp
+	var pts []henn.Pt
+	g.call(op, func() henn.Ct { pts = g.inner.EncodeVecsAt(specs); return nil })
+	return pts
 }
 
 // MulPlainPt implements henn.Engine.
 func (g *GuardedEngine) MulPlainPt(ct henn.Ct, pt henn.Pt) henn.Ct {
-	const op = "MulPlainPt"
-	t := g.in(op, ct)
-	tp := g.inPt(op, t, pt)
-	out := g.call(op, func() henn.Ct { return g.inner.MulPlainPt(t.ct, tp.pt) })
-	return g.out(op, out, t.scale*tp.scale)
+	return g.made("MulPlainPt", func() henn.Ct { return g.inner.MulPlainPt(ct, pt) })
 }
 
 // AddPlainPt implements henn.Engine.
 func (g *GuardedEngine) AddPlainPt(ct henn.Ct, pt henn.Pt) henn.Ct {
-	const op = "AddPlainPt"
-	t := g.in(op, ct)
-	tp := g.inPt(op, t, pt)
-	if !scaleClose(t.scale, tp.scale) {
-		g.fail(op, fmt.Errorf("%w: plaintext scale 2^%.4f vs ciphertext 2^%.4f",
-			ErrScaleDrift, math.Log2(tp.scale), math.Log2(t.scale)))
-	}
-	out := g.call(op, func() henn.Ct { return g.inner.AddPlainPt(t.ct, tp.pt) })
-	return g.out(op, out, t.scale)
+	return g.made("AddPlainPt", func() henn.Ct { return g.inner.AddPlainPt(ct, pt) })
 }
 
 var (

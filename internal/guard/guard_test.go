@@ -16,6 +16,7 @@ import (
 	"cnnhe/internal/faults"
 	"cnnhe/internal/guard"
 	"cnnhe/internal/henn"
+	"cnnhe/internal/henn/exec"
 	"cnnhe/internal/henn/ir"
 	"cnnhe/internal/nn"
 	"cnnhe/internal/primes"
@@ -310,19 +311,30 @@ func TestNoiseBoundCoversLogitError(t *testing.T) {
 	t.Logf("measured logit error %.3g, predicted bound 2^%.2f", maxErr, -bits)
 }
 
-// TestLevelExhausted: rescaling past level 0 is caught by the guard
-// before the backend panics.
+// lossyRescale is a backend whose Rescale also drops a level: a
+// well-formed ciphertext the guard's scan passes, one level below the
+// graph's.
+type lossyRescale struct{ *henn.RNSEngine }
+
+func (e lossyRescale) Unwrap() henn.Engine { return e.RNSEngine }
+
+func (e lossyRescale) Rescale(ct henn.Ct) henn.Ct {
+	return e.RNSEngine.DropLevel(e.RNSEngine.Rescale(ct), 1)
+}
+
+// TestLevelExhausted: a guarded run whose engine leaves a result below
+// the level the graph derived for it fails with ir.ErrLevelExhausted,
+// raised by the executor and naming the op and its stage.
 func TestLevelExhausted(t *testing.T) {
 	plan := tinyPlan(t)
-	g := guard.New(rnsEngine(t, plan, 78), guard.DefaultConfig())
-	err := catchGuard(t, func() {
-		ct := g.EncryptVec([]float64{1})
-		for i := 0; i < 10; i++ {
-			ct = g.Rescale(ct)
-		}
-	})
-	if !errors.Is(err, guard.ErrLevelExhausted) {
-		t.Fatalf("want ErrLevelExhausted, got %v", err)
+	g := guard.New(lossyRescale{rnsEngine(t, plan, 78)}, guard.DefaultConfig())
+	_, rep, err := plan.InferCtx(context.Background(), g, testImage(8, plan.InputDim))
+	if !errors.Is(err, ir.ErrLevelExhausted) {
+		t.Fatalf("want ir.ErrLevelExhausted, got %v", err)
+	}
+	if rep == nil || rep.FailedStage == "" || !strings.Contains(err.Error(), rep.FailedStage) ||
+		!strings.Contains(err.Error(), "(Rescale)") {
+		t.Fatalf("error %v does not name the Rescale op and the failed stage (report %+v)", err, rep)
 	}
 }
 
@@ -346,19 +358,6 @@ func TestInvalidPlaintext(t *testing.T) {
 	}
 }
 
-// TestForeignCiphertext: handles that did not come from this guard are
-// rejected instead of silently bypassing the tracked invariants.
-func TestForeignCiphertext(t *testing.T) {
-	plan := tinyPlan(t)
-	e := rnsEngine(t, plan, 81)
-	g := guard.New(rnsEngine(t, plan, 81), guard.DefaultConfig())
-	raw := e.EncryptVec([]float64{1})
-	err := catchGuard(t, func() { g.DecryptVec(raw) })
-	if !errors.Is(err, guard.ErrForeignCiphertext) {
-		t.Fatalf("want ErrForeignCiphertext, got %v", err)
-	}
-}
-
 // TestReset: a guard that failed runs a clean inference next, with no
 // reset — the reuse pattern the serving loop depends on (a fresh guard
 // would invalidate the engine-keyed prepared-graph cache). Reset is a
@@ -368,11 +367,12 @@ func TestReset(t *testing.T) {
 	e := rnsEngine(t, plan, 91)
 	g := guard.New(rnsEngine(t, plan, 91), guard.DefaultConfig())
 
-	// Fail an op with a foreign ciphertext.
-	raw := e.EncryptVec([]float64{1})
+	// Fail an op with a corrupt ciphertext.
+	raw := e.EncryptVec([]float64{1}).(*ckks.Ciphertext)
+	raw.C0.Coeffs[0][0] = ^uint64(0)
 	first := catchGuard(t, func() { g.DecryptVec(raw) })
-	if !errors.Is(first, guard.ErrForeignCiphertext) {
-		t.Fatalf("want ErrForeignCiphertext, got %v", first)
+	if !errors.Is(first, guard.ErrCorruptCiphertext) {
+		t.Fatalf("want ErrCorruptCiphertext, got %v", first)
 	}
 	if err := g.Reset(); err != nil {
 		t.Fatalf("Reset must return nil, got %v", err)
@@ -665,10 +665,9 @@ func (e *chainCounter) MulInt(ct henn.Ct, n int64) henn.Ct {
 
 // TestPlainRecombineChainBehindInjector: behind middleware that offers no
 // fused call (a faults.Injector that never fires), the guarded call
-// evaluates each product through the guard's own MulPlainPt and sums the
-// terms with the inner MulInt/Add chain. It matches the guarded op-by-op
-// chain in bits, level and scale, and makes the same inner MulInt/Add
-// calls.
+// evaluates each product with the inner MulPlainPt and sums the terms
+// with the inner MulInt/Add chain. It matches the guarded op-by-op chain
+// in bits, level and scale, and makes the same inner MulInt/Add calls.
 func TestPlainRecombineChainBehindInjector(t *testing.T) {
 	plan := tinyPlan(t)
 	run := func(fused bool) (henn.Ct, fusedLeg, []string) {
@@ -725,8 +724,8 @@ func (e corruptRotation) RotateMany(ct henn.Ct, ks []int) map[int]henn.Ct {
 // backend's fused implementation (full or evaluation-only engine), the
 // engine's RotateMany returns the fixture's third term corrupt and the
 // guard refuses it there, before any fused call. Behind middleware that
-// hides the fused call, a product the chain evaluates comes out corrupt
-// and is caught inside the guarded call.
+// hides the fused call, the executor evaluates the recombine's products
+// itself; one comes out corrupt and the guard refuses it at MulPlainPt.
 func TestPlainRecombineCatchesCorruptTerm(t *testing.T) {
 	plan := tinyPlan(t)
 
@@ -744,15 +743,22 @@ func TestPlainRecombineCatchesCorruptTerm(t *testing.T) {
 		}
 	}
 
-	// The first two MulPlainPt calls build the fixture's plain terms; the
-	// fourth is the second product inside the fused call.
-	full := rnsEngine(t, plan, 78)
-	inj := faults.Wrap(full, faults.Injection{Kind: faults.CorruptLimb, Op: "MulPlainPt", Nth: 4, Seed: 11})
+	// The first MulPlainPt call is the fixture graph's weighted term, an
+	// op of its own; the third is the recombine's second product.
+	inj := faults.Wrap(rnsEngine(t, plan, 78), faults.Injection{Kind: faults.CorruptLimb, Op: "MulPlainPt", Nth: 3, Seed: 11})
 	g := guard.New(inj, guard.DefaultConfig())
-	args, pts, weights := plainRecombineFixture(t, fusedLeg{g: g, full: full})
-	err := catchGuard(t, func() { g.PlainRecombine(args, pts, weights) })
-	if !inj.Fired() || !errors.Is(err, guard.ErrCorruptCiphertext) {
-		t.Fatalf("chain behind injector: fired=%v, got %v, want ErrCorruptCiphertext", inj.Fired(), err)
+	if g.Fuses() {
+		t.Fatal("fixture: the guard fuses behind the injector")
+	}
+	prep, err := exec.Prepare(g, fixtureGraph(g, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, _ := fixtureVecs(g.Slots())
+	_, err = prep.Run(context.Background(), [][]float64{in})
+	var se *guard.StageError
+	if !inj.Fired() || !errors.Is(err, guard.ErrCorruptCiphertext) || !errors.As(err, &se) || se.Op != "MulPlainPt" {
+		t.Fatalf("products behind injector: fired=%v, got %v, want ErrCorruptCiphertext at op MulPlainPt", inj.Fired(), err)
 	}
 }
 

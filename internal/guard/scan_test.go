@@ -86,11 +86,12 @@ func (e *scaleCounter) RotateMany(ct henn.Ct, ks []int) map[int]henn.Ct {
 	return outs
 }
 
-// TestGuardReadsEachScaleOnce: the guard reads a ciphertext's scale once,
-// when an op makes it or Adopt takes it in, never again when the
-// ciphertext is used. On a guarded tiny-plan run the engine's ScaleOf is
-// read exactly once per ciphertext it returned, plus once per adopted
-// input.
+// TestGuardReadsEachScaleOnce: a guarded run reads a ciphertext's scale
+// once — the executor's check of each result against the graph, and of
+// each input against its encrypt op — never again when the ciphertext is
+// used; the guard reads none. On a guarded tiny-plan run the engine's
+// ScaleOf is read exactly once per ciphertext it returned, plus once per
+// adopted input.
 func TestGuardReadsEachScaleOnce(t *testing.T) {
 	plan := tinyPlan(t)
 	full := rnsEngine(t, plan, 95)

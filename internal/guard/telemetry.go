@@ -67,10 +67,8 @@ func failureClass(cause error) string {
 	switch {
 	case errors.Is(cause, ErrNoiseBudgetExhausted):
 		return "noise_exhausted"
-	case errors.Is(cause, ErrLevelExhausted):
+	case errors.Is(cause, ir.ErrLevelExhausted):
 		return "level_exhausted"
-	case errors.Is(cause, ErrScaleDrift):
-		return "scale_drift"
 	case errors.Is(cause, ErrResidueMissing):
 		return "residue_missing"
 	case errors.Is(cause, ErrCorruptCiphertext):
@@ -79,8 +77,6 @@ func failureClass(cause error) string {
 		return "invalid_plaintext"
 	case errors.Is(cause, ErrEnginePanic):
 		return "engine_panic"
-	case errors.Is(cause, ErrForeignCiphertext):
-		return "foreign_ciphertext"
 	}
 	return "other"
 }

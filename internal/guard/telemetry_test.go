@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"cnnhe/internal/ckks"
 	"cnnhe/internal/guard"
 	"cnnhe/internal/telemetry"
 )
@@ -102,18 +103,20 @@ func TestGuardFailureCounter(t *testing.T) {
 
 	before := telemetry.Default().Snapshot()
 	plan := tinyPlan(t)
-	g := guard.New(rnsEngine(t, plan, 15), guard.DefaultConfig())
-	err := catchGuard(t, func() { g.DecryptVec("not a ciphertext") })
-	if err == nil {
-		t.Fatal("foreign ciphertext not rejected")
+	e := rnsEngine(t, plan, 15)
+	g := guard.New(e, guard.DefaultConfig())
+	ct := e.EncryptVec([]float64{1}).(*ckks.Ciphertext)
+	ct.C1.Coeffs[0] = nil
+	if err := catchGuard(t, func() { g.DecryptVec(ct) }); !errors.Is(err, guard.ErrResidueMissing) {
+		t.Fatalf("want ErrResidueMissing, got %v", err)
 	}
-	if n := failuresSince(t, before, "foreign_ciphertext"); n != 1 {
-		t.Errorf("failures_total{class=foreign_ciphertext} = %v, want 1", n)
+	if n := failuresSince(t, before, "residue_missing"); n != 1 {
+		t.Errorf("failures_total{class=residue_missing} = %v, want 1", n)
 	}
 
 	before = telemetry.Default().Snapshot()
 	drowned := drownedPlan(t)
-	_, _, err = drowned.Prepare(guard.New(rnsEngine(t, drowned, 77), guard.DefaultConfig()))
+	_, _, err := drowned.Prepare(guard.New(rnsEngine(t, drowned, 77), guard.DefaultConfig()))
 	if !errors.Is(err, guard.ErrNoiseBudgetExhausted) {
 		t.Fatalf("want ErrNoiseBudgetExhausted, got %v", err)
 	}

@@ -7,13 +7,14 @@ import (
 	"cnnhe/internal/ckks"
 	"cnnhe/internal/ckksbig"
 	"cnnhe/internal/henn"
+	"cnnhe/internal/henn/ir"
 )
 
 // validate runs the structural and coefficient-range invariants on a
-// raw backend ciphertext, once per ciphertext an op makes or Adopt takes
-// in, and in DecryptVec: 184 serial scans, ≈4–5 ms of a ≈200 ms CNN1
-// image at logN 11 on [40,26×6,40] (2 vCPUs). An unknown backend passes
-// unchecked; the guard still converts its panics and tracks its scales.
+// backend ciphertext, once per ciphertext an op makes or Adopt takes in,
+// and in DecryptVec: 184 serial scans, ≈4–5 ms of a ≈200 ms CNN1 image at
+// logN 11 on [40,26×6,40] (2 vCPUs). An unknown backend passes
+// unchecked; the guard still converts its panics.
 func (g *GuardedEngine) validate(op string, ct henn.Ct) {
 	switch c := ct.(type) {
 	case *ckks.Ciphertext:
@@ -41,7 +42,7 @@ var componentNames = [2]string{"c0", "c1"}
 func (g *GuardedEngine) validateRNS(op string, ct *ckks.Ciphertext) {
 	r := g.rnsCtx.R
 	if ct.Level < 0 || ct.Level > r.MaxLevel() {
-		g.fail(op, fmt.Errorf("%w: level %d outside [0, %d]", ErrLevelExhausted, ct.Level, r.MaxLevel()))
+		g.fail(op, fmt.Errorf("%w: level %d outside [0, %d]", ir.ErrLevelExhausted, ct.Level, r.MaxLevel()))
 	}
 	for c, poly := range [2][][]uint64{ct.C0.Coeffs, ct.C1.Coeffs} {
 		name := componentNames[c]
@@ -81,7 +82,7 @@ func (g *GuardedEngine) validateBig(op string, ct *ckksbig.Ciphertext) {
 	params := g.bigCtx.Params
 	maxLevel := len(params.Factors) - 1
 	if ct.Level < 0 || ct.Level > maxLevel {
-		g.fail(op, fmt.Errorf("%w: level %d outside [0, %d]", ErrLevelExhausted, ct.Level, maxLevel))
+		g.fail(op, fmt.Errorf("%w: level %d outside [0, %d]", ir.ErrLevelExhausted, ct.Level, maxLevel))
 	}
 	n := params.N()
 	g.mu.Lock()

@@ -22,6 +22,16 @@
 // dropped, and handed back to the engine when it is an ir.Releaser (the
 // RNS engines build later results from its limbs). The encrypted inputs
 // and the output are never handed back.
+//
+// Every ciphertext a run touches is checked against the graph once: each
+// input against its encrypt op (ErrInputMismatch), after RunEncrypted has
+// passed it through the engine's Adopt when the engine has one (the
+// guard's wire boundary), and each engine result — a single op's, every
+// hoist-group member's, every recombine's — against the (level, scale)
+// ir.Graph.Derive gave its op: a level that differs fails the run with
+// ir.ErrLevelExhausted, a scale that differs in any bit with
+// ir.ErrScaleDrift. Stage rows and trace spans therefore read level and
+// scale off the graph.
 // The run owns its per-run state: the context is checked before every
 // task, and the first failure stops every worker and is returned as
 // "henn: <stage>: …" with the failing op's stage, which the Result's
@@ -77,6 +87,29 @@ type noiseAware interface {
 	NoiseBits(g *ir.Graph) ([]float64, error)
 }
 
+// fuser engines (the guard) offer ir.PlainRecombiner whatever they wrap
+// and report whether it is one fused call there.
+type fuser interface {
+	Fuses() bool
+}
+
+// fuses reports whether e evaluates a recombine's products inside one
+// PlainRecombine call. On any other engine the executor evaluates each
+// product itself, with MulPlainPt, and checks it like any result.
+func fuses(e ir.Engine) bool {
+	if f, ok := e.(fuser); ok {
+		return f.Fuses()
+	}
+	_, ok := e.(ir.PlainRecombiner)
+	return ok
+}
+
+// adopter engines (the guard) check a ciphertext that no op of theirs
+// made — one read off the wire — before a run takes it in.
+type adopter interface {
+	Adopt(ct ir.Ct) (ir.Ct, error)
+}
+
 // ErrInputMismatch: an encrypted input is not at the (level, scale) of
 // its encrypt op, which every static fact about the graph — the
 // plaintext encodings, the noise budget — assumes of a fresh input.
@@ -100,8 +133,9 @@ type task struct {
 // Prepared is a validated graph with its plaintext operands pre-encoded
 // for one engine. Immutable after Prepare; share freely across Runs.
 type Prepared struct {
-	e ir.Engine
-	g *ir.Graph
+	e     ir.Engine
+	g     *ir.Graph
+	fuses bool // fuses(e)
 
 	// absorbedBy is g.AbsorbedBy(): ops with an entry ≥ 0 never execute
 	// on their own.
@@ -143,7 +177,7 @@ func (p *Prepared) On(e ir.Engine) (*Prepared, error) {
 		return nil, err
 	}
 	q := *p
-	q.e, q.bits = e, bits
+	q.e, q.bits, q.fuses = e, bits, fuses(e)
 	return &q, nil
 }
 
@@ -190,6 +224,7 @@ func Prepare(e ir.Engine, g *ir.Graph) (p *Prepared, err error) {
 	p = &Prepared{
 		e:          e,
 		g:          g,
+		fuses:      fuses(e),
 		absorbedBy: g.AbsorbedBy(),
 		pts:        make([]ir.Pt, len(g.Ops)),
 		bits:       bits,
@@ -400,9 +435,9 @@ func (p *Prepared) newRunState() *runState {
 	return rs
 }
 
-// opStarted/opDone maintain per-stage wall-clock spans and capture the
-// stage output's (level, scale, noise) the moment it is produced,
-// before reference counting can release it.
+// opStarted/opDone maintain per-stage wall-clock spans and record a
+// stage output's (level, scale, noise) once it is produced: the graph's,
+// which the result was checked against.
 func (rs *runState) opStarted(stage int, now time.Time) {
 	rs.mu.Lock()
 	if !rs.started[stage] {
@@ -412,38 +447,42 @@ func (rs *runState) opStarted(stage int, now time.Time) {
 	rs.mu.Unlock()
 }
 
-func (rs *runState) opDone(id int, ct ir.Ct, now time.Time) {
-	stage := rs.p.g.Ops[id].Stage
-	var level int
-	var scale, noise float64
-	outs := rs.p.outStages[id]
-	if len(outs) > 0 {
-		level = rs.p.e.Level(ct)
-		scale = rs.p.e.ScaleOf(ct)
-		noise = rs.p.noise(id)
-	}
+func (rs *runState) opDone(id int, now time.Time) {
+	op := &rs.p.g.Ops[id]
 	rs.mu.Lock()
-	if now.After(rs.end[stage]) {
-		rs.end[stage] = now
+	if now.After(rs.end[op.Stage]) {
+		rs.end[op.Stage] = now
 	}
-	for _, s := range outs {
-		rs.stats[s].Level = level
-		rs.stats[s].Scale = scale
-		rs.stats[s].NoiseBits = noise
+	for _, s := range rs.p.outStages[id] {
+		rs.stats[s].Level = op.Level
+		rs.stats[s].Scale = op.Scale
+		rs.stats[s].NoiseBits = rs.p.noise(id)
 		rs.done[s] = true
 	}
 	rs.mu.Unlock()
 }
 
-// observeHE reads op id's output ciphertext's level and scale, and its
-// predicted noise budget, for span attribution. Only called when tracing
-// is on, so the metrics-only and telemetry-off paths never pay the
-// engine calls.
-func (p *Prepared) observeHE(id int, ct ir.Ct) heAttr {
-	if ct == nil {
-		return heAttr{}
+// observeHE is op id's result level and scale, and its predicted noise
+// budget, for span attribution.
+func (p *Prepared) observeHE(id int) heAttr {
+	op := &p.g.Ops[id]
+	return heAttr{Level: op.Level, Scale: op.Scale, Noise: p.noise(id)}
+}
+
+// checkResult fails op id unless the engine left its result at the
+// (level, scale) the graph derived for it: the level exactly, the scale
+// bit for bit, as checkInput compares an input with its encrypt op.
+func (p *Prepared) checkResult(id int, ct ir.Ct) error {
+	op := &p.g.Ops[id]
+	if level := p.e.Level(ct); level != op.Level {
+		return fmt.Errorf("%w: op %d (%s) left level %d; the graph derives %d",
+			ir.ErrLevelExhausted, id, op.Kind, level, op.Level)
 	}
-	return heAttr{Level: p.e.Level(ct), Scale: p.e.ScaleOf(ct), Noise: p.noise(id)}
+	if scale := p.e.ScaleOf(ct); scale != op.Scale {
+		return fmt.Errorf("%w: op %d (%s) left scale 2^%.6f; the graph derives 2^%.6f",
+			ir.ErrScaleDrift, id, op.Kind, math.Log2(scale), math.Log2(op.Scale))
+	}
+	return nil
 }
 
 // release decrements an argument's reference count. At zero its last
@@ -477,9 +516,11 @@ func (rs *runState) finish(res *Result) {
 }
 
 // execOp runs one non-encrypt op (or, for the first member of a hoist
-// group, the whole group via a single RotateMany). Panics are converted
-// to errors (panicErr); the caller names the op's stage around them.
-// worker and taskIdx attribute the work for telemetry.
+// group, the whole group via a single RotateMany) and checks each result
+// against the graph (checkResult). Panics are converted to errors
+// (panicErr); the caller names the op's stage around them — a hoist
+// group's, its first member's. worker and taskIdx attribute the work for
+// telemetry.
 func (rs *runState) execOp(id, worker, taskIdx int) (err error) {
 	p := rs.p
 	op := &p.g.Ops[id]
@@ -499,21 +540,26 @@ func (rs *runState) execOp(id, worker, taskIdx int) (err error) {
 			ks[i] = p.g.Ops[m].K
 		}
 		outs := p.e.RotateMany(arg, ks)
+		for i, m := range members {
+			ct, ok := outs[ks[i]]
+			if !ok {
+				return fmt.Errorf("RotateMany dropped rotation %d", ks[i])
+			}
+			if err := p.checkResult(m, ct); err != nil {
+				return err
+			}
+		}
 		now := time.Now()
 		var he heAttr
 		if rs.tel.tracing() {
 			// All group members share (level, scale); observe the first.
-			he = p.observeHE(members[0], outs[ks[0]])
+			he = p.observeHE(members[0])
 		}
 		rs.tel.opExecuted(op.Kind, name, worker, rs.tel.queuedAt(taskIdx),
 			t0, now, len(members), len(members)-1, he)
-		for _, m := range members {
-			ct, ok := outs[p.g.Ops[m].K]
-			if !ok {
-				return fmt.Errorf("RotateMany dropped rotation %d", p.g.Ops[m].K)
-			}
-			rs.slots[m] = ct
-			rs.opDone(m, ct, now)
+		for i, m := range members {
+			rs.slots[m] = outs[ks[i]]
+			rs.opDone(m, now)
 		}
 		for range members {
 			rs.release(op.Args[0])
@@ -543,19 +589,34 @@ func (rs *runState) execOp(id, worker, taskIdx int) (err error) {
 		ct = p.e.DropLevel(args[0], op.Drop)
 	case ir.OpRecombine:
 		pts, n := rs.absorbedOperands(id, args)
+		if pts != nil && !p.fuses {
+			for i, pt := range pts {
+				if pt == nil {
+					continue
+				}
+				args[i] = p.e.MulPlainPt(args[i], pt)
+				if err := p.checkResult(op.Args[i], args[i]); err != nil {
+					return err
+				}
+			}
+			pts = nil
+		}
 		ct = ir.Combine(p.e, args, pts, op.Weights)
 		covered += n
 	default:
 		return fmt.Errorf("cannot execute %s op", op.Kind)
 	}
+	if err := p.checkResult(id, ct); err != nil {
+		return err
+	}
 	now := time.Now()
 	var he heAttr
 	if rs.tel.tracing() {
-		he = p.observeHE(id, ct)
+		he = p.observeHE(id)
 	}
 	rs.tel.opExecuted(op.Kind, name, worker, rs.tel.queuedAt(taskIdx), t0, now, covered, 0, he)
 	rs.slots[id] = ct
-	rs.opDone(id, ct, now)
+	rs.opDone(id, now)
 	for _, a := range op.Args {
 		if p.absorbed(a) {
 			a = p.g.Ops[a].Args[0] // the product never existed; its input did
@@ -626,7 +687,7 @@ func (p *Prepared) EncryptInputs(ctx context.Context, inputs [][]float64) (cts [
 		}
 		var he heAttr
 		if tel.tracing() {
-			he = p.observeHE(id, ct)
+			he = p.observeHE(id)
 		}
 		tel.opExecuted(ir.OpEncrypt, name, 0, time.Time{}, opT0, time.Now(), 1, 0, he)
 		cts[i] = ct
@@ -636,27 +697,45 @@ func (p *Prepared) EncryptInputs(ctx context.Context, inputs [][]float64) (cts [
 }
 
 // RunEncrypted evaluates the graph on already-encrypted inputs (in
-// encrypt-op order, as returned by EncryptInputs). It is the batched
-// hot path: many RunEncrypted calls may share one Prepared concurrently.
-// An input at another (level, scale) than its encrypt op's is rejected
-// with ErrInputMismatch, named after that op's stage, before any op
-// runs. Options is empty.
+// encrypt-op order, as returned by EncryptInputs, or read off the wire).
+// It is the batched hot path: many RunEncrypted calls may share one
+// Prepared concurrently. Each input first passes through the engine's
+// Adopt when it has one (the guard scans it); an input the engine
+// refuses, or at another (level, scale) than its encrypt op's
+// (ErrInputMismatch), fails the run, named after that op's stage,
+// before any op runs. Options is empty.
 func (p *Prepared) RunEncrypted(ctx context.Context, cts []ir.Ct, _ Options) (*Result, error) {
+	if a, ok := p.e.(adopter); ok && len(cts) == len(p.encryptOps) {
+		adopted := make([]ir.Ct, len(cts))
+		for i, ct := range cts {
+			var err error
+			if adopted[i], err = a.Adopt(ct); err != nil {
+				return p.inputFailed(i, err)
+			}
+		}
+		cts = adopted
+	}
 	return p.runEncrypted(ctx, cts, len(p.encryptOps))
 }
 
-// runEncrypted is RunEncrypted on the given number of workers.
+// inputFailed fails a run at input i, named after its encrypt op's stage.
+func (p *Prepared) inputFailed(i int, err error) (*Result, error) {
+	res := &Result{FailedStage: p.g.Stages[p.g.Ops[p.encryptOps[i]].Stage].Name}
+	return res, fmt.Errorf("henn: %s: %w", res.FailedStage, err)
+}
+
+// runEncrypted is RunEncrypted, without the Adopt pass, on the given
+// number of workers.
 func (p *Prepared) runEncrypted(ctx context.Context, cts []ir.Ct, workers int) (*Result, error) {
-	res := &Result{}
 	if len(cts) != len(p.encryptOps) {
-		return res, fmt.Errorf("exec: %d ciphertexts for %d encrypt ops", len(cts), len(p.encryptOps))
+		return &Result{}, fmt.Errorf("exec: %d ciphertexts for %d encrypt ops", len(cts), len(p.encryptOps))
 	}
 	for i, ct := range cts {
 		if err := p.checkInput(i, ct); err != nil {
-			res.FailedStage = p.g.Stages[p.g.Ops[p.encryptOps[i]].Stage].Name
-			return res, fmt.Errorf("henn: %s: %w", res.FailedStage, err)
+			return p.inputFailed(i, err)
 		}
 	}
+	res := &Result{}
 	rs := p.newRunState()
 	rs.tel = newRunTel(ctx, len(p.tasks)).runStarted()
 	for i, id := range p.encryptOps {

@@ -13,6 +13,12 @@
 // possible: a MulPlain/AddPlain operand can be encoded at its exact
 // (level, scale) before any ciphertext exists.
 //
+// Graph.Derive is that propagation rule, written once: lowering derives
+// every op it emits through it, the optimizer every op it rebuilds, and
+// the executor checks every engine result against the (level, scale) it
+// derived — a result at another level fails the run with
+// ErrLevelExhausted, at another scale with ErrScaleDrift.
+//
 // The package deliberately has no dependency on the engine
 // implementations: Ct and Pt are opaque handles (aliases of any), and
 // Engine is the structural interface both backends, the guard middleware,
@@ -20,8 +26,20 @@
 package ir
 
 import (
+	"errors"
 	"fmt"
 	"math"
+)
+
+var (
+	// ErrLevelExhausted: an engine result is not at the level the graph
+	// derived for its op — the op needed a level that was not there, or
+	// the engine lost or kept one. The guard's scan raises it too, for a
+	// ciphertext at a level off the modulus chain.
+	ErrLevelExhausted = errors.New("ir: ciphertext level exhausted")
+	// ErrScaleDrift: an engine result's scale is not the one the graph
+	// derived for its op.
+	ErrScaleDrift = errors.New("ir: ciphertext scale drift")
 )
 
 // Ct is an opaque ciphertext handle owned by an Engine.
@@ -43,10 +61,11 @@ type PlainSpec struct {
 // and lowered graphs need. The first block is what Stage.Eval calls when
 // lowering traces a plan (and what the stage-kernel tests call
 // directly); the final three methods are the ahead-of-time encoding
-// contract the executor uses for every plaintext operand. No method
-// writes its operands: the executor shares a ciphertext among the tasks
-// that read it, and the guard scans each ciphertext once, when it is
-// made. No method returns one of its operands, or a ciphertext sharing
+// contract the executor uses for every plaintext operand. The executor
+// reads Level and ScaleOf of every result once, to check it against the
+// graph (see Graph.Derive). No method writes its operands: the executor
+// shares a ciphertext among the tasks that read it, and the guard scans
+// each ciphertext once, when it is made. No method returns one of its operands, or a ciphertext sharing
 // memory with one, for any argument a valid Graph holds (Validate
 // rejects a rotation by 0 and a drop of 0 levels, the two identities):
 // on a Releaser engine the executor recycles each operand at its last
@@ -410,6 +429,83 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("ir: stage %d output op %d out of range", s, st.Out)
 		}
 	}
+	return nil
+}
+
+// Params is the part of an Engine the (level, scale) rule reads.
+type Params interface {
+	MaxLevel() int
+	Scale() float64
+	QiFloat(level int) float64
+}
+
+// Derive sets op i's result Level and Scale from its arguments, which
+// precede it in g.Ops, with the same float64 arithmetic the engines use
+// (an AddPlain's PtScale becomes its argument's scale, at which its
+// plaintext encodes). It refuses arguments at two levels (Add, MulRelin,
+// Recombine), at scales further apart than a relative 2^-40 (Add,
+// Recombine), a rescale at level 0 and a drop below level 0.
+func (g *Graph) Derive(par Params, i int) error {
+	op := &g.Ops[i]
+	arg := func(j int) *Op { return &g.Ops[op.Args[j]] }
+	sameLevel := func() error {
+		for j := 1; j < len(op.Args); j++ {
+			if l := arg(j).Level; l != arg(0).Level {
+				return fmt.Errorf("ir: op %d (%s): arg %d at level %d, arg 0 at level %d", i, op.Kind, j, l, arg(0).Level)
+			}
+		}
+		return nil
+	}
+	switch op.Kind {
+	case OpEncrypt:
+		op.Level, op.Scale = par.MaxLevel(), par.Scale()
+		return nil
+	case OpRotate:
+	case OpAddPlain:
+		op.PtScale = arg(0).Scale
+	case OpMulPlain:
+		op.Level, op.Scale = arg(0).Level, arg(0).Scale*op.PtScale
+		return nil
+	case OpAdd, OpRecombine:
+		if err := sameLevel(); err != nil {
+			return err
+		}
+		// Scales within a relative 2^-40 count as one: the float64
+		// products and quotients that build them may round differently
+		// along different paths. A NaN scale matches nothing.
+		x := arg(0).Scale
+		for j := 1; j < len(op.Args); j++ {
+			if y := arg(j).Scale; !(math.Abs(x-y) <= math.Max(x, y)*math.Exp2(-40)) {
+				return fmt.Errorf("ir: op %d (%s): arg %d at scale 2^%.4f, arg 0 at scale 2^%.4f",
+					i, op.Kind, j, math.Log2(y), math.Log2(x))
+			}
+		}
+	case OpMulRelin:
+		if err := sameLevel(); err != nil {
+			return err
+		}
+		op.Level, op.Scale = arg(0).Level, arg(0).Scale*arg(1).Scale
+		return nil
+	case OpRescale:
+		x := arg(0)
+		if x.Level <= 0 {
+			return fmt.Errorf("ir: op %d (%s): rescale at level %d (modulus chain exhausted)", i, op.Kind, x.Level)
+		}
+		op.Level, op.Scale = x.Level-1, x.Scale/par.QiFloat(x.Level)
+		return nil
+	case OpDropLevel:
+		x := arg(0)
+		if op.Drop < 0 || x.Level-op.Drop < 0 {
+			return fmt.Errorf("ir: op %d (%s): drop %d levels from level %d", i, op.Kind, op.Drop, x.Level)
+		}
+		op.Level, op.Scale = x.Level-op.Drop, x.Scale
+		return nil
+	default:
+		return fmt.Errorf("ir: op %d has unknown kind %v", i, op.Kind)
+	}
+	// Rotate, AddPlain, Add and Recombine keep their first argument's
+	// level and scale.
+	op.Level, op.Scale = arg(0).Level, arg(0).Scale
 	return nil
 }
 

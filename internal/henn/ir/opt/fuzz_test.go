@@ -174,7 +174,7 @@ func FuzzOptimize(f *testing.F) {
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := fuzzGraph(data)
-		if err := reinfer(fakeParams{}, g); err != nil {
+		if err := derive(g); err != nil {
 			t.Fatalf("generator built an ill-formed graph: %v", err)
 		}
 		if err := g.Validate(); err != nil {

@@ -15,24 +15,16 @@
 // compares against.
 //
 // The pass rebuilds the graph through a builder that renumbers ops,
-// remaps Stages/Hoists, re-runs the exact level/scale inference, and
-// re-validates, so structural invariants cannot silently rot.
+// remaps Stages/Hoists, derives every op's (level, scale) again through
+// ir.Graph.Derive, and re-validates, so structural invariants cannot
+// silently rot.
 package opt
 
 import (
 	"fmt"
-	"math"
 
 	"cnnhe/internal/henn/ir"
 )
-
-// Params is the subset of engine parameters the level/scale re-inference
-// needs. ir.Engine satisfies it.
-type Params interface {
-	MaxLevel() int
-	Scale() float64
-	QiFloat(level int) float64
-}
 
 // Options configures the optimizer; nil means on.
 type Options struct {
@@ -74,7 +66,7 @@ type Result struct {
 // Optimize fuses the reduction trees of a validated graph, or returns it
 // unchanged when o.Off. o may be nil (on). The input graph is never
 // mutated.
-func Optimize(par Params, g *ir.Graph, o *Options) (*Result, error) {
+func Optimize(par ir.Params, g *ir.Graph, o *Options) (*Result, error) {
 	res := &Result{Graph: g, Before: g.Stats()}
 	if o != nil && o.Off {
 		res.After = res.Before
@@ -87,12 +79,6 @@ func Optimize(par Params, g *ir.Graph, o *Options) (*Result, error) {
 	res.Graph = out
 	res.After = out.Stats()
 	return res, nil
-}
-
-// scaleClose mirrors the backends' (and the tracer's) relative 2^-40
-// scale tolerance.
-func scaleClose(a, b float64) bool {
-	return math.Abs(a-b) <= math.Max(a, b)*math.Exp2(-40)
 }
 
 // builder accumulates a rewritten op list over a source graph and
@@ -150,9 +136,9 @@ func (b *builder) carry(i int) int {
 // recombine): later references, including stage outputs, resolve there.
 func (b *builder) alias(i, newID int) { b.remap[i] = newID }
 
-// finish renumbers, rebuilds Stages and Hoists, re-runs the exact
-// level/scale inference, and validates.
-func (b *builder) finish(par Params) (*ir.Graph, error) {
+// finish renumbers, rebuilds Stages and Hoists, derives every op's
+// (level, scale), and validates.
+func (b *builder) finish(par ir.Params) (*ir.Graph, error) {
 	g := &ir.Graph{
 		Slots:  b.src.Slots,
 		Inputs: b.src.Inputs,
@@ -195,72 +181,12 @@ func (b *builder) finish(par Params) (*ir.Graph, error) {
 		op.Hoist = gid
 		g.Hoists[gid] = append(g.Hoists[gid], i)
 	}
-	if err := reinfer(par, g); err != nil {
-		return nil, err
-	}
-	return g, g.Validate()
-}
-
-// reinfer recomputes every op's (Level, Scale) from scratch with the
-// tracer's exact rules, so a rewrite cannot leave stale metadata behind
-// (ahead-of-time plaintext encoding depends on it being exact).
-func reinfer(par Params, g *ir.Graph) error {
 	for i := range g.Ops {
-		op := &g.Ops[i]
-		a := func(j int) *ir.Op { return &g.Ops[op.Args[j]] }
-		switch op.Kind {
-		case ir.OpEncrypt:
-			op.Level, op.Scale = par.MaxLevel(), par.Scale()
-		case ir.OpRotate, ir.OpAddPlain:
-			op.Level, op.Scale = a(0).Level, a(0).Scale
-			if op.Kind == ir.OpAddPlain {
-				op.PtScale = a(0).Scale
-			}
-		case ir.OpMulPlain:
-			op.Level, op.Scale = a(0).Level, a(0).Scale*op.PtScale
-		case ir.OpAdd:
-			x, y := a(0), a(1)
-			if x.Level != y.Level {
-				return fmt.Errorf("opt: op %d Add level mismatch %d vs %d", i, x.Level, y.Level)
-			}
-			if !scaleClose(x.Scale, y.Scale) {
-				return fmt.Errorf("opt: op %d Add scale mismatch 2^%.2f vs 2^%.2f",
-					i, math.Log2(x.Scale), math.Log2(y.Scale))
-			}
-			op.Level, op.Scale = x.Level, x.Scale
-		case ir.OpMulRelin:
-			x, y := a(0), a(1)
-			if x.Level != y.Level {
-				return fmt.Errorf("opt: op %d MulRelin level mismatch %d vs %d", i, x.Level, y.Level)
-			}
-			op.Level, op.Scale = x.Level, x.Scale*y.Scale
-		case ir.OpRescale:
-			x := a(0)
-			if x.Level <= 0 {
-				return fmt.Errorf("opt: op %d rescales at level 0", i)
-			}
-			op.Level, op.Scale = x.Level-1, x.Scale/par.QiFloat(x.Level)
-		case ir.OpDropLevel:
-			x := a(0)
-			if op.Drop < 0 || x.Level-op.Drop < 0 {
-				return fmt.Errorf("opt: op %d drops %d levels from level %d", i, op.Drop, x.Level)
-			}
-			op.Level, op.Scale = x.Level-op.Drop, x.Scale
-		case ir.OpRecombine:
-			x := a(0)
-			for j := 1; j < len(op.Args); j++ {
-				y := a(j)
-				if y.Level != x.Level || !scaleClose(y.Scale, x.Scale) {
-					return fmt.Errorf("opt: op %d recombine arg %d at (level %d, scale 2^%.2f), arg 0 at (level %d, scale 2^%.2f)",
-						i, j, y.Level, math.Log2(y.Scale), x.Level, math.Log2(x.Scale))
-				}
-			}
-			op.Level, op.Scale = x.Level, x.Scale
-		default:
-			return fmt.Errorf("opt: op %d has unknown kind %v", i, op.Kind)
+		if err := g.Derive(par, i); err != nil {
+			return nil, fmt.Errorf("opt: %w", err)
 		}
 	}
-	return nil
+	return g, g.Validate()
 }
 
 // useCounts returns each op's static consumer count, +1 for the graph

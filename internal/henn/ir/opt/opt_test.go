@@ -14,8 +14,18 @@ func (fakeParams) MaxLevel() int             { return 7 }
 func (fakeParams) Scale() float64            { return math.Exp2(26) }
 func (fakeParams) QiFloat(level int) float64 { return math.Exp2(26) }
 
+// derive sets every op's (level, scale) through ir.Graph.Derive.
+func derive(g *ir.Graph) error {
+	for i := range g.Ops {
+		if err := g.Derive(fakeParams{}, i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Op constructors for synthetic graphs. Hoist defaults to -1; levels and
-// scales are filled by reinfer in mk.
+// scales are filled by derive in mk.
 func enc(idx int) ir.Op { return ir.Op{Kind: ir.OpEncrypt, InputIdx: idx, Hoist: -1} }
 func rot(arg, k, hoist int) ir.Op {
 	return ir.Op{Kind: ir.OpRotate, Args: []int{arg}, K: k, Hoist: hoist}
@@ -50,8 +60,8 @@ func mk(t *testing.T, output int, hoists [][]int, ops ...ir.Op) *ir.Graph {
 		Stages: []ir.StageInfo{{Name: "s", Out: output, Record: true}},
 		Hoists: hoists,
 	}
-	if err := reinfer(fakeParams{}, g); err != nil {
-		t.Fatalf("reinfer: %v", err)
+	if err := derive(g); err != nil {
+		t.Fatalf("derive: %v", err)
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("validate: %v", err)

@@ -15,7 +15,7 @@ import (
 // exactly, so any re-association computes identical residues. Roots
 // with fewer than 3 leaves, a non-1 leading weight, or weight overflow
 // are left alone.
-func passFuse(g *ir.Graph, par Params) (*ir.Graph, error) {
+func passFuse(g *ir.Graph, par ir.Params) (*ir.Graph, error) {
 	use := useCounts(g)
 	outs := stageOutSet(g)
 	isSum := func(i int) bool {

@@ -9,27 +9,23 @@ import (
 
 // This file lowers a compiled Plan to the explicit op graph of
 // internal/henn/ir. Lowering runs the plan's stages (Stage.Eval) against
-// a symbolic tracing engine whose ciphertexts carry only an op ID and the
-// statically inferred (level, scale).
-// Because every engine primitive transforms level and scale by a fixed
-// arithmetic rule (see the ir package doc), the trace is exact: the
-// levels and scales recorded here are precisely those a real backend
-// with the same parameters produces when the executor replays the graph.
+// a symbolic tracing engine whose ciphertexts carry only an op ID.
+// Every op it emits gets its (level, scale) from ir.Graph.Derive, the
+// fixed arithmetic rule every engine primitive follows (see the ir
+// package doc), so the trace is exact: the levels and scales recorded
+// here are precisely those a real backend with the same parameters
+// produces when the executor replays the graph, which checks each one.
 // Inference never runs the stages on a real engine; it runs the graph.
 
 // traceCt is the tracer's symbolic ciphertext: the ID of the producing
-// op plus the statically inferred level and scale of its output.
-type traceCt struct {
-	id    int
-	level int
-	scale float64
-}
+// op, whose graph node holds its level and scale.
+type traceCt struct{ id int }
 
 // tracer implements Engine symbolically. Parameter queries (Slots,
 // MaxLevel, Scale, QiFloat) delegate to the real engine; ciphertext ops
 // append ir.Ops to the graph under construction. Invalid programs —
-// level mismatches, rescaling at level 0, scale drift — panic with an
-// error value that Lower recovers into a compile-time error.
+// level mismatches, rescaling at level 0, scale drift — panic with
+// Derive's error, which Lower recovers into a compile-time error.
 type tracer struct {
 	e     Engine
 	g     *ir.Graph
@@ -61,33 +57,34 @@ func (t *tracer) setStageOut(id int) {
 	t.g.Stages[t.stage].Out = id
 }
 
-// emit appends op to the graph and returns its symbolic result.
+// emit appends op to the graph, derives its (level, scale) and returns
+// its symbolic result.
 func (t *tracer) emit(op ir.Op) *traceCt {
 	op.ID = len(t.g.Ops)
 	op.Stage = t.stage
 	t.g.Ops = append(t.g.Ops, op)
-	return &traceCt{id: op.ID, level: op.Level, scale: op.Scale}
+	if err := t.g.Derive(t.e, op.ID); err != nil {
+		panic(err)
+	}
+	return &traceCt{id: op.ID}
 }
+
+// op returns the graph node behind a symbolic ciphertext.
+func (t *tracer) op(name string, ct Ct) *ir.Op { return &t.g.Ops[t.in(name, ct).id] }
 
 // encrypt emits the OpEncrypt for input slot inputIdx. Fresh ciphertexts
 // start at MaxLevel with the engine's default scale, spare levels
 // included, so the input level is a property of the parameters alone.
 // Lower drops them at the top of the first stage (dropTo).
 func (t *tracer) encrypt(inputIdx int) *traceCt {
-	return t.emit(ir.Op{
-		Kind:     ir.OpEncrypt,
-		InputIdx: inputIdx,
-		Hoist:    -1,
-		Level:    t.e.MaxLevel(),
-		Scale:    t.e.Scale(),
-	})
+	return t.emit(ir.Op{Kind: ir.OpEncrypt, InputIdx: inputIdx, Hoist: -1})
 }
 
 // dropTo lowers every ciphertext of cts that sits above level to it, one
 // DropLevel each, in place.
 func (t *tracer) dropTo(cts []Ct, level int) {
 	for i, ct := range cts {
-		if n := t.in("DropLevel", ct).level - level; n > 0 {
+		if n := t.op("DropLevel", ct).Level - level; n > 0 {
 			cts[i] = t.DropLevel(ct, n)
 		}
 	}
@@ -100,11 +97,6 @@ func (t *tracer) in(op string, ct Ct) *traceCt {
 		panic(fmt.Errorf("henn: lower: %s received a non-traced ciphertext %T", op, ct))
 	}
 	return c
-}
-
-// traceScaleClose mirrors the backends' scale tolerance (relative 2^-40).
-func traceScaleClose(a, b float64) bool {
-	return math.Abs(a-b) <= math.Max(a, b)*math.Exp2(-40)
 }
 
 // Name implements Engine.
@@ -123,10 +115,10 @@ func (t *tracer) Scale() float64 { return t.e.Scale() }
 func (t *tracer) QiFloat(level int) float64 { return t.e.QiFloat(level) }
 
 // Level implements Engine.
-func (t *tracer) Level(ct Ct) int { return t.in("Level", ct).level }
+func (t *tracer) Level(ct Ct) int { return t.op("Level", ct).Level }
 
 // ScaleOf implements Engine.
-func (t *tracer) ScaleOf(ct Ct) float64 { return t.in("ScaleOf", ct).scale }
+func (t *tracer) ScaleOf(ct Ct) float64 { return t.op("ScaleOf", ct).Scale }
 
 // EncryptVec implements Engine. Stages never encrypt — the inference
 // driver does — so a traced EncryptVec is a structural bug.
@@ -142,18 +134,7 @@ func (t *tracer) DecryptVec(ct Ct) []float64 {
 
 // Add implements Engine.
 func (t *tracer) Add(a, b Ct) Ct {
-	x, y := t.in("Add", a), t.in("Add", b)
-	if x.level != y.level {
-		panic(fmt.Errorf("henn: lower: Add level mismatch %d vs %d", x.level, y.level))
-	}
-	if !traceScaleClose(x.scale, y.scale) {
-		panic(fmt.Errorf("henn: lower: Add scale mismatch 2^%.2f vs 2^%.2f",
-			math.Log2(x.scale), math.Log2(y.scale)))
-	}
-	return t.emit(ir.Op{
-		Kind: ir.OpAdd, Args: []int{x.id, y.id}, Hoist: -1,
-		Level: x.level, Scale: x.scale,
-	})
+	return t.emit(ir.Op{Kind: ir.OpAdd, Args: []int{t.in("Add", a).id, t.in("Add", b).id}, Hoist: -1})
 }
 
 // addPlain emits an OpAddPlain; the plaintext encodes at the operand's
@@ -165,11 +146,7 @@ func (t *tracer) addPlain(op string, ct Ct, key string, v []float64) Ct {
 	if allZero(v) {
 		return x
 	}
-	return t.emit(ir.Op{
-		Kind: ir.OpAddPlain, Args: []int{x.id}, Hoist: -1,
-		Plain: v, PlainKey: key, PtScale: x.scale,
-		Level: x.level, Scale: x.scale,
-	})
+	return t.emit(ir.Op{Kind: ir.OpAddPlain, Args: []int{x.id}, Hoist: -1, Plain: v, PlainKey: key})
 }
 
 // AddPlainVec implements Engine.
@@ -182,17 +159,11 @@ func (t *tracer) AddPlainVecCached(ct Ct, key string, v []float64) Ct {
 	return t.addPlain("AddPlainVecCached", ct, key, v)
 }
 
-// mulPlain emits an OpMulPlain at an explicit plaintext scale.
+// mulPlain emits an OpMulPlain at an explicit plaintext scale (a scale
+// that is not positive and finite fails the graph's Validate).
 func (t *tracer) mulPlain(op string, ct Ct, key string, v []float64, scale float64) Ct {
-	x := t.in(op, ct)
-	if scale <= 0 || math.IsInf(scale, 0) || math.IsNaN(scale) {
-		panic(fmt.Errorf("henn: lower: %s plaintext scale %v", op, scale))
-	}
-	return t.emit(ir.Op{
-		Kind: ir.OpMulPlain, Args: []int{x.id}, Hoist: -1,
-		Plain: v, PlainKey: key, PtScale: scale,
-		Level: x.level, Scale: x.scale * scale,
-	})
+	return t.emit(ir.Op{Kind: ir.OpMulPlain, Args: []int{t.in(op, ct).id}, Hoist: -1,
+		Plain: v, PlainKey: key, PtScale: scale})
 }
 
 // MulPlainVecAtScale implements Engine.
@@ -207,14 +178,7 @@ func (t *tracer) MulPlainVecCached(ct Ct, key string, v []float64, scale float64
 
 // MulRelin implements Engine.
 func (t *tracer) MulRelin(a, b Ct) Ct {
-	x, y := t.in("MulRelin", a), t.in("MulRelin", b)
-	if x.level != y.level {
-		panic(fmt.Errorf("henn: lower: MulRelin level mismatch %d vs %d", x.level, y.level))
-	}
-	return t.emit(ir.Op{
-		Kind: ir.OpMulRelin, Args: []int{x.id, y.id}, Hoist: -1,
-		Level: x.level, Scale: x.scale * y.scale,
-	})
+	return t.emit(ir.Op{Kind: ir.OpMulRelin, Args: []int{t.in("MulRelin", a).id, t.in("MulRelin", b).id}, Hoist: -1})
 }
 
 // MulInt implements Engine. No stage multiplies by a bare integer.
@@ -224,26 +188,12 @@ func (t *tracer) MulInt(ct Ct, n int64) Ct {
 
 // Rescale implements Engine.
 func (t *tracer) Rescale(ct Ct) Ct {
-	x := t.in("Rescale", ct)
-	if x.level <= 0 {
-		panic(fmt.Errorf("henn: lower: Rescale at level 0 (modulus chain exhausted)"))
-	}
-	return t.emit(ir.Op{
-		Kind: ir.OpRescale, Args: []int{x.id}, Hoist: -1,
-		Level: x.level - 1, Scale: x.scale / t.e.QiFloat(x.level),
-	})
+	return t.emit(ir.Op{Kind: ir.OpRescale, Args: []int{t.in("Rescale", ct).id}, Hoist: -1})
 }
 
 // DropLevel implements Engine.
 func (t *tracer) DropLevel(ct Ct, n int) Ct {
-	x := t.in("DropLevel", ct)
-	if n < 0 || x.level-n < 0 {
-		panic(fmt.Errorf("henn: lower: DropLevel by %d from level %d", n, x.level))
-	}
-	return t.emit(ir.Op{
-		Kind: ir.OpDropLevel, Args: []int{x.id}, Drop: n, Hoist: -1,
-		Level: x.level - n, Scale: x.scale,
-	})
+	return t.emit(ir.Op{Kind: ir.OpDropLevel, Args: []int{t.in("DropLevel", ct).id}, Drop: n, Hoist: -1})
 }
 
 // Rotate implements Engine. Rotation by 0 is the identity, mirroring the
@@ -253,10 +203,7 @@ func (t *tracer) Rotate(ct Ct, k int) Ct {
 	if k == 0 {
 		return x
 	}
-	return t.emit(ir.Op{
-		Kind: ir.OpRotate, Args: []int{x.id}, K: k, Hoist: -1,
-		Level: x.level, Scale: x.scale,
-	})
+	return t.emit(ir.Op{Kind: ir.OpRotate, Args: []int{x.id}, K: k, Hoist: -1})
 }
 
 // RotateMany implements Engine. Lowering is canonical: every hoisted
@@ -287,10 +234,7 @@ func (t *tracer) RotateMany(ct Ct, ks []int) map[int]Ct {
 			t.hoistOf[x.id] = h
 			t.g.Hoists = append(t.g.Hoists, nil)
 		}
-		c := t.emit(ir.Op{
-			Kind: ir.OpRotate, Args: []int{x.id}, K: k, Hoist: h,
-			Level: x.level, Scale: x.scale,
-		})
+		c := t.emit(ir.Op{Kind: ir.OpRotate, Args: []int{x.id}, K: k, Hoist: h})
 		t.g.Hoists[h] = append(t.g.Hoists[h], c.id)
 		t.rotated[[2]int{x.id, k}] = c
 		out[k] = c

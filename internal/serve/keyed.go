@@ -228,12 +228,14 @@ func (k *Keyed) handleClassifyEncrypted(w http.ResponseWriter, r *http.Request) 
 	// The body carries exactly one self-delimiting ciphertext frame per
 	// input shard, back to back.
 	body := bytes.NewReader(data)
-	cts := make([]*ckks.Ciphertext, k.shards)
+	cts := make([]ir.Ct, k.shards)
 	for i := range cts {
-		if cts[i], err = k.cfg.Ctx.ReadCiphertext(body); err != nil {
+		ct, err := k.cfg.Ctx.ReadCiphertext(body)
+		if err != nil {
 			k.writeKeyedError(w, err, fmt.Sprintf("decoding ciphertext %d/%d", i+1, k.shards), tc)
 			return
 		}
+		cts[i] = ct
 	}
 	if body.Len() != 0 {
 		keyedTel().request("bad_request")
@@ -274,21 +276,10 @@ func (k *Keyed) handleClassifyEncrypted(w http.ResponseWriter, r *http.Request) 
 			TraceID: tc.TraceIDString(), RequestID: tc.SpanIDString()})
 		return
 	}
-	adopted := make([]ir.Ct, len(cts))
-	for i, ct := range cts {
-		if adopted[i], err = ev.g.Adopt(ct); err != nil {
-			keyedTel().request("bad_ciphertext")
-			k.finishEncrypted(tc, "bad_ciphertext", t0, lockWait, 0, nil, err)
-			writeJSON(w, http.StatusBadRequest, errorBody{
-				Error:   fmt.Sprintf("rejecting ciphertext %d/%d: %v", i+1, len(cts), err),
-				TraceID: tc.TraceIDString(), RequestID: tc.SpanIDString()})
-			return
-		}
-	}
 	rec := telemetry.NewRunRecorder()
 	rec.SetTrace(tc.TraceIDString(), tc.SpanIDString())
 	rctx := telemetry.WithRecorder(telemetry.WithTraceContext(ctx, tc), rec)
-	res, err := ev.prep.RunEncrypted(rctx, adopted, exec.Options{})
+	res, err := ev.prep.RunEncrypted(rctx, cts, exec.Options{})
 	if err != nil {
 		k.finishEncrypted(tc, evalOutcome(err), t0, lockWait, res.Eval, rec, err)
 		k.writeEvalError(w, err, tc)
@@ -315,12 +306,22 @@ func (k *Keyed) handleClassifyEncrypted(w http.ResponseWriter, r *http.Request) 
 	}
 }
 
+// clientFault reports whether an encrypted-evaluation failure is the
+// client ciphertext's: the guard refused it or something made from it
+// (RunEncrypted adopts every input), it was not a fresh encryption at
+// the graph's (level, scale), or it drove a result off the level or
+// scale the graph derives.
+func clientFault(err error) bool {
+	var se *guard.StageError
+	return errors.As(err, &se) || errors.Is(err, exec.ErrInputMismatch) ||
+		errors.Is(err, ir.ErrScaleDrift) || errors.Is(err, ir.ErrLevelExhausted)
+}
+
 // evalOutcome names an encrypted-evaluation failure for the slog line
 // and flight entry, mirroring writeEvalError's status mapping.
 func evalOutcome(err error) string {
-	var se *guard.StageError
 	switch {
-	case errors.As(err, &se), errors.Is(err, exec.ErrInputMismatch):
+	case clientFault(err):
 		return "bad_ciphertext"
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return "timeout"
@@ -409,16 +410,13 @@ func (k *Keyed) writeKeyedError(w http.ResponseWriter, err error, doing string, 
 	}
 }
 
-// writeEvalError maps an encrypted-evaluation failure to HTTP. Guard
-// stage errors mean the client's ciphertext drove the evaluation out of
-// its invariants, and an input mismatch that it was not a fresh
-// encryption at the graph's (level, scale) — the client's fault, 400;
-// timeouts are 504; anything else is a server error.
+// writeEvalError maps an encrypted-evaluation failure to HTTP: the
+// client's fault (clientFault) is 400, timeouts are 504, anything else
+// is a server error.
 func (k *Keyed) writeEvalError(w http.ResponseWriter, err error, tc telemetry.TraceContext) {
 	body := errorBody{TraceID: tc.TraceIDString(), RequestID: tc.SpanIDString()}
-	var se *guard.StageError
 	switch {
-	case errors.As(err, &se), errors.Is(err, exec.ErrInputMismatch):
+	case clientFault(err):
 		keyedTel().request("bad_ciphertext")
 		body.Error = fmt.Sprintf("evaluation rejected: %v", err)
 		writeJSON(w, http.StatusBadRequest, body)

@@ -13,6 +13,7 @@ import (
 
 	"cnnhe/internal/ckks"
 	"cnnhe/internal/client"
+	"cnnhe/internal/guard"
 	"cnnhe/internal/henn"
 	"cnnhe/internal/henn/exec"
 	"cnnhe/internal/henn/ir"
@@ -446,7 +447,9 @@ func TestKeyedRejectsGarbageCiphertext(t *testing.T) {
 // TestKeyedRejectsMismatchedCiphertext: a well-formed upload that is not
 // a fresh encryption at the graph's (level, scale) — another scale, or a
 // level dropped — is refused as 400 bad_ciphertext before any
-// homomorphic op runs, naming the input.
+// homomorphic op runs, naming the input. So is one holding a word ≥ q_i
+// under a valid checksum, which the wire decoder does not range-check:
+// RunEncrypted passes it through the guard's Adopt.
 func TestKeyedRejectsMismatchedCiphertext(t *testing.T) {
 	f := newKeyedFixture(t)
 	ks := f.clientKeys(t, 95)
@@ -456,14 +459,18 @@ func TestKeyedRejectsMismatchedCiphertext(t *testing.T) {
 	}
 	ev := ckks.NewEvaluator(ks.Context(), nil, nil)
 	scale := ks.Params.Scale
+	mismatch := []string{exec.ErrInputMismatch.Error(), "input 0"}
 	for _, tc := range []struct {
 		name   string
 		mutate func(ct *ckks.Ciphertext) *ckks.Ciphertext
+		want   []string // substrings of the error body
 	}{
-		{"double scale", func(ct *ckks.Ciphertext) *ckks.Ciphertext { ct.Scale = 2 * scale; return ct }},
-		{"scale 20 bits short", func(ct *ckks.Ciphertext) *ckks.Ciphertext { ct.Scale = scale / (1 << 20); return ct }},
-		{"scale off by 1e-3", func(ct *ckks.Ciphertext) *ckks.Ciphertext { ct.Scale = scale * (1 + 1e-3); return ct }},
-		{"one level down", func(ct *ckks.Ciphertext) *ckks.Ciphertext { return ev.DropLevel(ct, 1) }},
+		{"double scale", func(ct *ckks.Ciphertext) *ckks.Ciphertext { ct.Scale = 2 * scale; return ct }, mismatch},
+		{"scale 20 bits short", func(ct *ckks.Ciphertext) *ckks.Ciphertext { ct.Scale = scale / (1 << 20); return ct }, mismatch},
+		{"scale off by 1e-3", func(ct *ckks.Ciphertext) *ckks.Ciphertext { ct.Scale = scale * (1 + 1e-3); return ct }, mismatch},
+		{"one level down", func(ct *ckks.Ciphertext) *ckks.Ciphertext { return ev.DropLevel(ct, 1) }, mismatch},
+		{"word out of range", func(ct *ckks.Ciphertext) *ckks.Ciphertext { ct.C0.Coeffs[1][7] = ^uint64(0); return ct },
+			[]string{guard.ErrCorruptCiphertext.Error(), "Adopt"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ct, err := ks.EncryptImage(testImage(rand.New(rand.NewSource(96)), f.plan.InputDim), nil)
@@ -485,9 +492,13 @@ func TestKeyedRejectsMismatchedCiphertext(t *testing.T) {
 			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 				t.Fatal(err)
 			}
-			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, exec.ErrInputMismatch.Error()) ||
-				!strings.Contains(eb.Error, "input 0") {
-				t.Fatalf("status %d, error %q; want 400 naming input 0 as %q", resp.StatusCode, eb.Error, exec.ErrInputMismatch)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d, error %q; want 400", resp.StatusCode, eb.Error)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(eb.Error, w) {
+					t.Fatalf("error %q does not name %q", eb.Error, w)
+				}
 			}
 			for _, s := range telemetry.Flight().Snapshot() {
 				if s.TraceID != eb.TraceID {
