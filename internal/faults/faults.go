@@ -1,9 +1,10 @@
 // Package faults provides seeded, deterministic fault injection for the
 // homomorphic inference engines. An Injector wraps a henn.Engine and
 // fires exactly one configured fault at a chosen engine op, simulating
-// the corruption classes the guarded runtime must detect and classify —
-// the guard (internal/guard) by scanning each result, the executor
-// (internal/henn/exec) by checking each result against the op graph:
+// the corruption classes the guarded runtime must detect and classify.
+// The executor (internal/henn/exec) checks every engine result: first
+// with the guard's scan (internal/guard Check), then against the level
+// and scale the op graph derives; and it classifies a panic inside an op:
 //
 //	CorruptLimb — overwrite one coefficient of the op's output with an
 //	              out-of-range value (a flipped word ≥ q_i on the RNS
@@ -88,11 +89,14 @@ type Injection struct {
 }
 
 // Injector is a henn.Engine middleware that fires one configured fault.
-// It is safe for concurrent use (matching the engines' concurrency
-// contract); the fault fires exactly once.
+// It embeds the engine it wraps and intercepts only the calls that make
+// a ciphertext, and DecryptVec; the accessors and the plaintext paths
+// reach the inner engine unchanged. It is safe for concurrent use
+// (matching the engines' concurrency contract); the fault fires exactly
+// once.
 type Injector struct {
-	inner henn.Engine
-	inj   Injection
+	henn.Engine
+	inj Injection
 
 	mu      sync.Mutex
 	matched int
@@ -107,12 +111,12 @@ func Wrap(e henn.Engine, inj Injection) *Injector {
 	if inj.SkewFactor == 0 {
 		inj.SkewFactor = 1.01
 	}
-	return &Injector{inner: e, inj: inj}
+	return &Injector{Engine: e, inj: inj}
 }
 
 // Unwrap exposes the wrapped engine so diagnostics (and guard parameter
 // discovery) can reach the base backend.
-func (f *Injector) Unwrap() henn.Engine { return f.inner }
+func (f *Injector) Unwrap() henn.Engine { return f.Engine }
 
 // Fired reports whether the fault has been delivered.
 func (f *Injector) Fired() bool {
@@ -207,30 +211,9 @@ func (f *Injector) mutate(ct henn.Ct) {
 
 // ----- henn.Engine implementation -----
 
-// Name implements henn.Engine.
-func (f *Injector) Name() string { return f.inner.Name() }
-
-// Slots implements henn.Engine.
-func (f *Injector) Slots() int { return f.inner.Slots() }
-
-// MaxLevel implements henn.Engine.
-func (f *Injector) MaxLevel() int { return f.inner.MaxLevel() }
-
-// Scale implements henn.Engine.
-func (f *Injector) Scale() float64 { return f.inner.Scale() }
-
-// QiFloat implements henn.Engine.
-func (f *Injector) QiFloat(level int) float64 { return f.inner.QiFloat(level) }
-
-// Level implements henn.Engine.
-func (f *Injector) Level(ct henn.Ct) int { return f.inner.Level(ct) }
-
-// ScaleOf implements henn.Engine.
-func (f *Injector) ScaleOf(ct henn.Ct) float64 { return f.inner.ScaleOf(ct) }
-
 // EncryptVec implements henn.Engine.
 func (f *Injector) EncryptVec(values []float64) henn.Ct {
-	return f.do("EncryptVec", func() henn.Ct { return f.inner.EncryptVec(values) })
+	return f.do("EncryptVec", func() henn.Ct { return f.Engine.EncryptVec(values) })
 }
 
 // DecryptVec implements henn.Engine. Only PanicOp and DelayOp apply
@@ -245,57 +228,37 @@ func (f *Injector) DecryptVec(ct henn.Ct) []float64 {
 			time.Sleep(f.inj.Delay)
 		}
 	}
-	return f.inner.DecryptVec(ct)
+	return f.Engine.DecryptVec(ct)
 }
 
 // Add implements henn.Engine.
 func (f *Injector) Add(a, b henn.Ct) henn.Ct {
-	return f.do("Add", func() henn.Ct { return f.inner.Add(a, b) })
-}
-
-// AddPlainVec implements henn.Engine.
-func (f *Injector) AddPlainVec(ct henn.Ct, v []float64) henn.Ct {
-	return f.do("AddPlainVec", func() henn.Ct { return f.inner.AddPlainVec(ct, v) })
-}
-
-// AddPlainVecCached implements henn.Engine.
-func (f *Injector) AddPlainVecCached(ct henn.Ct, key string, v []float64) henn.Ct {
-	return f.do("AddPlainVecCached", func() henn.Ct { return f.inner.AddPlainVecCached(ct, key, v) })
-}
-
-// MulPlainVecAtScale implements henn.Engine.
-func (f *Injector) MulPlainVecAtScale(ct henn.Ct, v []float64, scale float64) henn.Ct {
-	return f.do("MulPlainVecAtScale", func() henn.Ct { return f.inner.MulPlainVecAtScale(ct, v, scale) })
-}
-
-// MulPlainVecCached implements henn.Engine.
-func (f *Injector) MulPlainVecCached(ct henn.Ct, key string, v []float64, scale float64) henn.Ct {
-	return f.do("MulPlainVecCached", func() henn.Ct { return f.inner.MulPlainVecCached(ct, key, v, scale) })
+	return f.do("Add", func() henn.Ct { return f.Engine.Add(a, b) })
 }
 
 // MulRelin implements henn.Engine.
 func (f *Injector) MulRelin(a, b henn.Ct) henn.Ct {
-	return f.do("MulRelin", func() henn.Ct { return f.inner.MulRelin(a, b) })
+	return f.do("MulRelin", func() henn.Ct { return f.Engine.MulRelin(a, b) })
 }
 
 // MulInt implements henn.Engine.
 func (f *Injector) MulInt(ct henn.Ct, n int64) henn.Ct {
-	return f.do("MulInt", func() henn.Ct { return f.inner.MulInt(ct, n) })
+	return f.do("MulInt", func() henn.Ct { return f.Engine.MulInt(ct, n) })
 }
 
 // Rescale implements henn.Engine.
 func (f *Injector) Rescale(ct henn.Ct) henn.Ct {
-	return f.do("Rescale", func() henn.Ct { return f.inner.Rescale(ct) })
+	return f.do("Rescale", func() henn.Ct { return f.Engine.Rescale(ct) })
 }
 
 // DropLevel implements henn.Engine.
 func (f *Injector) DropLevel(ct henn.Ct, n int) henn.Ct {
-	return f.do("DropLevel", func() henn.Ct { return f.inner.DropLevel(ct, n) })
+	return f.do("DropLevel", func() henn.Ct { return f.Engine.DropLevel(ct, n) })
 }
 
 // Rotate implements henn.Engine.
 func (f *Injector) Rotate(ct henn.Ct, k int) henn.Ct {
-	return f.do("Rotate", func() henn.Ct { return f.inner.Rotate(ct, k) })
+	return f.do("Rotate", func() henn.Ct { return f.Engine.Rotate(ct, k) })
 }
 
 // RotateMany implements henn.Engine. A firing mutation corrupts the
@@ -310,7 +273,7 @@ func (f *Injector) RotateMany(ct henn.Ct, ks []int) map[int]henn.Ct {
 			time.Sleep(f.inj.Delay)
 		}
 	}
-	outs := f.inner.RotateMany(ct, ks)
+	outs := f.Engine.RotateMany(ct, ks)
 	if fire {
 		best := 0
 		for k := range outs {
@@ -325,23 +288,14 @@ func (f *Injector) RotateMany(ct henn.Ct, ks []int) map[int]henn.Ct {
 	return outs
 }
 
-// EncodeVecsAt implements henn.Engine. Plaintext encoding is not a fault
-// target (the taxonomy corrupts ciphertexts and op behaviour), so the
-// batch passes through without arming the injector — matching the legacy
-// path, where the lazy encode inside MulPlainVecCached was likewise not
-// intercepted separately.
-func (f *Injector) EncodeVecsAt(specs []henn.PlainSpec) []henn.Pt {
-	return f.inner.EncodeVecsAt(specs)
-}
-
 // MulPlainPt implements henn.Engine.
 func (f *Injector) MulPlainPt(ct henn.Ct, pt henn.Pt) henn.Ct {
-	return f.do("MulPlainPt", func() henn.Ct { return f.inner.MulPlainPt(ct, pt) })
+	return f.do("MulPlainPt", func() henn.Ct { return f.Engine.MulPlainPt(ct, pt) })
 }
 
 // AddPlainPt implements henn.Engine.
 func (f *Injector) AddPlainPt(ct henn.Ct, pt henn.Pt) henn.Ct {
-	return f.do("AddPlainPt", func() henn.Ct { return f.inner.AddPlainPt(ct, pt) })
+	return f.do("AddPlainPt", func() henn.Ct { return f.Engine.AddPlainPt(ct, pt) })
 }
 
 var _ henn.Engine = (*Injector)(nil)

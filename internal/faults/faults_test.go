@@ -14,6 +14,7 @@ import (
 	"cnnhe/internal/faults"
 	"cnnhe/internal/guard"
 	"cnnhe/internal/henn"
+	"cnnhe/internal/henn/exec"
 	"cnnhe/internal/henn/ir"
 	"cnnhe/internal/nn"
 )
@@ -52,8 +53,9 @@ func testImage(seed int64, n int) []float64 {
 // guarded inference on both backends and asserts the fault is (a)
 // detected — inference errors instead of returning logits — and (b)
 // classified — the error wraps the kind's dedicated sentinel and carries
-// stage/op attribution: a guard StageError's op, or, for a skewed scale
-// the executor finds against the graph, the graph op's kind.
+// stage/op attribution: the failed stage, and the kind of the graph op
+// whose engine call the executor found at fault, by the guard's scan,
+// against the graph, or by a panic.
 func TestFaultsDetectedAndClassified(t *testing.T) {
 	plan, err := henn.Compile(tinyModel(15), 512)
 	if err != nil {
@@ -93,25 +95,22 @@ func TestFaultsDetectedAndClassified(t *testing.T) {
 		name   string
 		inj    faults.Injection
 		target error
-		// wantOp is the op the guard should attribute the failure to
-		// ("" to skip the check, e.g. for deadline faults that surface at
+		// graphOp is the kind of the graph op the executor names ("" to
+		// skip the check, e.g. for deadline faults that surface at
 		// whichever op follows the stall).
-		wantOp string
-		// graphOp is the kind of the graph op the executor names when it
-		// raises the failure itself (no StageError).
 		graphOp string
 	}{
 		{
-			name:   "corrupt-limb",
-			inj:    faults.Injection{Kind: faults.CorruptLimb, Op: "MulRelin", Seed: 11},
-			target: guard.ErrCorruptCiphertext,
-			wantOp: "MulRelin",
+			name:    "corrupt-limb",
+			inj:     faults.Injection{Kind: faults.CorruptLimb, Op: "MulRelin", Seed: 11},
+			target:  guard.ErrCorruptCiphertext,
+			graphOp: "MulRelin",
 		},
 		{
-			name:   "drop-residue",
-			inj:    faults.Injection{Kind: faults.DropResidue, Op: "Rescale", Seed: 12},
-			target: guard.ErrResidueMissing,
-			wantOp: "Rescale",
+			name:    "drop-residue",
+			inj:     faults.Injection{Kind: faults.DropResidue, Op: "Rescale", Seed: 12},
+			target:  guard.ErrResidueMissing,
+			graphOp: "Rescale",
 		},
 		{
 			name:    "skew-scale",
@@ -120,10 +119,16 @@ func TestFaultsDetectedAndClassified(t *testing.T) {
 			graphOp: "MulPlain",
 		},
 		{
-			name:   "panic-op",
-			inj:    faults.Injection{Kind: faults.PanicOp, Op: "MulRelin"},
-			target: guard.ErrEnginePanic,
-			wantOp: "MulRelin",
+			name:    "panic-op",
+			inj:     faults.Injection{Kind: faults.PanicOp, Op: "MulRelin"},
+			target:  exec.ErrEnginePanic,
+			graphOp: "MulRelin",
+		},
+		{
+			// The decrypt epilogue runs after the graph, outside any op.
+			name:   "panic-decrypt",
+			inj:    faults.Injection{Kind: faults.PanicOp, Op: "DecryptVec"},
+			target: exec.ErrEnginePanic,
 		},
 		{
 			name:   "delay-op",
@@ -170,31 +175,18 @@ func TestFaultsDetectedAndClassified(t *testing.T) {
 							t.Fatalf("error %v also matches %v — classes are not distinct", err, other.target)
 						}
 					}
-					// Guard-detected faults carry op attribution via
-					// StageError; every fault's stage is rep.FailedStage,
-					// which the error text names.
+					// Every fault's stage is rep.FailedStage, which the
+					// error text names, followed by the op the executor
+					// found at fault.
 					if rep == nil || rep.FailedStage == "" {
 						t.Fatalf("report should name the failed stage, got %+v", rep)
 					}
 					if !strings.Contains(err.Error(), rep.FailedStage) {
 						t.Fatalf("error %q does not name the failed stage %q", err, rep.FailedStage)
 					}
-					var se *guard.StageError
-					if tc.wantOp != "" {
-						if !errors.As(err, &se) {
-							t.Fatalf("error %v does not carry a StageError", err)
-						}
-						if se.Op != tc.wantOp {
-							t.Fatalf("fault attributed to op %q, want %q", se.Op, tc.wantOp)
-						}
-					}
-					if tc.graphOp != "" {
-						if errors.As(err, &se) {
-							t.Fatalf("error %v carries a guard StageError; the executor raises this class", err)
-						}
-						if !strings.Contains(err.Error(), "("+tc.graphOp+")") {
-							t.Fatalf("error %q does not name graph op %s", err, tc.graphOp)
-						}
+					if tc.graphOp != "" && (!strings.Contains(err.Error(), rep.FailedStage+": op ") ||
+						!strings.Contains(err.Error(), "("+tc.graphOp+"): ")) {
+						t.Fatalf("error %q does not name graph op %s after stage %q", err, tc.graphOp, rep.FailedStage)
 					}
 				})
 			}
@@ -214,21 +206,20 @@ func TestInjectorDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() *guard.StageError {
+	run := func() error {
 		e, err := henn.NewRNSEngine(params, plan.Rotations(), 501)
 		if err != nil {
 			t.Fatal(err)
 		}
 		g := guard.New(faults.Wrap(e, faults.Injection{Kind: faults.CorruptLimb, Op: "Rescale", Nth: 2, Seed: 99}), guard.DefaultConfig())
 		_, _, ierr := plan.InferCtx(context.Background(), g, img)
-		var se *guard.StageError
-		if !errors.As(ierr, &se) {
-			t.Fatalf("expected StageError, got %v", ierr)
+		if !errors.Is(ierr, guard.ErrCorruptCiphertext) || !strings.Contains(ierr.Error(), " (Rescale): ") {
+			t.Fatalf("expected ErrCorruptCiphertext at a Rescale op, got %v", ierr)
 		}
-		return se
+		return ierr
 	}
-	a, b := run(), run()
-	if a.Stage != b.Stage || a.Op != b.Op || a.Error() != b.Error() {
+	// The error names the stage, the op and the corrupted word.
+	if a, b := run(), run(); a.Error() != b.Error() {
 		t.Fatalf("injection not deterministic: %v vs %v", a, b)
 	}
 }

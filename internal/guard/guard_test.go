@@ -8,6 +8,7 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -254,20 +255,19 @@ func drownedPlan(t *testing.T) *henn.Plan {
 // TestNoiseBudgetExhausted: a plan whose predicted precision falls below
 // the floor is refused before anything runs — when it is prepared for a
 // guard, and when a graph prepared on the bare engine is rebound to one —
-// with a StageError naming the first op under the floor and its stage.
+// with an error naming the first op under the floor and its stage.
 func TestNoiseBudgetExhausted(t *testing.T) {
 	plan := drownedPlan(t)
 	e := rnsEngine(t, plan, 77)
 	g := guard.New(e, guard.DefaultConfig())
 	refused := func(where string, err error) {
 		t.Helper()
-		var se *guard.StageError
-		if !errors.Is(err, guard.ErrNoiseBudgetExhausted) || !errors.As(err, &se) {
-			t.Fatalf("%s: want a StageError wrapping ErrNoiseBudgetExhausted, got %v", where, err)
+		if !errors.Is(err, guard.ErrNoiseBudgetExhausted) {
+			t.Fatalf("%s: want ErrNoiseBudgetExhausted, got %v", where, err)
 		}
 		last := plan.Stages[len(plan.Stages)-1].Describe()
-		if se.Op != "MulPlain" || !strings.Contains(se.Stage, last) {
-			t.Fatalf("%s: refused at stage %q, op %q; want the first MulPlain of stage %q", where, se.Stage, se.Op, last)
+		if msg := err.Error(); !strings.Contains(msg, "(MulPlain)") || !strings.Contains(msg, last+"): op ") {
+			t.Fatalf("%s: %v; want the first MulPlain of stage %q named", where, err, last)
 		}
 	}
 	_, _, err := plan.Prepare(g)
@@ -338,23 +338,33 @@ func TestLevelExhausted(t *testing.T) {
 	}
 }
 
-// TestInvalidPlaintext: NaN/Inf and over-long plaintext operands are
-// rejected before they reach the encoder.
+// TestInvalidPlaintext: a graph whose plaintext operand holds a NaN, or
+// more values than slots, is refused when the executor prepares it for
+// the guard, before any operand reaches the encoder. A non-finite pixel
+// never gets that far: henn refuses it as bad input.
 func TestInvalidPlaintext(t *testing.T) {
 	plan := tinyPlan(t)
 	g := guard.New(rnsEngine(t, plan, 79), guard.DefaultConfig())
-	err := catchGuard(t, func() { g.EncryptVec([]float64{1, math.NaN()}) })
-	if !errors.Is(err, guard.ErrInvalidPlaintext) {
-		t.Fatalf("want ErrInvalidPlaintext for NaN, got %v", err)
+	for name, poison := range map[string]func([]float64) []float64{
+		"NaN":       func(v []float64) []float64 { v = slices.Clone(v); v[1] = math.NaN(); return v },
+		"oversized": func([]float64) []float64 { return make([]float64, g.Slots()+1) },
+	} {
+		gr := fixtureGraph(g, false)
+		for i := range gr.Ops {
+			if gr.Ops[i].Plain != nil {
+				gr.Ops[i].Plain = poison(gr.Ops[i].Plain)
+				break
+			}
+		}
+		if _, err := exec.Prepare(g, gr); !errors.Is(err, guard.ErrInvalidPlaintext) {
+			t.Fatalf("%s operand: want ErrInvalidPlaintext, got %v", name, err)
+		}
 	}
 
-	g2 := guard.New(rnsEngine(t, plan, 80), guard.DefaultConfig())
-	err = catchGuard(t, func() {
-		ct := g2.EncryptVec([]float64{1})
-		g2.MulPlainVecAtScale(ct, make([]float64, g2.Slots()+1), g2.Scale())
-	})
-	if !errors.Is(err, guard.ErrInvalidPlaintext) {
-		t.Fatalf("want ErrInvalidPlaintext for oversized vector, got %v", err)
+	img := testImage(80, plan.InputDim)
+	img[3] = math.NaN()
+	if _, _, err := plan.InferCtx(context.Background(), g, img); !errors.Is(err, henn.ErrBadInput) {
+		t.Fatalf("NaN pixel: want henn.ErrBadInput, got %v", err)
 	}
 }
 
@@ -405,7 +415,7 @@ func TestCancellation(t *testing.T) {
 }
 
 // fusedLeg is one guarded engine the fused-call tests run on, plus the
-// full engine whose keys encrypt its inputs (adopted, as on the keyed
+// full engine whose keys encrypt its inputs (scanned, as on the keyed
 // route) and decrypt its results.
 type fusedLeg struct {
 	g    *guard.GuardedEngine
@@ -429,8 +439,8 @@ func newFusedLeg(t *testing.T, plan *henn.Plan, seed int64, leg string) fusedLeg
 
 func (l fusedLeg) encrypt(t *testing.T, v []float64) henn.Ct {
 	t.Helper()
-	ct, err := l.g.Adopt(l.full.EncryptVec(v))
-	if err != nil {
+	ct := l.full.EncryptVec(v)
+	if err := l.g.Check(ct); err != nil {
 		t.Fatal(err)
 	}
 	return ct
@@ -722,12 +732,24 @@ func (e corruptRotation) RotateMany(ct henn.Ct, ks []int) map[int]henn.Ct {
 // TestPlainRecombineCatchesCorruptTerm: a corrupt term of a fused call is
 // caught at the op that makes it. When the guard delegates to the
 // backend's fused implementation (full or evaluation-only engine), the
-// engine's RotateMany returns the fixture's third term corrupt and the
-// guard refuses it there, before any fused call. Behind middleware that
-// hides the fused call, the executor evaluates the recombine's products
-// itself; one comes out corrupt and the guard refuses it at MulPlainPt.
+// engine's RotateMany returns the fixture's rotation by 3 corrupt and the
+// executor's scan refuses it at that hoist member, op 2, before any fused
+// call. Behind middleware that hides the fused call, the executor
+// evaluates the recombine's products itself; one comes out corrupt and
+// the scan refuses it at its MulPlain op.
 func TestPlainRecombineCatchesCorruptTerm(t *testing.T) {
 	plan := tinyPlan(t)
+	// run evaluates the fixture graph on g, its input encrypted by full.
+	run := func(g *guard.GuardedEngine, full *henn.RNSEngine) error {
+		t.Helper()
+		prep, err := exec.Prepare(g, fixtureGraph(g, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, _ := fixtureVecs(g.Slots())
+		_, err = prep.RunEncrypted(context.Background(), []henn.Ct{full.EncryptVec(in)}, exec.Options{})
+		return err
+	}
 
 	for _, leg := range fusedLegs {
 		full, eval := rnsEngineAndEval(t, plan, 78)
@@ -735,30 +757,28 @@ func TestPlainRecombineCatchesCorruptTerm(t *testing.T) {
 		if leg == "rns-eval" {
 			e = eval
 		}
-		l := fusedLeg{g: guard.New(corruptRotation{e}, guard.DefaultConfig()), full: full}
-		err := catchGuard(t, func() { plainRecombineFixture(t, l) })
-		var se *guard.StageError
-		if !errors.Is(err, guard.ErrCorruptCiphertext) || !errors.As(err, &se) || se.Op != "RotateMany" {
-			t.Fatalf("%s delegated call: got %v, want ErrCorruptCiphertext at op RotateMany", leg, err)
+		g := guard.New(corruptRotation{e}, guard.DefaultConfig())
+		if !g.Fuses() {
+			t.Fatalf("fixture: the %s guard does not fuse", leg)
+		}
+		err := run(g, full)
+		if !errors.Is(err, guard.ErrCorruptCiphertext) || !strings.Contains(err.Error(), "henn: fixture: op 2 (Rotate): ") {
+			t.Fatalf("%s delegated call: got %v, want ErrCorruptCiphertext at op 2 (Rotate)", leg, err)
 		}
 	}
 
-	// The first MulPlainPt call is the fixture graph's weighted term, an
-	// op of its own; the third is the recombine's second product.
-	inj := faults.Wrap(rnsEngine(t, plan, 78), faults.Injection{Kind: faults.CorruptLimb, Op: "MulPlainPt", Nth: 3, Seed: 11})
+	// The first MulPlainPt call is the fixture graph's weighted term, op
+	// 6, an op of its own; the third is the recombine's second product,
+	// op 4.
+	full := rnsEngine(t, plan, 78)
+	inj := faults.Wrap(full, faults.Injection{Kind: faults.CorruptLimb, Op: "MulPlainPt", Nth: 3, Seed: 11})
 	g := guard.New(inj, guard.DefaultConfig())
 	if g.Fuses() {
 		t.Fatal("fixture: the guard fuses behind the injector")
 	}
-	prep, err := exec.Prepare(g, fixtureGraph(g, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, _ := fixtureVecs(g.Slots())
-	_, err = prep.Run(context.Background(), [][]float64{in})
-	var se *guard.StageError
-	if !inj.Fired() || !errors.Is(err, guard.ErrCorruptCiphertext) || !errors.As(err, &se) || se.Op != "MulPlainPt" {
-		t.Fatalf("products behind injector: fired=%v, got %v, want ErrCorruptCiphertext at op MulPlainPt", inj.Fired(), err)
+	err := run(g, full)
+	if !inj.Fired() || !errors.Is(err, guard.ErrCorruptCiphertext) || !strings.Contains(err.Error(), "henn: fixture: op 4 (MulPlain): ") {
+		t.Fatalf("products behind injector: fired=%v, got %v, want ErrCorruptCiphertext at op 4 (MulPlain)", inj.Fired(), err)
 	}
 }
 
@@ -785,7 +805,7 @@ func TestValidateNamesFirstCorruptComponent(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			g, ct := mk()
 			for i := 0; i < 20; i++ {
-				_, err := g.Adopt(ct)
+				err := g.Check(ct)
 				if !errors.Is(err, guard.ErrCorruptCiphertext) {
 					t.Fatalf("call %d: want ErrCorruptCiphertext, got %v", i, err)
 				}
@@ -810,9 +830,27 @@ func (e twoBadRotations) RotateMany(ct henn.Ct, ks []int) map[int]henn.Ct {
 	return outs
 }
 
-// TestRotateManyReportsFirstBadOutput: the guard validates RotateMany's
-// outputs in the caller's order, so with two bad outputs every call
-// reports the first listed one, with the same StageError.
+// hoistGraph is one hoisted rotation group of its input by ks, in that
+// order (ops 1, 2, …), summed into the output.
+func hoistGraph(g *guard.GuardedEngine, ks []int) *ir.Graph {
+	level, scale := g.MaxLevel(), g.Scale()
+	gr := &ir.Graph{Slots: g.Slots(), Inputs: 1, Hoists: [][]int{nil},
+		Stages: []ir.StageInfo{{Name: "hoist", Record: true}}}
+	gr.Ops = append(gr.Ops, ir.Op{Kind: ir.OpEncrypt, Hoist: -1, Level: level, Scale: scale})
+	for _, k := range ks {
+		id := len(gr.Ops)
+		gr.Hoists[0] = append(gr.Hoists[0], id)
+		gr.Ops = append(gr.Ops, ir.Op{ID: id, Kind: ir.OpRotate, Args: []int{0}, K: k, Hoist: 0, Level: level, Scale: scale})
+	}
+	out := len(gr.Ops)
+	gr.Ops = append(gr.Ops, ir.Op{ID: out, Kind: ir.OpAdd, Args: []int{1, 2}, Hoist: -1, Level: level, Scale: scale})
+	gr.Output, gr.Stages[0].Out = out, out
+	return gr
+}
+
+// TestRotateManyReportsFirstBadOutput: the executor scans a hoist group's
+// outputs in graph order, so with two bad outputs every run reports the
+// first member, op 1, with the same error.
 func TestRotateManyReportsFirstBadOutput(t *testing.T) {
 	plan := tinyPlan(t)
 	e := rnsEngine(t, plan, 85)
@@ -824,18 +862,21 @@ func TestRotateManyReportsFirstBadOutput(t *testing.T) {
 		{[]int{1, 3}, guard.ErrCorruptCiphertext},
 		{[]int{3, 1}, guard.ErrResidueMissing},
 	} {
-		ct := g.EncryptVec([]float64{1, 2, 3})
+		prep, err := exec.Prepare(g, hoistGraph(g, tc.ks))
+		if err != nil {
+			t.Fatal(err)
+		}
 		var first string
 		for i := 0; i < 20; i++ {
-			err := catchGuard(t, func() { g.RotateMany(ct, tc.ks) })
-			var se *guard.StageError
-			if !errors.As(err, &se) || !errors.Is(err, tc.want) || se.Op != "RotateMany" {
-				t.Fatalf("ks %v, call %d: got %v, want %v at op RotateMany", tc.ks, i, err, tc.want)
+			res, err := prep.Run(context.Background(), [][]float64{{1, 2, 3}})
+			if !errors.Is(err, tc.want) || !strings.HasPrefix(err.Error(), "henn: hoist: op 1 (Rotate): ") ||
+				res.FailedStage != "hoist" {
+				t.Fatalf("ks %v, run %d: got %v, want %v at op 1 (Rotate)", tc.ks, i, err, tc.want)
 			}
 			if i == 0 {
 				first = err.Error()
 			} else if err.Error() != first {
-				t.Fatalf("ks %v, call %d: %v, first call %v", tc.ks, i, err, first)
+				t.Fatalf("ks %v, run %d: %v, first run %v", tc.ks, i, err, first)
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"cnnhe/internal/guard"
 	"cnnhe/internal/henn"
+	"cnnhe/internal/henn/exec"
 	"cnnhe/internal/henn/ir"
 	"cnnhe/internal/henn/shard"
 	"cnnhe/internal/nn"
@@ -114,9 +115,9 @@ func (e *crossStageFault) MulRelin(a, b henn.Ct) henn.Ct {
 // TestMultiInputFailureAttribution: on a four-input plan (four executor
 // workers) a guarded op that fails while another worker runs an op of
 // another stage is attributed to its own stage — in Report.FailedStage
-// and in the error text — and still classifies as a *guard.StageError
-// wrapping ErrEnginePanic. One guard serves every repetition: a failed
-// run leaves nothing behind for the next.
+// and in the error text — and classifies as exec.ErrEnginePanic at the
+// MulRelin op. One guard serves every repetition: a failed run leaves
+// nothing behind for the next.
 func TestMultiInputFailureAttribution(t *testing.T) {
 	plan, err := henn.CompileSharded(wideModel(15), 512, shard.Grid{Gy: 2, Gx: 2})
 	if err != nil {
@@ -161,9 +162,9 @@ func TestMultiInputFailureAttribution(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("run %d: error %q does not name stage %q", i, err, want)
 		}
-		var se *guard.StageError
-		if !errors.As(err, &se) || !errors.Is(err, guard.ErrEnginePanic) || se.Op != "MulRelin" {
-			t.Fatalf("run %d: error %v, want a StageError wrapping ErrEnginePanic at op MulRelin", i, err)
+		if !errors.Is(err, exec.ErrEnginePanic) || !strings.Contains(err.Error(), want+": op ") ||
+			!strings.Contains(err.Error(), " (MulRelin): ") {
+			t.Fatalf("run %d: error %v, want exec.ErrEnginePanic at a MulRelin op of %q", i, err, want)
 		}
 	}
 }

@@ -72,14 +72,27 @@ func BenchmarkGuardOverhead(b *testing.B) {
 // imageAllocBudget is the most one shipped-CNN1 image may allocate at
 // logN 11 on [40,26×6,40]. The executor hands every intermediate
 // ciphertext back to the RNS engine at its last use, and results are
-// built from those limbs, so an image allocates ≈2 MB raw or guarded;
+// built from those limbs, so an image allocates ≈1.75 MB raw or guarded;
 // before that it was ≈38 MB, a fresh ciphertext per result.
 const imageAllocBudget = 8 << 20
 
+// guardAllocMargin is the most allocations a guarded image may make
+// beyond the raw one. The guard's checks allocate nothing on a clean
+// run: the legs measured 21,945 and 21,949 allocations per image at
+// GOMAXPROCS 1, and within 22 of each other at GOMAXPROCS 2, where the
+// limb free lists' per-processor caches move a few limbs either way
+// (bytes move by up to ≈25 kB per image there, so the margin counts
+// allocations, not bytes). A scan that allocated a big.Int per limb, as
+// it once did, added ≈4,470 allocations per image; one allocation per
+// scanned ciphertext would add ≈184.
+const guardAllocMargin = 128
+
 // TestImageAllocBudget pins what one CNN1 image allocates, raw and
 // guarded: three images after a warm-up image, read from
-// runtime.MemStats.TotalAlloc. Skipped under -race, whose sync.Pool
-// drops a share of the recycled limbs on purpose.
+// runtime.MemStats. Each leg's bytes must stay under imageAllocBudget,
+// and the guarded leg's allocation count within guardAllocMargin of the
+// raw one's. Skipped under -race, whose sync.Pool drops a share of the
+// recycled limbs on purpose.
 func TestImageAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops recycled limbs at random")
@@ -87,7 +100,8 @@ func TestImageAllocBudget(t *testing.T) {
 	const images = 3
 	plan, legs, img := cnn1Image(t)
 	ctx := context.Background()
-	for _, leg := range legs {
+	allocs := make([]uint64, len(legs))
+	for l, leg := range legs {
 		if err := plan.Warm(leg.e); err != nil {
 			t.Fatal(err)
 		}
@@ -103,10 +117,15 @@ func TestImageAllocBudget(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		perImage := (after.TotalAlloc - before.TotalAlloc) / images
-		t.Logf("%s: %.2f MB per image", leg.name, float64(perImage)/(1<<20))
+		allocs[l] = (after.Mallocs - before.Mallocs) / images
+		t.Logf("%s: %d B, %d allocations per image", leg.name, perImage, allocs[l])
 		if perImage > imageAllocBudget {
 			t.Errorf("%s: one image allocated %.2f MB, budget %d MB", leg.name,
 				float64(perImage)/(1<<20), imageAllocBudget>>20)
 		}
+	}
+	if raw, guarded := allocs[0], allocs[1]; guarded > raw+guardAllocMargin {
+		t.Errorf("a guarded image made %d allocations, %d more than a raw one; margin %d",
+			guarded, guarded-raw, guardAllocMargin)
 	}
 }

@@ -91,7 +91,7 @@ func (e *scaleCounter) RotateMany(ct henn.Ct, ks []int) map[int]henn.Ct {
 // each input against its encrypt op — never again when the ciphertext is
 // used; the guard reads none. On a guarded tiny-plan run the engine's
 // ScaleOf is read exactly once per ciphertext it returned, plus once per
-// adopted input.
+// input encrypted elsewhere and handed to RunEncrypted.
 func TestGuardReadsEachScaleOnce(t *testing.T) {
 	plan := tinyPlan(t)
 	full := rnsEngine(t, plan, 95)
@@ -117,19 +117,17 @@ func TestGuardReadsEachScaleOnce(t *testing.T) {
 	}
 	e.returned.Store(0)
 	e.reads.Store(0)
-	adopted := make([]henn.Ct, len(parts))
+	wire := make([]henn.Ct, len(parts))
 	for i, v := range parts {
-		if adopted[i], err = g.Adopt(full.EncryptVec(v)); err != nil {
-			t.Fatal(err)
-		}
+		wire[i] = full.EncryptVec(v)
 	}
-	if _, err := prep.RunEncrypted(context.Background(), adopted, exec.Options{}); err != nil {
+	if _, err := prep.RunEncrypted(context.Background(), wire, exec.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	returned, reads = e.returned.Load(), e.reads.Load()
-	if want := returned + int64(len(adopted)); returned == 0 || reads != want {
-		t.Fatalf("adopted run: %d ScaleOf reads for %d ciphertexts the engine returned and %d adopted, want %d",
-			reads, returned, len(adopted), want)
+	if want := returned + int64(len(wire)); returned == 0 || reads != want {
+		t.Fatalf("encrypted-input run: %d ScaleOf reads for %d ciphertexts the engine returned and %d inputs, want %d",
+			reads, returned, len(wire), want)
 	}
 }
 

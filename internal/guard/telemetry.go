@@ -48,12 +48,13 @@ func (g *GuardedEngine) telConfigured() {
 		"noise-budget floor (DefaultMinNoiseBits)").Set(DefaultMinNoiseBits)
 }
 
-// telFailure logs a guard abort and counts it by failure class. The
-// request that caused it is named by the caller's own log line (trace
-// and request IDs, failed stage). Failures are rare, so the registry
-// lookup and the log line both happen inline.
-func telFailure(op string, cause error) {
-	slog.Warn("guard abort", "class", failureClass(cause), "op", op, "err", cause.Error())
+// telFailure logs a guard refusal and counts it by failure class. The
+// request, stage and op that caused it are named by the caller's own
+// log line (trace and request IDs, failed stage, the executor's op).
+// Failures are rare, so the registry lookup and the log line both
+// happen inline.
+func telFailure(cause error) {
+	slog.Warn("guard abort", "class", failureClass(cause), "err", cause.Error())
 	if !telemetry.Enabled() {
 		return
 	}
@@ -75,8 +76,6 @@ func failureClass(cause error) string {
 		return "corrupt_ciphertext"
 	case errors.Is(cause, ErrInvalidPlaintext):
 		return "invalid_plaintext"
-	case errors.Is(cause, ErrEnginePanic):
-		return "engine_panic"
 	}
 	return "other"
 }

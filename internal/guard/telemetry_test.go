@@ -4,9 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
-	"cnnhe/internal/ckks"
+	"cnnhe/internal/faults"
 	"cnnhe/internal/guard"
 	"cnnhe/internal/telemetry"
 )
@@ -95,20 +96,20 @@ func failuresSince(t *testing.T, before telemetry.Snapshot, class string) float6
 	return 0
 }
 
-// TestGuardFailureCounter checks aborts are counted by class: an op
-// abort, and a graph the noise budget refuses.
+// TestGuardFailureCounter checks refusals are counted by class: a run
+// whose Rescale loses a limb, refused by the scan the executor runs on
+// the result, and a graph the noise budget refuses.
 func TestGuardFailureCounter(t *testing.T) {
 	telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(false)
 
 	before := telemetry.Default().Snapshot()
 	plan := tinyPlan(t)
-	e := rnsEngine(t, plan, 15)
-	g := guard.New(e, guard.DefaultConfig())
-	ct := e.EncryptVec([]float64{1}).(*ckks.Ciphertext)
-	ct.C1.Coeffs[0] = nil
-	if err := catchGuard(t, func() { g.DecryptVec(ct) }); !errors.Is(err, guard.ErrResidueMissing) {
-		t.Fatalf("want ErrResidueMissing, got %v", err)
+	inj := faults.Wrap(rnsEngine(t, plan, 15), faults.Injection{Kind: faults.DropResidue, Op: "Rescale", Seed: 1})
+	g := guard.New(inj, guard.DefaultConfig())
+	if _, _, err := plan.InferCtx(context.Background(), g, testImage(1, plan.InputDim)); !errors.Is(err, guard.ErrResidueMissing) ||
+		!strings.Contains(err.Error(), " (Rescale): ") {
+		t.Fatalf("want ErrResidueMissing at a Rescale op, got %v", err)
 	}
 	if n := failuresSince(t, before, "residue_missing"); n != 1 {
 		t.Errorf("failures_total{class=residue_missing} = %v, want 1", n)

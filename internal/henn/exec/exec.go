@@ -23,19 +23,20 @@
 // RNS engines build later results from its limbs). The encrypted inputs
 // and the output are never handed back.
 //
-// Every ciphertext a run touches is checked against the graph once: each
-// input against its encrypt op (ErrInputMismatch), after RunEncrypted has
-// passed it through the engine's Adopt when the engine has one (the
-// guard's wire boundary), and each engine result — a single op's, every
-// hoist-group member's, every recombine's — against the (level, scale)
-// ir.Graph.Derive gave its op: a level that differs fails the run with
-// ir.ErrLevelExhausted, a scale that differs in any bit with
-// ir.ErrScaleDrift. Stage rows and trace spans therefore read level and
-// scale off the graph.
+// Every ciphertext a run touches is checked once. A checking engine (the
+// guard) offers Check, a scan for corruption the graph cannot see, and
+// the executor runs it first on each input and each engine result. Then
+// each input is checked against its encrypt op (ErrInputMismatch), and
+// each engine result — a single op's, every hoist-group member's, every
+// recombine's — against the (level, scale) ir.Graph.Derive gave its op:
+// a level that differs fails the run with ir.ErrLevelExhausted, a scale
+// that differs in any bit with ir.ErrScaleDrift. Stage rows and trace
+// spans therefore read level and scale off the graph. A panic inside an
+// engine call fails the run with ErrEnginePanic.
 // The run owns its per-run state: the context is checked before every
 // task, and the first failure stops every worker and is returned as
-// "henn: <stage>: …" with the failing op's stage, which the Result's
-// FailedStage names too.
+// "henn: <stage>: op <id> (<kind>): …" with the failing op's stage, which
+// the Result's FailedStage names too.
 package exec
 
 import (
@@ -104,16 +105,21 @@ func fuses(e ir.Engine) bool {
 	return ok
 }
 
-// adopter engines (the guard) check a ciphertext that no op of theirs
-// made — one read off the wire — before a run takes it in.
-type adopter interface {
-	Adopt(ct ir.Ct) (ir.Ct, error)
+// checker engines (the guard) scan a ciphertext for faults the graph
+// cannot see — missing limbs, out-of-range coefficients. The executor
+// calls Check on every input and every engine result.
+type checker interface {
+	Check(ct ir.Ct) error
 }
 
-// ErrInputMismatch: an encrypted input is not at the (level, scale) of
-// its encrypt op, which every static fact about the graph — the
-// plaintext encodings, the noise budget — assumes of a fresh input.
-var ErrInputMismatch = errors.New("exec: encrypted input does not match the graph")
+var (
+	// ErrInputMismatch: an encrypted input is not at the (level, scale)
+	// of its encrypt op, which every static fact about the graph — the
+	// plaintext encodings, the noise budget — assumes of a fresh input.
+	ErrInputMismatch = errors.New("exec: encrypted input does not match the graph")
+	// ErrEnginePanic: the engine panicked inside an op.
+	ErrEnginePanic = errors.New("exec: engine panic")
+)
 
 // task is one schedulable unit: a single op, a whole hoist group (which
 // must execute as one RotateMany call), or an OpRecombine with the
@@ -135,7 +141,8 @@ type task struct {
 type Prepared struct {
 	e     ir.Engine
 	g     *ir.Graph
-	fuses bool // fuses(e)
+	fuses bool    // fuses(e)
+	check checker // e's Check (nil: e has none)
 
 	// absorbedBy is g.AbsorbedBy(): ops with an entry ≥ 0 never execute
 	// on their own.
@@ -178,6 +185,7 @@ func (p *Prepared) On(e ir.Engine) (*Prepared, error) {
 	}
 	q := *p
 	q.e, q.bits, q.fuses = e, bits, fuses(e)
+	q.check, _ = e.(checker)
 	return &q, nil
 }
 
@@ -203,7 +211,10 @@ func (p *Prepared) noise(id int) float64 {
 // its exact (level, scale). Operands with bit-identical content at the
 // same (level, scale) encode once — keyed by a content digest rather
 // than PlainKey alone, so operands that carry no PlainKey (the
-// AddPlainVec/MulPlainVecAtScale forms) still deduplicate.
+// AddPlainVec/MulPlainVecAtScale forms) still deduplicate. A panic while
+// encoding fails the preparation: a panic value that is an error (the
+// guard's plaintext refusal) keeps its chain, any other value becomes an
+// ErrEnginePanic.
 func Prepare(e ir.Engine, g *ir.Graph) (p *Prepared, err error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -218,7 +229,7 @@ func Prepare(e ir.Engine, g *ir.Graph) (p *Prepared, err error) {
 				err = fmt.Errorf("exec: prepare: %w", e)
 				return
 			}
-			err = fmt.Errorf("exec: prepare: %v", r)
+			err = fmt.Errorf("exec: prepare: %w: %v", ErrEnginePanic, r)
 		}
 	}()
 	p = &Prepared{
@@ -299,6 +310,7 @@ func Prepare(e ir.Engine, g *ir.Graph) (p *Prepared, err error) {
 			p.outStages[st.Out] = append(p.outStages[st.Out], s)
 		}
 	}
+	p.check, _ = e.(checker)
 	p.buildTasks()
 	return p, nil
 }
@@ -469,18 +481,42 @@ func (p *Prepared) observeHE(id int) heAttr {
 	return heAttr{Level: op.Level, Scale: op.Scale, Noise: p.noise(id)}
 }
 
-// checkResult fails op id unless the engine left its result at the
-// (level, scale) the graph derived for it: the level exactly, the scale
-// bit for bit, as checkInput compares an input with its encrypt op.
+// opErr names op id ("op <id> (<kind>): …") in err, the cause of its
+// failure; the run names the stage around it.
+func (p *Prepared) opErr(id int, err error) error {
+	return fmt.Errorf("op %d (%s): %w", id, p.g.Ops[id].Kind, err)
+}
+
+// scan runs the engine's Check on op id's ciphertext, when the engine
+// has one.
+func (p *Prepared) scan(id int, ct ir.Ct) error {
+	if p.check == nil {
+		return nil
+	}
+	if err := p.check.Check(ct); err != nil {
+		return p.opErr(id, err)
+	}
+	return nil
+}
+
+// checkResult fails op id unless its result passes the engine's scan and
+// the engine left it at the (level, scale) the graph derived for it: the
+// level exactly, the scale bit for bit, as checkInput compares an input
+// with its encrypt op. The scan runs first, so a corrupt result is
+// classified by what is wrong with it, not by the level or scale read
+// off it.
 func (p *Prepared) checkResult(id int, ct ir.Ct) error {
+	if err := p.scan(id, ct); err != nil {
+		return err
+	}
 	op := &p.g.Ops[id]
 	if level := p.e.Level(ct); level != op.Level {
-		return fmt.Errorf("%w: op %d (%s) left level %d; the graph derives %d",
-			ir.ErrLevelExhausted, id, op.Kind, level, op.Level)
+		return p.opErr(id, fmt.Errorf("%w: left level %d; the graph derives %d",
+			ir.ErrLevelExhausted, level, op.Level))
 	}
 	if scale := p.e.ScaleOf(ct); scale != op.Scale {
-		return fmt.Errorf("%w: op %d (%s) left scale 2^%.6f; the graph derives 2^%.6f",
-			ir.ErrScaleDrift, id, op.Kind, math.Log2(scale), math.Log2(op.Scale))
+		return p.opErr(id, fmt.Errorf("%w: left scale 2^%.6f; the graph derives 2^%.6f",
+			ir.ErrScaleDrift, math.Log2(scale), math.Log2(op.Scale)))
 	}
 	return nil
 }
@@ -517,17 +553,16 @@ func (rs *runState) finish(res *Result) {
 
 // execOp runs one non-encrypt op (or, for the first member of a hoist
 // group, the whole group via a single RotateMany) and checks each result
-// against the graph (checkResult). Panics are converted to errors
-// (panicErr); the caller names the op's stage around them — a hoist
-// group's, its first member's. worker and taskIdx attribute the work for
-// telemetry.
+// (checkResult). A panic becomes an ErrEnginePanic naming the op — a
+// hoist group's first member; the caller names the op's stage around
+// every error. worker and taskIdx attribute the work for telemetry.
 func (rs *runState) execOp(id, worker, taskIdx int) (err error) {
 	p := rs.p
 	op := &p.g.Ops[id]
 	name := p.g.Stages[op.Stage].Name
 	defer func() {
 		if r := recover(); r != nil {
-			err = panicErr(r)
+			err = p.panicked(id, r)
 		}
 	}()
 	t0 := time.Now()
@@ -646,20 +681,18 @@ func (rs *runState) absorbedOperands(id int, args []ir.Ct) (pts []ir.Pt, n int) 
 	return pts, n
 }
 
-// panicErr turns a recovered panic into an error: an error value (e.g. a
-// guard's *StageError) as it is, anything else formatted.
-func panicErr(r any) error {
-	if e, ok := r.(error); ok {
-		return e
-	}
-	return fmt.Errorf("panic: %v", r)
+// panicked turns a panic recovered while op id ran into an
+// ErrEnginePanic that names the op.
+func (p *Prepared) panicked(id int, r any) error {
+	return p.opErr(id, fmt.Errorf("%w: %v", ErrEnginePanic, r))
 }
 
 // EncryptInputs runs the graph's encrypt prologue serially in op order
 // (encryption draws from the engine's PRNG, so a fixed call order keeps
 // identically seeded runs bit-identical). The returned slice is indexed
-// like the graph's encrypt ops. An error names the failing op's stage
-// ("henn: <stage>: …") and is returned with that stage.
+// like the graph's encrypt ops. A panic becomes an ErrEnginePanic; an
+// error names the failing op's stage ("henn: <stage>: …") and is
+// returned with that stage.
 func (p *Prepared) EncryptInputs(ctx context.Context, inputs [][]float64) (cts []ir.Ct, d time.Duration, failedStage string, err error) {
 	if len(inputs) != p.g.Inputs {
 		return nil, 0, "", fmt.Errorf("exec: %d inputs for a %d-input graph", len(inputs), p.g.Inputs)
@@ -677,7 +710,7 @@ func (p *Prepared) EncryptInputs(ctx context.Context, inputs [][]float64) (cts [
 			}
 			defer func() {
 				if r := recover(); r != nil {
-					err = panicErr(r)
+					err = p.panicked(id, r)
 				}
 			}()
 			return p.e.EncryptVec(inputs[op.InputIdx]), nil
@@ -699,22 +732,11 @@ func (p *Prepared) EncryptInputs(ctx context.Context, inputs [][]float64) (cts [
 // RunEncrypted evaluates the graph on already-encrypted inputs (in
 // encrypt-op order, as returned by EncryptInputs, or read off the wire).
 // It is the batched hot path: many RunEncrypted calls may share one
-// Prepared concurrently. Each input first passes through the engine's
-// Adopt when it has one (the guard scans it); an input the engine
-// refuses, or at another (level, scale) than its encrypt op's
-// (ErrInputMismatch), fails the run, named after that op's stage,
-// before any op runs. Options is empty.
+// Prepared concurrently. An input the engine's Check refuses, or at
+// another (level, scale) than its encrypt op's (ErrInputMismatch),
+// fails the run, named after that op's stage, before any op runs.
+// Options is empty.
 func (p *Prepared) RunEncrypted(ctx context.Context, cts []ir.Ct, _ Options) (*Result, error) {
-	if a, ok := p.e.(adopter); ok && len(cts) == len(p.encryptOps) {
-		adopted := make([]ir.Ct, len(cts))
-		for i, ct := range cts {
-			var err error
-			if adopted[i], err = a.Adopt(ct); err != nil {
-				return p.inputFailed(i, err)
-			}
-		}
-		cts = adopted
-	}
 	return p.runEncrypted(ctx, cts, len(p.encryptOps))
 }
 
@@ -724,8 +746,7 @@ func (p *Prepared) inputFailed(i int, err error) (*Result, error) {
 	return res, fmt.Errorf("henn: %s: %w", res.FailedStage, err)
 }
 
-// runEncrypted is RunEncrypted, without the Adopt pass, on the given
-// number of workers.
+// runEncrypted is RunEncrypted on the given number of workers.
 func (p *Prepared) runEncrypted(ctx context.Context, cts []ir.Ct, workers int) (*Result, error) {
 	if len(cts) != len(p.encryptOps) {
 		return &Result{}, fmt.Errorf("exec: %d ciphertexts for %d encrypt ops", len(cts), len(p.encryptOps))
@@ -753,14 +774,18 @@ func (p *Prepared) runEncrypted(ctx context.Context, cts []ir.Ct, workers int) (
 	return res, nil
 }
 
-// checkInput rejects input i unless it is at its encrypt op's (level,
-// scale); a handle the engine cannot read is rejected too.
+// checkInput rejects input i unless it passes the engine's scan and is
+// at its encrypt op's (level, scale); a handle the engine cannot read is
+// rejected too.
 func (p *Prepared) checkInput(i int, ct ir.Ct) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%w: input %d: %v", ErrInputMismatch, i, r)
 		}
 	}()
+	if err := p.scan(p.encryptOps[i], ct); err != nil {
+		return err
+	}
 	op := &p.g.Ops[p.encryptOps[i]]
 	if level, scale := p.e.Level(ct), p.e.ScaleOf(ct); level != op.Level || scale != op.Scale {
 		return fmt.Errorf("%w: input %d at level %d, scale 2^%.6f; the graph takes it at level %d, scale 2^%.6f",

@@ -46,7 +46,7 @@ func (f *fakeEngine) log(op string) {
 	panicOn := f.panicOn
 	f.mu.Unlock()
 	if panicOn == op {
-		panic(errors.New("fake: induced failure in " + op))
+		panic("fake: induced failure in " + op)
 	}
 }
 
@@ -396,6 +396,38 @@ func TestRunFailure(t *testing.T) {
 	}
 }
 
+// TestEnginePanicClassified: with no guard, a panic inside an engine call
+// fails the run with ErrEnginePanic, named "henn: <stage>: op <id>
+// (<kind>): …" and in FailedStage — inside a single op, inside a hoist
+// group's RotateMany (named at its first member) and inside
+// EncryptInputs. A panic while encoding the plaintexts fails Prepare
+// with ErrEnginePanic.
+func TestEnginePanicClassified(t *testing.T) {
+	if _, err := Prepare(&fakeEngine{panicOn: "EncodeVecsAt"}, testGraph()); !errors.Is(err, ErrEnginePanic) {
+		t.Fatalf("Prepare: error %v, want ErrEnginePanic", err)
+	}
+	for _, tc := range []struct{ call, op, stage string }{
+		{"MulRelin", "op 6 (MulRelin)", "stage 0 (mix)"},
+		{"RotateMany", "op 1 (Rotate)", "stage 0 (mix)"},
+		{"EncryptVec", "op 0 (Encrypt)", "encrypt"},
+	} {
+		t.Run(tc.call, func(t *testing.T) {
+			p, err := Prepare(&fakeEngine{panicOn: tc.call}, testGraph())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.Run(context.Background(), [][]float64{{1, 2, 3, 4}})
+			if !errors.Is(err, ErrEnginePanic) ||
+				!strings.HasPrefix(err.Error(), "henn: "+tc.stage+": "+tc.op+": exec: engine panic: fake: induced failure in "+tc.call) {
+				t.Fatalf("error %v, want ErrEnginePanic named after %s of stage %q", err, tc.op, tc.stage)
+			}
+			if res.FailedStage != tc.stage {
+				t.Fatalf("FailedStage %q, want %q", res.FailedStage, tc.stage)
+			}
+		})
+	}
+}
+
 // shardGraph builds a four-input graph whose inputs meet only in the
 // last stage, so the executor runs it on four workers:
 //
@@ -545,8 +577,9 @@ func TestMultiInputRunStops(t *testing.T) {
 	t.Run("failure", func(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			res, err := run(t, context.Background(), &fakeEngine{panicOn: "MulRelin"})
-			if err == nil || !strings.Contains(err.Error(), "henn: shard 2: fake: induced failure") {
-				t.Fatalf("error %v, want the induced failure named after shard 2", err)
+			if !errors.Is(err, ErrEnginePanic) ||
+				!strings.Contains(err.Error(), "henn: shard 2: op 6 (MulRelin): exec: engine panic: fake: induced failure") {
+				t.Fatalf("error %v, want the induced failure named after shard 2's MulRelin", err)
 			}
 			if res.FailedStage != "shard 2" {
 				t.Fatalf("failed stage %q, want shard 2", res.FailedStage)

@@ -103,10 +103,11 @@ func fillReport(rep *Report, res *exec.Result) {
 
 // decrypt is the shared decrypt epilogue: one DecryptVec of the output
 // ciphertext, which must yield at least need slots. The context is
-// checked first, and an engine panic becomes the returned error, wrapped
-// as "henn: decrypt: …" like the executor's op errors, so a panic value
-// that is an error (e.g. *guard.StageError) still classifies with
-// errors.Is/As.
+// checked first, and a panic becomes the returned error, wrapped as
+// "henn: decrypt: …" like the executor's op errors: a panic value that
+// is an error (the guard's refusal of a corrupt output, e.g.
+// guard.ErrCorruptCiphertext) as it is, so it still classifies with
+// errors.Is, any other value as an exec.ErrEnginePanic.
 func decrypt(ctx context.Context, e Engine, ct Ct, need int, rep *Report) (out []float64, err error) {
 	const stage = "decrypt"
 	t := time.Now()
@@ -117,7 +118,7 @@ func decrypt(ctx context.Context, e Engine, ct Ct, need int, rep *Report) (out [
 			rep.FailedStage = stage
 			perr, ok := r.(error)
 			if !ok {
-				perr = fmt.Errorf("panic: %v", r)
+				perr = fmt.Errorf("%w: %v", exec.ErrEnginePanic, r)
 			}
 			out, err = nil, fmt.Errorf("henn: %s: %w", stage, perr)
 		}
@@ -190,11 +191,12 @@ func (p *Plan) run(ctx context.Context, e Engine, inputs [][]float64, need int, 
 
 // InferCtx classifies one raw image (pixels in [0, 255], length InputDim)
 // with full error reporting: the input is validated, the context deadline
-// is checked before every op, engine panics are converted to errors, and
-// a per-stage timing/noise Report is returned alongside the logits. The
-// report is non-nil even on failure (FailedStage names the stage that
-// errored). Pair with guard.New to also get per-op invariant checking and
-// noise-budget enforcement.
+// is checked before every op, every engine result is checked against the
+// graph, an engine panic becomes exec.ErrEnginePanic, and a per-stage
+// timing/noise Report is returned alongside the logits. The report is
+// non-nil even on failure (FailedStage names the stage that errored).
+// Pair with guard.New to also get a scan of every ciphertext, plaintext
+// checks and noise-budget enforcement.
 //
 // The evaluation runs on the lowered, optimized op graph with
 // ahead-of-time encoded plaintexts (Prepare), prepared on the first

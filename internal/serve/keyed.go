@@ -307,14 +307,19 @@ func (k *Keyed) handleClassifyEncrypted(w http.ResponseWriter, r *http.Request) 
 }
 
 // clientFault reports whether an encrypted-evaluation failure is the
-// client ciphertext's: the guard refused it or something made from it
-// (RunEncrypted adopts every input), it was not a fresh encryption at
-// the graph's (level, scale), or it drove a result off the level or
-// scale the graph derives.
+// client ciphertext's: the guard's scan refused it or something made
+// from it (the executor scans every input and result), it was not a
+// fresh encryption at the graph's (level, scale), or it drove a result
+// off the level or scale the graph derives. An engine panic is not: a
+// registered bundle holds every rotation the graph needs.
 func clientFault(err error) bool {
-	var se *guard.StageError
-	return errors.As(err, &se) || errors.Is(err, exec.ErrInputMismatch) ||
-		errors.Is(err, ir.ErrScaleDrift) || errors.Is(err, ir.ErrLevelExhausted)
+	for _, class := range []error{guard.ErrCorruptCiphertext, guard.ErrResidueMissing,
+		exec.ErrInputMismatch, ir.ErrScaleDrift, ir.ErrLevelExhausted} {
+		if errors.Is(err, class) {
+			return true
+		}
+	}
+	return false
 }
 
 // evalOutcome names an encrypted-evaluation failure for the slog line

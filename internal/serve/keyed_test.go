@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -158,8 +160,8 @@ func TestKeyedEncryptedRoundTrip(t *testing.T) {
 // TestKeyedSpareLevels runs the keyed route on a chain with two spare
 // levels under a 40-bit top prime, [40, 30×(depth+1), 40], so lowering
 // spends two 30-bit primes on the first linear stage and drops each input
-// to them before it. The client still encrypts at MaxLevel, guard.Adopt
-// and RunEncrypted's input check accept the upload, and the logits are
+// to them before it. The client still encrypts at MaxLevel, the guard's
+// scan and RunEncrypted's input check accept the upload, and the logits are
 // bit-identical to plan.InferCtx on the same plan and chain.
 func TestKeyedSpareLevels(t *testing.T) {
 	f := newKeyedFixtureCfg(t, func(cfg *KeyedConfig) {
@@ -449,7 +451,8 @@ func TestKeyedRejectsGarbageCiphertext(t *testing.T) {
 // level dropped — is refused as 400 bad_ciphertext before any
 // homomorphic op runs, naming the input. So is one holding a word ≥ q_i
 // under a valid checksum, which the wire decoder does not range-check:
-// RunEncrypted passes it through the guard's Adopt.
+// RunEncrypted runs the guard's scan on every input, naming its encrypt
+// op.
 func TestKeyedRejectsMismatchedCiphertext(t *testing.T) {
 	f := newKeyedFixture(t)
 	ks := f.clientKeys(t, 95)
@@ -470,7 +473,7 @@ func TestKeyedRejectsMismatchedCiphertext(t *testing.T) {
 		{"scale off by 1e-3", func(ct *ckks.Ciphertext) *ckks.Ciphertext { ct.Scale = scale * (1 + 1e-3); return ct }, mismatch},
 		{"one level down", func(ct *ckks.Ciphertext) *ckks.Ciphertext { return ev.DropLevel(ct, 1) }, mismatch},
 		{"word out of range", func(ct *ckks.Ciphertext) *ckks.Ciphertext { ct.C0.Coeffs[1][7] = ^uint64(0); return ct },
-			[]string{guard.ErrCorruptCiphertext.Error(), "Adopt"}},
+			[]string{guard.ErrCorruptCiphertext.Error(), " (Encrypt): "}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ct, err := ks.EncryptImage(testImage(rand.New(rand.NewSource(96)), f.plan.InputDim), nil)
@@ -621,5 +624,34 @@ func TestClassifyBodyLimit413(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestClientFault: an encrypted-evaluation failure is the client's — 400
+// bad_ciphertext — when the guard's scan, the input check or the graph
+// check refused its ciphertext or one made from it, wherever the
+// executor wraps the cause. An engine panic is the server's (500 error):
+// a registered bundle holds every rotation the graph needs.
+func TestClientFault(t *testing.T) {
+	wrapped := func(err error) error { return fmt.Errorf("henn: stage 1 (act): op 9 (MulRelin): %w", err) }
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{wrapped(fmt.Errorf("%w: c0 limb 1 coeff 7", guard.ErrCorruptCiphertext)), "bad_ciphertext"},
+		{wrapped(fmt.Errorf("%w: c1 limb 0 absent", guard.ErrResidueMissing)), "bad_ciphertext"},
+		{wrapped(fmt.Errorf("%w: left scale 2^61", ir.ErrScaleDrift)), "bad_ciphertext"},
+		{wrapped(fmt.Errorf("%w: left level 2", ir.ErrLevelExhausted)), "bad_ciphertext"},
+		{fmt.Errorf("henn: encrypt: %w: input 0 at level 3", exec.ErrInputMismatch), "bad_ciphertext"},
+		{wrapped(fmt.Errorf("%w: ckks: missing rotation key for galois element 5", exec.ErrEnginePanic)), "error"},
+		{wrapped(context.DeadlineExceeded), "timeout"},
+		{errors.New("henn: stage 0: cannot execute op"), "error"},
+	} {
+		if got := evalOutcome(tc.err); got != tc.want {
+			t.Errorf("evalOutcome(%v) = %q, want %q", tc.err, got, tc.want)
+		}
+		if got := clientFault(tc.err); got != (tc.want == "bad_ciphertext") {
+			t.Errorf("clientFault(%v) = %v", tc.err, got)
+		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"cnnhe/internal/faults"
 	"cnnhe/internal/guard"
 	"cnnhe/internal/henn"
+	"cnnhe/internal/henn/exec"
 	"cnnhe/internal/nn"
 	"cnnhe/internal/telemetry"
 )
@@ -458,7 +459,7 @@ func TestServeGuardRecoversAfterFailedBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 
 	_, _, err = s.Submit(context.Background(), testImage(rng, 64))
-	if !inj.Fired() || !errors.Is(err, guard.ErrEnginePanic) {
+	if !inj.Fired() || !errors.Is(err, exec.ErrEnginePanic) {
 		t.Fatalf("first batch: fired %v, error %v; want the injected engine panic", inj.Fired(), err)
 	}
 	logits, info, err := s.Submit(context.Background(), testImage(rng, 64))
